@@ -42,31 +42,30 @@ class CfaPattern(enum.Enum):
         letters = self.name
         return ((letters[0], letters[1]), (letters[2], letters[3]))
 
-    def offset_of(self, color: str) -> tuple[int, int]:
-        """(row, col) of a color within the 2x2 tile; for G, the top-row site."""
-        for dy in (0, 1):
-            for dx in (0, 1):
-                if self.tile[dy][dx] == color:
-                    return (dy, dx)
-        raise ValueError(f"color {color!r} not in tile")
+    @property
+    def sites(self) -> tuple[tuple[int, int, str], ...]:
+        """The (row, col, color) sites of the 2x2 tile in sub-image order R, G1, G2, B.
+
+        G1 is the green site in the top tile row, G2 the one in the bottom row.
+        """
+        row_major = [(dy, dx, self.name[2 * dy + dx]) for dy in (0, 1) for dx in (0, 1)]
+        return tuple(sorted(row_major, key=lambda site: "RGB".index(site[2])))
 
     @property
     def r_offset(self) -> tuple[int, int]:
-        return self.offset_of("R")
-
-    @property
-    def b_offset(self) -> tuple[int, int]:
-        return self.offset_of("B")
+        return self.sites[0][:2]
 
     @property
     def g1_offset(self) -> tuple[int, int]:
-        dx = 0 if self.tile[0][0] == "G" else 1
-        return (0, dx)
+        return self.sites[1][:2]
 
     @property
     def g2_offset(self) -> tuple[int, int]:
-        dx = 0 if self.tile[1][0] == "G" else 1
-        return (1, dx)
+        return self.sites[2][:2]
+
+    @property
+    def b_offset(self) -> tuple[int, int]:
+        return self.sites[3][:2]
 
 
 DEFAULT_PATTERN = CfaPattern.GBRG
@@ -134,34 +133,16 @@ def mosaic_from_rgb(image: RgbImage, pattern: CfaPattern) -> MosaicImage:
         raise DimensionError(f"mosaicking requires even dimensions, got {w}x{h}")
     channel = {"R": image.r.data, "G": image.g.data, "B": image.b.data}
     out = np.empty((h, w), dtype=np.float64)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            color = pattern.tile[dy][dx]
-            out[dy::2, dx::2] = channel[color][dy::2, dx::2]
+    for dy, dx, color in pattern.sites:
+        out[dy::2, dx::2] = channel[color][dy::2, dx::2]
     return MosaicImage(pattern, Plane(out))
 
 
 def decompose(mosaic: MosaicImage) -> SubImages:
     """Split a mosaic into its four half-resolution color planes."""
     data = mosaic.plane.data
-    pattern = mosaic.pattern
-    parts = {}
-    for name, (dy, dx) in (
-        ("r", pattern.r_offset),
-        ("g1", pattern.g1_offset),
-        ("g2", pattern.g2_offset),
-        ("b", pattern.b_offset),
-    ):
-        parts[name] = Plane(data[dy::2, dx::2])
-    return SubImages(
-        r=parts["r"],
-        g1=parts["g1"],
-        g2=parts["g2"],
-        b=parts["b"],
-        pattern=pattern,
-        full_width=mosaic.width,
-        full_height=mosaic.height,
-    )
+    planes = (Plane(data[dy::2, dx::2]) for dy, dx, _ in mosaic.pattern.sites)
+    return SubImages(*planes, pattern=mosaic.pattern, full_width=mosaic.width, full_height=mosaic.height)
 
 
 def recompose(subs: SubImages) -> MosaicImage:
@@ -171,12 +152,6 @@ def recompose(subs: SubImages) -> MosaicImage:
     bit-for-bit.
     """
     out = np.empty((subs.full_height, subs.full_width), dtype=np.float64)
-    pattern = subs.pattern
-    for plane, (dy, dx) in (
-        (subs.r, pattern.r_offset),
-        (subs.g1, pattern.g1_offset),
-        (subs.g2, pattern.g2_offset),
-        (subs.b, pattern.b_offset),
-    ):
+    for plane, (dy, dx, _) in zip(subs.planes, subs.pattern.sites):
         out[dy::2, dx::2] = plane.data
-    return MosaicImage(pattern, Plane(out))
+    return MosaicImage(subs.pattern, Plane(out))

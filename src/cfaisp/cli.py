@@ -8,6 +8,7 @@ functions of the arguments and input bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -29,48 +30,62 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _pattern_type(text: str) -> CfaPattern:
-    try:
-        return CfaPattern.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _parsed(parse):
+    """argparse type from a parse function whose ValueError names the bad text."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _strategy_type(text: str) -> Strategy:
-    try:
-        return Strategy.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _kind(family: str, kinds: tuple[str, ...]):
+    """argparse type for a method kind; case and '_' for '-' are forgiven."""
+
+    def convert(text: str) -> str:
+        kind = text.strip().lower().replace("_", "-")
+        if kind not in kinds:
+            raise argparse.ArgumentTypeError(f"unknown {family} {text!r}; expected one of {kinds}")
+        return kind
+
+    return convert
 
 
-def _demosaicker_kind(text: str) -> str:
-    kind = text.strip().lower().replace("_", "-")
-    if kind not in DEMOSAICKER_KINDS:
-        raise argparse.ArgumentTypeError(f"unknown demosaicker {text!r}; expected one of {DEMOSAICKER_KINDS}")
-    return kind
+def _checked(cast, test, need: str):
+    """argparse type: cast the text, then reject values outside the range test."""
+
+    def convert(text: str):
+        value = cast(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    convert.__name__ = cast.__name__  # argparse says "invalid int value" when cast fails
+    return convert
 
 
-def _denoiser_kind(text: str) -> str:
-    kind = text.strip().lower()
-    if kind not in DENOISER_KINDS:
-        raise argparse.ArgumentTypeError(f"unknown denoiser {text!r}; expected one of {DENOISER_KINDS}")
-    return kind
+_count = _checked(int, lambda v: v >= 1, ">= 1")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
+_sigma = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_scale = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
 def _sigma_n_type(text: str) -> Optional[float]:
     if text.strip().lower() == "auto":
         return None
     try:
-        value = float(text)
+        return _sigma(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
-    return value
 
 
 def _add_pattern_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pattern",
-        type=_pattern_type,
+        type=_parsed(CfaPattern.parse),
         default=CfaPattern.GBRG,
         help="Bayer pattern: rggb, grbg, gbrg, or bggr (case-insensitive; default gbrg)",
     )
@@ -81,28 +96,28 @@ def _add_depth_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sigma_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma", type=float, default=0.05, help="noise sigma for all color classes (default 0.05)")
-    parser.add_argument("--sigma-r", type=float, default=None, help="override sigma for red sites")
-    parser.add_argument("--sigma-g", type=float, default=None, help="override sigma for green sites")
-    parser.add_argument("--sigma-b", type=float, default=None, help="override sigma for blue sites")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit noise seed (default 0)")
+    parser.add_argument("--sigma", type=_sigma, default=0.05, help="noise sigma for all color classes (default 0.05)")
+    parser.add_argument("--sigma-r", type=_sigma, default=None, help="override sigma for red sites")
+    parser.add_argument("--sigma-g", type=_sigma, default=None, help="override sigma for green sites")
+    parser.add_argument("--sigma-b", type=_sigma, default=None, help="override sigma for blue sites")
+    parser.add_argument("--seed", type=_seed, default=0, help="64-bit noise seed (default 0)")
 
 
 def _add_denoiser_flags(parser: argparse.ArgumentParser, plural: bool = False) -> None:
     if plural:
         parser.add_argument(
             "--denoisers",
-            type=_denoiser_kind,
+            type=_kind("denoiser", DENOISER_KINDS),
             nargs="+",
             default=["wavelet"],
             help="denoiser kinds to sweep (default: wavelet)",
         )
     else:
-        parser.add_argument("--denoiser", type=_denoiser_kind, default="wavelet", help="denoiser kind (default wavelet)")
-    parser.add_argument("--dn-sigma-s", type=float, default=1.0, help="gaussian/bilateral spatial sigma in pixels (default 1.0)")
-    parser.add_argument("--dn-radius", type=int, default=1, help="median window radius (default 1)")
-    parser.add_argument("--dn-sigma-r", type=float, default=0.1, help="bilateral range sigma (default 0.1)")
-    parser.add_argument("--dn-levels", type=int, default=3, help="wavelet decomposition levels (default 3)")
+        parser.add_argument("--denoiser", type=_kind("denoiser", DENOISER_KINDS), default="wavelet", help="denoiser kind (default wavelet)")
+    parser.add_argument("--dn-sigma-s", type=_scale, default=1.0, help="gaussian/bilateral spatial sigma in pixels (default 1.0)")
+    parser.add_argument("--dn-radius", type=_count, default=1, help="median window radius (default 1)")
+    parser.add_argument("--dn-sigma-r", type=_scale, default=0.1, help="bilateral range sigma (default 0.1)")
+    parser.add_argument("--dn-levels", type=_count, default=3, help="wavelet decomposition levels (default 3)")
     parser.add_argument(
         "--dn-sigma-n",
         type=_sigma_n_type,
@@ -115,7 +130,7 @@ def _add_demosaicker_flags(parser: argparse.ArgumentParser, plural: bool = False
     if plural:
         parser.add_argument(
             "--demosaickers",
-            type=_demosaicker_kind,
+            type=_kind("demosaicker", DEMOSAICKER_KINDS),
             nargs="+",
             default=None,
             help="non-joint demosaickers to sweep (default: bilinear)",
@@ -123,12 +138,12 @@ def _add_demosaicker_flags(parser: argparse.ArgumentParser, plural: bool = False
     else:
         parser.add_argument(
             "--demosaicker",
-            type=_demosaicker_kind,
+            type=_kind("demosaicker", DEMOSAICKER_KINDS),
             default=None,
             help="bilinear, gradient, or joint-bilateral (default: bilinear; joint strategy always uses joint-bilateral)",
         )
-    parser.add_argument("--jb-sigma-s", type=float, default=1.5, help="joint-bilateral spatial sigma in pixels (default 1.5)")
-    parser.add_argument("--jb-sigma-r", type=float, default=0.1, help="joint-bilateral range sigma (default 0.1)")
+    parser.add_argument("--jb-sigma-s", type=_scale, default=1.5, help="joint-bilateral spatial sigma in pixels (default 1.5)")
+    parser.add_argument("--jb-sigma-r", type=_scale, default=0.1, help="joint-bilateral range sigma (default 0.1)")
 
 
 def _denoiser_config(args: argparse.Namespace, kind: Optional[str] = None) -> DenoiserConfig:
@@ -338,7 +353,7 @@ def _build_parser() -> _Parser:
     pipeline_cmd = commands.add_parser("pipeline", help="run one strategy end to end and print its CSV record")
     pipeline_cmd.add_argument("--in", required=True, help="reference PPM (P6)")
     pipeline_cmd.add_argument("--out", default=None, help="optional output PPM of the reconstruction")
-    pipeline_cmd.add_argument("--strategy", type=_strategy_type, default=Strategy.AFTER, help="after, joint, or before (default after)")
+    pipeline_cmd.add_argument("--strategy", type=_parsed(Strategy.parse), default=Strategy.AFTER, help="after, joint, or before (default after)")
     _add_pattern_flag(pipeline_cmd)
     _add_sigma_flags(pipeline_cmd)
     _add_denoiser_flags(pipeline_cmd)
@@ -351,15 +366,15 @@ def _build_parser() -> _Parser:
     experiment_cmd.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     experiment_cmd.add_argument(
         "--strategies",
-        type=_strategy_type,
+        type=_parsed(Strategy.parse),
         nargs="+",
         default=[Strategy.AFTER, Strategy.BEFORE],
         help="strategies to sweep (default: after before)",
     )
-    experiment_cmd.add_argument("--sigmas", type=float, nargs="+", default=[0.02, 0.05, 0.1], help="noise sigmas (default: 0.02 0.05 0.1)")
-    experiment_cmd.add_argument("--repeats", type=int, default=1, help="noise realizations per grid point (default 1)")
-    experiment_cmd.add_argument("--seed", type=int, default=0, help="master seed; per-run seeds derive from it (default 0)")
-    experiment_cmd.add_argument("--jobs", type=int, default=None, help="worker processes (default: CPU count)")
+    experiment_cmd.add_argument("--sigmas", type=_sigma, nargs="+", default=[0.02, 0.05, 0.1], help="noise sigmas (default: 0.02 0.05 0.1)")
+    experiment_cmd.add_argument("--repeats", type=_count, default=1, help="noise realizations per grid point (default 1)")
+    experiment_cmd.add_argument("--seed", type=_seed, default=0, help="master seed; per-run seeds derive from it (default 0)")
+    experiment_cmd.add_argument("--jobs", type=_count, default=None, help="worker processes (default: CPU count)")
     experiment_cmd.add_argument("--timing", action="store_true", help="record wall time per run (off by default so CSVs are reproducible)")
     _add_pattern_flag(experiment_cmd)
     _add_denoiser_flags(experiment_cmd, plural=True)
@@ -374,19 +389,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
-        return 1
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, PnmError, DimensionError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
-        return 1
-    except (PnmError, DimensionError, ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 def run() -> None:

@@ -23,16 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import convolve
 
-from cfaisp.cfa import CfaPattern, MosaicImage
+from cfaisp.cfa import MosaicImage
+from cfaisp.denoise import check_method, describe_method
 from cfaisp.imageio import Plane, RgbImage
 
-DEMOSAICKER_KINDS = ("bilinear", "gradient", "joint-bilateral")
-
-# Gradient-correction gains: G estimated at an R/B site, R/B estimated at a
-# G site, and R/B estimated at the opposite chroma site.
-GAIN_G_AT_RB = 1 / 2
-GAIN_RB_AT_G = 5 / 8
-GAIN_RB_AT_OPPOSITE = 3 / 4
+# kind -> (name of the function in this module, the DemosaickerConfig fields
+# it takes after the mosaic). demosaic() looks the name up when it runs, so a
+# module attribute replaced at run time is the one that gets called.
+_DEMOSAICKERS = {
+    "bilinear": ("demosaic_bilinear", ()),
+    "gradient": ("demosaic_gradient", ()),
+    "joint-bilateral": ("demosaic_joint_bilateral", ("sigma_s", "sigma_r")),
+}
+DEMOSAICKER_KINDS = tuple(_DEMOSAICKERS)
 
 
 @dataclass(frozen=True)
@@ -44,13 +47,7 @@ class DemosaickerConfig:
     sigma_r: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.kind not in DEMOSAICKER_KINDS:
-            raise ValueError(f"unknown demosaicker kind {self.kind!r}; expected one of {DEMOSAICKER_KINDS}")
-        if self.kind == "joint-bilateral":
-            if not self.sigma_s > 0:
-                raise ValueError(f"sigma_s must be > 0, got {self.sigma_s}")
-            if not self.sigma_r > 0:
-                raise ValueError(f"sigma_r must be > 0, got {self.sigma_r}")
+        check_method(self, _DEMOSAICKERS, "demosaicker")
 
     @property
     def is_joint(self) -> bool:
@@ -58,30 +55,16 @@ class DemosaickerConfig:
 
     def describe(self) -> str:
         """Compact comma-free descriptor used in CSV output."""
-        if self.kind == "joint-bilateral":
-            return f"joint-bilateral(sigma_s={self.sigma_s:g} sigma_r={self.sigma_r:g})"
-        return self.kind
+        return describe_method(self, _DEMOSAICKERS)
 
 
-def _site_masks(pattern: CfaPattern, shape: tuple[int, int]) -> dict[str, np.ndarray]:
-    """Boolean site masks per color, with G split by the row it shares.
-
-    'G_r_row' marks green sites whose row also holds red samples (so their
-    horizontal neighbors are red), 'G_b_row' the greens in blue rows.
-    """
-    masks = {name: np.zeros(shape, dtype=bool) for name in ("R", "G", "B", "G_r_row", "G_b_row")}
-    r_row = pattern.r_offset[0]
-    for dy in (0, 1):
-        for dx in (0, 1):
-            color = pattern.tile[dy][dx]
-            masks[color][dy::2, dx::2] = True
-            if color == "G":
-                split = "G_r_row" if dy == r_row else "G_b_row"
-                masks[split][dy::2, dx::2] = True
-    return masks
-
-
-_ONES3 = np.ones((3, 3), dtype=np.float64)
+# Bilinear stencils, in the roles of the gradient kernels below: the nearest
+# same-color samples, with no Laplacian correction.
+_BILINEAR_KERNELS = (
+    np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.float64),
+    np.array([[0, 0, 0], [1, 0, 1], [0, 0, 0]], dtype=np.float64),
+    np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]], dtype=np.float64),
+)
 
 # 5x5 gradient-corrected kernels in eighths. Each is the bilinear stencil for
 # the target color plus the gain-weighted Laplacian of the measured channel;
@@ -114,8 +97,6 @@ _K_RB_AT_G_HROW = (
     / 8.0
 )
 
-_K_RB_AT_G_VROW = _K_RB_AT_G_HROW.T
-
 _K_RB_AT_OPPOSITE = (
     np.array(
         [
@@ -130,6 +111,36 @@ _K_RB_AT_OPPOSITE = (
     / 8.0
 )
 
+_GRADIENT_KERNELS = (_K_G_AT_RB, _K_RB_AT_G_HROW, _K_RB_AT_OPPOSITE)
+
+
+def _demosaic_linear(mosaic: MosaicImage, kernels: tuple[np.ndarray, np.ndarray, np.ndarray]) -> RgbImage:
+    """Estimate each missing sample with one fixed kernel chosen by its tile site.
+
+    kernels are (G at R/B, R/B along the row at G, R/B at the opposite chroma
+    site); the transposed row kernel gives R/B across the row at G. Each
+    response is divided by its kernel's weight sum, so constants are kept.
+    Measured samples pass through. Mirror reflection maps an index to one of
+    the same parity, so every kernel reads only the color it estimates, at
+    the borders too.
+    """
+    data = mosaic.plane.data
+    k_g, k_row, k_x = kernels
+    est_g, est_row, est_col, est_x = (convolve(data, k, mode="mirror") / k.sum() for k in (k_g, k_row, k_row.T, k_x))
+    r_row = mosaic.pattern.r_offset[0]
+    out = {color: np.empty_like(data) for color in "RGB"}
+    for dy, dx, color in mosaic.pattern.sites:
+        site = (slice(dy, None, 2), slice(dx, None, 2))
+        out[color][site] = data[site]
+        if color == "G":
+            along, across = ("R", "B") if dy == r_row else ("B", "R")
+            out[along][site] = est_row[site]
+            out[across][site] = est_col[site]
+        else:
+            out["G"][site] = est_g[site]
+            out["B" if color == "R" else "R"][site] = est_x[site]
+    return RgbImage(Plane(out["R"]), Plane(out["G"]), Plane(out["B"]))
+
 
 def demosaic_bilinear(mosaic: MosaicImage) -> RgbImage:
     """Mean of the available same-color neighbors in each 3x3 window.
@@ -137,15 +148,7 @@ def demosaic_bilinear(mosaic: MosaicImage) -> RgbImage:
     Measured samples pass through unchanged. For inputs in [0, 1] the output
     stays in [0, 1] because every sample is a convex combination.
     """
-    data = mosaic.plane.data
-    masks = _site_masks(mosaic.pattern, data.shape)
-    channels = {}
-    for color in ("R", "G", "B"):
-        mask = masks[color].astype(np.float64)
-        num = convolve(data * mask, _ONES3, mode="mirror")
-        den = convolve(mask, _ONES3, mode="mirror")
-        channels[color] = np.where(masks[color], data, num / den)
-    return RgbImage(Plane(channels["R"]), Plane(channels["G"]), Plane(channels["B"]))
+    return _demosaic_linear(mosaic, _BILINEAR_KERNELS)
 
 
 def demosaic_gradient(mosaic: MosaicImage) -> RgbImage:
@@ -155,26 +158,7 @@ def demosaic_gradient(mosaic: MosaicImage) -> RgbImage:
     gains 1/2 (G at R/B), 5/8 (R/B at G), and 3/4 (R/B at the opposite
     chroma site). Linear ramps are reproduced exactly in the interior.
     """
-    data = mosaic.plane.data
-    masks = _site_masks(mosaic.pattern, data.shape)
-    est_g = convolve(data, _K_G_AT_RB, mode="mirror")
-    est_h = convolve(data, _K_RB_AT_G_HROW, mode="mirror")
-    est_v = convolve(data, _K_RB_AT_G_VROW, mode="mirror")
-    est_x = convolve(data, _K_RB_AT_OPPOSITE, mode="mirror")
-
-    green = np.where(masks["G"], data, est_g)
-
-    red = data.copy()
-    red[masks["G_r_row"]] = est_h[masks["G_r_row"]]
-    red[masks["G_b_row"]] = est_v[masks["G_b_row"]]
-    red[masks["B"]] = est_x[masks["B"]]
-
-    blue = data.copy()
-    blue[masks["G_b_row"]] = est_h[masks["G_b_row"]]
-    blue[masks["G_r_row"]] = est_v[masks["G_r_row"]]
-    blue[masks["R"]] = est_x[masks["R"]]
-
-    return RgbImage(Plane(red), Plane(green), Plane(blue))
+    return _demosaic_linear(mosaic, _GRADIENT_KERNELS)
 
 
 def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float) -> RgbImage:
@@ -192,7 +176,9 @@ def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float
         raise ValueError(f"sigma_r must be > 0, got {sigma_r}")
     data = mosaic.plane.data
     h, w = data.shape
-    masks = _site_masks(mosaic.pattern, data.shape)
+    masks = {color: np.zeros((h, w), dtype=bool) for color in "RGB"}
+    for dy, dx, color in mosaic.pattern.sites:
+        masks[color][dy::2, dx::2] = True
     guide = demosaic_bilinear(mosaic).g.data
 
     radius = math.ceil(3.0 * sigma_s)
@@ -222,8 +208,5 @@ def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float
 
 def demosaic(mosaic: MosaicImage, config: DemosaickerConfig) -> RgbImage:
     """Apply the configured demosaicker."""
-    if config.kind == "bilinear":
-        return demosaic_bilinear(mosaic)
-    if config.kind == "gradient":
-        return demosaic_gradient(mosaic)
-    return demosaic_joint_bilateral(mosaic, config.sigma_s, config.sigma_r)
+    name, fields = _DEMOSAICKERS[config.kind]
+    return globals()[name](mosaic, *(getattr(config, field) for field in fields))

@@ -30,7 +30,36 @@ from cfaisp.noise import estimate_sigma
 
 _SQRT2 = math.sqrt(2.0)
 
-DENOISER_KINDS = ("none", "gaussian", "median", "bilateral", "wavelet")
+# Each config field a method can read: its range test, how error messages
+# word that test, and how describe() renders the value.
+_FIELDS = {
+    "sigma_s": (lambda v: v > 0, "> 0", "{:g}".format),
+    "sigma_r": (lambda v: v > 0, "> 0", "{:g}".format),
+    "radius": (lambda v: v >= 1, ">= 1", str),
+    "levels": (lambda v: v >= 1, ">= 1", str),
+    "sigma_n": (lambda v: v is None or (math.isfinite(v) and v >= 0), "finite and >= 0", lambda v: "auto" if v is None else f"{v:g}"),
+}
+
+
+def check_method(config, table: dict, family: str) -> None:
+    """Reject an unknown config.kind, or an out-of-range field that kind reads.
+
+    table maps each kind to (implementation, the config fields it reads); the
+    denoiser and demosaicker configs share this check and describe_method.
+    """
+    if config.kind not in table:
+        raise ValueError(f"unknown {family} kind {config.kind!r}; expected one of {tuple(table)}")
+    for name in table[config.kind][1]:
+        test, need, _ = _FIELDS[name]
+        value = getattr(config, name)
+        if not test(value):
+            raise ValueError(f"{name} must be {need}, got {value}")
+
+
+def describe_method(config, table: dict) -> str:
+    """Comma-free descriptor kind(field=value ...) over the fields the kind reads."""
+    params = " ".join(f"{name}={_FIELDS[name][2](getattr(config, name))}" for name in table[config.kind][1])
+    return f"{config.kind}({params})" if params else config.kind
 
 
 @dataclass(frozen=True)
@@ -51,32 +80,11 @@ class DenoiserConfig:
     sigma_n: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in DENOISER_KINDS:
-            raise ValueError(f"unknown denoiser kind {self.kind!r}; expected one of {DENOISER_KINDS}")
-        if self.kind in ("gaussian", "bilateral") and not self.sigma_s > 0:
-            raise ValueError(f"sigma_s must be > 0, got {self.sigma_s}")
-        if self.kind == "bilateral" and not self.sigma_r > 0:
-            raise ValueError(f"sigma_r must be > 0, got {self.sigma_r}")
-        if self.kind == "median" and self.radius < 1:
-            raise ValueError(f"radius must be >= 1, got {self.radius}")
-        if self.kind == "wavelet":
-            if self.levels < 1:
-                raise ValueError(f"levels must be >= 1, got {self.levels}")
-            if self.sigma_n is not None and (not math.isfinite(self.sigma_n) or self.sigma_n < 0):
-                raise ValueError(f"sigma_n must be finite and >= 0, got {self.sigma_n}")
+        check_method(self, _DENOISERS, "denoiser")
 
     def describe(self) -> str:
         """Compact comma-free descriptor used in CSV output."""
-        if self.kind == "none":
-            return "none"
-        if self.kind == "gaussian":
-            return f"gaussian(sigma_s={self.sigma_s:g})"
-        if self.kind == "median":
-            return f"median(radius={self.radius})"
-        if self.kind == "bilateral":
-            return f"bilateral(sigma_s={self.sigma_s:g} sigma_r={self.sigma_r:g})"
-        sigma_n = "auto" if self.sigma_n is None else f"{self.sigma_n:g}"
-        return f"wavelet(levels={self.levels} sigma_n={sigma_n})"
+        return describe_method(self, _DENOISERS)
 
 
 @dataclass(frozen=True)
@@ -224,17 +232,21 @@ def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) 
     return idwt_haar(WaveletPyramid(ll=pyramid.ll, details=tuple(new_details)))
 
 
+# kind -> (filter, the DenoiserConfig fields it takes after the plane).
+_DENOISERS = {
+    "none": (lambda plane: plane, ()),
+    "gaussian": (denoise_gaussian, ("sigma_s",)),
+    "median": (denoise_median, ("radius",)),
+    "bilateral": (denoise_bilateral, ("sigma_s", "sigma_r")),
+    "wavelet": (denoise_wavelet, ("levels", "sigma_n")),
+}
+DENOISER_KINDS = tuple(_DENOISERS)
+
+
 def denoise_plane(plane: Plane, config: DenoiserConfig) -> Plane:
     """Apply the configured denoiser to one plane."""
-    if config.kind == "none":
-        return plane
-    if config.kind == "gaussian":
-        return denoise_gaussian(plane, config.sigma_s)
-    if config.kind == "median":
-        return denoise_median(plane, config.radius)
-    if config.kind == "bilateral":
-        return denoise_bilateral(plane, config.sigma_s, config.sigma_r)
-    return denoise_wavelet(plane, config.levels, config.sigma_n)
+    denoiser, fields = _DENOISERS[config.kind]
+    return denoiser(plane, *(getattr(config, field) for field in fields))
 
 
 def denoise_subimages(subs: SubImages, config: DenoiserConfig) -> SubImages:
@@ -243,12 +255,5 @@ def denoise_subimages(subs: SubImages, config: DenoiserConfig) -> SubImages:
     Each half-resolution plane (R, G1, G2, B) is a uniformly sampled image of
     one color class, so the single-plane filters apply without modification.
     """
-    return SubImages(
-        r=denoise_plane(subs.r, config),
-        g1=denoise_plane(subs.g1, config),
-        g2=denoise_plane(subs.g2, config),
-        b=denoise_plane(subs.b, config),
-        pattern=subs.pattern,
-        full_width=subs.full_width,
-        full_height=subs.full_height,
-    )
+    planes = (denoise_plane(plane, config) for plane in subs.planes)
+    return SubImages(*planes, pattern=subs.pattern, full_width=subs.full_width, full_height=subs.full_height)

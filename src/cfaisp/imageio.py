@@ -200,22 +200,6 @@ CSV_HEADER = (
     "mse_r,mse_g,mse_b,psnr_r_db,psnr_g_db,psnr_b_db,cpsnr_db,wall_ms"
 )
 
-_CSV_TEXT_FIELDS = ("image", "pattern", "strategy", "denoiser", "demosaicker")
-_CSV_FLOAT_FIELDS = (
-    "sigma_r",
-    "sigma_g",
-    "sigma_b",
-    "mse_r",
-    "mse_g",
-    "mse_b",
-    "psnr_r_db",
-    "psnr_g_db",
-    "psnr_b_db",
-    "cpsnr_db",
-    "wall_ms",
-)
-
-
 def format_float(value: float) -> str:
     """Render a float with 6 significant digits, no exponent notation."""
     if np.isinf(value):
@@ -226,25 +210,23 @@ def format_float(value: float) -> str:
 
 
 def write_csv(records: Iterable) -> bytes:
-    """Serialize experiment records to CSV bytes with a fixed column order.
+    """Serialize experiment records to CSV bytes, one column per CSV_HEADER name.
 
-    Text fields are written verbatim and must not contain separators; floats
-    are rendered with 6 significant digits so equal results serialize to
-    identical bytes.
+    Text values are written verbatim and must not contain separators; the
+    seed is written as an integer and every other value with format_float,
+    so equal results serialize to identical bytes.
     """
+    names = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for record in records:
         cells = []
-        for field in _CSV_TEXT_FIELDS:
-            text = str(getattr(record, field))
-            if "," in text or "\n" in text or "\r" in text:
-                raise ValueError(f"CSV field {field}={text!r} contains a separator")
-            cells.append(text)
-        cells.append(format_float(getattr(record, "sigma_r")))
-        cells.append(format_float(getattr(record, "sigma_g")))
-        cells.append(format_float(getattr(record, "sigma_b")))
-        cells.append(str(int(getattr(record, "seed"))))
-        for field in _CSV_FLOAT_FIELDS[3:]:
-            cells.append(format_float(getattr(record, field)))
+        for name in names:
+            value = getattr(record, name)
+            if isinstance(value, str):
+                if "," in value or "\n" in value or "\r" in value:
+                    raise ValueError(f"CSV field {name}={value!r} contains a separator")
+                cells.append(value)
+            else:
+                cells.append(str(int(value)) if name == "seed" else format_float(value))
         lines.append(",".join(cells))
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -104,9 +104,8 @@ def add_awgn(mosaic: MosaicImage, spec: NoiseSpec) -> MosaicImage:
     field = normal_field(spec.seed, h, w)
     sigma = {"R": spec.sigma_r, "G": spec.sigma_g, "B": spec.sigma_b}
     scale = np.empty((h, w), dtype=np.float64)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            scale[dy::2, dx::2] = sigma[mosaic.pattern.tile[dy][dx]]
+    for dy, dx, color in mosaic.pattern.sites:
+        scale[dy::2, dx::2] = sigma[color]
     return MosaicImage(mosaic.pattern, Plane(mosaic.plane.data + field * scale))
 
 

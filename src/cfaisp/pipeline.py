@@ -159,7 +159,7 @@ def run_pipeline(
         psnr_r_db=psnr(channel_mses[0]),
         psnr_g_db=psnr(channel_mses[1]),
         psnr_b_db=psnr(channel_mses[2]),
-        cpsnr_db=cpsnr(truth, result, METRIC_CROP),
+        cpsnr_db=psnr(sum(channel_mses) / 3.0),
         wall_ms=wall_ms,
     )
     return result, record

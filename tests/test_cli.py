@@ -325,6 +325,34 @@ class TestExperimentCommand:
         assert len(set(seeds)) == 3
 
 
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("experiment", "--repeats", "0"),
+            ("experiment", "--sigmas", "-0.1"),
+            ("experiment", "--dn-levels", "0"),
+            ("experiment", "--dn-sigma-n", "-1"),
+            ("experiment", "--seed", "-1"),
+            ("experiment", "--jobs", "0"),
+            ("pipeline", "--sigma", "-0.1"),
+            ("pipeline", "--dn-levels", "0"),
+            ("pipeline", "--dn-sigma-n", "-1"),
+            ("pipeline", "--seed", "-1"),
+        ],
+    )
+    def test_usage_error_names_the_flag(self, tmp_path, capsys, command, flag, value):
+        image = _write_ppm(tmp_path / "a.ppm", _rgb(seed=62))
+        if command == "experiment":
+            argv = ["experiment", image, "--strategies", "after", "--sigmas", "0.05", "--jobs", "1", "--out", str(tmp_path / "r.csv")]
+        else:
+            argv = ["pipeline", "--in", image]
+        assert main(argv + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag in err and value in err
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
