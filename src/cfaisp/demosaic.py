@@ -17,14 +17,14 @@ edge sample not duplicated):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.ndimage import convolve
 
-from cfaisp.cfa import MosaicImage
-from cfaisp.denoise import check_method, describe_method
+from cfaisp.cfa import MosaicImage, color_at
+from cfaisp.denoise import _bilateral, check_method, describe_method
 from cfaisp.imageio import Plane, RgbImage
 
 # kind -> (name of the function in this module, the DemosaickerConfig fields
@@ -164,46 +164,17 @@ def demosaic_gradient(mosaic: MosaicImage) -> RgbImage:
 def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float) -> RgbImage:
     """Bilateral interpolation over same-color sites, guided by bilinear G.
 
-    Every output sample, measured sites included, is the weight-normalized
-    average of the same-color mosaic samples within radius ceil(3 sigma_s),
-    with weight exp(-d^2 / 2 sigma_s^2) exp(-(g_p - g_q)^2 / 2 sigma_r^2)
-    where g is the bilinear green estimate. Filtering the measured sites is
-    what makes this a joint demosaick-denoise rather than interpolation.
+    Each 2x2 tile site is one pass of the shared bilateral kernel, bucketed by
+    color. Filtering the measured sites too is what makes this a joint
+    demosaick-denoise rather than interpolation.
     """
-    if not sigma_s > 0:
-        raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
-    if not sigma_r > 0:
-        raise ValueError(f"sigma_r must be > 0, got {sigma_r}")
     data = mosaic.plane.data
-    h, w = data.shape
-    masks = {color: np.zeros((h, w), dtype=bool) for color in "RGB"}
-    for dy, dx, color in mosaic.pattern.sites:
-        masks[color][dy::2, dx::2] = True
     guide = demosaic_bilinear(mosaic).g.data
-
-    radius = math.ceil(3.0 * sigma_s)
-    data_pad = np.pad(data, radius, mode="reflect")
-    guide_pad = np.pad(guide, radius, mode="reflect")
-    inv_2ss = 1.0 / (2.0 * sigma_s**2)
-    inv_2sr = 1.0 / (2.0 * sigma_r**2)
-
-    channels = {}
-    for color in ("R", "G", "B"):
-        mask_pad = np.pad(masks[color].astype(np.float64), radius, mode="reflect")
-        num = np.zeros((h, w), dtype=np.float64)
-        den = np.zeros((h, w), dtype=np.float64)
-        for dy in range(-radius, radius + 1):
-            for dx in range(-radius, radius + 1):
-                rows = slice(radius + dy, radius + dy + h)
-                cols = slice(radius + dx, radius + dx + w)
-                spatial = math.exp(-(dy * dy + dx * dx) * inv_2ss)
-                weight = mask_pad[rows, cols] * (spatial * np.exp(-((guide_pad[rows, cols] - guide) ** 2) * inv_2sr))
-                num += weight * data_pad[rows, cols]
-                den += weight
-        # den > 0 whenever any same-color range weight survives underflow;
-        # the floor only guards pathological all-underflow windows.
-        channels[color] = num / np.maximum(den, 1e-300)
-    return RgbImage(Plane(channels["R"]), Plane(channels["G"]), Plane(channels["B"]))
+    out = {color: np.empty_like(data) for color in "RGB"}
+    for dy, dx, _ in mosaic.pattern.sites:
+        for color, mean in _bilateral(data, guide, sigma_s, sigma_r, 2, dy, dx, partial(color_at, mosaic.pattern)).items():
+            out[color][dy::2, dx::2] = mean
+    return RgbImage(Plane(out["R"]), Plane(out["G"]), Plane(out["B"]))
 
 
 def demosaic(mosaic: MosaicImage, config: DemosaickerConfig) -> RgbImage:

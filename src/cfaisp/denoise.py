@@ -33,7 +33,7 @@ _SQRT2 = math.sqrt(2.0)
 # Each config field a method can read: its range test, how error messages
 # word that test, and how describe() renders the value.
 _FIELDS = {
-    "sigma_s": (lambda v: v > 0, "> 0", "{:g}".format),
+    "sigma_s": (lambda v: math.isfinite(v) and v > 0, "finite and > 0", "{:g}".format),
     "sigma_r": (lambda v: v > 0, "> 0", "{:g}".format),
     "radius": (lambda v: v >= 1, ">= 1", str),
     "levels": (lambda v: v >= 1, ">= 1", str),
@@ -156,8 +156,8 @@ def _gaussian_kernel(sigma_s: float) -> np.ndarray:
 
 def denoise_gaussian(plane: Plane, sigma_s: float) -> Plane:
     """Separable Gaussian blur with a renormalized +/- 3 sigma kernel."""
-    if not sigma_s > 0:
-        raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
+    if not (math.isfinite(sigma_s) and sigma_s > 0):
+        raise ValueError(f"sigma_s must be finite and > 0, got {sigma_s}")
     kernel = _gaussian_kernel(sigma_s)
     blurred = convolve1d(plane.data, kernel, axis=0, mode="mirror")
     blurred = convolve1d(blurred, kernel, axis=1, mode="mirror")
@@ -171,33 +171,61 @@ def denoise_median(plane: Plane, radius: int) -> Plane:
     return Plane(median_filter(plane.data, size=2 * radius + 1, mode="mirror"))
 
 
-def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:
-    """Bilateral filter: Gaussian in space, Gaussian in intensity difference.
+def _bilateral(data, guide, sigma_s, sigma_r, step=1, py=0, px=0, bucket=lambda row, col: None) -> dict:
+    """Bilateral means of data on the lattice guide[py::step, px::step], one per bucket.
 
-    Each output sample is the weighted mean over a +/- ceil(3 sigma_s) window
-    with weight exp(-d^2 / 2 sigma_s^2) exp(-(I_p - I_q)^2 / 2 sigma_r^2),
-    normalized per pixel. The center sample participates with weight 1.
+    Weights are exp(-d^2 / 2 sigma_s^2) exp(-(g_p - g_q)^2 / 2 sigma_r^2) over
+    a +/- ceil(3 sigma_s) window, g read from guide. A sample joins the mean of
+    bucket(row, col), its full-frame site; mirror reflection keeps an index's
+    parity on an even-size frame, so a bucket keyed by tile site holds one
+    color at the borders too. A weight sum below the smallest normal float
+    takes the spatial-only mean (the sigma_r -> inf limit).
     """
-    if not sigma_s > 0:
-        raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
+    if not (math.isfinite(sigma_s) and sigma_s > 0):
+        raise ValueError(f"sigma_s must be finite and > 0, got {sigma_s}")
     if not sigma_r > 0:
         raise ValueError(f"sigma_r must be > 0, got {sigma_r}")
     radius = math.ceil(3.0 * sigma_s)
-    data = plane.data
-    h, w = data.shape
-    padded = np.pad(data, radius, mode="reflect")
-    accum = np.zeros((h, w), dtype=np.float64)
-    weight_sum = np.zeros((h, w), dtype=np.float64)
+    center = guide[py::step, px::step]
+    h, w = center.shape
+    data_pad = np.pad(data, radius, mode="reflect")
+    guide_pad = data_pad if guide is data else np.pad(guide, radius, mode="reflect")
     inv_2ss = 1.0 / (2.0 * sigma_s**2)
     inv_2sr = 1.0 / (2.0 * sigma_r**2)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            shifted = padded[radius + dy : radius + dy + h, radius + dx : radius + dx + w]
+    offsets = range(-radius, radius + 1)
+    # Accumulators made on first use inside the loop ran 15% slower at 512x512.
+    keys = dict.fromkeys(bucket(py + dy, px + dx) for dy in offsets for dx in offsets)
+    sums = {key: (np.zeros((h, w)), np.zeros((h, w))) for key in keys}
+    for dy in offsets:
+        rows = slice(radius + py + dy, radius + py + dy + step * h, step)
+        for dx in offsets:
+            cols = slice(radius + px + dx, radius + px + dx + step * w, step)
             spatial = math.exp(-(dy * dy + dx * dx) * inv_2ss)
-            weight = spatial * np.exp(-((shifted - data) ** 2) * inv_2sr)
-            accum += weight * shifted
-            weight_sum += weight
-    return Plane(accum / weight_sum)
+            weight = spatial * np.exp(-((guide_pad[rows, cols] - center) ** 2) * inv_2sr)
+            num, den = sums[bucket(py + dy, px + dx)]
+            num += weight * data_pad[rows, cols]
+            den += weight
+    means, spatial_only = {}, None
+    for key, (num, den) in sums.items():
+        underflow = den < np.finfo(np.float64).tiny
+        if not underflow.any():
+            means[key] = num / den
+        elif math.isinf(sigma_r):
+            raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
+        else:
+            spatial_only = spatial_only or _bilateral(data, guide, sigma_s, math.inf, step, py, px, bucket)
+            means[key] = np.divide(num, den, out=spatial_only[key], where=~underflow)
+    return means
+
+
+def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:
+    """Bilateral filter: Gaussian in space, Gaussian in intensity difference.
+
+    Each output sample is the weight-normalized mean of its +/- ceil(3 sigma_s)
+    window, range-weighted on the plane itself; the center has weight 1.
+    """
+    (mean,) = _bilateral(plane.data, plane.data, sigma_s, sigma_r).values()
+    return Plane(mean)
 
 
 def _soft_threshold(band: np.ndarray, threshold: float) -> np.ndarray:

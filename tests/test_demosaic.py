@@ -7,6 +7,7 @@ oracle with the range kernel saturated. Quality orderings that motivated
 the gradient and joint variants are asserted on the shared corpus.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -130,6 +131,23 @@ def _gradient_oracle(mosaic: MosaicImage) -> RgbImage:
     return RgbImage(Plane(out["R"]), Plane(out["G"]), Plane(out["B"]))
 
 
+def _joint_weight_sums(mosaic: MosaicImage, sigma_s: float, sigma_r: float) -> dict:
+    """Per color, the sum of the joint filter's weights at every sample."""
+    data = mosaic.plane.data
+    guide = demosaic_bilinear(mosaic).g.data
+    h, w = data.shape
+    radius = math.ceil(3 * sigma_s)
+    colors = np.array([[color_at(mosaic.pattern, i, j) for j in range(w)] for i in range(h)])
+    sums = {color: np.zeros((h, w)) for color in "RGB"}
+    for u in range(-radius, radius + 1):
+        for v in range(-radius, radius + 1):
+            at = np.ix_([_reflect(i + u, h) for i in range(h)], [_reflect(j + v, w) for j in range(w)])
+            weight = math.exp(-(u * u + v * v) / (2 * sigma_s**2)) * np.exp(-((guide[at] - guide) ** 2) / (2 * sigma_r**2))
+            for color, den in sums.items():
+                den += np.where(colors[at] == color, weight, 0.0)
+    return sums
+
+
 def _random_mosaic(pattern, shape, seed):
     rng = np.random.default_rng(seed)
     return MosaicImage(pattern, Plane(rng.random(shape)))
@@ -235,14 +253,17 @@ class TestJointBilateral:
         for plane in out.planes:
             np.testing.assert_allclose(plane.data, 0.4, atol=1e-9)
 
-    def test_saturated_range_matches_spatial_oracle(self):
-        # With sigma_r huge the range weights are ~1 and the filter reduces
-        # to a spatially weighted average over same-color sites.
+    @pytest.mark.parametrize("sigma_r", [1e6, 0.1])
+    def test_saturated_range_matches_spatial_oracle(self, sigma_r):
+        # A weighted average over same-color sites, range-weighted on the
+        # bilinear green estimate. With sigma_r huge the range weights are ~1
+        # and the filter reduces to a spatially weighted average.
         sigma_s = 1.0
         radius = math.ceil(3 * sigma_s)
         pattern = CfaPattern.GBRG
         mosaic = _random_mosaic(pattern, (12, 14), 11)
         data = mosaic.plane.data
+        guide = demosaic_bilinear(mosaic).g.data
         h, w = data.shape
         expected = {c: np.zeros((h, w)) for c in "RGB"}
         for color in "RGB":
@@ -255,13 +276,54 @@ class TestJointBilateral:
                             if color_at(pattern, si, sj) != color:
                                 continue
                             weight = math.exp(-(u * u + v * v) / (2 * sigma_s**2))
+                            weight *= math.exp(-((guide[si, sj] - guide[i, j]) ** 2) / (2 * sigma_r**2))
                             num += weight * data[si, sj]
                             den += weight
                     expected[color][i, j] = num / den
-        out = demosaic_joint_bilateral(mosaic, sigma_s, 1e6)
-        np.testing.assert_allclose(out.r.data, expected["R"], atol=1e-6)
-        np.testing.assert_allclose(out.g.data, expected["G"], atol=1e-6)
-        np.testing.assert_allclose(out.b.data, expected["B"], atol=1e-6)
+        out = demosaic_joint_bilateral(mosaic, sigma_s, sigma_r)
+        np.testing.assert_allclose(out.r.data, expected["R"], atol=1e-12)
+        np.testing.assert_allclose(out.g.data, expected["G"], atol=1e-12)
+        np.testing.assert_allclose(out.b.data, expected["B"], atol=1e-12)
+
+    def test_underflowing_range_weights_fall_back_to_spatial_weights(self):
+        # At sigma_r = 1e-3 every same-color range weight of many samples
+        # underflows to 0; such a sample takes the sigma_r -> inf limit, the
+        # spatially weighted average, instead of coming out as 0.
+        mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.random.default_rng(0).uniform(0.1, 1.0, (32, 32))))
+        lo, hi = mosaic.plane.data.min(), mosaic.plane.data.max()
+        sharp = demosaic_joint_bilateral(mosaic, 1.5, 1e-3)
+        spatial = demosaic_joint_bilateral(mosaic, 1.5, 1e6)
+        sums = _joint_weight_sums(mosaic, 1.5, 1e-3)
+        for plane, limit, color in zip(sharp.planes, spatial.planes, "RGB"):
+            underflow = sums[color] == 0.0
+            assert np.any(underflow)
+            assert np.all(plane.data != 0.0)
+            assert lo - 1e-12 <= plane.data.min() and plane.data.max() <= hi + 1e-12
+            np.testing.assert_allclose(plane.data[underflow], limit.data[underflow], rtol=0, atol=1e-9)
+
+    def test_sigma_s_too_small_for_any_spatial_weight_is_rejected(self):
+        # At sigma_s = 0.03 the nearest B site of an R site is diagonal, with
+        # spatial weight exp(-2 / 0.0018) = 0, so no weight is left to average.
+        mosaic = _random_mosaic(CfaPattern.GBRG, (6, 6), 13)
+        with pytest.raises(ValueError, match="sigma_s=0.03 is too small"):
+            demosaic_joint_bilateral(mosaic, 0.03, 0.1)
+
+    def test_calls_bilinear_once_through_the_module_attribute(self, monkeypatch):
+        # Tracing replaces cfaisp.demosaic.demosaic_bilinear to attribute the
+        # guide's cost to the bilinear span, so the joint filter must look the
+        # function up there, once per call.
+        calls = []
+
+        def counting(mosaic):
+            calls.append(mosaic)
+            return demosaic_bilinear(mosaic)
+
+        # The package re-exports the demosaic() function under the submodule's name.
+        monkeypatch.setattr(importlib.import_module("cfaisp.demosaic"), "demosaic_bilinear", counting)
+        mosaic = _random_mosaic(CfaPattern.RGGB, (8, 10), 12)
+        demosaic_joint_bilateral(mosaic, 1.0, 0.1)
+        demosaic(mosaic, DemosaickerConfig(kind="joint-bilateral"))
+        assert calls == [mosaic, mosaic]
 
     def test_filters_measured_sites(self):
         pattern = CfaPattern.GBRG

@@ -24,6 +24,7 @@ from cfaisp.denoise import (
     dwt_haar,
     idwt_haar,
 )
+from cfaisp.demosaic import DemosaickerConfig, demosaic_joint_bilateral
 from cfaisp.imageio import DimensionError, Plane
 from cfaisp.noise import NoiseSpec, add_awgn, estimate_sigma, normal_field
 
@@ -442,6 +443,32 @@ class TestConfigAndDispatch:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             DenoiserConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DenoiserConfig(kind="gaussian", sigma_s=math.inf),
+            lambda: DenoiserConfig(kind="bilateral", sigma_s=math.inf),
+            lambda: DemosaickerConfig(kind="joint-bilateral", sigma_s=math.inf),
+            lambda: denoise_gaussian(Plane(np.zeros((4, 4))), math.inf),
+            lambda: denoise_bilateral(Plane(np.zeros((4, 4))), math.inf, 0.1),
+            lambda: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(np.zeros((4, 4)))), math.inf, 0.1),
+        ],
+        ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
+    )
+    def test_infinite_sigma_s_is_rejected(self, build):
+        with pytest.raises(ValueError, match="sigma_s must be finite and > 0, got inf"):
+            build()
+
+    def test_infinite_sigma_r_means_spatial_weights(self):
+        plane = Plane(np.random.default_rng(94).random((10, 12)))
+        config = DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=math.inf)
+        assert config.describe() == "bilateral(sigma_s=1 sigma_r=inf)"
+        np.testing.assert_allclose(denoise_plane(plane, config).data, denoise_gaussian(plane, 1.0).data, rtol=0, atol=1e-12)
+        mosaic = MosaicImage(CfaPattern.RGGB, plane)
+        spatial = demosaic_joint_bilateral(mosaic, 1.0, math.inf)
+        for got, want in zip(spatial.planes, demosaic_joint_bilateral(mosaic, 1.0, 1e6).planes):
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-9)
 
     def test_none_returns_same_plane(self):
         plane = Plane(np.random.default_rng(92).random((4, 4)))

@@ -1,7 +1,9 @@
 """Property tests: every Bayer pattern, every even size from 2x2 to 40x40.
 
 Samples are drawn from [-1, 2], the range a noisy mosaic can reach around
-its nominal [0, 1], so the properties cover overshooting inputs too.
+its nominal [0, 1], so the properties cover overshooting inputs too. The
+joint-bilateral filter gets sizes up to 16x16 and range kernels down to
+sigma_r = 1e-3, where every range weight of many samples underflows.
 """
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose, mosaic_from_rgb, recompose
-from cfaisp.demosaic import demosaic_bilinear, demosaic_gradient
+from cfaisp.demosaic import demosaic_bilinear, demosaic_gradient, demosaic_joint_bilateral
+from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
 from cfaisp.imageio import Plane, RgbImage
 
 SAMPLES = st.floats(-1.0, 2.0, allow_nan=False)
@@ -23,9 +26,33 @@ def _shapes(draw):
 
 
 @st.composite
-def _mosaics(draw):
-    shape = draw(_shapes())
-    return MosaicImage(draw(st.sampled_from(tuple(CfaPattern))), Plane(draw(arrays(np.float64, shape, elements=SAMPLES))))
+def _mosaics(draw, sizes=EVEN, samples=SAMPLES, fill=None):
+    shape = draw(sizes), draw(sizes)
+    data = draw(arrays(np.float64, shape, elements=samples, fill=fill))
+    return MosaicImage(draw(st.sampled_from(tuple(CfaPattern))), Plane(data))
+
+
+JOINT_SIZES = st.integers(1, 8).map(lambda half: 2 * half)
+SIGMA_S = st.floats(0.3, 2.0)
+# Log-uniform down to 1e-3, where every range weight of many samples underflows.
+SIGMA_R = st.floats(-3.0, 0.0).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def _denoiser_inputs(draw):
+    kind = draw(st.sampled_from(DENOISER_KINDS))
+    config = DenoiserConfig(
+        kind=kind,
+        sigma_s=draw(SIGMA_S),
+        radius=draw(st.integers(1, 3)),
+        sigma_r=draw(SIGMA_R),
+        levels=draw(st.integers(1, 3)),
+        sigma_n=draw(st.none() | st.floats(0.0, 0.5)),
+    )
+    # The wavelet needs both sides divisible by 2**levels.
+    unit = 2**config.levels if kind == "wavelet" else 1
+    shape = draw(st.integers(1, 24 // unit)) * unit, draw(st.integers(1, 24 // unit)) * unit
+    return config, Plane(draw(arrays(np.float64, shape, elements=SAMPLES)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,3 +92,30 @@ def test_bilinear_stays_within_the_mosaic_range(mosaic):
     lo, hi = mosaic.plane.data.min(), mosaic.plane.data.max()
     for plane in demosaic_bilinear(mosaic).planes:
         assert lo <= plane.data.min() and plane.data.max() <= hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(_denoiser_inputs())
+def test_every_denoiser_keeps_shape_and_finiteness(inputs):
+    config, plane = inputs
+    out = denoise_plane(plane, config).data
+    assert out.shape == plane.data.shape
+    assert np.all(np.isfinite(out))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mosaics(sizes=JOINT_SIZES), SIGMA_S, SIGMA_R)
+def test_joint_bilateral_keeps_shape_and_finiteness(mosaic, sigma_s, sigma_r):
+    for plane in demosaic_joint_bilateral(mosaic, sigma_s, sigma_r).planes:
+        assert plane.data.shape == mosaic.plane.data.shape
+        assert np.all(np.isfinite(plane.data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mosaics(sizes=JOINT_SIZES, samples=st.floats(0.1, 1.0), fill=st.nothing()), SIGMA_S, SIGMA_R)
+def test_joint_bilateral_stays_within_the_mosaic_range(mosaic, sigma_s, sigma_r):
+    # Strictly positive samples, so a sample wrongly set to 0 is out of range.
+    # The slack covers rounding in a weighted mean of equal samples.
+    lo, hi = mosaic.plane.data.min(), mosaic.plane.data.max()
+    for plane in demosaic_joint_bilateral(mosaic, sigma_s, sigma_r).planes:
+        assert lo - 1e-12 <= plane.data.min() and plane.data.max() <= hi + 1e-12
