@@ -147,10 +147,26 @@ def idwt_haar(pyramid: WaveletPyramid) -> Plane:
     return Plane(current)
 
 
+def _two_variance(name: str, sigma: float) -> float:
+    """2 sigma^2, the divisor in a Gaussian weight's exponent.
+
+    A square too large for a float gives inf, so the weights take their
+    sigma -> inf limit. A sigma so small that 1 / (2 sigma^2) is not a finite
+    float gives no weights at all and is rejected.
+    """
+    try:
+        two_var = 2.0 * sigma**2
+    except OverflowError:
+        return math.inf
+    if two_var == 0.0 or math.isinf(1.0 / two_var):
+        raise ValueError(f"{name}={sigma:g} is too small: 1 / (2 {name}^2) overflows")
+    return two_var
+
+
 def _gaussian_kernel(sigma_s: float) -> np.ndarray:
     radius = math.ceil(3.0 * sigma_s)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets**2) / (2.0 * sigma_s**2))
+    kernel = np.exp(-(offsets**2) / _two_variance("sigma_s", sigma_s))
     return kernel / kernel.sum()
 
 
@@ -185,13 +201,13 @@ def _bilateral(data, guide, sigma_s, sigma_r, step=1, py=0, px=0, bucket=lambda 
         raise ValueError(f"sigma_s must be finite and > 0, got {sigma_s}")
     if not sigma_r > 0:
         raise ValueError(f"sigma_r must be > 0, got {sigma_r}")
+    inv_2ss = 1.0 / _two_variance("sigma_s", sigma_s)
+    inv_2sr = 1.0 / _two_variance("sigma_r", sigma_r)
     radius = math.ceil(3.0 * sigma_s)
     center = guide[py::step, px::step]
     h, w = center.shape
     data_pad = np.pad(data, radius, mode="reflect")
     guide_pad = data_pad if guide is data else np.pad(guide, radius, mode="reflect")
-    inv_2ss = 1.0 / (2.0 * sigma_s**2)
-    inv_2sr = 1.0 / (2.0 * sigma_r**2)
     offsets = range(-radius, radius + 1)
     # Accumulators made on first use inside the loop ran 15% slower at 512x512.
     keys = dict.fromkeys(bucket(py + dy, px + dx) for dy in offsets for dx in offsets)

@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
+from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, SubImages, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_joint_bilateral
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
 from cfaisp.imageio import DimensionError, Plane, RgbImage
@@ -86,7 +86,13 @@ def cpsnr(truth: RgbImage, test: RgbImage, crop: int = 0) -> float:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One scored pipeline run; field order matches the CSV column order."""
+    """One scored pipeline run; field order matches the CSV column order.
+
+    wall_ms is the time the run itself took, from mosaicking to the demosaicked
+    result, without scoring. In a run_experiment sweep a stage shared by runs
+    of the same (image, repeat, sigma) is computed once, and its time counts
+    in the first run of that group that needed it.
+    """
 
     image: str
     pattern: str
@@ -107,6 +113,69 @@ class ExperimentRecord:
     wall_ms: float
 
 
+def _run_group(
+    truth: RgbImage,
+    pattern: CfaPattern,
+    noise: NoiseSpec,
+    points: Sequence[tuple[Strategy, DenoiserConfig, DemosaickerConfig]],
+    image_id: str,
+) -> Iterator[tuple[RgbImage, ExperimentRecord]]:
+    """Run each (strategy, dn, dm) point on one noisy mosaic, yielding (result, record).
+
+    The stages the points share are computed once: the mosaic, its noise,
+    the Before strategy's sub-images, the After strategy's demosaic for each
+    dm and the Before strategy's denoised sub-images for each dn. Stages never
+    write to their inputs (planes are read-only), so reusing them is exact.
+    Results are yielded one at a time, so only the shared stages are kept.
+    """
+    noisy = subs = None
+    demosaicked: dict[DemosaickerConfig, RgbImage] = {}
+    denoised: dict[DenoiserConfig, SubImages] = {}
+    for strategy, dn, dm in points:
+        if strategy is Strategy.JOINT and not dm.is_joint:
+            raise ValueError("strategy joint requires the joint-bilateral demosaicker")
+        if strategy is not Strategy.JOINT and dm.is_joint:
+            raise ValueError(f"strategy {strategy.value} requires a non-joint demosaicker")
+
+        start = time.perf_counter()
+        if noisy is None:
+            noisy = add_awgn(mosaic_from_rgb(truth, pattern), noise)
+        if strategy is Strategy.AFTER:
+            if dm not in demosaicked:
+                demosaicked[dm] = demosaic(noisy, dm)
+            result = RgbImage(*(denoise_plane(p, dn) for p in demosaicked[dm].planes))
+        elif strategy is Strategy.JOINT:
+            result = demosaic_joint_bilateral(noisy, dm.sigma_s, dm.sigma_r)
+        else:
+            if subs is None:
+                subs = decompose(noisy)
+            if dn not in denoised:
+                denoised[dn] = denoise_subimages(subs, dn)
+            result = demosaic(recompose(denoised[dn]), dm)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+
+        channel_mses = [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, result.planes)]
+        yield result, ExperimentRecord(
+            image=image_id,
+            pattern=pattern.value,
+            strategy=strategy.value,
+            denoiser="none" if strategy is Strategy.JOINT else dn.describe(),
+            demosaicker=dm.describe(),
+            sigma_r=noise.sigma_r,
+            sigma_g=noise.sigma_g,
+            sigma_b=noise.sigma_b,
+            seed=noise.seed,
+            mse_r=channel_mses[0],
+            mse_g=channel_mses[1],
+            mse_b=channel_mses[2],
+            psnr_r_db=psnr(channel_mses[0]),
+            psnr_g_db=psnr(channel_mses[1]),
+            psnr_b_db=psnr(channel_mses[2]),
+            cpsnr_db=psnr(sum(channel_mses) / 3.0),
+            wall_ms=wall_ms,
+        )
+
+
 def run_pipeline(
     truth: RgbImage,
     pattern: CfaPattern,
@@ -123,46 +192,8 @@ def run_pipeline(
     Before require a non-joint demosaicker. Metrics use a 4-pixel interior
     crop so border policy does not leak into the comparison.
     """
-    if strategy is Strategy.JOINT and not dm.is_joint:
-        raise ValueError("strategy joint requires the joint-bilateral demosaicker")
-    if strategy is not Strategy.JOINT and dm.is_joint:
-        raise ValueError(f"strategy {strategy.value} requires a non-joint demosaicker")
-
-    start = time.perf_counter()
-    mosaic = mosaic_from_rgb(truth, pattern)
-    noisy = add_awgn(mosaic, noise)
-
-    if strategy is Strategy.AFTER:
-        rough = demosaic(noisy, dm)
-        result = RgbImage(*(denoise_plane(p, dn) for p in rough.planes))
-    elif strategy is Strategy.JOINT:
-        result = demosaic_joint_bilateral(noisy, dm.sigma_s, dm.sigma_r)
-    else:
-        subs = denoise_subimages(decompose(noisy), dn)
-        result = demosaic(recompose(subs), dm)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-
-    channel_mses = [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, result.planes)]
-    record = ExperimentRecord(
-        image=image_id,
-        pattern=pattern.value,
-        strategy=strategy.value,
-        denoiser="none" if strategy is Strategy.JOINT else dn.describe(),
-        demosaicker=dm.describe(),
-        sigma_r=noise.sigma_r,
-        sigma_g=noise.sigma_g,
-        sigma_b=noise.sigma_b,
-        seed=noise.seed,
-        mse_r=channel_mses[0],
-        mse_g=channel_mses[1],
-        mse_b=channel_mses[2],
-        psnr_r_db=psnr(channel_mses[0]),
-        psnr_g_db=psnr(channel_mses[1]),
-        psnr_b_db=psnr(channel_mses[2]),
-        cpsnr_db=psnr(sum(channel_mses) / 3.0),
-        wall_ms=wall_ms,
-    )
-    return result, record
+    (run,) = _run_group(truth, pattern, noise, [(strategy, dn, dm)], image_id)
+    return run
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -232,24 +263,33 @@ class ExperimentGrid:
             yield from itertools.product((strategy,), self.sigmas, denoisers, demosaickers, range(self.repeats))
 
 
-def _run_task(task: tuple) -> ExperimentRecord:
-    image_id, truth, pattern, sigma, strategy, dn, dm, seed, keep_timing = task
+def _run_sweep_group(corpus: Sequence[tuple[str, RgbImage]], task: tuple) -> list[ExperimentRecord]:
+    """Records of one (image, repeat, sigma) group, in the order of its points."""
+    image_index, pattern, sigma, seed, points, keep_timing = task
+    image_id, truth = corpus[image_index]
+    records = []
     try:
-        _, record = run_pipeline(
-            truth,
-            pattern,
-            NoiseSpec.uniform(sigma, seed),
-            strategy,
-            dn,
-            dm,
-            image_id=image_id,
-        )
+        for _, record in _run_group(truth, pattern, NoiseSpec.uniform(sigma, seed), points, image_id):
+            records.append(record if keep_timing else replace(record, wall_ms=0.0))
     except Exception as exc:
+        strategy, dn, dm = points[len(records)]
         point = f"image={image_id} strategy={strategy.value} sigma={sigma:g} denoiser={dn.describe()} demosaicker={dm.describe()} seed={seed}"
         raise RuntimeError(f"experiment run failed at {point}: {exc}") from exc
-    if not keep_timing:
-        record = replace(record, wall_ms=0.0)
-    return record
+    return records
+
+
+# A pool worker's copy of the corpus, set once by _init_worker as the worker
+# starts, so tasks name an image by its index instead of carrying its planes.
+_worker_corpus: Sequence[tuple[str, RgbImage]] = ()
+
+
+def _init_worker(corpus: Sequence[tuple[str, RgbImage]]) -> None:
+    global _worker_corpus
+    _worker_corpus = corpus
+
+
+def _run_worker_group(task: tuple) -> list[ExperimentRecord]:
+    return _run_sweep_group(_worker_corpus, task)
 
 
 def run_experiment(
@@ -262,7 +302,11 @@ def run_experiment(
     """Run the full sweep; image-major order, grid order within each image.
 
     Per-run seeds come from derive_run_seed(master_seed, image_id, repeat).
-    Records are returned in deterministic order regardless of jobs, and with
+    The runs of one (image, repeat, sigma) share one noisy mosaic and form
+    one task, which computes each shared stage once (see _run_group); with
+    keep_timing=True a run's wall_ms is therefore its own time, and a shared
+    stage counts in the first run of its group that needed it. Records are
+    returned in deterministic order regardless of jobs, and with
     keep_timing=False (the default) wall_ms is zeroed so repeated runs
     serialize to byte-identical CSV. Any failing run aborts the sweep with
     the offending grid point named.
@@ -270,18 +314,33 @@ def run_experiment(
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must not be empty")
-    tasks = []
-    for image_id, truth in corpus:
-        for strategy, sigma, dn, dm, repeat in grid.points():
-            seed = derive_run_seed(master_seed, image_id, repeat)
-            tasks.append((image_id, truth, grid.pattern, sigma, strategy, dn, dm, seed, keep_timing))
-    if not tasks:
+    points = list(grid.points())
+    if not points:
         raise ValueError("grid produced no runs")
+    # Grid indices of each (sigma, repeat) group. The key holds repr(sigma),
+    # so only identical sigmas share a group (0.0 and -0.0 stay apart).
+    groups: dict[tuple[str, int], list[int]] = {}
+    for index, (_, sigma, _, _, repeat) in enumerate(points):
+        groups.setdefault((repr(sigma), repeat), []).append(index)
+    tasks, slots = [], []
+    for image_index, (image_id, _) in enumerate(corpus):
+        for indices in groups.values():
+            _, sigma, _, _, repeat = points[indices[0]]
+            seed = derive_run_seed(master_seed, image_id, repeat)
+            group_points = [(points[i][0], points[i][2], points[i][3]) for i in indices]
+            tasks.append((image_index, grid.pattern, sigma, seed, group_points, keep_timing))
+            slots.append([image_index * len(points) + i for i in indices])
 
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(tasks) == 1:
-        return [_run_task(task) for task in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        chunksize = max(1, len(tasks) // (4 * jobs))
-        return list(pool.map(_run_task, tasks, chunksize=chunksize))
+        done = [_run_sweep_group(corpus, task) for task in tasks]
+    else:
+        workers = min(jobs, len(tasks))
+        with concurrent.futures.ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(corpus,)) as pool:
+            done = list(pool.map(_run_worker_group, tasks))
+    records: list = [None] * (len(corpus) * len(points))
+    for slot, group_records in zip(slots, done):
+        for index, record in zip(slot, group_records):
+            records[index] = record
+    return records

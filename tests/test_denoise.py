@@ -470,6 +470,48 @@ class TestConfigAndDispatch:
         for got, want in zip(spatial.planes, demosaic_joint_bilateral(mosaic, 1.0, 1e6).planes):
             np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("sigma_r", [1.2e154, 1e160, 1e200])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda plane, sigma_r: (denoise_bilateral(plane, 1.0, sigma_r),),
+            lambda plane, sigma_r: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, plane), 1.5, sigma_r).planes,
+        ],
+        ids=["bilateral", "joint"],
+    )
+    def test_huge_sigma_r_equals_infinite_sigma_r(self, run, sigma_r):
+        # sigma_r**2 overflows (or 2 sigma_r**2 does): the weights are the
+        # sigma_r = inf ones, bit for bit, instead of an OverflowError.
+        plane = Plane(np.random.default_rng(95).random((10, 12)))
+        for got, want in zip(run(plane, sigma_r), run(plane, math.inf)):
+            np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("sigma_s", [1e-156, 1e-160, 1e-200])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda plane, sigma_s: denoise_gaussian(plane, sigma_s),
+            lambda plane, sigma_s: denoise_bilateral(plane, sigma_s, 0.1),
+            lambda plane, sigma_s: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, plane), sigma_s, 0.1),
+        ],
+        ids=["gaussian", "bilateral", "joint"],
+    )
+    def test_tiny_sigma_s_is_rejected(self, run, sigma_s):
+        # 1 / (2 sigma_s**2) overflows (or sigma_s**2 underflows to 0): no
+        # weight exists, and the error names the parameter.
+        with pytest.raises(ValueError, match=r"^sigma_s=\S+ is too small"):
+            run(Plane(np.zeros((8, 8))), sigma_s)
+
+    @pytest.mark.parametrize("sigma_r", [1e-156, 1e-200])
+    def test_tiny_sigma_r_is_rejected(self, sigma_r):
+        with pytest.raises(ValueError, match=r"^sigma_r=\S+ is too small"):
+            denoise_bilateral(Plane(np.zeros((8, 8))), 1.0, sigma_r)
+
+    @pytest.mark.parametrize("denoise", [lambda p: denoise_gaussian(p, 1e-154), lambda p: denoise_bilateral(p, 1e-154, 0.1)])
+    def test_smallest_accepted_sigma_s_is_identity(self, denoise):
+        plane = Plane(np.random.default_rng(96).random((8, 8)))
+        np.testing.assert_array_equal(denoise(plane).data, plane.data)
+
     def test_none_returns_same_plane(self):
         plane = Plane(np.random.default_rng(92).random((4, 4)))
         assert denoise_plane(plane, DenoiserConfig(kind="none")) is plane

@@ -1,11 +1,14 @@
 """Strategy pipeline, metric, and experiment-runner tests."""
 
 import math
-from dataclasses import FrozenInstanceError
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
+import cfaisp.pipeline as pipeline
 from cfaisp.cfa import CfaPattern, mosaic_from_rgb
 from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_joint_bilateral
 from cfaisp.denoise import DenoiserConfig
@@ -380,6 +383,99 @@ class TestRunExperiment:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             run_experiment([], ExperimentGrid())
+
+
+class TestSharedStages:
+    """A sweep computes each stage shared by one (image, repeat, sigma) once."""
+
+    GRID = ExperimentGrid(
+        strategies=(Strategy.AFTER, Strategy.JOINT, Strategy.BEFORE),
+        sigmas=(0.02, 0.05),
+        denoisers=tuple(DenoiserConfig(kind=kind) for kind in ("none", "gaussian", "median", "wavelet")),
+        demosaickers=(BILINEAR, GRADIENT),
+        repeats=2,
+    )
+
+    @staticmethod
+    def _corpus(size=32):
+        return [("tex", _textured_image(size)), ("ramp", _ramp_image(size))]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_equals_independent_runs(self, jobs):
+        corpus = self._corpus()
+        want = []
+        for image_id, truth in corpus:
+            for strategy, sigma, dn, dm, repeat in self.GRID.points():
+                noise = NoiseSpec.uniform(sigma, derive_run_seed(7, image_id, repeat))
+                _, record = run_pipeline(truth, self.GRID.pattern, noise, strategy, dn, dm, image_id=image_id)
+                want.append(replace(record, wall_ms=0.0))
+        assert run_experiment(corpus, self.GRID, master_seed=7, jobs=jobs) == want
+
+    def test_each_shared_stage_runs_once_per_group(self, monkeypatch):
+        calls = Counter()
+        noisy = []
+
+        def count(name):
+            stage = getattr(pipeline, name)
+
+            def counted(*args):
+                calls[name] += 1
+                result = stage(*args)
+                if name == "add_awgn":
+                    noisy.append(result)
+                elif name == "demosaic" and any(args[0] is mosaic for mosaic in noisy):
+                    calls["after-strategy demosaic"] += 1
+                return result
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "demosaic", "denoise_subimages"):
+            count(name)
+        run_experiment(self._corpus(), self.GRID, jobs=1)
+        groups = 2 * self.GRID.repeats * len(self.GRID.sigmas)
+        denoisers, demosaickers = len(self.GRID.denoisers), len(self.GRID.demosaickers)
+        assert calls["mosaic_from_rgb"] == groups
+        assert calls["add_awgn"] == groups
+        assert calls["decompose"] == groups
+        assert calls["after-strategy demosaic"] == groups * demosaickers
+        assert calls["denoise_subimages"] == groups * denoisers
+        assert calls["demosaic"] == groups * demosaickers * (1 + denoisers)
+
+    def test_pool_tasks_carry_no_image_planes(self, monkeypatch):
+        # Count the bytes a process pool pickles in this process: the tasks
+        # sent to the workers (the workers pickle the results).
+        pickled = []
+        dumps = ForkingPickler.__dict__["dumps"].__func__
+
+        def counted(cls, obj, protocol=None):
+            payload = dumps(cls, obj, protocol)
+            pickled.append(len(payload))
+            return payload
+
+        monkeypatch.setattr(ForkingPickler, "dumps", classmethod(counted))
+        records = run_experiment(self._corpus(64), self.GRID, jobs=2)
+        assert len(records) == 2 * len(list(self.GRID.points()))
+        assert 0 < sum(pickled) < 3 * 64 * 64 * 8
+
+    def test_signed_zero_sigmas_stay_apart(self):
+        # 0.0 == -0.0, but the CSV writes them differently ("0.00000" and
+        # "-0.00000"), so they must not share one group's noise spec.
+        grid = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.0, -0.0), denoisers=(NONE,))
+        records = run_experiment(self._corpus(), grid, jobs=1)
+        assert [math.copysign(1.0, r.sigma_g) for r in records] == [1.0, -1.0, 1.0, -1.0]
+
+    def test_failure_inside_a_group_names_its_point(self):
+        # The none run of the group succeeds; the wavelet run after it fails
+        # on 5x5 sub-images, and the message names the wavelet point.
+        grid = ExperimentGrid(
+            strategies=(Strategy.BEFORE,),
+            sigmas=(0.05,),
+            denoisers=(NONE, DenoiserConfig(kind="wavelet", levels=3)),
+        )
+        yy, xx = np.mgrid[0:10, 0:10] / 9.0
+        tiny = RgbImage(Plane(xx), Plane(yy), Plane(xx * yy))
+        with pytest.raises(RuntimeError, match="denoiser=wavelet"):
+            run_experiment([("tiny", tiny)], grid, jobs=1)
 
 
 class TestStrategyParse:
