@@ -375,7 +375,7 @@ def _build_parser() -> _Parser:
     experiment_cmd.add_argument("--repeats", type=_count, default=1, help="noise realizations per grid point (default 1)")
     experiment_cmd.add_argument("--seed", type=_seed, default=0, help="master seed; per-run seeds derive from it (default 0)")
     experiment_cmd.add_argument("--jobs", type=_count, default=None, help="worker processes (default: CPU count)")
-    experiment_cmd.add_argument("--timing", action="store_true", help="record wall time per run; a stage shared by runs of one image, repeat and sigma counts in the first run that needed it (off by default so CSVs are reproducible)")
+    experiment_cmd.add_argument("--timing", action="store_true", help="record wall time per run (off by default so CSVs are reproducible)")
     _add_pattern_flag(experiment_cmd)
     _add_denoiser_flags(experiment_cmd, plural=True)
     _add_demosaicker_flags(experiment_cmd, plural=True)

@@ -22,17 +22,19 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, SubImages, decompose, mosaic_from_rgb, recompose
+from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_joint_bilateral
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
 from cfaisp.imageio import DimensionError, Plane, RgbImage
 from cfaisp.noise import NoiseSpec, add_awgn
 
 METRIC_CROP = 4
+
+T = TypeVar("T")
 
 
 class Strategy(enum.Enum):
@@ -86,13 +88,7 @@ def cpsnr(truth: RgbImage, test: RgbImage, crop: int = 0) -> float:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One scored pipeline run; field order matches the CSV column order.
-
-    wall_ms is the time the run itself took, from mosaicking to the demosaicked
-    result, without scoring. In a run_experiment sweep a stage shared by runs
-    of the same (image, repeat, sigma) is computed once, and its time counts
-    in the first run of that group that needed it.
-    """
+    """One scored pipeline run; field order matches the CSV column order."""
 
     image: str
     pattern: str
@@ -113,6 +109,13 @@ class ExperimentRecord:
     wall_ms: float
 
 
+def _timed(make: Callable[[], T]) -> tuple[T, float]:
+    """make() and the seconds it took."""
+    start = time.perf_counter()
+    value = make()
+    return value, time.perf_counter() - start
+
+
 def _run_group(
     truth: RgbImage,
     pattern: CfaPattern,
@@ -122,37 +125,41 @@ def _run_group(
 ) -> Iterator[tuple[RgbImage, ExperimentRecord]]:
     """Run each (strategy, dn, dm) point on one noisy mosaic, yielding (result, record).
 
-    The stages the points share are computed once: the mosaic, its noise,
-    the Before strategy's sub-images, the After strategy's demosaic for each
-    dm and the Before strategy's denoised sub-images for each dn. Stages never
+    The stages the points share are computed once: the noisy mosaic, the
+    Before strategy's sub-images, the After strategy's demosaic for each dm
+    and the Before strategy's denoised sub-images for each dn. Stages never
     write to their inputs (planes are read-only), so reusing them is exact.
-    Results are yielded one at a time, so only the shared stages are kept.
+    Each shared stage keeps the time it took, and every run that uses it
+    counts that time, so wall_ms is the run's full cost, from mosaicking to
+    the demosaicked result, as if it had run alone. Results are yielded one
+    at a time, so only the shared stages are kept.
     """
-    noisy = subs = None
-    demosaicked: dict[DemosaickerConfig, RgbImage] = {}
-    denoised: dict[DenoiserConfig, SubImages] = {}
+    cache: dict[object, tuple[Any, float]] = {}
+
+    def shared(key: object, make: Callable[[], T]) -> tuple[T, float]:
+        if key not in cache:
+            cache[key] = _timed(make)
+        return cache[key]
+
     for strategy, dn, dm in points:
         if strategy is Strategy.JOINT and not dm.is_joint:
             raise ValueError("strategy joint requires the joint-bilateral demosaicker")
         if strategy is not Strategy.JOINT and dm.is_joint:
             raise ValueError(f"strategy {strategy.value} requires a non-joint demosaicker")
 
-        start = time.perf_counter()
-        if noisy is None:
-            noisy = add_awgn(mosaic_from_rgb(truth, pattern), noise)
+        noisy, elapsed = shared("noisy", lambda: add_awgn(mosaic_from_rgb(truth, pattern), noise))
         if strategy is Strategy.AFTER:
-            if dm not in demosaicked:
-                demosaicked[dm] = demosaic(noisy, dm)
-            result = RgbImage(*(denoise_plane(p, dn) for p in demosaicked[dm].planes))
+            rough, rough_s = shared(("demosaic", dm), lambda: demosaic(noisy, dm))
+            result, own_s = _timed(lambda: RgbImage(*(denoise_plane(p, dn) for p in rough.planes)))
+            elapsed += rough_s + own_s
         elif strategy is Strategy.JOINT:
-            result = demosaic_joint_bilateral(noisy, dm.sigma_s, dm.sigma_r)
+            result, own_s = _timed(lambda: demosaic_joint_bilateral(noisy, dm.sigma_s, dm.sigma_r))
+            elapsed += own_s
         else:
-            if subs is None:
-                subs = decompose(noisy)
-            if dn not in denoised:
-                denoised[dn] = denoise_subimages(subs, dn)
-            result = demosaic(recompose(denoised[dn]), dm)
-        wall_ms = (time.perf_counter() - start) * 1000.0
+            subs, subs_s = shared("decompose", lambda: decompose(noisy))
+            denoised, denoised_s = shared(("denoise", dn), lambda: denoise_subimages(subs, dn))
+            result, own_s = _timed(lambda: demosaic(recompose(denoised), dm))
+            elapsed += subs_s + denoised_s + own_s
 
         channel_mses = [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, result.planes)]
         yield result, ExperimentRecord(
@@ -172,7 +179,7 @@ def _run_group(
             psnr_g_db=psnr(channel_mses[1]),
             psnr_b_db=psnr(channel_mses[2]),
             cpsnr_db=psnr(sum(channel_mses) / 3.0),
-            wall_ms=wall_ms,
+            wall_ms=elapsed * 1000.0,
         )
 
 
@@ -264,7 +271,7 @@ class ExperimentGrid:
 
 
 def _run_sweep_group(corpus: Sequence[tuple[str, RgbImage]], task: tuple) -> list[ExperimentRecord]:
-    """Records of one (image, repeat, sigma) group, in the order of its points."""
+    """Records of one task's runs, all of one (image, repeat, sigma), in the order of its points."""
     image_index, pattern, sigma, seed, points, keep_timing = task
     image_id, truth = corpus[image_index]
     records = []
@@ -292,6 +299,57 @@ def _run_worker_group(task: tuple) -> list[ExperimentRecord]:
     return _run_sweep_group(_worker_corpus, task)
 
 
+def _group_splits(points: Sequence[tuple], indices: list[int]) -> tuple[list[list[int]], ...]:
+    """Ways to split one group's grid indices into tasks, coarsest first.
+
+    The whole group; one task per stage its runs share beyond the noisy
+    mosaic (the After demosaic per dm, the Before denoised sub-images per dn,
+    each Joint run alone); one task per run. Each keeps grid order.
+    """
+    by_stage: dict[tuple, list[int]] = {}
+    for index in indices:
+        strategy, _, dn, dm, _ = points[index]
+        key = dm if strategy is Strategy.AFTER else dn if strategy is Strategy.BEFORE else index
+        by_stage.setdefault((strategy, key), []).append(index)
+    return [indices], list(by_stage.values()), [[index] for index in indices]
+
+
+def _plan_tasks(
+    corpus: Sequence[tuple[str, RgbImage]],
+    grid: ExperimentGrid,
+    master_seed: int,
+    jobs: int,
+    keep_timing: bool,
+) -> tuple[list[tuple], list[list[int]]]:
+    """Tasks for _run_sweep_group, and the indices of their records in the sweep.
+
+    A task is one (image, repeat, sigma) group, so its runs share their
+    stages. With jobs > 1, groups are split while there are fewer than 4
+    tasks per worker, first by shared stage and then into single runs: with
+    fewer tasks, tasks of unequal size leave workers idle at the end.
+    """
+    points = list(grid.points())
+    # Grid indices of each (sigma, repeat) group. The key holds repr(sigma),
+    # so only identical sigmas share a group (0.0 and -0.0 stay apart).
+    groups: dict[tuple[str, int], list[int]] = {}
+    for index, (_, sigma, _, _, repeat) in enumerate(points):
+        groups.setdefault((repr(sigma), repeat), []).append(index)
+    splits = [_group_splits(points, indices) for indices in groups.values()]
+    for level in range(3):
+        chunks = [chunk for split in splits for chunk in split[level]]
+        if jobs <= 1 or len(corpus) * len(chunks) >= 4 * jobs:
+            break
+    tasks, slots = [], []
+    for image_index, (image_id, _) in enumerate(corpus):
+        for chunk in chunks:
+            _, sigma, _, _, repeat = points[chunk[0]]
+            seed = derive_run_seed(master_seed, image_id, repeat)
+            chunk_points = [(points[i][0], points[i][2], points[i][3]) for i in chunk]
+            tasks.append((image_index, grid.pattern, sigma, seed, chunk_points, keep_timing))
+            slots.append([image_index * len(points) + i for i in chunk])
+    return tasks, slots
+
+
 def run_experiment(
     corpus: Sequence[tuple[str, RgbImage]],
     grid: ExperimentGrid,
@@ -302,45 +360,30 @@ def run_experiment(
     """Run the full sweep; image-major order, grid order within each image.
 
     Per-run seeds come from derive_run_seed(master_seed, image_id, repeat).
-    The runs of one (image, repeat, sigma) share one noisy mosaic and form
-    one task, which computes each shared stage once (see _run_group); with
-    keep_timing=True a run's wall_ms is therefore its own time, and a shared
-    stage counts in the first run of its group that needed it. Records are
-    returned in deterministic order regardless of jobs, and with
-    keep_timing=False (the default) wall_ms is zeroed so repeated runs
-    serialize to byte-identical CSV. Any failing run aborts the sweep with
-    the offending grid point named.
+    The runs of one (image, repeat, sigma) share one noisy mosaic and, where
+    the pool has enough other work, form one task that computes each shared
+    stage once (see _run_group). Records are returned in deterministic order
+    regardless of jobs, and with keep_timing=False (the default) wall_ms is
+    zeroed so repeated runs serialize to byte-identical CSV. Any failing run
+    aborts the sweep with the offending grid point named.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must not be empty")
-    points = list(grid.points())
-    if not points:
-        raise ValueError("grid produced no runs")
-    # Grid indices of each (sigma, repeat) group. The key holds repr(sigma),
-    # so only identical sigmas share a group (0.0 and -0.0 stay apart).
-    groups: dict[tuple[str, int], list[int]] = {}
-    for index, (_, sigma, _, _, repeat) in enumerate(points):
-        groups.setdefault((repr(sigma), repeat), []).append(index)
-    tasks, slots = [], []
-    for image_index, (image_id, _) in enumerate(corpus):
-        for indices in groups.values():
-            _, sigma, _, _, repeat = points[indices[0]]
-            seed = derive_run_seed(master_seed, image_id, repeat)
-            group_points = [(points[i][0], points[i][2], points[i][3]) for i in indices]
-            tasks.append((image_index, grid.pattern, sigma, seed, group_points, keep_timing))
-            slots.append([image_index * len(points) + i for i in indices])
-
     if jobs is None:
         jobs = os.cpu_count() or 1
+    tasks, slots = _plan_tasks(corpus, grid, master_seed, jobs, keep_timing)
+    if not tasks:
+        raise ValueError("grid produced no runs")
+
     if jobs <= 1 or len(tasks) == 1:
         done = [_run_sweep_group(corpus, task) for task in tasks]
     else:
         workers = min(jobs, len(tasks))
         with concurrent.futures.ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(corpus,)) as pool:
             done = list(pool.map(_run_worker_group, tasks))
-    records: list = [None] * (len(corpus) * len(points))
-    for slot, group_records in zip(slots, done):
-        for index, record in zip(slot, group_records):
+    records: list = [None] * sum(map(len, slots))
+    for slot, task_records in zip(slots, done):
+        for index, record in zip(slot, task_records):
             records[index] = record
     return records

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from multiprocessing.reduction import ForkingPickler
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -400,7 +401,9 @@ class TestSharedStages:
     def _corpus(size=32):
         return [("tex", _textured_image(size)), ("ramp", _ramp_image(size))]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    # jobs=2 runs whole groups in the pool; with jobs=3 the 8 groups are too
+    # few for 4 tasks per worker, so they are split by shared stage.
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_sweep_equals_independent_runs(self, jobs):
         corpus = self._corpus()
         want = []
@@ -456,6 +459,62 @@ class TestSharedStages:
         records = run_experiment(self._corpus(64), self.GRID, jobs=2)
         assert len(records) == 2 * len(list(self.GRID.points()))
         assert 0 < sum(pickled) < 3 * 64 * 64 * 8
+
+    def test_wall_ms_counts_shared_stages_in_every_run(self, monkeypatch):
+        # A fake clock that only the stages advance, each by its own number
+        # of seconds: a sweep run must report what it costs alone.
+        clock = [0.0]
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        costs = {
+            "mosaic_from_rgb": 1,
+            "add_awgn": 2,
+            "decompose": 4,
+            "demosaic": 8,
+            "denoise_subimages": 16,
+            "denoise_plane": 32,
+            "recompose": 64,
+            "demosaic_joint_bilateral": 128,
+        }
+        for name, cost in costs.items():
+            stage = getattr(pipeline, name)
+
+            def advanced(*args, stage=stage, cost=cost):
+                clock[0] += cost
+                return stage(*args)
+
+            monkeypatch.setattr(pipeline, name, advanced)
+
+        corpus = self._corpus()
+        records = run_experiment(corpus, self.GRID, jobs=1, keep_timing=True)
+        want = {"after": 1 + 2 + 8 + 3 * 32, "joint": 1 + 2 + 128, "before": 1 + 2 + 4 + 16 + 64 + 8}
+        assert [r.wall_ms for r in records] == [1000.0 * want[r.strategy] for r in records]
+        truth = corpus[0][1]
+        for strategy, sigma, dn, dm, repeat in self.GRID.points():
+            noise = NoiseSpec.uniform(sigma, derive_run_seed(0, "tex", repeat))
+            _, record = run_pipeline(truth, self.GRID.pattern, noise, strategy, dn, dm)
+            assert record.wall_ms == 1000.0 * want[strategy.value]
+
+    def test_few_groups_are_split_for_the_pool(self):
+        # 2 images x 2 sigmas x 2 repeats = 8 groups of 17 runs: 8 After runs
+        # over 2 demosaics, 1 Joint run, 8 Before runs over 4 denoisings.
+        corpus = self._corpus()
+        runs = 2 * len(list(self.GRID.points()))
+
+        def task_sizes(jobs):
+            tasks, slots = pipeline._plan_tasks(corpus, self.GRID, 0, jobs, False)
+            assert sorted(i for slot in slots for i in slot) == list(range(runs))
+            assert [len(task[4]) for task in tasks] == [len(slot) for slot in slots]
+            return Counter(len(slot) for slot in slots)
+
+        assert task_sizes(1) == task_sizes(2) == {17: 8}
+        assert task_sizes(3) == {4: 16, 1: 8, 2: 32}
+        assert task_sizes(34) == {1: runs}
+
+    def test_single_runs_through_the_pool_match_serial(self):
+        # One group, split into its 4 runs for the 2 workers.
+        grid = ExperimentGrid(sigmas=(0.05,), denoisers=(NONE, WAVELET))
+        corpus = [("tex", _textured_image(32))]
+        assert run_experiment(corpus, grid, jobs=2) == run_experiment(corpus, grid, jobs=1)
 
     def test_signed_zero_sigmas_stay_apart(self):
         # 0.0 == -0.0, but the CSV writes them differently ("0.00000" and
