@@ -135,7 +135,7 @@ def mosaic_from_rgb(image: RgbImage, pattern: CfaPattern) -> MosaicImage:
     out = np.empty((h, w), dtype=np.float64)
     for dy, dx, color in pattern.sites:
         out[dy::2, dx::2] = channel[color][dy::2, dx::2]
-    return MosaicImage(pattern, Plane(out))
+    return MosaicImage(pattern, Plane._adopt(out))
 
 
 def decompose(mosaic: MosaicImage) -> SubImages:
@@ -154,4 +154,4 @@ def recompose(subs: SubImages) -> MosaicImage:
     out = np.empty((subs.full_height, subs.full_width), dtype=np.float64)
     for plane, (dy, dx, _) in zip(subs.planes, subs.pattern.sites):
         out[dy::2, dx::2] = plane.data
-    return MosaicImage(subs.pattern, Plane(out))
+    return MosaicImage(subs.pattern, Plane._adopt(out))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
-from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
+from cfaisp.denoise import DENOISER_KINDS, SIGMA_S_MAX, DenoiserConfig, denoise_plane
 from cfaisp.imageio import DimensionError, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec, add_awgn
 from cfaisp.pipeline import ExperimentGrid, Strategy, run_experiment, run_pipeline
@@ -71,6 +71,7 @@ _count = _checked(int, lambda v: v >= 1, ">= 1")
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
 _sigma = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 _scale = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_spatial = _checked(float, lambda v: math.isfinite(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}")
 
 
 def _sigma_n_type(text: str) -> Optional[float]:
@@ -114,7 +115,7 @@ def _add_denoiser_flags(parser: argparse.ArgumentParser, plural: bool = False) -
         )
     else:
         parser.add_argument("--denoiser", type=_kind("denoiser", DENOISER_KINDS), default="wavelet", help="denoiser kind (default wavelet)")
-    parser.add_argument("--dn-sigma-s", type=_scale, default=1.0, help="gaussian/bilateral spatial sigma in pixels (default 1.0)")
+    parser.add_argument("--dn-sigma-s", type=_spatial, default=1.0, help="gaussian/bilateral spatial sigma in pixels (default 1.0)")
     parser.add_argument("--dn-radius", type=_count, default=1, help="median window radius (default 1)")
     parser.add_argument("--dn-sigma-r", type=_scale, default=0.1, help="bilateral range sigma (default 0.1)")
     parser.add_argument("--dn-levels", type=_count, default=3, help="wavelet decomposition levels (default 3)")
@@ -142,7 +143,7 @@ def _add_demosaicker_flags(parser: argparse.ArgumentParser, plural: bool = False
             default=None,
             help="bilinear, gradient, or joint-bilateral (default: bilinear; joint strategy always uses joint-bilateral)",
         )
-    parser.add_argument("--jb-sigma-s", type=_scale, default=1.5, help="joint-bilateral spatial sigma in pixels (default 1.5)")
+    parser.add_argument("--jb-sigma-s", type=_spatial, default=1.5, help="joint-bilateral spatial sigma in pixels (default 1.5)")
     parser.add_argument("--jb-sigma-r", type=_scale, default=0.1, help="joint-bilateral range sigma (default 0.1)")
 
 

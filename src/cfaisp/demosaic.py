@@ -13,6 +13,11 @@ edge sample not duplicated):
   average over the same-color sites in a radius ceil(3 sigma_s) window,
   range-weighted on a bilinear green estimate, so interpolation and light
   denoising happen in one pass.
+
+Bilinear and gradient evaluate each kernel only at the tile sites that read
+it: the taps are summed over step-2 slices of the padded mosaic, in the order
+scipy.ndimage.convolve sums them, so the values equal whole-frame convolution
+divided by the kernel's weight sum.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.ndimage import convolve
 
 from cfaisp.cfa import MosaicImage, color_at
 from cfaisp.denoise import _bilateral, check_method, describe_method
@@ -114,32 +118,73 @@ _K_RB_AT_OPPOSITE = (
 _GRADIENT_KERNELS = (_K_G_AT_RB, _K_RB_AT_G_HROW, _K_RB_AT_OPPOSITE)
 
 
-def _demosaic_linear(mosaic: MosaicImage, kernels: tuple[np.ndarray, np.ndarray, np.ndarray]) -> RgbImage:
+def _stencils(kernels: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple:
+    """Each role's nonzero taps as (dy, dx, weight) in row-major order, with the weight sum.
+
+    The roles are those of _demosaic_linear: G at R/B, R/B along the row at
+    G, R/B across the row at G (the transposed row kernel), and R/B at the
+    opposite chroma site.
+    """
+    k_g, k_row, k_x = kernels
+    stencils = []
+    for k in (k_g, k_row, k_row.T, k_x):
+        c = k.shape[0] // 2
+        taps = tuple((int(y) - c, int(x) - c, float(k[y, x])) for y, x in zip(*np.nonzero(k)))
+        stencils.append((taps, float(k.sum())))
+    return tuple(stencils)
+
+
+_BILINEAR_STENCILS = _stencils(_BILINEAR_KERNELS)
+_GRADIENT_STENCILS = _stencils(_GRADIENT_KERNELS)
+
+
+# A sum that overflows is left to Plane's finiteness check to report, as one
+# ValueError rather than a warning first.
+@np.errstate(over="ignore", invalid="ignore")
+def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     """Estimate each missing sample with one fixed kernel chosen by its tile site.
 
-    kernels are (G at R/B, R/B along the row at G, R/B at the opposite chroma
-    site); the transposed row kernel gives R/B across the row at G. Each
-    response is divided by its kernel's weight sum, so constants are kept.
-    Measured samples pass through. Mirror reflection maps an index to one of
-    the same parity, so every kernel reads only the color it estimates, at
-    the borders too.
+    stencils come from _stencils. Each estimate is computed only at the tile
+    sites that use it, from step-2 slices of the mirror-padded mosaic, and is
+    divided by its kernel's weight sum, so constants are kept. The taps are
+    summed in row-major order from the first, as scipy.ndimage.convolve sums
+    them, so the values equal convolve(mode="mirror") / k.sum() bit for bit
+    (only a zero's sign can differ). Measured samples pass through. Mirror
+    reflection maps an index to one of the same parity, so every kernel
+    reads only the color it estimates, at the borders too.
     """
     data = mosaic.plane.data
-    k_g, k_row, k_x = kernels
-    est_g, est_row, est_col, est_x = (convolve(data, k, mode="mirror") / k.sum() for k in (k_g, k_row, k_row.T, k_x))
-    r_row = mosaic.pattern.r_offset[0]
+    est_g, est_row, est_col, est_x = stencils
+    radius = max(abs(dy) for taps, _ in stencils for dy, _, _ in taps)
+    pad = np.pad(data, radius, mode="reflect")
+    h, w = data.shape[0] // 2, data.shape[1] // 2
     out = {color: np.empty_like(data) for color in "RGB"}
+    acc, term = np.empty((h, w)), np.empty((h, w))
+
+    def estimate(stencil, dy, dx, color):
+        taps, total = stencil
+        for k, (u, v, weight) in enumerate(taps):
+            y, x = radius + dy + u, radius + dx + v
+            view = pad[y : y + 2 * h : 2, x : x + 2 * w : 2]
+            if k == 0:
+                np.multiply(view, weight, out=acc)
+            elif weight == 1.0:  # x * 1.0 is x, bit for bit
+                np.add(acc, view, out=acc)
+            else:
+                np.add(acc, np.multiply(view, weight, out=term), out=acc)
+        np.divide(acc, total, out=out[color][dy::2, dx::2])
+
+    r_row = mosaic.pattern.r_offset[0]
     for dy, dx, color in mosaic.pattern.sites:
-        site = (slice(dy, None, 2), slice(dx, None, 2))
-        out[color][site] = data[site]
+        out[color][dy::2, dx::2] = data[dy::2, dx::2]
         if color == "G":
             along, across = ("R", "B") if dy == r_row else ("B", "R")
-            out[along][site] = est_row[site]
-            out[across][site] = est_col[site]
+            estimate(est_row, dy, dx, along)
+            estimate(est_col, dy, dx, across)
         else:
-            out["G"][site] = est_g[site]
-            out["B" if color == "R" else "R"][site] = est_x[site]
-    return RgbImage(Plane(out["R"]), Plane(out["G"]), Plane(out["B"]))
+            estimate(est_g, dy, dx, "G")
+            estimate(est_x, dy, dx, "B" if color == "R" else "R")
+    return RgbImage(*(Plane._adopt(out[color]) for color in "RGB"))
 
 
 def demosaic_bilinear(mosaic: MosaicImage) -> RgbImage:
@@ -148,7 +193,7 @@ def demosaic_bilinear(mosaic: MosaicImage) -> RgbImage:
     Measured samples pass through unchanged. For inputs in [0, 1] the output
     stays in [0, 1] because every sample is a convex combination.
     """
-    return _demosaic_linear(mosaic, _BILINEAR_KERNELS)
+    return _demosaic_linear(mosaic, _BILINEAR_STENCILS)
 
 
 def demosaic_gradient(mosaic: MosaicImage) -> RgbImage:
@@ -158,7 +203,7 @@ def demosaic_gradient(mosaic: MosaicImage) -> RgbImage:
     gains 1/2 (G at R/B), 5/8 (R/B at G), and 3/4 (R/B at the opposite
     chroma site). Linear ramps are reproduced exactly in the interior.
     """
-    return _demosaic_linear(mosaic, _GRADIENT_KERNELS)
+    return _demosaic_linear(mosaic, _GRADIENT_STENCILS)
 
 
 def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float) -> RgbImage:
@@ -174,7 +219,7 @@ def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float
     for dy, dx, _ in mosaic.pattern.sites:
         for color, mean in _bilateral(data, guide, sigma_s, sigma_r, 2, dy, dx, partial(color_at, mosaic.pattern)).items():
             out[color][dy::2, dx::2] = mean
-    return RgbImage(Plane(out["R"]), Plane(out["G"]), Plane(out["B"]))
+    return RgbImage(*(Plane._adopt(out[color]) for color in "RGB"))
 
 
 def demosaic(mosaic: MosaicImage, config: DemosaickerConfig) -> RgbImage:

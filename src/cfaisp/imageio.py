@@ -52,13 +52,18 @@ class Plane:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionError(f"plane must be 2-D and non-empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("plane samples must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen(np.array(self.data, dtype=np.float64)))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Plane":
+        """Wrap a float64 array a stage has just built, without the copy.
+
+        The caller must hold no other reference to arr: it becomes read-only
+        and belongs to the Plane. The checks are those of Plane(arr).
+        """
+        plane = object.__new__(cls)
+        object.__setattr__(plane, "data", _frozen(arr))
+        return plane
 
     @property
     def height(self) -> int:
@@ -67,6 +72,16 @@ class Plane:
     @property
     def width(self) -> int:
         return self.data.shape[1]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Check that arr is a non-empty 2-D plane of finite samples; make it read-only."""
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise DimensionError(f"plane must be 2-D and non-empty, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("plane samples must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ def add_awgn(mosaic: MosaicImage, spec: NoiseSpec) -> MosaicImage:
     scale = np.empty((h, w), dtype=np.float64)
     for dy, dx, color in mosaic.pattern.sites:
         scale[dy::2, dx::2] = sigma[color]
-    return MosaicImage(mosaic.pattern, Plane(mosaic.plane.data + field * scale))
+    return MosaicImage(mosaic.pattern, Plane._adopt(mosaic.plane.data + field * scale))
 
 
 def estimate_sigma(plane: Plane) -> float:

@@ -229,6 +229,16 @@ class TestPipelineCommand:
             outputs.append([rows[0]] + [",".join(row.split(",")[:16]) for row in rows[1:]])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("strategy", ["after", "before"])
+    def test_wavelet_runs_on_sizes_not_divisible_by_its_levels(self, tmp_path, capsysbinary, strategy):
+        # The default wavelet has 3 levels; 100x100 frames and their 50x50
+        # sub-images are not multiples of 8.
+        src = _write_ppm(tmp_path / "t.ppm", _rgb(size=100))
+        assert main(["pipeline", "--in", src, "--strategy", strategy]) == 0
+        row = capsysbinary.readouterr().out.decode("ascii").splitlines()[1].split(",")
+        assert row[3] == "wavelet(levels=3 sigma_n=auto)"
+        assert float(row[15]) > 20.0
+
     def test_joint_strategy_selects_joint_demosaicker(self, tmp_path, capsysbinary):
         src = _write_ppm(tmp_path / "t.ppm", _rgb())
         rc = main(["pipeline", "--strategy", "joint", "--sigma", "0.05", "--seed", "1", "--in", src])
@@ -339,6 +349,11 @@ class TestOutOfRangeFlags:
             ("pipeline", "--dn-levels", "0"),
             ("pipeline", "--dn-sigma-n", "-1"),
             ("pipeline", "--seed", "-1"),
+            ("pipeline", "--dn-sigma-s", "1e200"),
+            ("pipeline", "--dn-sigma-s", "100.5"),
+            ("pipeline", "--jb-sigma-s", "1e200"),
+            ("experiment", "--dn-sigma-s", "101"),
+            ("experiment", "--jb-sigma-s", "1e200"),
         ],
     )
     def test_usage_error_names_the_flag(self, tmp_path, capsys, command, flag, value):

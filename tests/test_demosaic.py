@@ -12,6 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import convolve
 
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at, mosaic_from_rgb
 from cfaisp.demosaic import (
@@ -131,6 +135,47 @@ def _gradient_oracle(mosaic: MosaicImage) -> RgbImage:
     return RgbImage(Plane(out["R"]), Plane(out["G"]), Plane(out["B"]))
 
 
+_ORACLE_BILINEAR = (
+    np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float),
+    np.array([[0, 0, 0], [1, 0, 1], [0, 0, 0]], dtype=float),
+    np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]], dtype=float),
+)
+_ORACLE_GRADIENT = (_ORACLE_K_G, _ORACLE_K_HROW, _ORACLE_K_X)
+
+
+def _convolve_oracle(mosaic: MosaicImage, kernels) -> tuple:
+    """R, G, B arrays from whole-frame scipy convolutions, each divided by its weight sum.
+
+    kernels are (G at R/B, R/B along the row at G, R/B at the opposite chroma
+    site); the transposed row kernel gives R/B across the row.
+    """
+    data = mosaic.plane.data
+    h, w = data.shape
+    k_g, k_row, k_x = kernels
+    est_g, est_row, est_col, est_x = (convolve(data, k, mode="mirror") / k.sum() for k in (k_g, k_row, k_row.T, k_x))
+    r_row = mosaic.pattern.r_offset[0]
+    out = {c: np.empty((h, w)) for c in "RGB"}
+    for i in range(h):
+        for j in range(w):
+            color = color_at(mosaic.pattern, i, j)
+            out[color][i, j] = data[i, j]
+            if color == "G":
+                along, across = ("R", "B") if i % 2 == r_row else ("B", "R")
+                out[along][i, j] = est_row[i, j]
+                out[across][i, j] = est_col[i, j]
+            else:
+                out["G"][i, j] = est_g[i, j]
+                out["B" if color == "R" else "R"][i, j] = est_x[i, j]
+    return out["R"], out["G"], out["B"]
+
+
+LINEAR = [(demosaic_bilinear, _ORACLE_BILINEAR), (demosaic_gradient, _ORACLE_GRADIENT)]
+
+# Signed zeros, the smallest subnormals and normals, and huge magnitudes,
+# mixed with ordinary samples.
+EXTREME_SAMPLES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]) | st.floats(-1.0, 2.0)
+
+
 def _joint_weight_sums(mosaic: MosaicImage, sigma_s: float, sigma_r: float) -> dict:
     """Per color, the sum of the joint filter's weights at every sample."""
     data = mosaic.plane.data
@@ -245,6 +290,32 @@ class TestGradient:
             score_gradient = cpsnr(truth, demosaic_gradient(mosaic), crop=4)
             score_bilinear = cpsnr(truth, demosaic_bilinear(mosaic), crop=4)
             assert score_gradient > score_bilinear
+
+class TestScipyConvolveOracle:
+    """The per-site linear demosaic equals whole-frame scipy convolution, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 6), (6, 4), (10, 12), (64, 64), (130, 98)])
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS)
+    @pytest.mark.parametrize("demosaicker,kernels", LINEAR, ids=["bilinear", "gradient"])
+    def test_equals_whole_frame_convolution(self, demosaicker, kernels, pattern, shape):
+        mosaic = _random_mosaic(pattern, shape, 11)
+        for got, want in zip(demosaicker(mosaic).planes, _convolve_oracle(mosaic, kernels)):
+            assert np.array_equal(got.data, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(LINEAR),
+        st.sampled_from(ALL_PATTERNS),
+        st.integers(1, 11).map(lambda half: 2 * half),
+        st.integers(1, 11).map(lambda half: 2 * half),
+        st.data(),
+    )
+    def test_equals_whole_frame_convolution_on_extreme_samples(self, method, pattern, h, w, data):
+        demosaicker, kernels = method
+        mosaic = MosaicImage(pattern, Plane(data.draw(arrays(np.float64, (h, w), elements=EXTREME_SAMPLES))))
+        for got, want in zip(demosaicker(mosaic).planes, _convolve_oracle(mosaic, kernels)):
+            assert np.array_equal(got.data, want)
+
 
 class TestJointBilateral:
     def test_constant_mosaic_constant_output(self):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import median_filter
 
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose
 from cfaisp.denoise import (
@@ -164,6 +165,12 @@ class TestHaar:
         stripped = WaveletPyramid(ll=pyramid.ll, details=tuple(tuple(np.zeros_like(b) for b in t) for t in pyramid.details))
         np.testing.assert_allclose(idwt_haar(stripped).data, 0.4, atol=1e-12)
 
+    def test_idwt_without_details_copies_ll(self):
+        ll = np.full((2, 2), 0.3)
+        out = idwt_haar(WaveletPyramid(ll=ll, details=()))
+        assert not np.shares_memory(out.data, ll)
+        assert ll.flags.writeable
+
     def test_dwt_of_idwt_roundtrip(self):
         rng = np.random.default_rng(65)
         pyramid = WaveletPyramid(
@@ -261,6 +268,28 @@ class TestMedian:
                 window = [data[_reflect(i + u, h), _reflect(j + v, w)] for u in range(-radius, radius + 1) for v in range(-radius, radius + 1)]
                 expected[i, j] = sorted(window)[len(window) // 2]
         np.testing.assert_array_equal(denoise_median(Plane(data), radius).data, expected)
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros"])
+    def test_radius_one_matches_scipy_median_filter(self, kind):
+        # Sizes up to 17x9, plus frames cut into several row strips with a
+        # short last strip.
+        rng = np.random.default_rng(["random", "ties", "signed-zeros"].index(kind))
+        draw = {
+            "random": lambda shape: rng.random(shape),
+            "ties": lambda shape: rng.integers(0, 3, shape) / 2.0,
+            "signed-zeros": lambda shape: rng.choice([-0.0, 0.0, 0.5], shape),
+        }[kind]
+        shapes = [(h, w) for h in range(1, 18) for w in range(1, 10)] + [(70, 512), (33, 1000)]
+        for shape in shapes:
+            data = draw(shape)
+            got = denoise_median(Plane(data), 1).data
+            want = median_filter(data, size=3, mode="mirror")
+            assert np.array_equal(got, want), shape
+            if kind == "signed-zeros":
+                # Both pick one of the tied zeros; which one may differ.
+                assert np.all((np.signbit(got) == np.signbit(want)) | (got == 0.0)), shape
+            else:
+                assert np.array_equal(np.signbit(got), np.signbit(want)), shape
 
     def test_step_edge_preserved(self):
         data = np.zeros((8, 8))
@@ -387,6 +416,22 @@ class TestWavelet:
         with pytest.raises(ValueError):
             denoise_wavelet(Plane(np.zeros((8, 8))), 1, -0.1)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (10, 12), (13, 8), (50, 50), (100, 100)])
+    def test_pads_sizes_not_divisible_by_the_block_and_crops_back(self, shape):
+        # Mirror-padded at the bottom and right to multiples of 2^levels.
+        levels, sigma_n = 3, 0.05
+        h, w = shape
+        data = 0.5 + 0.1 * np.random.default_rng(88).standard_normal(shape)
+        rows = [_reflect(i, h) for i in range(h + -h % 8)]
+        cols = [_reflect(j, w) for j in range(w + -w % 8)]
+        want = _wavelet_oracle(data[np.ix_(rows, cols)], levels, sigma_n)[:h, :w]
+        np.testing.assert_allclose(denoise_wavelet(Plane(data), levels, sigma_n).data, want, rtol=0, atol=1e-9)
+
+    def test_auto_sigma_is_estimated_before_padding(self):
+        plane = Plane(0.5 + 0.05 * normal_field(89, 20, 28))
+        explicit = denoise_wavelet(plane, 3, estimate_sigma(plane))
+        np.testing.assert_array_equal(denoise_wavelet(plane, 3).data, explicit.data)
+
 
 class TestTranslationEquivariance:
     @pytest.mark.parametrize(
@@ -457,8 +502,31 @@ class TestConfigAndDispatch:
         ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
     )
     def test_infinite_sigma_s_is_rejected(self, build):
-        with pytest.raises(ValueError, match="sigma_s must be finite and > 0, got inf"):
+        with pytest.raises(ValueError, match="sigma_s must be finite, > 0 and <= 100, got inf"):
             build()
+
+    @pytest.mark.parametrize("sigma_s", [100.5, 1e200])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sigma_s: DenoiserConfig(kind="gaussian", sigma_s=sigma_s),
+            lambda sigma_s: DenoiserConfig(kind="bilateral", sigma_s=sigma_s),
+            lambda sigma_s: DemosaickerConfig(kind="joint-bilateral", sigma_s=sigma_s),
+            lambda sigma_s: denoise_gaussian(Plane(np.zeros((8, 8))), sigma_s),
+            lambda sigma_s: denoise_bilateral(Plane(np.zeros((8, 8))), sigma_s, 0.1),
+            lambda sigma_s: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(np.zeros((8, 8)))), sigma_s, 0.1),
+        ],
+        ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
+    )
+    def test_sigma_s_above_100_is_rejected(self, build, sigma_s):
+        with pytest.raises(ValueError, match=r"^sigma_s must be finite, > 0 and <= 100, got "):
+            build(sigma_s)
+
+    def test_sigma_s_of_100_is_accepted(self):
+        assert DenoiserConfig(kind="bilateral", sigma_s=100.0).describe() == "bilateral(sigma_s=100 sigma_r=0.1)"
+        assert DemosaickerConfig(kind="joint-bilateral", sigma_s=100.0).describe() == "joint-bilateral(sigma_s=100 sigma_r=0.1)"
+        out = denoise_gaussian(Plane(np.full((4, 4), 0.25)), 100.0)
+        np.testing.assert_allclose(out.data, 0.25, rtol=0, atol=1e-15)
 
     def test_infinite_sigma_r_means_spatial_weights(self):
         plane = Plane(np.random.default_rng(94).random((10, 12)))

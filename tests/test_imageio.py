@@ -10,6 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
+from cfaisp.demosaic import DemosaickerConfig, demosaic
+from cfaisp.denoise import DenoiserConfig, denoise_plane, dwt_haar, idwt_haar
 from cfaisp.imageio import (
     CSV_HEADER,
     DimensionError,
@@ -25,6 +28,7 @@ from cfaisp.imageio import (
     format_float,
     write_csv,
 )
+from cfaisp.noise import NoiseSpec, add_awgn
 
 
 class TestPlane:
@@ -49,6 +53,60 @@ class TestPlane:
     def test_rejects_non_finite(self, value):
         with pytest.raises(ValueError):
             Plane(np.array([[0.0, value]]))
+
+
+# Each stage, run on a 12x12 RGB image and its GBRG mosaic: the planes it returns.
+_STAGES = {
+    "mosaic_from_rgb": lambda truth, mosaic: [mosaic_from_rgb(truth, CfaPattern.GBRG).plane],
+    "add_awgn": lambda truth, mosaic: [add_awgn(mosaic, NoiseSpec.uniform(0.05, 3)).plane],
+    "decompose": lambda truth, mosaic: list(decompose(mosaic).planes),
+    "recompose": lambda truth, mosaic: [recompose(decompose(mosaic)).plane],
+    "idwt_haar": lambda truth, mosaic: [idwt_haar(dwt_haar(mosaic.plane, 2))],
+    "decode_pnm": lambda truth, mosaic: [decode_pnm(encode_pnm(mosaic.plane, 16)), *decode_pnm(encode_pnm(truth, 16)).planes],
+    "gaussian": lambda truth, mosaic: [denoise_plane(mosaic.plane, DenoiserConfig(kind="gaussian"))],
+    "median-3x3": lambda truth, mosaic: [denoise_plane(mosaic.plane, DenoiserConfig(kind="median", radius=1))],
+    "median-5x5": lambda truth, mosaic: [denoise_plane(mosaic.plane, DenoiserConfig(kind="median", radius=2))],
+    "bilateral": lambda truth, mosaic: [denoise_plane(mosaic.plane, DenoiserConfig(kind="bilateral"))],
+    "wavelet": lambda truth, mosaic: [denoise_plane(mosaic.plane, DenoiserConfig(kind="wavelet", levels=2))],
+    "wavelet-padded": lambda truth, mosaic: [denoise_plane(mosaic.plane, DenoiserConfig(kind="wavelet", levels=3))],
+    "bilinear": lambda truth, mosaic: list(demosaic(mosaic, DemosaickerConfig(kind="bilinear")).planes),
+    "gradient": lambda truth, mosaic: list(demosaic(mosaic, DemosaickerConfig(kind="gradient")).planes),
+    "joint-bilateral": lambda truth, mosaic: list(demosaic(mosaic, DemosaickerConfig(kind="joint-bilateral")).planes),
+}
+
+
+class TestPlaneOwnership:
+    def test_constructor_copies_and_leaves_the_argument_writable(self):
+        arr = np.random.default_rng(30).random((3, 5))
+        plane = Plane(arr)
+        assert not np.shares_memory(plane.data, arr)
+        assert arr.flags.writeable
+        arr[0, 0] = 7.0
+        assert plane.data[0, 0] != 7.0
+
+    @pytest.mark.parametrize("stage", sorted(_STAGES))
+    def test_stage_outputs_are_read_only_and_share_no_input_memory(self, stage):
+        rng = np.random.default_rng(31)
+        truth = RgbImage(*(Plane(rng.random((12, 12))) for _ in range(3)))
+        mosaic = MosaicImage(CfaPattern.GBRG, Plane(rng.random((12, 12))))
+        outputs = _STAGES[stage](truth, mosaic)
+        for plane in outputs:
+            assert not plane.data.flags.writeable
+            with pytest.raises(ValueError):
+                plane.data[0, 0] = 0.5
+            for source in (*truth.planes, mosaic.plane):
+                assert not np.shares_memory(plane.data, source.data)
+        for i, plane in enumerate(outputs):
+            for other in outputs[i + 1 :]:
+                assert not np.shares_memory(plane.data, other.data)
+
+    @pytest.mark.parametrize("kind", ["bilinear", "gradient"])
+    def test_non_finite_stage_output_raises(self, kind):
+        # Neighbor sums of 1.7e308 pass the largest float. Plane's check
+        # reports it; a warning first would fail this suite.
+        mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.full((8, 8), 1.7e308)))
+        with pytest.raises(ValueError, match="plane samples must be finite"):
+            demosaic(mosaic, DemosaickerConfig(kind=kind))
 
 
 class TestRgbImage:

@@ -368,11 +368,12 @@ class TestRunExperiment:
         assert timed[0].wall_ms > 0.0
 
     def test_failure_names_grid_point(self):
-        # 10x10 sub-images are 5x5: not divisible for a 3-level transform.
+        # sigma_s = 1e-200 passes the config check, but 1 / (2 sigma_s^2)
+        # overflows, so the gaussian filter raises when it runs.
         grid = ExperimentGrid(
             strategies=(Strategy.BEFORE,),
             sigmas=(0.05,),
-            denoisers=(DenoiserConfig(kind="wavelet", levels=3),),
+            denoisers=(DenoiserConfig(kind="gaussian", sigma_s=1e-200),),
         )
         yy, xx = np.mgrid[0:10, 0:10] / 9.0
         tiny = RgbImage(Plane(xx), Plane(yy), Plane(xx * yy))
@@ -524,16 +525,16 @@ class TestSharedStages:
         assert [math.copysign(1.0, r.sigma_g) for r in records] == [1.0, -1.0, 1.0, -1.0]
 
     def test_failure_inside_a_group_names_its_point(self):
-        # The none run of the group succeeds; the wavelet run after it fails
-        # on 5x5 sub-images, and the message names the wavelet point.
+        # The none run of the group succeeds; the gaussian run after it fails
+        # (1 / (2 sigma_s^2) overflows), and the message names the gaussian point.
         grid = ExperimentGrid(
             strategies=(Strategy.BEFORE,),
             sigmas=(0.05,),
-            denoisers=(NONE, DenoiserConfig(kind="wavelet", levels=3)),
+            denoisers=(NONE, DenoiserConfig(kind="gaussian", sigma_s=1e-200)),
         )
         yy, xx = np.mgrid[0:10, 0:10] / 9.0
         tiny = RgbImage(Plane(xx), Plane(yy), Plane(xx * yy))
-        with pytest.raises(RuntimeError, match="denoiser=wavelet"):
+        with pytest.raises(RuntimeError, match="denoiser=gaussian"):
             run_experiment([("tiny", tiny)], grid, jobs=1)
 
 
