@@ -15,9 +15,10 @@ edge sample not duplicated):
   denoising happen in one pass.
 
 Bilinear and gradient evaluate each kernel only at the tile sites that read
-it: the taps are summed over step-2 slices of the padded mosaic, in the order
+it: the taps are summed over step-2 views of the padded mosaic, in the order
 scipy.ndimage.convolve sums them, so the values equal whole-frame convolution
-divided by the kernel's weight sum.
+divided by the kernel's weight sum. denoise._shifted does all the padding and
+lattice indexing, here as for the denoisers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from cfaisp.cfa import MosaicImage, color_at
-from cfaisp.denoise import _bilateral, check_method, describe_method
+from cfaisp.denoise import _bilateral, _shifted, check_method, describe_method
 from cfaisp.imageio import Plane, RgbImage
 
 # kind -> (name of the function in this module, the DemosaickerConfig fields
@@ -145,7 +146,7 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     """Estimate each missing sample with one fixed kernel chosen by its tile site.
 
     stencils come from _stencils. Each estimate is computed only at the tile
-    sites that use it, from step-2 slices of the mirror-padded mosaic, and is
+    sites that use it, from step-2 views of the mirror-padded mosaic, and is
     divided by its kernel's weight sum, so constants are kept. The taps are
     summed in row-major order from the first, as scipy.ndimage.convolve sums
     them, so the values equal convolve(mode="mirror") / k.sum() bit for bit
@@ -155,17 +156,14 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     """
     data = mosaic.plane.data
     est_g, est_row, est_col, est_x = stencils
-    radius = max(abs(dy) for taps, _ in stencils for dy, _, _ in taps)
-    pad = np.pad(data, radius, mode="reflect")
-    h, w = data.shape[0] // 2, data.shape[1] // 2
+    at = _shifted(data, max(abs(dy) for taps, _ in stencils for dy, _, _ in taps), 2)
     out = {color: np.empty_like(data) for color in "RGB"}
-    acc, term = np.empty((h, w)), np.empty((h, w))
+    acc, term = np.empty_like(at(0, 0)), np.empty_like(at(0, 0))
 
     def estimate(stencil, dy, dx, color):
         taps, total = stencil
         for k, (u, v, weight) in enumerate(taps):
-            y, x = radius + dy + u, radius + dx + v
-            view = pad[y : y + 2 * h : 2, x : x + 2 * w : 2]
+            view = at(dy + u, dx + v)
             if k == 0:
                 np.multiply(view, weight, out=acc)
             elif weight == 1.0:  # x * 1.0 is x, bit for bit

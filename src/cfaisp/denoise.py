@@ -2,18 +2,23 @@
 
 Four filters with one shared contract (Plane in, same-sized Plane out):
 
-- gaussian: separable blur, truncated at three sigmas per side.
-- median: the middle value of each (2 radius + 1)^2 window. Radius 1 runs a
-  pruned 19-exchange sorting network of elementwise min/max over the nine
-  shifted views of the padded plane; larger radii call scipy's median filter.
+- gaussian: separable blur, truncated at three sigmas per side, as one
+  vertical and one horizontal pass over shifted views of the padded plane.
+- median: the middle value of each (2 radius + 1)^2 window, walked in tiles.
+  Radius 1 runs a pruned 19-exchange sorting network of elementwise min/max
+  over the nine shifted views; larger radii partition each tile's windows.
 - bilateral: edge-preserving blur weighting neighbors by spatial distance
   and intensity difference.
 - wavelet: soft thresholding of orthonormal Haar detail coefficients with a
   per-subband data-driven threshold; the coarse approximation is kept as is.
 
 Borders are handled by mirror reflection without duplicating the edge sample.
-The wavelet pads a plane whose sides are not multiples of 2^levels the same
-way, at the bottom and right, and crops the result back. The wavelet threshold for a subband with noise level sigma_n and signal
+_shifted is the one place that pads for it: the gaussian, median and
+bilateral filters and the linear and joint demosaickers read every neighbour
+through its views. The wavelet pads a plane whose sides are not multiples of
+2^levels the same way, at the bottom and right, and crops the result back.
+
+The wavelet threshold for a subband with noise level sigma_n and signal
 spread sigma_x = sqrt(max(var - sigma_n^2, 0)) is sigma_n^2 / sigma_x; a
 subband with no estimated signal is zeroed outright.
 """
@@ -25,11 +30,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import convolve1d, median_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cfaisp.cfa import SubImages
 from cfaisp.imageio import DimensionError, Plane
-from cfaisp.noise import estimate_sigma
+from cfaisp.noise import SIGMA_MAX, estimate_sigma
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -44,7 +49,7 @@ _FIELDS = {
     "sigma_r": (lambda v: v > 0, "> 0", "{:g}".format),
     "radius": (lambda v: v >= 1, ">= 1", str),
     "levels": (lambda v: v >= 1, ">= 1", str),
-    "sigma_n": (lambda v: v is None or (math.isfinite(v) and v >= 0), "finite and >= 0", lambda v: "auto" if v is None else f"{v:g}"),
+    "sigma_n": (lambda v: v is None or 0 <= v <= SIGMA_MAX, f"finite, >= 0 and <= {SIGMA_MAX:g}", lambda v: "auto" if v is None else f"{v:g}"),
 }
 
 
@@ -182,13 +187,55 @@ def _gaussian_kernel(sigma_s: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+def _shifted(data: np.ndarray, radius: int, step: int = 1, py: int = 0, px: int = 0):
+    """Neighbour reads on the lattice data[py::step, px::step], from one mirror pad.
+
+    Pads data by radius on every side once, reflecting without duplicating
+    the edge sample, and returns view(dy, dx, rows, cols): the lattice moved
+    by (dy, dx) full-frame samples, rows x cols lattice samples from its
+    first (the whole lattice by default). Mirror reflection keeps an index's
+    parity on an even-size frame, so a step-2 view reads one tile site.
+    """
+    pad = np.pad(data, radius, mode="reflect")
+    h, w = len(range(py, data.shape[0], step)), len(range(px, data.shape[1], step))
+
+    def view(dy: int, dx: int, rows: int = h, cols: int = w) -> np.ndarray:
+        y, x = radius + py + dy, radius + px + dx
+        return pad[y : y + step * rows : step, x : x + step * cols : step]
+
+    return view
+
+
+def _blur_line(at, kernel: np.ndarray) -> np.ndarray:
+    """Sum of kernel[r + j] * at(j) over |j| <= r, for a symmetric odd-length kernel.
+
+    The center tap comes first, then (at(-j) + at(j)) * kernel[r - j] for j
+    from r down to 1, the order scipy.ndimage.convolve1d sums a symmetric
+    kernel in, so the values equal convolve1d(mode="mirror") bit for bit.
+    """
+    r = len(kernel) // 2
+    out = np.multiply(at(0), kernel[r])
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(at(-j), at(j), out=pair)
+        np.add(out, np.multiply(pair, kernel[r - j], out=pair), out=out)
+    return out
+
+
 def denoise_gaussian(plane: Plane, sigma_s: float) -> Plane:
-    """Separable Gaussian blur with a renormalized +/- 3 sigma kernel."""
+    """Separable Gaussian blur with a renormalized +/- 3 sigma kernel.
+
+    The vertical pass also blurs the padding columns: each is a copy of the
+    column it mirrors, so its blur is that column's blur, and the horizontal
+    pass reads a plane already padded. One pad serves both passes.
+    """
     _check_field("sigma_s", sigma_s)
     kernel = _gaussian_kernel(sigma_s)
-    blurred = convolve1d(plane.data, kernel, axis=0, mode="mirror")
-    blurred = convolve1d(blurred, kernel, axis=1, mode="mirror")
-    return Plane._adopt(blurred)
+    r = len(kernel) // 2
+    h, w = plane.data.shape
+    at = _shifted(plane.data, r)
+    columns = _blur_line(lambda dy: at(dy, -r, h, w + 2 * r), kernel)
+    return Plane._adopt(_blur_line(lambda dx: columns[:, r + dx : r + dx + w], kernel))
 
 
 # Paeth's 19-exchange network for the median of nine ("Median finding on a
@@ -204,8 +251,9 @@ _MEDIAN9 = (
     (4, 7, "lo"), (4, 2, "both"), (6, 4, "hi"), (4, 2, "lo"),
 )  # fmt: skip
 
-# Samples per row strip of the 3x3 median: the network's ten strip-sized
-# buffers then stay in cache. Whole 256x256 planes ran 3x slower.
+# Output samples per tile of the 3x3 median: the network's ten tile-sized
+# buffers then stay in cache (whole 256x256 planes ran 3x slower). A larger
+# window's tile holds as many samples, 9 x _MEDIAN_STRIP, or one window.
 _MEDIAN_STRIP = 16384
 
 
@@ -230,21 +278,30 @@ def _median9(p: list) -> np.ndarray:
 
 
 def denoise_median(plane: Plane, radius: int) -> Plane:
-    """Median over a (2 radius + 1) square window.
+    """Median over a (2 radius + 1) square window, one tile at a time.
 
     Radius 1 runs a sorting network over the nine shifted views of the
-    mirror-padded plane, a row strip at a time; larger windows use scipy.
+    mirror-padded plane; a larger window takes the middle element of a
+    partition over each tile's windows.
     """
     _check_field("radius", radius)
-    if radius > 1:
-        return Plane._adopt(median_filter(plane.data, size=2 * radius + 1, mode="mirror"))
     h, w = plane.data.shape
-    pad = np.pad(plane.data, 1, mode="reflect")
+    at = _shifted(plane.data, radius)
+    side = 2 * radius + 1
+    size = side * side
+    tile = max(1, 9 * _MEDIAN_STRIP // size)  # output samples per tile
+    cols = min(w, tile)
+    rows = min(h, tile // cols)
     out = np.empty((h, w))
-    step = max(1, _MEDIAN_STRIP // w)
-    for top in range(0, h, step):
-        rows = min(step, h - top)
-        out[top : top + rows] = _median9([pad[top + dy : top + dy + rows, dx : dx + w] for dy in range(3) for dx in range(3)])
+    for top in range(0, h, rows):
+        for left in range(0, w, cols):
+            n, m = min(rows, h - top), min(cols, w - left)
+            if radius == 1:
+                middle = _median9([at(top + dy, left + dx, n, m) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+            else:
+                windows = sliding_window_view(at(top - radius, left - radius, n + 2 * radius, m + 2 * radius), (side, side))
+                middle = np.partition(windows.reshape(n, m, size), size // 2, axis=-1)[..., size // 2]
+            out[top : top + n, left : left + m] = middle
     return Plane._adopt(out)
 
 
@@ -263,22 +320,20 @@ def _bilateral(data, guide, sigma_s, sigma_r, step=1, py=0, px=0, bucket=lambda 
     inv_2ss = 1.0 / _two_variance("sigma_s", sigma_s)
     inv_2sr = 1.0 / _two_variance("sigma_r", sigma_r)
     radius = math.ceil(3.0 * sigma_s)
-    center = guide[py::step, px::step]
+    data_at = _shifted(data, radius, step, py, px)
+    guide_at = data_at if guide is data else _shifted(guide, radius, step, py, px)
+    center = guide_at(0, 0)
     h, w = center.shape
-    data_pad = np.pad(data, radius, mode="reflect")
-    guide_pad = data_pad if guide is data else np.pad(guide, radius, mode="reflect")
     offsets = range(-radius, radius + 1)
     # Accumulators made on first use inside the loop ran 15% slower at 512x512.
     keys = dict.fromkeys(bucket(py + dy, px + dx) for dy in offsets for dx in offsets)
     sums = {key: (np.zeros((h, w)), np.zeros((h, w))) for key in keys}
     for dy in offsets:
-        rows = slice(radius + py + dy, radius + py + dy + step * h, step)
         for dx in offsets:
-            cols = slice(radius + px + dx, radius + px + dx + step * w, step)
             spatial = math.exp(-(dy * dy + dx * dx) * inv_2ss)
-            weight = spatial * np.exp(-((guide_pad[rows, cols] - center) ** 2) * inv_2sr)
+            weight = spatial * np.exp(-((guide_at(dy, dx) - center) ** 2) * inv_2sr)
             num, den = sums[bucket(py + dy, px + dx)]
-            num += weight * data_pad[rows, cols]
+            num += weight * data_at(dy, dx)
             den += weight
     means, spatial_only = {}, None
     for key, (num, den) in sums.items():
@@ -316,9 +371,11 @@ def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) 
     right up to the next multiples, and the result is cropped back.
     """
     _check_field("levels", levels)
-    if sigma_n is None:
-        sigma_n = estimate_sigma(plane)
     _check_field("sigma_n", sigma_n)
+    if sigma_n is None:
+        # The bound is on the caller's sigma_n: under sigma = SIGMA_MAX noise
+        # a plane's own estimate can exceed it.
+        sigma_n = estimate_sigma(plane)
     if sigma_n == 0.0:
         return plane
     h, w = plane.data.shape

@@ -9,7 +9,6 @@ same negative and above-range excursions a real sensor pipeline would.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,11 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO_UNIT = 2.0**-53
+
+# The largest noise sigma, a thousand times the [0, 1] sample range: every
+# square the pipeline takes of a noisy sample or of sigma stays far inside
+# float range, so a huge sigma is one ValueError, not an overflow later.
+SIGMA_MAX = 1e3
 
 # MAD-to-sigma factor for a zero-mean normal: 1 / Phi^-1(3/4).
 _MAD_SCALE = 0.6745
@@ -39,8 +43,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         for name in ("sigma_r", "sigma_g", "sigma_b"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if not 0 <= value <= SIGMA_MAX:
+                raise ValueError(f"{name} must be finite, >= 0 and <= {SIGMA_MAX:g}, got {value}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 

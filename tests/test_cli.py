@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main()."""
 
 import os
+import re
 import subprocess
 import sys
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
@@ -354,18 +355,40 @@ class TestOutOfRangeFlags:
             ("pipeline", "--jb-sigma-s", "1e200"),
             ("experiment", "--dn-sigma-s", "101"),
             ("experiment", "--jb-sigma-s", "1e200"),
+            ("noise", "--sigma", "1e308"),
+            ("noise", "--sigma-g", "1000.5"),
+            ("denoise --denoiser wavelet", "--dn-sigma-n", "1e200"),
+            ("pipeline --denoiser wavelet", "--sigma", "1e160"),
+            ("pipeline --denoiser gaussian", "--sigma", "1e160"),
+            ("pipeline --denoiser median", "--sigma", "1e160"),
+            ("pipeline --denoiser bilateral", "--sigma", "1e160"),
+            ("pipeline", "--sigma-b", "1e160"),
+            ("pipeline", "--dn-sigma-n", "1e200"),
+            ("experiment", "--sigmas", "1e160"),
+            ("experiment", "--dn-sigma-n", "1001"),
         ],
     )
     def test_usage_error_names_the_flag(self, tmp_path, capsys, command, flag, value):
         image = _write_ppm(tmp_path / "a.ppm", _rgb(seed=62))
-        if command == "experiment":
-            argv = ["experiment", image, "--strategies", "after", "--sigmas", "0.05", "--jobs", "1", "--out", str(tmp_path / "r.csv")]
-        else:
-            argv = ["pipeline", "--in", image]
-        assert main(argv + [flag, value]) == 1
+        mosaic = _write_pgm(tmp_path / "m.pgm", mosaic_from_rgb(_rgb(size=16, seed=63), CfaPattern.GBRG).plane)
+        name, *options = command.split()
+        argv = {
+            "experiment": ["experiment", image, "--strategies", "after", "--sigmas", "0.05", "--jobs", "1", "--out", str(tmp_path / "r.csv")],
+            "pipeline": ["pipeline", "--in", image],
+            "noise": ["noise", "--in", mosaic, "--out", str(tmp_path / "n.pgm")],
+            "denoise": ["denoise", "--in", mosaic, "--out", str(tmp_path / "d.pgm")],
+        }[name]
+        assert main(argv + options + [flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert flag in err and value in err
+
+    @pytest.mark.parametrize("strategy", ["after", "before", "joint"])
+    @pytest.mark.parametrize("denoiser", ["none", "gaussian", "median", "bilateral", "wavelet"])
+    def test_largest_sigma_runs_every_strategy(self, tmp_path, capsys, strategy, denoiser):
+        image = _write_ppm(tmp_path / "a.ppm", _rgb(size=16, seed=64))
+        assert main(["pipeline", "--in", image, "--sigma", "1000", "--strategy", strategy, "--denoiser", denoiser]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestHelp:
@@ -410,11 +433,16 @@ def _checkout_env():
     return env
 
 
-def _declared_console_scripts():
-    """``[project.scripts]`` as declared in this checkout's pyproject.toml."""
+def _declared_project():
+    """``[project]`` as declared in this checkout's pyproject.toml."""
     tomllib = pytest.importorskip("tomllib")
     with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
-        return tomllib.load(fh)["project"].get("scripts", {})
+        return tomllib.load(fh)["project"]
+
+
+def _declared_console_scripts():
+    """``[project.scripts]`` as declared in this checkout's pyproject.toml."""
+    return _declared_project().get("scripts", {})
 
 
 class TestEntryPoints:
@@ -471,3 +499,34 @@ class TestEntryPoints:
         proc = subprocess.run([str(exes[0]), "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "mosaic" in proc.stdout
+
+
+class TestNumpyOnlyRuntime:
+    def test_every_method_runs_without_loading_scipy(self):
+        code = """
+import sys
+import numpy as np
+import cfaisp, cfaisp.cli
+from cfaisp.cfa import CfaPattern, MosaicImage
+from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
+from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
+from cfaisp.imageio import Plane
+plane = Plane(np.random.default_rng(0).random((16, 16)))
+for config in [DenoiserConfig(kind=kind) for kind in DENOISER_KINDS] + [DenoiserConfig(kind="median", radius=2)]:
+    denoise_plane(plane, config)
+for kind in DEMOSAICKER_KINDS:
+    demosaic(MosaicImage(CfaPattern.GBRG, plane), DemosaickerConfig(kind=kind))
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        project = _declared_project()
+
+        def names(requirements):
+            return [re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements]
+
+        assert names(project["dependencies"]) == ["numpy"]
+        assert "scipy" in names(project["optional-dependencies"]["test"])

@@ -7,10 +7,11 @@ The wavelet path gets a fully independent block-Haar + threshold oracle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.ndimage import median_filter
+from scipy.ndimage import convolve1d, median_filter
 
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose
 from cfaisp.denoise import (
@@ -222,6 +223,25 @@ class TestGaussian:
                 expected[i, j] = acc
         np.testing.assert_allclose(denoise_gaussian(Plane(data), sigma).data, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.3, 100.0])
+    def test_matches_scipy_convolve1d_bit_for_bit(self, sigma):
+        # The sweep CSV's digest depends on exact bits, not on a tolerance.
+        radius = math.ceil(3 * sigma)
+        offsets = np.arange(-radius, radius + 1, dtype=float)
+        kernel = np.exp(-(offsets**2) / (2 * sigma**2))
+        kernel /= kernel.sum()
+        rng = np.random.default_rng(74)
+        draws = {
+            "random": lambda shape: rng.random(shape),
+            "subnormal": lambda shape: rng.random(shape) * 1e-310,
+            "large": lambda shape: rng.uniform(-1e3, 1e3, shape),
+        }
+        for shape in [(1, 1), (2, 3), (13, 31), (128, 96)]:
+            for kind, draw in draws.items():
+                data = draw(shape)
+                want = convolve1d(convolve1d(data, kernel, axis=0, mode="mirror"), kernel, axis=1, mode="mirror")
+                assert np.array_equal(denoise_gaussian(Plane(data), sigma).data, want), (shape, kind)
+
     def test_mean_conserved_with_constant_margin(self):
         sigma = 1.0
         radius = math.ceil(3 * sigma)
@@ -270,9 +290,10 @@ class TestMedian:
         np.testing.assert_array_equal(denoise_median(Plane(data), radius).data, expected)
 
     @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros"])
-    def test_radius_one_matches_scipy_median_filter(self, kind):
-        # Sizes up to 17x9, plus frames cut into several row strips with a
-        # short last strip.
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_matches_scipy_median_filter(self, radius, kind):
+        # Sizes up to 17x9, plus frames cut into several tiles with a short
+        # last one.
         rng = np.random.default_rng(["random", "ties", "signed-zeros"].index(kind))
         draw = {
             "random": lambda shape: rng.random(shape),
@@ -282,14 +303,25 @@ class TestMedian:
         shapes = [(h, w) for h in range(1, 18) for w in range(1, 10)] + [(70, 512), (33, 1000)]
         for shape in shapes:
             data = draw(shape)
-            got = denoise_median(Plane(data), 1).data
-            want = median_filter(data, size=3, mode="mirror")
+            got = denoise_median(Plane(data), radius).data
+            want = median_filter(data, size=2 * radius + 1, mode="mirror")
             assert np.array_equal(got, want), shape
             if kind == "signed-zeros":
                 # Both pick one of the tied zeros; which one may differ.
                 assert np.all((np.signbit(got) == np.signbit(want)) | (got == 0.0)), shape
             else:
                 assert np.array_equal(np.signbit(got), np.signbit(want)), shape
+
+    def test_wide_window_memory_is_bounded_by_the_tile(self):
+        # One row of 81x81 windows stacked at once would take 107 MB.
+        data = np.random.default_rng(75).random((4, 2048))
+        tracemalloc.start()
+        try:
+            denoise_median(Plane(data), 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_step_edge_preserved(self):
         data = np.zeros((8, 8))
@@ -488,6 +520,29 @@ class TestConfigAndDispatch:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             DenoiserConfig(**kwargs)
+
+    @pytest.mark.parametrize("sigma_n", [1000.5, 1e200, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sigma_n: DenoiserConfig(kind="wavelet", sigma_n=sigma_n),
+            lambda sigma_n: denoise_wavelet(Plane(np.zeros((8, 8))), 1, sigma_n),
+        ],
+        ids=["wavelet-config", "wavelet"],
+    )
+    def test_sigma_n_above_1000_is_rejected(self, build, sigma_n):
+        with pytest.raises(ValueError, match=r"^sigma_n must be finite, >= 0 and <= 1000, got "):
+            build(sigma_n)
+
+    def test_sigma_n_of_1000_is_accepted(self):
+        assert DenoiserConfig(kind="wavelet", sigma_n=1000.0).describe() == "wavelet(levels=3 sigma_n=1000)"
+        plane = Plane(np.random.default_rng(76).random((8, 8)))
+        assert np.all(np.isfinite(denoise_wavelet(plane, 1, 1000.0).data))
+
+    def test_estimated_sigma_n_may_exceed_the_bound(self):
+        plane = Plane(1500.0 * normal_field(77, 16, 16))
+        assert estimate_sigma(plane) > 1000.0
+        assert np.all(np.isfinite(denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=1)).data))
 
     @pytest.mark.parametrize(
         "build",

@@ -97,6 +97,16 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(sigma_r=sigma, sigma_g=0.1, sigma_b=0.1)
 
+    @pytest.mark.parametrize("sigma", [1000.5, 1e160, 1e308])
+    def test_sigma_above_1000_rejected(self, sigma):
+        with pytest.raises(ValueError, match=r"^sigma_g must be finite, >= 0 and <= 1000, got "):
+            NoiseSpec(sigma_r=0.1, sigma_g=sigma, sigma_b=0.1)
+
+    def test_sigma_of_1000_is_accepted(self):
+        mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.zeros((8, 8))))
+        noisy = add_awgn(mosaic, NoiseSpec.uniform(1000.0, seed=2))
+        assert np.all(np.isfinite(noisy.plane.data))
+
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_seed_range(self, seed):
         with pytest.raises(ValueError):

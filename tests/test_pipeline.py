@@ -276,6 +276,8 @@ class TestExperimentGrid:
             ExperimentGrid(sigmas=(0.05, -0.1))
         with pytest.raises(ValueError):
             ExperimentGrid(sigmas=(math.nan,))
+        with pytest.raises(ValueError, match=r"^sigma must be finite, >= 0 and <= 1000, got 1e\+160$"):
+            ExperimentGrid(sigmas=(0.05, 1e160))
 
     def test_joint_on_demosaicker_axis_rejected(self):
         with pytest.raises(ValueError):
