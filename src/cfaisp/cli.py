@@ -17,7 +17,7 @@ from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
 from cfaisp.denoise import DENOISER_KINDS, SIGMA_S_MAX, DenoiserConfig, denoise_plane
 from cfaisp.imageio import DimensionError, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
-from cfaisp.noise import SIGMA_MAX, NoiseSpec, add_awgn
+from cfaisp.noise import SIGMA_RANGE, NoiseSpec, add_awgn, sigma_in_range
 from cfaisp.pipeline import ExperimentGrid, Strategy, run_experiment, run_pipeline
 
 
@@ -69,7 +69,7 @@ def _checked(cast, test, need: str):
 
 _count = _checked(int, lambda v: v >= 1, ">= 1")
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
-_sigma = _checked(float, lambda v: 0 <= v <= SIGMA_MAX, f"finite, >= 0 and <= {SIGMA_MAX:g}")
+_sigma = _checked(float, sigma_in_range, SIGMA_RANGE)
 _scale = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _spatial = _checked(float, lambda v: math.isfinite(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}")
 

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from cfaisp.cfa import SubImages
 from cfaisp.imageio import DimensionError, Plane
-from cfaisp.noise import SIGMA_MAX, estimate_sigma
+from cfaisp.noise import SIGMA_RANGE, estimate_sigma, sigma_in_range
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -49,7 +49,7 @@ _FIELDS = {
     "sigma_r": (lambda v: v > 0, "> 0", "{:g}".format),
     "radius": (lambda v: v >= 1, ">= 1", str),
     "levels": (lambda v: v >= 1, ">= 1", str),
-    "sigma_n": (lambda v: v is None or 0 <= v <= SIGMA_MAX, f"finite, >= 0 and <= {SIGMA_MAX:g}", lambda v: "auto" if v is None else f"{v:g}"),
+    "sigma_n": (lambda v: v is None or sigma_in_range(v), SIGMA_RANGE, lambda v: "auto" if v is None else f"{v:g}"),
 }
 
 
@@ -380,10 +380,8 @@ def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) 
         return plane
     h, w = plane.data.shape
     pad = (0, -h % 2**levels), (0, -w % 2**levels)
-    if pad[0][1] or pad[1][1]:
-        padded = Plane._adopt(np.pad(plane.data, pad, mode="reflect"))
-        return Plane(denoise_wavelet(padded, levels, sigma_n).data[:h, :w])
-    pyramid = dwt_haar(plane, levels)
+    padded = Plane._adopt(np.pad(plane.data, pad, mode="reflect")) if pad[0][1] or pad[1][1] else plane
+    pyramid = dwt_haar(padded, levels)
     noise_var = sigma_n**2
     new_details = []
     for triple in pyramid.details:
@@ -396,7 +394,8 @@ def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) 
                 threshold = noise_var / math.sqrt(signal_var)
                 new_triple.append(_soft_threshold(band, threshold))
         new_details.append(tuple(new_triple))
-    return idwt_haar(WaveletPyramid(ll=pyramid.ll, details=tuple(new_details)))
+    out = idwt_haar(WaveletPyramid(ll=pyramid.ll, details=tuple(new_details)))
+    return out if padded is plane else Plane(out.data[:h, :w])
 
 
 # kind -> (filter, the DenoiserConfig fields it takes after the plane).

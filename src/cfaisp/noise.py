@@ -26,9 +26,21 @@ _TO_UNIT = 2.0**-53
 # square the pipeline takes of a noisy sample or of sigma stays far inside
 # float range, so a huge sigma is one ValueError, not an overflow later.
 SIGMA_MAX = 1e3
+SIGMA_RANGE = f"finite, >= 0 and <= {SIGMA_MAX:g}"
 
 # MAD-to-sigma factor for a zero-mean normal: 1 / Phi^-1(3/4).
 _MAD_SCALE = 0.6745
+
+
+def sigma_in_range(value: float) -> bool:
+    """Whether value is a valid noise sigma, as SIGMA_RANGE words it (NaN is not)."""
+    return 0 <= value <= SIGMA_MAX
+
+
+def check_sigma(name: str, value: float) -> None:
+    """Raise ValueError naming name if value is not a valid noise sigma."""
+    if not sigma_in_range(value):
+        raise ValueError(f"{name} must be {SIGMA_RANGE}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,9 +54,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         for name in ("sigma_r", "sigma_g", "sigma_b"):
-            value = getattr(self, name)
-            if not 0 <= value <= SIGMA_MAX:
-                raise ValueError(f"{name} must be finite, >= 0 and <= {SIGMA_MAX:g}, got {value}")
+            check_sigma(name, getattr(self, name))
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 

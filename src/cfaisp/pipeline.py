@@ -30,7 +30,7 @@ from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, 
 from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_joint_bilateral
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
 from cfaisp.imageio import DimensionError, Plane, RgbImage
-from cfaisp.noise import SIGMA_MAX, NoiseSpec, add_awgn
+from cfaisp.noise import NoiseSpec, add_awgn, check_sigma
 
 METRIC_CROP = 4
 
@@ -249,8 +249,7 @@ class ExperimentGrid:
         if not self.strategies or not self.sigmas or not self.denoisers or not self.demosaickers:
             raise ValueError("grid axes must be non-empty")
         for sigma in self.sigmas:
-            if not 0 <= sigma <= SIGMA_MAX:
-                raise ValueError(f"sigma must be finite, >= 0 and <= {SIGMA_MAX:g}, got {sigma}")
+            check_sigma("sigma", sigma)
         if any(dm.is_joint for dm in self.demosaickers):
             raise ValueError("demosaickers axis must be non-joint; Joint runs joint_demosaicker")
         if not self.joint_demosaicker.is_joint:

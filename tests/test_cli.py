@@ -390,6 +390,14 @@ class TestOutOfRangeFlags:
         assert main(["pipeline", "--in", image, "--sigma", "1000", "--strategy", strategy, "--denoiser", denoiser]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_largest_sigma_denoises_padded_subimages(self, tmp_path, capsys):
+        # The 50x50 sub-images are padded to 56x56 for the wavelet, and under
+        # this seed's noise some of their estimated sigma_n exceed 1000.
+        image = _write_ppm(tmp_path / "a.ppm", _rgb(size=100, seed=65))
+        argv = ["pipeline", "--in", image, "--sigma", "1000", "--strategy", "before", "--denoiser", "wavelet", "--seed", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestHelp:
     def test_top_level_help(self, capsys):

@@ -544,6 +544,12 @@ class TestConfigAndDispatch:
         assert estimate_sigma(plane) > 1000.0
         assert np.all(np.isfinite(denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=1)).data))
 
+    def test_estimated_sigma_n_may_exceed_the_bound_on_a_padded_plane(self):
+        plane = Plane(1500.0 * normal_field(78, 20, 20))  # 20 is not a multiple of 2^3
+        assert estimate_sigma(plane) > 1000.0
+        out = denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=3)).data
+        assert out.shape == (20, 20) and np.all(np.isfinite(out))
+
     @pytest.mark.parametrize(
         "build",
         [
