@@ -3,22 +3,33 @@
 Exit codes: 0 on success, 1 for usage errors, 2 for I/O or processing
 errors. Diagnostics are single lines on stderr. All outputs are pure
 functions of the arguments and input bytes.
+
+The CLI states no library policy; each rule has one home in the library.
+Defaults come from DenoiserConfig(), DemosaickerConfig(), ExperimentGrid()
+and DEFAULT_PATTERN, the ranges of the --dn-*/--jb-* flags from
+denoise.CONFIG_FIELDS, the strategy/demosaicker pairing from
+pipeline.check_pairing. A configuration the library rejects is a usage
+error, reported before any input is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Optional, Sequence
 
-from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb
+from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosaic_from_rgb
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
-from cfaisp.denoise import DENOISER_KINDS, SIGMA_S_MAX, DenoiserConfig, denoise_plane
+from cfaisp.denoise import CONFIG_FIELDS, DENOISER_KINDS, DenoiserConfig, denoise_plane
 from cfaisp.imageio import DimensionError, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import SIGMA_RANGE, NoiseSpec, add_awgn, sigma_in_range
-from cfaisp.pipeline import ExperimentGrid, Strategy, run_experiment, run_pipeline
+from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_experiment, run_pipeline
+
+# The library's defaults, which the flags' defaults and help text read.
+_DN = DenoiserConfig()
+_DM = DemosaickerConfig()
+_GRID = ExperimentGrid()
 
 
 class UsageError(Exception):
@@ -70,25 +81,41 @@ def _checked(cast, test, need: str):
 _count = _checked(int, lambda v: v >= 1, ">= 1")
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
 _sigma = _checked(float, sigma_in_range, SIGMA_RANGE)
-_scale = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
-_spatial = _checked(float, lambda v: math.isfinite(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}")
+_denoiser_kind = _kind("denoiser", DENOISER_KINDS)
+_demosaicker_kind = _kind("demosaicker", DEMOSAICKER_KINDS)
 
 
-def _sigma_n_type(text: str) -> Optional[float]:
+def _number_or_auto(text: str) -> Optional[float]:
     if text.strip().lower() == "auto":
         return None
     try:
-        return _sigma(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+
+
+# The parameter flags of each method family, one --<prefix>-<field> flag per
+# config field: the field, how its text is cast, and what it means. The range
+# test, its wording, the default and how the default is shown are the library's.
+_DENOISER_FIELDS = (
+    ("sigma_s", float, "gaussian/bilateral spatial sigma in pixels"),
+    ("radius", int, "median window radius"),
+    ("sigma_r", float, "bilateral range sigma, or inf for spatial weights only"),
+    ("levels", int, "wavelet decomposition levels"),
+    ("sigma_n", _number_or_auto, "wavelet noise level, or 'auto' to estimate per plane"),
+)
+_JOINT_FIELDS = (
+    ("sigma_s", float, "joint-bilateral spatial sigma in pixels"),
+    ("sigma_r", float, "joint-bilateral range sigma, or inf for spatial weights only"),
+)
 
 
 def _add_pattern_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pattern",
         type=_parsed(CfaPattern.parse),
-        default=CfaPattern.GBRG,
-        help="Bayer pattern: rggb, grbg, gbrg, or bggr (case-insensitive; default gbrg)",
+        default=DEFAULT_PATTERN,
+        help=f"Bayer pattern: rggb, grbg, gbrg, or bggr (case-insensitive; default {DEFAULT_PATTERN.value})",
     )
 
 
@@ -104,68 +131,23 @@ def _add_sigma_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed, default=0, help="64-bit noise seed (default 0)")
 
 
-def _add_denoiser_flags(parser: argparse.ArgumentParser, plural: bool = False) -> None:
-    if plural:
-        parser.add_argument(
-            "--denoisers",
-            type=_kind("denoiser", DENOISER_KINDS),
-            nargs="+",
-            default=["wavelet"],
-            help="denoiser kinds to sweep (default: wavelet)",
-        )
-    else:
-        parser.add_argument("--denoiser", type=_kind("denoiser", DENOISER_KINDS), default="wavelet", help="denoiser kind (default wavelet)")
-    parser.add_argument("--dn-sigma-s", type=_spatial, default=1.0, help="gaussian/bilateral spatial sigma in pixels (default 1.0)")
-    parser.add_argument("--dn-radius", type=_count, default=1, help="median window radius (default 1)")
-    parser.add_argument("--dn-sigma-r", type=_scale, default=0.1, help="bilateral range sigma (default 0.1)")
-    parser.add_argument("--dn-levels", type=_count, default=3, help="wavelet decomposition levels (default 3)")
-    parser.add_argument(
-        "--dn-sigma-n",
-        type=_sigma_n_type,
-        default=None,
-        help="wavelet noise level, or 'auto' to estimate per plane (default auto)",
-    )
+def _add_field_flags(parser: argparse.ArgumentParser, prefix: str, defaults, fields) -> None:
+    """Add the parameter flags of one method family; each command declares its own kind flag."""
+    for name, cast, meaning in fields:
+        test, need, show = CONFIG_FIELDS[name]
+        default = getattr(defaults, name)
+        flag = f"--{prefix}-{name.replace('_', '-')}"
+        parser.add_argument(flag, type=_checked(cast, test, need), default=default, help=f"{meaning} (default {show(default)})")
 
 
-def _add_demosaicker_flags(parser: argparse.ArgumentParser, plural: bool = False) -> None:
-    if plural:
-        parser.add_argument(
-            "--demosaickers",
-            type=_kind("demosaicker", DEMOSAICKER_KINDS),
-            nargs="+",
-            default=None,
-            help="non-joint demosaickers to sweep (default: bilinear)",
-        )
-    else:
-        parser.add_argument(
-            "--demosaicker",
-            type=_kind("demosaicker", DEMOSAICKER_KINDS),
-            default=None,
-            help="bilinear, gradient, or joint-bilateral (default: bilinear; joint strategy always uses joint-bilateral)",
-        )
-    parser.add_argument("--jb-sigma-s", type=_spatial, default=1.5, help="joint-bilateral spatial sigma in pixels (default 1.5)")
-    parser.add_argument("--jb-sigma-r", type=_scale, default=0.1, help="joint-bilateral range sigma (default 0.1)")
+def _fields(args: argparse.Namespace, prefix: str) -> dict:
+    """The values of the --<prefix>-* flags, keyed by config field.
 
-
-def _denoiser_config(args: argparse.Namespace, kind: Optional[str] = None) -> DenoiserConfig:
-    return DenoiserConfig(
-        kind=kind if kind is not None else args.denoiser,
-        sigma_s=args.dn_sigma_s,
-        radius=args.dn_radius,
-        sigma_r=args.dn_sigma_r,
-        levels=args.dn_levels,
-        sigma_n=args.dn_sigma_n,
-    )
-
-
-def _joint_config(args: argparse.Namespace) -> DemosaickerConfig:
-    return DemosaickerConfig(kind="joint-bilateral", sigma_s=args.jb_sigma_s, sigma_r=args.jb_sigma_r)
-
-
-def _demosaicker_config(args: argparse.Namespace, kind: str) -> DemosaickerConfig:
-    if kind == "joint-bilateral":
-        return _joint_config(args)
-    return DemosaickerConfig(kind=kind)
+    Every kind of the family is built with all of them; a kind checks and
+    describes only the fields it reads.
+    """
+    start = f"{prefix}_"
+    return {dest[len(start) :]: value for dest, value in vars(args).items() if dest.startswith(start)}
 
 
 def _noise_spec(args: argparse.Namespace) -> NoiseSpec:
@@ -178,34 +160,33 @@ def _noise_spec(args: argparse.Namespace) -> NoiseSpec:
     )
 
 
-def _read_pnm(path: str):
+# How _read names each image type in its errors: (description, PNM magic).
+_PNM_TYPES = {RgbImage: ("a 3-channel PPM", "P6"), Plane: ("a grayscale PGM", "P5")}
+
+
+def _read(path: str, kind: type):
+    """Decode the PNM file at path, which must hold a kind (RgbImage or Plane)."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
-        return decode_pnm(data)
+        image = decode_pnm(data)
     except PnmError as exc:
         raise PnmError(f"{path}: {exc}") from None
-
-
-def _read_rgb(path: str) -> RgbImage:
-    image = _read_pnm(path)
-    if not isinstance(image, RgbImage):
-        raise PnmError(f"{path}: expected a 3-channel PPM (P6), found a grayscale PGM")
+    if not isinstance(image, kind):
+        (want, magic), (found, _) = _PNM_TYPES[kind], _PNM_TYPES[type(image)]
+        raise PnmError(f"{path}: expected {want} ({magic}), found {found}")
     return image
 
 
-def _read_plane(path: str) -> Plane:
-    image = _read_pnm(path)
-    if not isinstance(image, Plane):
-        raise PnmError(f"{path}: expected a grayscale PGM (P5), found a 3-channel PPM")
-    return image
-
-
-def _write_pnm(path: str, image, depth: int) -> None:
-    payload = encode_pnm(image, bit_depth=depth)
+def _write(path: Optional[str], payload: bytes) -> None:
+    """Write payload to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.buffer.write(payload)
+        sys.stdout.flush()
+        return
     try:
         with open(path, "wb") as handle:
             handle.write(payload)
@@ -213,100 +194,59 @@ def _write_pnm(path: str, image, depth: int) -> None:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _cmd_mosaic(args: argparse.Namespace) -> int:
-    rgb = _read_rgb(getattr(args, "in"))
-    mosaic = mosaic_from_rgb(rgb, args.pattern)
-    _write_pnm(args.out, mosaic.plane, args.depth)
-    return 0
+def _stage(read: type, transform):
+    """Handler of a one-file stage: read --in as read, write transform(args, image) to --out."""
 
+    def handler(args: argparse.Namespace) -> int:
+        image = transform(args, _read(getattr(args, "in"), read))
+        _write(args.out, encode_pnm(image, bit_depth=args.depth))
+        return 0
 
-def _cmd_noise(args: argparse.Namespace) -> int:
-    plane = _read_plane(getattr(args, "in"))
-    mosaic = MosaicImage(args.pattern, plane)
-    noisy = add_awgn(mosaic, _noise_spec(args))
-    _write_pnm(args.out, noisy.plane, args.depth)
-    return 0
+    return handler
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    plane = _read_plane(getattr(args, "in"))
+    plane = _read(getattr(args, "in"), Plane)
     subs = decompose(MosaicImage(args.pattern, plane))
     for name, sub in (("r", subs.r), ("g1", subs.g1), ("g2", subs.g2), ("b", subs.b)):
-        _write_pnm(f"{args.out_prefix}.{name}.pgm", sub, args.depth)
+        _write(f"{args.out_prefix}.{name}.pgm", encode_pnm(sub, bit_depth=args.depth))
     return 0
-
-
-def _cmd_denoise(args: argparse.Namespace) -> int:
-    plane = _read_plane(getattr(args, "in"))
-    result = denoise_plane(plane, _denoiser_config(args))
-    _write_pnm(args.out, result, args.depth)
-    return 0
-
-
-def _cmd_demosaic(args: argparse.Namespace) -> int:
-    plane = _read_plane(getattr(args, "in"))
-    kind = args.demosaicker if args.demosaicker is not None else "bilinear"
-    rgb = demosaic(MosaicImage(args.pattern, plane), _demosaicker_config(args, kind))
-    _write_pnm(args.out, rgb, args.depth)
-    return 0
-
-
-def _resolve_single_demosaicker(args: argparse.Namespace, strategy: Strategy) -> DemosaickerConfig:
-    if strategy is Strategy.JOINT:
-        if args.demosaicker not in (None, "joint-bilateral"):
-            raise UsageError(f"strategy joint uses the joint-bilateral demosaicker, not {args.demosaicker!r}")
-        return _joint_config(args)
-    kind = args.demosaicker if args.demosaicker is not None else "bilinear"
-    if kind == "joint-bilateral":
-        raise UsageError(f"demosaicker joint-bilateral requires --strategy joint, not {strategy.value!r}")
-    return _demosaicker_config(args, kind)
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    # Without --demosaicker, each strategy runs the library's default for it.
+    kind = args.demosaicker or (_GRID.joint_demosaicker.kind if args.strategy is Strategy.JOINT else _DM.kind)
+    try:
+        dn = DenoiserConfig(args.denoiser, **_fields(args, "dn"))
+        dm = DemosaickerConfig(kind, **_fields(args, "jb"))
+        check_pairing(args.strategy, dm)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     path = getattr(args, "in")
-    truth = _read_rgb(path)
-    dm = _resolve_single_demosaicker(args, args.strategy)
-    result, record = run_pipeline(
-        truth,
-        args.pattern,
-        _noise_spec(args),
-        args.strategy,
-        _denoiser_config(args),
-        dm,
-        image_id=os.path.basename(path),
-    )
+    truth = _read(path, RgbImage)
+    result, record = run_pipeline(truth, args.pattern, _noise_spec(args), args.strategy, dn, dm, image_id=os.path.basename(path))
     if args.out:
-        _write_pnm(args.out, result, args.depth)
-    sys.stdout.buffer.write(write_csv([record]))
-    sys.stdout.flush()
+        _write(args.out, encode_pnm(result, bit_depth=args.depth))
+    _write(None, write_csv([record]))
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    corpus = [(os.path.basename(path), _read_rgb(path)) for path in args.inputs]
-    demosaicker_kinds = args.demosaickers if args.demosaickers is not None else ["bilinear"]
-    if "joint-bilateral" in demosaicker_kinds:
-        raise UsageError("--demosaickers entries must be non-joint; strategy joint runs joint-bilateral automatically")
-    grid = ExperimentGrid(
-        strategies=tuple(args.strategies),
-        sigmas=tuple(args.sigmas),
-        denoisers=tuple(_denoiser_config(args, kind) for kind in args.denoisers),
-        demosaickers=tuple(_demosaicker_config(args, kind) for kind in demosaicker_kinds),
-        joint_demosaicker=_joint_config(args),
-        repeats=args.repeats,
-        pattern=args.pattern,
-    )
+    try:
+        grid = ExperimentGrid(
+            strategies=tuple(args.strategies),
+            sigmas=tuple(args.sigmas),
+            denoisers=tuple(DenoiserConfig(kind, **_fields(args, "dn")) for kind in args.denoisers),
+            demosaickers=tuple(DemosaickerConfig(kind, **_fields(args, "jb")) for kind in args.demosaickers),
+            joint_demosaicker=DemosaickerConfig(_GRID.joint_demosaicker.kind, **_fields(args, "jb")),
+            repeats=args.repeats,
+            pattern=args.pattern,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    corpus = [(os.path.basename(path), _read(path, RgbImage)) for path in args.inputs]
     records = run_experiment(corpus, grid, master_seed=args.seed, jobs=args.jobs, keep_timing=args.timing)
-    payload = write_csv(records)
-    if args.out:
-        try:
-            with open(args.out, "wb") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            raise OSError(f"cannot write {args.out}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.flush()
+    _write(args.out or None, write_csv(records))
     return 0
 
 
@@ -319,7 +259,7 @@ def _build_parser() -> _Parser:
     mosaic_cmd.add_argument("--out", required=True, help="output PGM (P5)")
     _add_pattern_flag(mosaic_cmd)
     _add_depth_flag(mosaic_cmd)
-    mosaic_cmd.set_defaults(handler=_cmd_mosaic)
+    mosaic_cmd.set_defaults(handler=_stage(RgbImage, lambda args, rgb: mosaic_from_rgb(rgb, args.pattern).plane))
 
     noise_cmd = commands.add_parser("noise", help="add seeded per-color-class Gaussian noise to a mosaic")
     noise_cmd.add_argument("--in", required=True, help="input PGM mosaic")
@@ -327,7 +267,7 @@ def _build_parser() -> _Parser:
     _add_pattern_flag(noise_cmd)
     _add_sigma_flags(noise_cmd)
     _add_depth_flag(noise_cmd)
-    noise_cmd.set_defaults(handler=_cmd_noise)
+    noise_cmd.set_defaults(handler=_stage(Plane, lambda args, plane: add_awgn(MosaicImage(args.pattern, plane), _noise_spec(args)).plane))
 
     decompose_cmd = commands.add_parser("decompose", help="split a mosaic into R, G1, G2, B sub-images")
     decompose_cmd.add_argument("--in", required=True, help="input PGM mosaic")
@@ -339,17 +279,21 @@ def _build_parser() -> _Parser:
     denoise_cmd = commands.add_parser("denoise", help="denoise a single plane")
     denoise_cmd.add_argument("--in", required=True, help="input PGM")
     denoise_cmd.add_argument("--out", required=True, help="output PGM")
-    _add_denoiser_flags(denoise_cmd)
+    denoise_cmd.add_argument("--denoiser", type=_denoiser_kind, default=_DN.kind, help="denoiser kind (default %(default)s)")
+    _add_field_flags(denoise_cmd, "dn", _DN, _DENOISER_FIELDS)
     _add_depth_flag(denoise_cmd)
-    denoise_cmd.set_defaults(handler=_cmd_denoise)
+    denoise_cmd.set_defaults(handler=_stage(Plane, lambda args, plane: denoise_plane(plane, DenoiserConfig(args.denoiser, **_fields(args, "dn")))))
 
     demosaic_cmd = commands.add_parser("demosaic", help="reconstruct RGB from a mosaic")
     demosaic_cmd.add_argument("--in", required=True, help="input PGM mosaic")
     demosaic_cmd.add_argument("--out", required=True, help="output PPM")
     _add_pattern_flag(demosaic_cmd)
-    _add_demosaicker_flags(demosaic_cmd)
+    demosaic_cmd.add_argument("--demosaicker", type=_demosaicker_kind, default=_DM.kind, help="bilinear, gradient, or joint-bilateral (default %(default)s)")
+    _add_field_flags(demosaic_cmd, "jb", _DM, _JOINT_FIELDS)
     _add_depth_flag(demosaic_cmd)
-    demosaic_cmd.set_defaults(handler=_cmd_demosaic)
+    demosaic_cmd.set_defaults(
+        handler=_stage(Plane, lambda args, plane: demosaic(MosaicImage(args.pattern, plane), DemosaickerConfig(args.demosaicker, **_fields(args, "jb"))))
+    )
 
     pipeline_cmd = commands.add_parser("pipeline", help="run one strategy end to end and print its CSV record")
     pipeline_cmd.add_argument("--in", required=True, help="reference PPM (P6)")
@@ -357,29 +301,38 @@ def _build_parser() -> _Parser:
     pipeline_cmd.add_argument("--strategy", type=_parsed(Strategy.parse), default=Strategy.AFTER, help="after, joint, or before (default after)")
     _add_pattern_flag(pipeline_cmd)
     _add_sigma_flags(pipeline_cmd)
-    _add_denoiser_flags(pipeline_cmd)
-    _add_demosaicker_flags(pipeline_cmd)
+    pipeline_cmd.add_argument("--denoiser", type=_denoiser_kind, default=_DN.kind, help="denoiser kind (default %(default)s)")
+    _add_field_flags(pipeline_cmd, "dn", _DN, _DENOISER_FIELDS)
+    pipeline_cmd.add_argument(
+        "--demosaicker",
+        type=_demosaicker_kind,
+        default=None,
+        help=f"bilinear, gradient, or joint-bilateral (default: {_DM.kind}; joint strategy always uses {_GRID.joint_demosaicker.kind})",
+    )
+    _add_field_flags(pipeline_cmd, "jb", _DM, _JOINT_FIELDS)
     _add_depth_flag(pipeline_cmd)
     pipeline_cmd.set_defaults(handler=_cmd_pipeline)
 
     experiment_cmd = commands.add_parser("experiment", help="sweep strategies x sigmas x configs over an image corpus")
     experiment_cmd.add_argument("inputs", nargs="+", metavar="image.ppm", help="reference PPM images")
     experiment_cmd.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    experiment_cmd.add_argument(
-        "--strategies",
-        type=_parsed(Strategy.parse),
-        nargs="+",
-        default=[Strategy.AFTER, Strategy.BEFORE],
-        help="strategies to sweep (default: after before)",
+    # The sweep's axes, whose defaults are ExperimentGrid's, shown as they are typed.
+    axes = (
+        ("--strategies", _parsed(Strategy.parse), list(_GRID.strategies), "strategies to sweep"),
+        ("--sigmas", _sigma, list(_GRID.sigmas), "noise sigmas"),
+        ("--denoisers", _denoiser_kind, [dn.kind for dn in _GRID.denoisers], "denoiser kinds to sweep"),
+        ("--demosaickers", _demosaicker_kind, [dm.kind for dm in _GRID.demosaickers], "non-joint demosaickers to sweep"),
     )
-    experiment_cmd.add_argument("--sigmas", type=_sigma, nargs="+", default=[0.02, 0.05, 0.1], help="noise sigmas (default: 0.02 0.05 0.1)")
-    experiment_cmd.add_argument("--repeats", type=_count, default=1, help="noise realizations per grid point (default 1)")
+    for flag, axis_type, default, meaning in axes:
+        shown = " ".join(str(getattr(value, "value", value)) for value in default)
+        experiment_cmd.add_argument(flag, type=axis_type, nargs="+", default=default, help=f"{meaning} (default: {shown})")
+    experiment_cmd.add_argument("--repeats", type=_count, default=_GRID.repeats, help="noise realizations per grid point (default %(default)s)")
     experiment_cmd.add_argument("--seed", type=_seed, default=0, help="master seed; per-run seeds derive from it (default 0)")
-    experiment_cmd.add_argument("--jobs", type=_count, default=None, help="worker processes (default: CPU count)")
+    experiment_cmd.add_argument("--jobs", type=_count, default=None, help="worker processes, at most the CPU count (default: CPU count)")
     experiment_cmd.add_argument("--timing", action="store_true", help="record wall time per run (off by default so CSVs are reproducible)")
     _add_pattern_flag(experiment_cmd)
-    _add_denoiser_flags(experiment_cmd, plural=True)
-    _add_demosaicker_flags(experiment_cmd, plural=True)
+    _add_field_flags(experiment_cmd, "dn", _DN, _DENOISER_FIELDS)
+    _add_field_flags(experiment_cmd, "jb", _DM, _JOINT_FIELDS)
     experiment_cmd.set_defaults(handler=_cmd_experiment)
 
     return parser

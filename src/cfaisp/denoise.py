@@ -41,21 +41,33 @@ _SQRT2 = math.sqrt(2.0)
 # The largest spatial sigma, a 601 x 601 window. A bound tied to the frame
 # size would reject the default sigma_s on the 1x1 sub-images of a 2x2 mosaic.
 SIGMA_S_MAX = 100.0
+# The largest median radius: the same 601 x 601 window.
+RADIUS_MAX = math.ceil(3 * SIGMA_S_MAX)
+# The most wavelet levels. Padding a side to a multiple of 2^levels then adds
+# fewer than 1,024 rows or columns, so a 2 x 2 plane grows to at most 8 MiB.
+LEVELS_MAX = 10
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools and integral floats."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 # Each config field a method can read: its range test, how error messages
-# word that test, and how describe() renders the value.
-_FIELDS = {
+# word that test, and how describe() renders the value. The CLI types its
+# parameter flags with the same tests and wording.
+CONFIG_FIELDS = {
     "sigma_s": (lambda v: math.isfinite(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}", "{:g}".format),
     "sigma_r": (lambda v: v > 0, "> 0", "{:g}".format),
-    "radius": (lambda v: v >= 1, ">= 1", str),
-    "levels": (lambda v: v >= 1, ">= 1", str),
+    "radius": (lambda v: _is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]", str),
+    "levels": (lambda v: _is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]", str),
     "sigma_n": (lambda v: v is None or sigma_in_range(v), SIGMA_RANGE, lambda v: "auto" if v is None else f"{v:g}"),
 }
 
 
 def _check_field(name: str, value) -> None:
     """Raise ValueError if value is outside the range of the config field name."""
-    test, need, _ = _FIELDS[name]
+    test, need, _ = CONFIG_FIELDS[name]
     if not test(value):
         raise ValueError(f"{name} must be {need}, got {value}")
 
@@ -74,7 +86,7 @@ def check_method(config, table: dict, family: str) -> None:
 
 def describe_method(config, table: dict) -> str:
     """Comma-free descriptor kind(field=value ...) over the fields the kind reads."""
-    params = " ".join(f"{name}={_FIELDS[name][2](getattr(config, name))}" for name in table[config.kind][1])
+    params = " ".join(f"{name}={CONFIG_FIELDS[name][2](getattr(config, name))}" for name in table[config.kind][1])
     return f"{config.kind}({params})" if params else config.kind
 
 

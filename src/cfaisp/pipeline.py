@@ -53,6 +53,18 @@ class Strategy(enum.Enum):
             raise ValueError(f"unknown strategy {name!r}; expected one of {choices}") from None
 
 
+def check_pairing(strategy: Strategy, dm: DemosaickerConfig) -> None:
+    """Raise ValueError unless dm is the kind of demosaicker strategy runs.
+
+    Joint runs the joint-bilateral demosaicker, which denoises as it
+    demosaicks; after and before run any other kind.
+    """
+    if strategy is Strategy.JOINT and not dm.is_joint:
+        raise ValueError(f"strategy joint runs the joint-bilateral demosaicker, not {dm.kind}")
+    if strategy is not Strategy.JOINT and dm.is_joint:
+        raise ValueError("strategies after and before need a non-joint demosaicker; joint-bilateral runs only with strategy joint")
+
+
 def mse(a: Plane, b: Plane, crop: int = 0) -> float:
     """Mean squared error, optionally over a crop-pixel interior margin."""
     if a.data.shape != b.data.shape:
@@ -142,11 +154,7 @@ def _run_group(
         return cache[key]
 
     for strategy, dn, dm in points:
-        if strategy is Strategy.JOINT and not dm.is_joint:
-            raise ValueError("strategy joint requires the joint-bilateral demosaicker")
-        if strategy is not Strategy.JOINT and dm.is_joint:
-            raise ValueError(f"strategy {strategy.value} requires a non-joint demosaicker")
-
+        check_pairing(strategy, dm)
         noisy, elapsed = shared("noisy", lambda: add_awgn(mosaic_from_rgb(truth, pattern), noise))
         if strategy is Strategy.AFTER:
             rough, rough_s = shared(("demosaic", dm), lambda: demosaic(noisy, dm))
@@ -250,10 +258,10 @@ class ExperimentGrid:
             raise ValueError("grid axes must be non-empty")
         for sigma in self.sigmas:
             check_sigma("sigma", sigma)
-        if any(dm.is_joint for dm in self.demosaickers):
-            raise ValueError("demosaickers axis must be non-joint; Joint runs joint_demosaicker")
-        if not self.joint_demosaicker.is_joint:
-            raise ValueError("joint_demosaicker must be a joint-bilateral config")
+        # The demosaickers axis serves after and before, which pair alike.
+        for dm in self.demosaickers:
+            check_pairing(Strategy.AFTER, dm)
+        check_pairing(Strategy.JOINT, self.joint_demosaicker)
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
@@ -361,16 +369,23 @@ def run_experiment(
     Per-run seeds come from derive_run_seed(master_seed, image_id, repeat).
     The runs of one (image, repeat, sigma) share one noisy mosaic and, where
     the pool has enough other work, form one task that computes each shared
-    stage once (see _run_group). Records are returned in deterministic order
-    regardless of jobs, and with keep_timing=False (the default) wall_ms is
-    zeroed so repeated runs serialize to byte-identical CSV. Any failing run
-    aborts the sweep with the offending grid point named.
+    stage once (see _run_group). The pool has at most os.cpu_count()
+    workers. Records are returned in deterministic order regardless of jobs,
+    and with keep_timing=False (the default) wall_ms is zeroed so repeated
+    runs serialize to byte-identical CSV. Image ids must be distinct. Any
+    failing run aborts the sweep with the offending grid point named.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must not be empty")
+    seen: set[str] = set()
+    for image_id, _ in corpus:
+        if image_id in seen:
+            raise ValueError(f"image id {image_id!r} is repeated; each image needs its own id, which names its rows and seeds its noise")
+        seen.add(image_id)
+    cpus = os.cpu_count() or 1
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = cpus
     tasks, slots = _plan_tasks(corpus, grid, master_seed, jobs, keep_timing)
     if not tasks:
         raise ValueError("grid produced no runs")
@@ -378,7 +393,9 @@ def run_experiment(
     if jobs <= 1 or len(tasks) == 1:
         done = [_run_sweep_group(corpus, task) for task in tasks]
     else:
-        workers = min(jobs, len(tasks))
+        # jobs still sets how finely _plan_tasks splits the sweep, but
+        # workers beyond the CPU count would only add processes.
+        workers = min(jobs, len(tasks), cpus)
         with concurrent.futures.ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(corpus,)) as pool:
             done = list(pool.map(_run_worker_group, tasks))
     records: list = [None] * sum(map(len, slots))

@@ -1,5 +1,6 @@
 """Command-line interface tests, run in-process through main()."""
 
+import math
 import os
 import re
 import subprocess
@@ -248,17 +249,38 @@ class TestPipelineCommand:
         assert row[3] == "none"
         assert row[4] == "joint-bilateral(sigma_s=1.5 sigma_r=0.1)"
 
-    def test_joint_strategy_rejects_other_demosaicker(self, tmp_path, capsys):
-        src = _write_ppm(tmp_path / "t.ppm", _rgb())
+    @pytest.mark.parametrize("readable", [True, False], ids=["input", "missing-input"])
+    def test_joint_strategy_rejects_other_demosaicker(self, tmp_path, capsys, readable):
+        # A bad pairing is a usage error, found before the input is read.
+        src = _write_ppm(tmp_path / "t.ppm", _rgb()) if readable else str(tmp_path / "nope.ppm")
         rc = main(["pipeline", "--strategy", "joint", "--demosaicker", "gradient", "--in", src])
         assert rc == 1
-        assert "joint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: strategy joint") and err.count("\n") == 1
 
     def test_nonjoint_strategy_rejects_joint_demosaicker(self, tmp_path, capsys):
         src = _write_ppm(tmp_path / "t.ppm", _rgb())
         rc = main(["pipeline", "--strategy", "after", "--demosaicker", "joint-bilateral", "--in", src])
         assert rc == 1
         assert "strategy joint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,strategy,dn,dm",
+        [
+            (["--denoiser", "bilateral", "--dn-sigma-r", "inf"], Strategy.AFTER, DenoiserConfig(kind="bilateral", sigma_r=math.inf), DemosaickerConfig()),
+            (["--strategy", "joint", "--jb-sigma-r", "inf"], Strategy.JOINT, DenoiserConfig(), DemosaickerConfig(kind="joint-bilateral", sigma_r=math.inf)),
+        ],
+        ids=["dn-sigma-r", "jb-sigma-r"],
+    )
+    def test_infinite_range_sigma_is_the_spatial_only_limit(self, tmp_path, capsysbinary, argv, strategy, dn, dm):
+        src = _write_ppm(tmp_path / "t.ppm", _rgb())
+        assert main(["pipeline", "--in", src, "--seed", "3", *argv]) == 0
+        got = capsysbinary.readouterr().out.decode("ascii").splitlines()[1].split(",")
+        truth = decode_pnm((tmp_path / "t.ppm").read_bytes())
+        _, record = run_pipeline(truth, CfaPattern.GBRG, NoiseSpec.uniform(0.05, 3), strategy, dn, dm, image_id="t.ppm")
+        want = write_csv([record]).decode("ascii").splitlines()[1].split(",")
+        assert got[:16] == want[:16]
+        assert "sigma_r=inf" in got[3] + got[4]
 
 
 class TestExperimentCommand:
@@ -316,11 +338,28 @@ class TestExperimentCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_joint_demosaicker_axis_rejected(self, tmp_path, capsys):
-        inputs = self._corpus(tmp_path)
-        rc = main(["experiment", inputs[0], "--demosaickers", "joint-bilateral"])
+    @pytest.mark.parametrize("readable", [True, False], ids=["input", "missing-input"])
+    def test_joint_demosaicker_axis_rejected(self, tmp_path, capsys, readable):
+        # A bad grid is a usage error, found before the inputs are read.
+        image = self._corpus(tmp_path)[0] if readable else str(tmp_path / "nope.ppm")
+        rc = main(["experiment", image, "--demosaickers", "joint-bilateral"])
         assert rc == 1
-        assert "non-joint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-joint" in err and err.count("\n") == 1
+
+    def test_repeated_basename_rejected(self, tmp_path, capsys):
+        # Ids are basenames: day/scene.ppm and night/scene.ppm would share one
+        # noise field and one image column.
+        inputs = []
+        for seed, folder in enumerate(("day", "night")):
+            (tmp_path / folder).mkdir()
+            inputs.append(_write_ppm(tmp_path / folder / "scene.ppm", _rgb(seed=seed)))
+        out = tmp_path / "r.csv"
+        rc = main(["experiment", *inputs, "--strategies", "after", "--sigmas", "0.05", "--jobs", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: image id 'scene.ppm' is repeated") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_repeats_multiply_rows(self, tmp_path):
         inputs = self._corpus(tmp_path)
@@ -366,6 +405,13 @@ class TestOutOfRangeFlags:
             ("pipeline", "--dn-sigma-n", "1e200"),
             ("experiment", "--sigmas", "1e160"),
             ("experiment", "--dn-sigma-n", "1001"),
+            ("pipeline", "--dn-radius", "301"),
+            ("pipeline", "--dn-radius", "1.5"),
+            ("experiment", "--dn-radius", "301"),
+            ("pipeline", "--dn-levels", "11"),
+            ("experiment", "--dn-levels", "25"),
+            ("pipeline", "--dn-sigma-r", "nan"),
+            ("pipeline", "--jb-sigma-r", "0"),
         ],
     )
     def test_usage_error_names_the_flag(self, tmp_path, capsys, command, flag, value):

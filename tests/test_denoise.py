@@ -515,11 +515,26 @@ class TestConfigAndDispatch:
             dict(kind="median", radius=0),
             dict(kind="wavelet", levels=0),
             dict(kind="wavelet", sigma_n=-1.0),
+            # radius and levels are integers, bounded so that no window or
+            # wavelet padding can ask for more memory than a frame's worth.
+            dict(kind="median", radius=1.5),
+            dict(kind="median", radius=True),
+            dict(kind="median", radius=301),
+            dict(kind="wavelet", levels=2.0),
+            dict(kind="wavelet", levels=True),
+            dict(kind="wavelet", levels=11),
         ],
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             DenoiserConfig(**kwargs)
+
+    def test_integer_fields_at_their_bounds_are_accepted(self):
+        assert DenoiserConfig(kind="median", radius=300).describe() == "median(radius=300)"
+        assert DenoiserConfig(kind="median", radius=np.int64(2)).describe() == "median(radius=2)"
+        assert DenoiserConfig(kind="wavelet", levels=10).describe() == "wavelet(levels=10 sigma_n=auto)"
+        plane = Plane(np.random.default_rng(79).random((6, 6)))
+        assert denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=10)).data.shape == (6, 6)
 
     @pytest.mark.parametrize("sigma_n", [1000.5, 1e200, math.inf, math.nan])
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Strategy pipeline, metric, and experiment-runner tests."""
 
+import concurrent.futures
 import math
+import os
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from multiprocessing.reduction import ForkingPickler
@@ -11,7 +13,7 @@ import pytest
 
 import cfaisp.pipeline as pipeline
 from cfaisp.cfa import CfaPattern, mosaic_from_rgb
-from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_joint_bilateral
+from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic, demosaic_joint_bilateral
 from cfaisp.denoise import DenoiserConfig
 from cfaisp.imageio import DimensionError, Plane, RgbImage
 from cfaisp.noise import NoiseSpec
@@ -20,6 +22,7 @@ from cfaisp.pipeline import (
     ExperimentGrid,
     ExperimentRecord,
     Strategy,
+    check_pairing,
     cpsnr,
     derive_run_seed,
     fnv1a64,
@@ -137,18 +140,32 @@ class TestCpsnr:
 
 
 class TestRunPipeline:
-    def test_joint_strategy_requires_joint_demosaicker(self):
+    @pytest.mark.parametrize("kind", DEMOSAICKER_KINDS)
+    def test_joint_strategy_requires_joint_demosaicker(self, kind):
         truth = _ramp_image(16)
         noise = NoiseSpec.uniform(0.05, 1)
-        with pytest.raises(ValueError, match="joint"):
-            run_pipeline(truth, CfaPattern.GBRG, noise, Strategy.JOINT, NONE, BILINEAR)
+        dm = DemosaickerConfig(kind=kind)
+        if kind == "joint-bilateral":
+            assert run_pipeline(truth, CfaPattern.GBRG, noise, Strategy.JOINT, NONE, dm)[1].demosaicker == dm.describe()
+        else:
+            with pytest.raises(ValueError, match="joint"):
+                run_pipeline(truth, CfaPattern.GBRG, noise, Strategy.JOINT, NONE, dm)
+            with pytest.raises(ValueError, match="joint"):
+                check_pairing(Strategy.JOINT, dm)
 
-    def test_nonjoint_strategy_rejects_joint_demosaicker(self):
+    @pytest.mark.parametrize("kind", DEMOSAICKER_KINDS)
+    @pytest.mark.parametrize("strategy", [Strategy.AFTER, Strategy.BEFORE])
+    def test_nonjoint_strategy_rejects_joint_demosaicker(self, strategy, kind):
         truth = _ramp_image(16)
         noise = NoiseSpec.uniform(0.05, 1)
-        for strategy in (Strategy.AFTER, Strategy.BEFORE):
+        dm = DemosaickerConfig(kind=kind)
+        if kind != "joint-bilateral":
+            assert run_pipeline(truth, CfaPattern.GBRG, noise, strategy, NONE, dm)[1].demosaicker == kind
+        else:
             with pytest.raises(ValueError, match="non-joint"):
-                run_pipeline(truth, CfaPattern.GBRG, noise, strategy, NONE, JOINT)
+                run_pipeline(truth, CfaPattern.GBRG, noise, strategy, NONE, dm)
+            with pytest.raises(ValueError, match="non-joint"):
+                check_pairing(strategy, dm)
 
     @pytest.mark.parametrize("dm", [BILINEAR, GRADIENT])
     @pytest.mark.parametrize("dn", [DenoiserConfig(kind="wavelet", levels=2, sigma_n=0.0), NONE])
@@ -280,11 +297,11 @@ class TestExperimentGrid:
             ExperimentGrid(sigmas=(0.05, 1e160))
 
     def test_joint_on_demosaicker_axis_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentGrid(demosaickers=(JOINT,))
+        with pytest.raises(ValueError, match="non-joint"):
+            ExperimentGrid(demosaickers=(BILINEAR, JOINT))
 
     def test_nonjoint_joint_demosaicker_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strategy joint"):
             ExperimentGrid(joint_demosaicker=BILINEAR)
 
     def test_bad_repeats(self):
@@ -387,6 +404,43 @@ class TestRunExperiment:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             run_experiment([], ExperimentGrid())
+
+    def test_repeated_image_id_rejected(self):
+        # Ids name the rows and seed the noise: two images under one id would
+        # share a noise field and give rows that cannot be told apart.
+        corpus = [("a", _textured_image(32)), ("b", _ramp_image(32)), ("a", _ramp_image(32))]
+        with pytest.raises(ValueError, match="image id 'a' is repeated"):
+            run_experiment(corpus, ExperimentGrid(sigmas=(0.05,)), jobs=1)
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+        # A stand-in pool that records its size and runs the tasks inline, so
+        # no process starts however large jobs is.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(pipeline, "_worker_corpus", ())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        grid = ExperimentGrid(sigmas=(0.02, 0.05), repeats=3)
+        corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
+        assert run_experiment(corpus, grid, jobs=500) == run_experiment(corpus, grid, jobs=1)
+        assert sizes == [2]
+        # jobs still sets the split: 500 workers' worth of tasks, one run each.
+        tasks, _ = pipeline._plan_tasks(corpus, grid, 0, 500, False)
+        assert all(len(task[4]) == 1 for task in tasks)
 
 
 class TestSharedStages:
