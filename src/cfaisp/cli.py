@@ -23,7 +23,7 @@ from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosa
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
 from cfaisp.denoise import CONFIG_FIELDS, DENOISER_KINDS, DenoiserConfig, denoise_plane
 from cfaisp.imageio import DimensionError, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
-from cfaisp.noise import SIGMA_RANGE, NoiseSpec, add_awgn, sigma_in_range
+from cfaisp.noise import SEED_RANGE, SIGMA_RANGE, NoiseSpec, add_awgn, seed_in_range, sigma_in_range
 from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_experiment, run_pipeline
 
 # The library's defaults, which the flags' defaults and help text read.
@@ -79,7 +79,7 @@ def _checked(cast, test, need: str):
 
 
 _count = _checked(int, lambda v: v >= 1, ">= 1")
-_seed = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
+_seed = _checked(int, seed_in_range, SEED_RANGE)
 _sigma = _checked(float, sigma_in_range, SIGMA_RANGE)
 _denoiser_kind = _kind("denoiser", DENOISER_KINDS)
 _demosaicker_kind = _kind("demosaicker", DEMOSAICKER_KINDS)

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from cfaisp.cfa import SubImages
 from cfaisp.imageio import DimensionError, Plane
-from cfaisp.noise import SIGMA_RANGE, estimate_sigma, sigma_in_range
+from cfaisp.noise import SIGMA_RANGE, estimate_sigma, is_int, sigma_in_range
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -48,19 +48,14 @@ RADIUS_MAX = math.ceil(3 * SIGMA_S_MAX)
 LEVELS_MAX = 10
 
 
-def _is_int(value) -> bool:
-    """True for Python and numpy integers; False for bools and integral floats."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 # Each config field a method can read: its range test, how error messages
 # word that test, and how describe() renders the value. The CLI types its
 # parameter flags with the same tests and wording.
 CONFIG_FIELDS = {
     "sigma_s": (lambda v: math.isfinite(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}", "{:g}".format),
     "sigma_r": (lambda v: v > 0, "> 0", "{:g}".format),
-    "radius": (lambda v: _is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]", str),
-    "levels": (lambda v: _is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]", str),
+    "radius": (lambda v: is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]", str),
+    "levels": (lambda v: is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]", str),
     "sigma_n": (lambda v: v is None or sigma_in_range(v), SIGMA_RANGE, lambda v: "auto" if v is None else f"{v:g}"),
 }
 

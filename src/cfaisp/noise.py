@@ -28,6 +28,9 @@ _TO_UNIT = 2.0**-53
 SIGMA_MAX = 1e3
 SIGMA_RANGE = f"finite, >= 0 and <= {SIGMA_MAX:g}"
 
+# A noise seed starts a SplitMix64 stream, whose state is 64 unsigned bits.
+SEED_RANGE = "an integer in [0, 2^64)"
+
 # MAD-to-sigma factor for a zero-mean normal: 1 / Phi^-1(3/4).
 _MAD_SCALE = 0.6745
 
@@ -43,6 +46,22 @@ def check_sigma(name: str, value: float) -> None:
         raise ValueError(f"{name} must be {SIGMA_RANGE}, got {value}")
 
 
+def is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools and integral floats."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def seed_in_range(value) -> bool:
+    """Whether value is a valid noise seed, as SEED_RANGE words it."""
+    return is_int(value) and 0 <= value < 2**64
+
+
+def check_seed(name: str, value) -> None:
+    """Raise ValueError naming name if value is not a valid noise seed."""
+    if not seed_in_range(value):
+        raise ValueError(f"{name} must be {SEED_RANGE}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-color-class noise levels plus the 64-bit seed that fixes the field."""
@@ -55,8 +74,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         for name in ("sigma_r", "sigma_g", "sigma_b"):
             check_sigma(name, getattr(self, name))
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed("seed", self.seed)
 
     @classmethod
     def uniform(cls, sigma: float, seed: int = 0) -> "NoiseSpec":
@@ -68,7 +86,7 @@ def _splitmix64(seed: int, count: int) -> np.ndarray:
     """Outputs seed+1 .. seed+count of the SplitMix64 stream, as uint64."""
     # All arithmetic stays in uint64 arrays, which wrap mod 2^64 silently.
     index = np.arange(1, count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + index * _GOLDEN) & _MASK64
+    z = (np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + index * _GOLDEN) & _MASK64
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)

@@ -30,7 +30,7 @@ from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, 
 from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_joint_bilateral
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
 from cfaisp.imageio import DimensionError, Plane, RgbImage
-from cfaisp.noise import NoiseSpec, add_awgn, check_sigma
+from cfaisp.noise import NoiseSpec, add_awgn, check_seed, check_sigma, is_int
 
 METRIC_CROP = 4
 
@@ -262,8 +262,8 @@ class ExperimentGrid:
         for dm in self.demosaickers:
             check_pairing(Strategy.AFTER, dm)
         check_pairing(Strategy.JOINT, self.joint_demosaicker)
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if not (is_int(self.repeats) and self.repeats >= 1):
+            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
 
     def points(self) -> Iterator[tuple[Strategy, float, DenoiserConfig, DemosaickerConfig, int]]:
         """Grid points in deterministic order; repeats vary fastest."""
@@ -277,84 +277,50 @@ class ExperimentGrid:
             yield from itertools.product((strategy,), self.sigmas, denoisers, demosaickers, range(self.repeats))
 
 
-def _run_sweep_group(corpus: Sequence[tuple[str, RgbImage]], task: tuple) -> list[ExperimentRecord]:
-    """Records of one task's runs, all of one (image, repeat, sigma), in the order of its points."""
-    image_index, pattern, sigma, seed, points, keep_timing = task
+def _run_task(sweep: tuple, task: tuple[int, list[int]]) -> list[ExperimentRecord]:
+    """Records of one task's runs, all of one (image, repeat, sigma), in grid order.
+
+    sweep is (corpus, grid points, pattern, master seed, keep_timing).
+    """
+    corpus, points, pattern, master_seed, keep_timing = sweep
+    image_index, indices = task
     image_id, truth = corpus[image_index]
+    _, sigma, _, _, repeat = points[indices[0]]
+    seed = derive_run_seed(master_seed, image_id, repeat)
+    runs = [(points[i][0], points[i][2], points[i][3]) for i in indices]
     records = []
     try:
-        for _, record in _run_group(truth, pattern, NoiseSpec.uniform(sigma, seed), points, image_id):
+        for _, record in _run_group(truth, pattern, NoiseSpec.uniform(sigma, seed), runs, image_id):
             records.append(record if keep_timing else replace(record, wall_ms=0.0))
     except Exception as exc:
-        strategy, dn, dm = points[len(records)]
+        strategy, dn, dm = runs[len(records)]
         point = f"image={image_id} strategy={strategy.value} sigma={sigma:g} denoiser={dn.describe()} demosaicker={dm.describe()} seed={seed}"
         raise RuntimeError(f"experiment run failed at {point}: {exc}") from exc
     return records
 
 
-# A pool worker's copy of the corpus, set once by _init_worker as the worker
+# A pool worker's copy of the sweep, set once by _init_worker as the worker
 # starts, so tasks name an image by its index instead of carrying its planes.
-_worker_corpus: Sequence[tuple[str, RgbImage]] = ()
+_worker_sweep: tuple = ()
 
 
-def _init_worker(corpus: Sequence[tuple[str, RgbImage]]) -> None:
-    global _worker_corpus
-    _worker_corpus = corpus
+def _init_worker(sweep: tuple) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
 
 
-def _run_worker_group(task: tuple) -> list[ExperimentRecord]:
-    return _run_sweep_group(_worker_corpus, task)
+def _run_worker_task(task: tuple[int, list[int]]) -> list[ExperimentRecord]:
+    return _run_task(_worker_sweep, task)
 
 
-def _group_splits(points: Sequence[tuple], indices: list[int]) -> tuple[list[list[int]], ...]:
-    """Ways to split one group's grid indices into tasks, coarsest first.
-
-    The whole group; one task per stage its runs share beyond the noisy
-    mosaic (the After demosaic per dm, the Before denoised sub-images per dn,
-    each Joint run alone); one task per run. Each keeps grid order.
-    """
-    by_stage: dict[tuple, list[int]] = {}
-    for index in indices:
-        strategy, _, dn, dm, _ = points[index]
-        key = dm if strategy is Strategy.AFTER else dn if strategy is Strategy.BEFORE else index
-        by_stage.setdefault((strategy, key), []).append(index)
-    return [indices], list(by_stage.values()), [[index] for index in indices]
-
-
-def _plan_tasks(
-    corpus: Sequence[tuple[str, RgbImage]],
-    grid: ExperimentGrid,
-    master_seed: int,
-    jobs: int,
-    keep_timing: bool,
-) -> tuple[list[tuple], list[list[int]]]:
-    """Tasks for _run_sweep_group, and the indices of their records in the sweep.
-
-    A task is one (image, repeat, sigma) group, so its runs share their
-    stages. With jobs > 1, groups are split while there are fewer than 4
-    tasks per worker, first by shared stage and then into single runs: with
-    fewer tasks, tasks of unequal size leave workers idle at the end.
-    """
-    points = list(grid.points())
+def _plan_tasks(points: Sequence[tuple], images: int) -> list[tuple[int, list[int]]]:
+    """One (image index, grid indices) task per (image, repeat, sigma) group, image-major."""
     # Grid indices of each (sigma, repeat) group. The key holds repr(sigma),
     # so only identical sigmas share a group (0.0 and -0.0 stay apart).
     groups: dict[tuple[str, int], list[int]] = {}
     for index, (_, sigma, _, _, repeat) in enumerate(points):
         groups.setdefault((repr(sigma), repeat), []).append(index)
-    splits = [_group_splits(points, indices) for indices in groups.values()]
-    for level in range(3):
-        chunks = [chunk for split in splits for chunk in split[level]]
-        if jobs <= 1 or len(corpus) * len(chunks) >= 4 * jobs:
-            break
-    tasks, slots = [], []
-    for image_index, (image_id, _) in enumerate(corpus):
-        for chunk in chunks:
-            _, sigma, _, _, repeat = points[chunk[0]]
-            seed = derive_run_seed(master_seed, image_id, repeat)
-            chunk_points = [(points[i][0], points[i][2], points[i][3]) for i in chunk]
-            tasks.append((image_index, grid.pattern, sigma, seed, chunk_points, keep_timing))
-            slots.append([image_index * len(points) + i for i in chunk])
-    return tasks, slots
+    return [(image_index, indices) for image_index in range(images) for indices in groups.values()]
 
 
 def run_experiment(
@@ -366,15 +332,18 @@ def run_experiment(
 ) -> list[ExperimentRecord]:
     """Run the full sweep; image-major order, grid order within each image.
 
-    Per-run seeds come from derive_run_seed(master_seed, image_id, repeat).
-    The runs of one (image, repeat, sigma) share one noisy mosaic and, where
-    the pool has enough other work, form one task that computes each shared
-    stage once (see _run_group). The pool has at most os.cpu_count()
-    workers. Records are returned in deterministic order regardless of jobs,
-    and with keep_timing=False (the default) wall_ms is zeroed so repeated
-    runs serialize to byte-identical CSV. Image ids must be distinct. Any
-    failing run aborts the sweep with the offending grid point named.
+    Per-run seeds come from derive_run_seed(master_seed, image_id, repeat);
+    master_seed must be an integer in [0, 2^64). The runs of one (image,
+    repeat, sigma) share one noisy mosaic and form one task, which computes
+    each shared stage once (see _run_group). jobs (default: the CPU count)
+    sets only the pool size: at most one worker per CPU and one per task,
+    and no pool when that is one worker. Records are returned in
+    deterministic order regardless of jobs, and with keep_timing=False (the
+    default) wall_ms is zeroed so repeated runs serialize to byte-identical
+    CSV. Image ids must be distinct. Any failing run aborts the sweep with
+    the offending grid point named, the same point whatever jobs is.
     """
+    check_seed("master_seed", master_seed)
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must not be empty")
@@ -383,23 +352,23 @@ def run_experiment(
         if image_id in seen:
             raise ValueError(f"image id {image_id!r} is repeated; each image needs its own id, which names its rows and seeds its noise")
         seen.add(image_id)
+    points = list(grid.points())
+    tasks = _plan_tasks(points, len(corpus))
+    sweep = (corpus, points, grid.pattern, master_seed, keep_timing)
     cpus = os.cpu_count() or 1
-    if jobs is None:
-        jobs = cpus
-    tasks, slots = _plan_tasks(corpus, grid, master_seed, jobs, keep_timing)
-    if not tasks:
-        raise ValueError("grid produced no runs")
-
-    if jobs <= 1 or len(tasks) == 1:
-        done = [_run_sweep_group(corpus, task) for task in tasks]
+    workers = min(cpus if jobs is None else jobs, cpus, len(tasks))
+    if workers <= 1:
+        done = [_run_task(sweep, task) for task in tasks]
     else:
-        # jobs still sets how finely _plan_tasks splits the sweep, but
-        # workers beyond the CPU count would only add processes.
-        workers = min(jobs, len(tasks), cpus)
-        with concurrent.futures.ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(corpus,)) as pool:
-            done = list(pool.map(_run_worker_group, tasks))
-    records: list = [None] * sum(map(len, slots))
-    for slot, task_records in zip(slots, done):
-        for index, record in zip(slot, task_records):
-            records[index] = record
+        pool = concurrent.futures.ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(sweep,))
+        try:
+            done = list(pool.map(_run_worker_task, tasks))
+        finally:
+            # Once a task has raised, the queued ones would only delay the
+            # error. Tasks a worker has already taken still run to the end.
+            pool.shutdown(cancel_futures=True)
+    records: list = [None] * (len(corpus) * len(points))
+    for (image_index, indices), task_records in zip(tasks, done):
+        for index, record in zip(indices, task_records):
+            records[image_index * len(points) + index] = record
     return records

@@ -1,4 +1,4 @@
-"""Shared fixtures: a deterministic synthetic image corpus.
+"""Shared fixtures: a deterministic synthetic image corpus and a stand-in pool.
 
 The suite needs reference RGB images with natural-image traits (smooth
 shading, correlated channels, real edges, some texture) but the repository
@@ -9,10 +9,13 @@ seeds. 96 is divisible by 16, which leaves room for 3 wavelet levels on the
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+import cfaisp.pipeline as pipeline
 from cfaisp.imageio import Plane, RgbImage, encode_pnm
 
 SIZE = 96
@@ -88,3 +91,44 @@ def corpus_dir(tmp_path_factory, corpus):
     for name, image in corpus:
         (root / f"{name}.ppm").write_bytes(encode_pnm(image, bit_depth=16))
     return root
+
+
+class InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each task in this process.
+
+    It records its max_workers, the tasks mapped and whether it was shut
+    down with cancel_futures=True. Like the real pool, map takes every task
+    at once and yields the results in task order, so the error it raises is
+    that of the first failing task.
+    """
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.tasks = []
+        self.cancelled = False
+        initializer(*initargs)
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.cancelled = self.cancelled or cancel_futures
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run run_experiment's pools inline, so no process starts however large jobs is.
+
+    Returns the list of the pools started, in order.
+    """
+    pools = []
+
+    def start(*args, **kwargs):
+        pools.append(InlinePool(*args, **kwargs))
+        return pools[-1]
+
+    # The initializer sets this process's pool-worker state; undo it afterwards.
+    monkeypatch.setattr(pipeline, "_worker_sweep", ())
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", start)
+    return pools

@@ -107,10 +107,16 @@ class TestNoiseSpec:
         noisy = add_awgn(mosaic, NoiseSpec.uniform(1000.0, seed=2))
         assert np.all(np.isfinite(noisy.plane.data))
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, np.float64(3.0), True])
     def test_seed_range(self, seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\^64\), got "):
             NoiseSpec.uniform(0.1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int32(3)])
+    def test_numpy_integer_seed_is_its_value(self, seed):
+        mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.zeros((4, 6))))
+        noisy = add_awgn(mosaic, NoiseSpec.uniform(0.1, seed=seed))
+        np.testing.assert_array_equal(noisy.plane.data, add_awgn(mosaic, NoiseSpec.uniform(0.1, seed=3)).plane.data)
 
 
 class TestAddAwgn:

@@ -1,6 +1,5 @@
 """Strategy pipeline, metric, and experiment-runner tests."""
 
-import concurrent.futures
 import math
 import os
 from collections import Counter
@@ -304,9 +303,10 @@ class TestExperimentGrid:
         with pytest.raises(ValueError, match="strategy joint"):
             ExperimentGrid(joint_demosaicker=BILINEAR)
 
-    def test_bad_repeats(self):
-        with pytest.raises(ValueError):
-            ExperimentGrid(repeats=0)
+    @pytest.mark.parametrize("repeats", [0, 2.0, 1.5, True])
+    def test_bad_repeats(self, repeats):
+        with pytest.raises(ValueError, match="repeats must be an integer >= 1"):
+            ExperimentGrid(repeats=repeats)
 
     def test_points_order(self):
         grid = ExperimentGrid(
@@ -401,6 +401,14 @@ class TestRunExperiment:
         assert "strategy=before" in str(excinfo.value)
         assert "sigma=0.05" in str(excinfo.value)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5, 1.5, True])
+    def test_bad_master_seed_rejected(self, seed, monkeypatch):
+        # Checked before any run: 2^64 + 5 would otherwise alias seed 5.
+        monkeypatch.setattr(pipeline, "_run_group", None)
+        grid = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.05,))
+        with pytest.raises(ValueError, match=r"^master_seed must be an integer in \[0, 2\^64\), got "):
+            run_experiment([("t", _textured_image(32))], grid, master_seed=seed, jobs=1)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             run_experiment([], ExperimentGrid())
@@ -412,35 +420,42 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="image id 'a' is repeated"):
             run_experiment(corpus, ExperimentGrid(sigmas=(0.05,)), jobs=1)
 
-    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
-        # A stand-in pool that records its size and runs the tasks inline, so
-        # no process starts however large jobs is.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(pipeline, "_worker_corpus", ())
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, inline_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         grid = ExperimentGrid(sigmas=(0.02, 0.05), repeats=3)
         corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
         assert run_experiment(corpus, grid, jobs=500) == run_experiment(corpus, grid, jobs=1)
-        assert sizes == [2]
-        # jobs still sets the split: 500 workers' worth of tasks, one run each.
-        tasks, _ = pipeline._plan_tasks(corpus, grid, 0, 500, False)
-        assert all(len(task[4]) == 1 for task in tasks)
+        assert [pool.max_workers for pool in inline_pool] == [2]
+        # jobs sets only the pool size: one task per (image, sigma, repeat).
+        assert len(inline_pool[0].tasks) == len(corpus) * len(grid.sigmas) * grid.repeats
+
+    def test_one_group_starts_no_pool(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        grid = ExperimentGrid(sigmas=(0.05,))
+        corpus = [("t", _textured_image(32))]
+        assert run_experiment(corpus, grid, jobs=2) == run_experiment(corpus, grid, jobs=1)
+        assert inline_pool == []
+
+    def _failing_sweep(self, jobs):
+        # Every group fails at its gaussian run: 1 / (2 sigma_s^2) overflows.
+        grid = ExperimentGrid(
+            strategies=(Strategy.BEFORE,),
+            sigmas=(0.01, 0.02, 0.03, 0.04),
+            denoisers=(NONE, DenoiserConfig(kind="gaussian", sigma_s=1e-200)),
+        )
+        with pytest.raises(RuntimeError, match="denoiser=gaussian") as excinfo:
+            run_experiment([("t", _textured_image(16)), ("u", _ramp_image(16))], grid, jobs=jobs)
+        return str(excinfo.value)
+
+    def test_failing_task_cancels_the_queued_ones(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert self._failing_sweep(jobs=2) == self._failing_sweep(jobs=1)
+        assert [pool.cancelled for pool in inline_pool] == [True]
+
+    def test_pool_failure_names_the_serial_point(self):
+        message = self._failing_sweep(jobs=2)
+        assert message == self._failing_sweep(jobs=1)
+        assert "image=t" in message and "sigma=0.01" in message
 
 
 class TestSharedStages:
@@ -458,8 +473,8 @@ class TestSharedStages:
     def _corpus(size=32):
         return [("tex", _textured_image(size)), ("ramp", _ramp_image(size))]
 
-    # jobs=2 runs whole groups in the pool; with jobs=3 the 8 groups are too
-    # few for 4 tasks per worker, so they are split by shared stage.
+    # jobs=1 runs the 8 groups serially; jobs=2 and jobs=3 run them in a
+    # pool of at most one worker per CPU.
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_sweep_equals_independent_runs(self, jobs):
         corpus = self._corpus()
@@ -551,25 +566,20 @@ class TestSharedStages:
             _, record = run_pipeline(truth, self.GRID.pattern, noise, strategy, dn, dm)
             assert record.wall_ms == 1000.0 * want[strategy.value]
 
-    def test_few_groups_are_split_for_the_pool(self):
-        # 2 images x 2 sigmas x 2 repeats = 8 groups of 17 runs: 8 After runs
-        # over 2 demosaics, 1 Joint run, 8 Before runs over 4 denoisings.
-        corpus = self._corpus()
-        runs = 2 * len(list(self.GRID.points()))
+    def test_plan_has_one_task_per_group(self):
+        points = list(self.GRID.points())
+        tasks = pipeline._plan_tasks(points, 2)
+        assert [image_index for image_index, _ in tasks] == [0] * 4 + [1] * 4
+        for image_index in (0, 1):
+            indices = [i for task_image, task in tasks if task_image == image_index for i in task]
+            assert sorted(indices) == list(range(len(points)))
+        for _, indices in tasks:
+            assert len({(repr(points[i][1]), points[i][4]) for i in indices}) == 1
+            assert indices == sorted(indices)
 
-        def task_sizes(jobs):
-            tasks, slots = pipeline._plan_tasks(corpus, self.GRID, 0, jobs, False)
-            assert sorted(i for slot in slots for i in slot) == list(range(runs))
-            assert [len(task[4]) for task in tasks] == [len(slot) for slot in slots]
-            return Counter(len(slot) for slot in slots)
-
-        assert task_sizes(1) == task_sizes(2) == {17: 8}
-        assert task_sizes(3) == {4: 16, 1: 8, 2: 32}
-        assert task_sizes(34) == {1: runs}
-
-    def test_single_runs_through_the_pool_match_serial(self):
-        # One group, split into its 4 runs for the 2 workers.
-        grid = ExperimentGrid(sigmas=(0.05,), denoisers=(NONE, WAVELET))
+    def test_groups_through_the_pool_match_serial(self):
+        # Two groups of one image, one per pool worker.
+        grid = ExperimentGrid(sigmas=(0.02, 0.05), denoisers=(NONE, WAVELET))
         corpus = [("tex", _textured_image(32))]
         assert run_experiment(corpus, grid, jobs=2) == run_experiment(corpus, grid, jobs=1)
 
