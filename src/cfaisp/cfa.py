@@ -38,11 +38,6 @@ class CfaPattern(enum.Enum):
             raise ValueError(f"unknown CFA pattern {name!r}; expected one of {choices}") from None
 
     @property
-    def tile(self) -> tuple[tuple[str, str], tuple[str, str]]:
-        letters = self.name
-        return ((letters[0], letters[1]), (letters[2], letters[3]))
-
-    @property
     def sites(self) -> tuple[tuple[int, int, str], ...]:
         """The (row, col, color) sites of the 2x2 tile in sub-image order R, G1, G2, B.
 
@@ -51,29 +46,13 @@ class CfaPattern(enum.Enum):
         row_major = [(dy, dx, self.name[2 * dy + dx]) for dy in (0, 1) for dx in (0, 1)]
         return tuple(sorted(row_major, key=lambda site: "RGB".index(site[2])))
 
-    @property
-    def r_offset(self) -> tuple[int, int]:
-        return self.sites[0][:2]
-
-    @property
-    def g1_offset(self) -> tuple[int, int]:
-        return self.sites[1][:2]
-
-    @property
-    def g2_offset(self) -> tuple[int, int]:
-        return self.sites[2][:2]
-
-    @property
-    def b_offset(self) -> tuple[int, int]:
-        return self.sites[3][:2]
-
 
 DEFAULT_PATTERN = CfaPattern.GBRG
 
 
 def color_at(pattern: CfaPattern, row: int, col: int) -> str:
     """Color class ('R', 'G', or 'B') sampled at a photosite."""
-    return pattern.tile[row % 2][col % 2]
+    return pattern.name[2 * (row % 2) + col % 2]
 
 
 @dataclass(frozen=True)
@@ -91,32 +70,20 @@ class MosaicImage:
         if h % 2 or w % 2:
             raise DimensionError(f"mosaic requires even dimensions, got {w}x{h}")
 
-    @property
-    def height(self) -> int:
-        return self.plane.height
-
-    @property
-    def width(self) -> int:
-        return self.plane.width
-
 
 @dataclass(frozen=True)
 class SubImages:
-    """The four half-resolution color planes of a mosaic plus its geometry."""
+    """The four same-shape color planes of a mosaic, half its size, plus its pattern."""
 
     r: Plane
     g1: Plane
     g2: Plane
     b: Plane
     pattern: CfaPattern
-    full_width: int
-    full_height: int
 
     def __post_init__(self) -> None:
-        if self.full_width % 2 or self.full_height % 2:
-            raise DimensionError(f"full dimensions must be even, got {self.full_width}x{self.full_height}")
-        want = (self.full_height // 2, self.full_width // 2)
-        for name in ("r", "g1", "g2", "b"):
+        want = self.r.data.shape
+        for name in ("g1", "g2", "b"):
             got = getattr(self, name).data.shape
             if got != want:
                 raise DimensionError(f"sub-image {name} has shape {got}, expected {want}")
@@ -128,11 +95,8 @@ class SubImages:
 
 def mosaic_from_rgb(image: RgbImage, pattern: CfaPattern) -> MosaicImage:
     """Sample an RGB image through a Bayer CFA (keep one channel per site)."""
-    h, w = image.r.data.shape
-    if h % 2 or w % 2:
-        raise DimensionError(f"mosaicking requires even dimensions, got {w}x{h}")
     channel = {"R": image.r.data, "G": image.g.data, "B": image.b.data}
-    out = np.empty((h, w), dtype=np.float64)
+    out = np.empty(image.r.data.shape, dtype=np.float64)
     for dy, dx, color in pattern.sites:
         out[dy::2, dx::2] = channel[color][dy::2, dx::2]
     return MosaicImage(pattern, Plane._adopt(out))
@@ -142,7 +106,7 @@ def decompose(mosaic: MosaicImage) -> SubImages:
     """Split a mosaic into its four half-resolution color planes."""
     data = mosaic.plane.data
     planes = (Plane(data[dy::2, dx::2]) for dy, dx, _ in mosaic.pattern.sites)
-    return SubImages(*planes, pattern=mosaic.pattern, full_width=mosaic.width, full_height=mosaic.height)
+    return SubImages(*planes, pattern=mosaic.pattern)
 
 
 def recompose(subs: SubImages) -> MosaicImage:
@@ -151,7 +115,8 @@ def recompose(subs: SubImages) -> MosaicImage:
     Exact inverse of decompose: every sample lands on its original site
     bit-for-bit.
     """
-    out = np.empty((subs.full_height, subs.full_width), dtype=np.float64)
+    h, w = subs.r.data.shape
+    out = np.empty((2 * h, 2 * w), dtype=np.float64)
     for plane, (dy, dx, _) in zip(subs.planes, subs.pattern.sites):
         out[dy::2, dx::2] = plane.data
     return MosaicImage(subs.pattern, Plane._adopt(out))

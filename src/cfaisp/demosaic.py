@@ -172,7 +172,7 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
                 np.add(acc, np.multiply(view, weight, out=term), out=acc)
         np.divide(acc, total, out=out[color][dy::2, dx::2])
 
-    r_row = mosaic.pattern.r_offset[0]
+    r_row = mosaic.pattern.sites[0][0]
     for dy, dx, color in mosaic.pattern.sites:
         out[color][dy::2, dx::2] = data[dy::2, dx::2]
         if color == "G":

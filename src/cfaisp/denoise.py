@@ -429,4 +429,4 @@ def denoise_subimages(subs: SubImages, config: DenoiserConfig) -> SubImages:
     one color class, so the single-plane filters apply without modification.
     """
     planes = (denoise_plane(plane, config) for plane in subs.planes)
-    return SubImages(*planes, pattern=subs.pattern, full_width=subs.full_width, full_height=subs.full_height)
+    return SubImages(*planes, pattern=subs.pattern)

@@ -65,14 +65,6 @@ class Plane:
         object.__setattr__(plane, "data", _frozen(arr))
         return plane
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Check that arr is a non-empty 2-D plane of finite samples; make it read-only."""
@@ -96,14 +88,6 @@ class RgbImage:
         shapes = {self.r.data.shape, self.g.data.shape, self.b.data.shape}
         if len(shapes) != 1:
             raise DimensionError(f"channel planes differ in shape: {sorted(shapes)}")
-
-    @property
-    def height(self) -> int:
-        return self.r.height
-
-    @property
-    def width(self) -> int:
-        return self.r.width
 
     @property
     def planes(self) -> tuple[Plane, Plane, Plane]:

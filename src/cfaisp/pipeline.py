@@ -15,10 +15,10 @@ produced its noise so it can be reproduced in isolation.
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import itertools
 import math
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass, replace
@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 import numpy as np
 
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
-from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_joint_bilateral
+from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
 from cfaisp.imageio import DimensionError, Plane, RgbImage
 from cfaisp.noise import NoiseSpec, add_awgn, check_seed, check_sigma, is_int
@@ -63,6 +63,12 @@ def check_pairing(strategy: Strategy, dm: DemosaickerConfig) -> None:
         raise ValueError(f"strategy joint runs the joint-bilateral demosaicker, not {dm.kind}")
     if strategy is not Strategy.JOINT and dm.is_joint:
         raise ValueError("strategies after and before need a non-joint demosaicker; joint-bilateral runs only with strategy joint")
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError naming name unless value is an integer >= 1."""
+    if not (is_int(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def mse(a: Plane, b: Plane, crop: int = 0) -> float:
@@ -161,7 +167,7 @@ def _run_group(
             result, own_s = _timed(lambda: RgbImage(*(denoise_plane(p, dn) for p in rough.planes)))
             elapsed += rough_s + own_s
         elif strategy is Strategy.JOINT:
-            result, own_s = _timed(lambda: demosaic_joint_bilateral(noisy, dm.sigma_s, dm.sigma_r))
+            result, own_s = _timed(lambda: demosaic(noisy, dm))
             elapsed += own_s
         else:
             subs, subs_s = shared("decompose", lambda: decompose(noisy))
@@ -262,8 +268,7 @@ class ExperimentGrid:
         for dm in self.demosaickers:
             check_pairing(Strategy.AFTER, dm)
         check_pairing(Strategy.JOINT, self.joint_demosaicker)
-        if not (is_int(self.repeats) and self.repeats >= 1):
-            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        _check_count("repeats", self.repeats)
 
     def points(self) -> Iterator[tuple[Strategy, float, DenoiserConfig, DemosaickerConfig, int]]:
         """Grid points in deterministic order; repeats vary fastest."""
@@ -335,15 +340,18 @@ def run_experiment(
     Per-run seeds come from derive_run_seed(master_seed, image_id, repeat);
     master_seed must be an integer in [0, 2^64). The runs of one (image,
     repeat, sigma) share one noisy mosaic and form one task, which computes
-    each shared stage once (see _run_group). jobs (default: the CPU count)
-    sets only the pool size: at most one worker per CPU and one per task,
-    and no pool when that is one worker. Records are returned in
-    deterministic order regardless of jobs, and with keep_timing=False (the
-    default) wall_ms is zeroed so repeated runs serialize to byte-identical
-    CSV. Image ids must be distinct. Any failing run aborts the sweep with
-    the offending grid point named, the same point whatever jobs is.
+    each shared stage once (see _run_group). jobs, an integer >= 1 (default:
+    the CPU count), sets only the pool size: at most one worker per CPU and
+    one per task, and no pool when that is one worker. Records are returned
+    in deterministic order regardless of jobs, and with keep_timing=False
+    (the default) wall_ms is zeroed so repeated runs serialize to
+    byte-identical CSV. Image ids must be distinct. Any failing run aborts
+    the sweep and stops the pool's workers, with the offending grid point
+    named, the same point whatever jobs is.
     """
     check_seed("master_seed", master_seed)
+    if jobs is not None:
+        _check_count("jobs", jobs)
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must not be empty")
@@ -360,13 +368,10 @@ def run_experiment(
     if workers <= 1:
         done = [_run_task(sweep, task) for task in tasks]
     else:
-        pool = concurrent.futures.ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(sweep,))
-        try:
-            done = list(pool.map(_run_worker_task, tasks))
-        finally:
-            # Once a task has raised, the queued ones would only delay the
-            # error. Tasks a worker has already taken still run to the end.
-            pool.shutdown(cancel_futures=True)
+        # imap raises at the first failing task in task order, and leaving
+        # the block terminates the workers, so no queued task delays the error.
+        with multiprocessing.Pool(workers, _init_worker, (sweep,)) as pool:
+            done = list(pool.imap(_run_worker_task, tasks))
     records: list = [None] * (len(corpus) * len(points))
     for (image_index, indices), task_records in zip(tasks, done):
         for index, record in zip(indices, task_records):

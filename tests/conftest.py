@@ -9,7 +9,7 @@ seeds. 96 is divisible by 16, which leaves room for 3 wavelet levels on the
 
 from __future__ import annotations
 
-import concurrent.futures
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -94,26 +94,31 @@ def corpus_dir(tmp_path_factory, corpus):
 
 
 class InlinePool:
-    """A stand-in for ProcessPoolExecutor that runs each task in this process.
+    """A stand-in for multiprocessing.Pool that runs each task in this process.
 
-    It records its max_workers, the tasks mapped and whether it was shut
-    down with cancel_futures=True. Like the real pool, map takes every task
-    at once and yields the results in task order, so the error it raises is
-    that of the first failing task.
+    It records its processes, the tasks given to imap and whether the with
+    block was left by an exception, which is when the real pool's exit
+    terminates workers still running tasks. Like the real pool, imap yields
+    the results in task order, so the error it raises is that of the first
+    failing task.
     """
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers = max_workers
+    def __init__(self, processes, initializer, initargs):
+        self.processes = processes
         self.tasks = []
-        self.cancelled = False
+        self.failed = None
         initializer(*initargs)
 
-    def map(self, fn, tasks):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.failed = exc_type is not None
+        return False
+
+    def imap(self, fn, tasks):
         self.tasks = list(tasks)
         return map(fn, self.tasks)
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.cancelled = self.cancelled or cancel_futures
 
 
 @pytest.fixture
@@ -130,5 +135,5 @@ def inline_pool(monkeypatch):
 
     # The initializer sets this process's pool-worker state; undo it afterwards.
     monkeypatch.setattr(pipeline, "_worker_sweep", ())
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", start)
+    monkeypatch.setattr(multiprocessing, "Pool", start)
     return pools

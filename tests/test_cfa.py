@@ -28,32 +28,24 @@ class TestCfaPattern:
 
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     def test_tile_census(self, pattern):
-        letters = [pattern.tile[dy][dx] for dy in (0, 1) for dx in (0, 1)]
-        assert sorted(letters) == ["B", "G", "G", "R"]
+        assert [color for _, _, color in pattern.sites] == ["R", "G", "G", "B"]
+        for dy, dx, color in pattern.sites:
+            assert color_at(pattern, dy, dx) == color
 
     def test_gbrg_offsets(self):
-        p = CfaPattern.GBRG
-        assert p.tile == (("G", "B"), ("R", "G"))
-        assert p.r_offset == (1, 0)
-        assert p.b_offset == (0, 1)
-        assert p.g1_offset == (0, 0)
-        assert p.g2_offset == (1, 1)
+        assert CfaPattern.GBRG.sites == ((1, 0, "R"), (0, 0, "G"), (1, 1, "G"), (0, 1, "B"))
 
     def test_rggb_offsets(self):
-        p = CfaPattern.RGGB
-        assert p.r_offset == (0, 0)
-        assert p.g1_offset == (0, 1)
-        assert p.g2_offset == (1, 0)
-        assert p.b_offset == (1, 1)
+        assert CfaPattern.RGGB.sites == ((0, 0, "R"), (0, 1, "G"), (1, 0, "G"), (1, 1, "B"))
 
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     def test_g1_in_top_tile_row(self, pattern):
-        assert pattern.g1_offset[0] == 0
-        assert pattern.g2_offset[0] == 1
+        _, g1, g2, _ = pattern.sites
+        assert (g1[0], g2[0]) == (0, 1)
 
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     def test_offsets_cover_tile(self, pattern):
-        offsets = {pattern.r_offset, pattern.g1_offset, pattern.g2_offset, pattern.b_offset}
+        offsets = {(dy, dx) for dy, dx, _ in pattern.sites}
         assert offsets == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
@@ -138,7 +130,6 @@ class TestDecompose:
         subs = decompose(_random_mosaic(rng, CfaPattern.GRBG, 8, 8))
         for plane in subs.planes:
             assert plane.data.shape == (4, 4)
-        assert (subs.full_width, subs.full_height) == (8, 8)
 
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     def test_sample_multiset_preserved(self, pattern):
@@ -154,12 +145,7 @@ class TestDecompose:
         mosaic = _random_mosaic(rng, pattern, 6, 6)
         subs = decompose(mosaic)
         data = mosaic.plane.data
-        for sub, (dy, dx) in (
-            (subs.r, pattern.r_offset),
-            (subs.g1, pattern.g1_offset),
-            (subs.g2, pattern.g2_offset),
-            (subs.b, pattern.b_offset),
-        ):
+        for sub, (dy, dx, _) in zip(subs.planes, pattern.sites):
             assert np.array_equal(sub.data, data[dy::2, dx::2])
 
 
@@ -184,8 +170,6 @@ class TestRecompose:
             g2=subs.g2,
             b=Plane(np.zeros_like(subs.b.data)),
             pattern=subs.pattern,
-            full_width=subs.full_width,
-            full_height=subs.full_height,
         )
         restored = recompose(edited)
         for row in range(6):
@@ -204,13 +188,21 @@ class TestRecompose:
             g2=Plane(np.full((half, half), 0.2)),
             b=Plane(np.full((half, half), 0.3)),
             pattern=CfaPattern.GBRG,
-            full_width=size,
-            full_height=size,
         )
         values, counts = np.unique(recompose(subs).plane.data, return_counts=True)
         total = size * size
         assert values.tolist() == [0.1, 0.2, 0.3]
         assert counts.tolist() == [total // 4, total // 2, total // 4]
+
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS)
+    def test_size_comes_from_the_planes(self, pattern):
+        # A 3x5 plane recomposes to a 6x10 mosaic: the frame is twice the
+        # planes' shape, with no size stored beside them.
+        planes = [Plane(np.full((3, 5), value)) for value in (0.1, 0.2, 0.3, 0.4)]
+        mosaic = recompose(SubImages(*planes, pattern=pattern))
+        assert mosaic.plane.data.shape == (6, 10)
+        for (dy, dx, _), value in zip(pattern.sites, (0.1, 0.2, 0.3, 0.4)):
+            assert np.all(mosaic.plane.data[dy::2, dx::2] == value)
 
 
 class TestSubImagesValidation:
@@ -222,18 +214,4 @@ class TestSubImagesValidation:
                 g2=Plane(np.zeros((2, 2))),
                 b=Plane(np.zeros((2, 3))),
                 pattern=CfaPattern.GBRG,
-                full_width=4,
-                full_height=4,
-            )
-
-    def test_odd_full_dimensions(self):
-        with pytest.raises(DimensionError):
-            SubImages(
-                r=Plane(np.zeros((2, 2))),
-                g1=Plane(np.zeros((2, 2))),
-                g2=Plane(np.zeros((2, 2))),
-                b=Plane(np.zeros((2, 2))),
-                pattern=CfaPattern.GBRG,
-                full_width=5,
-                full_height=4,
             )

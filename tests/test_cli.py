@@ -140,8 +140,6 @@ class TestDecompose:
             g2=parts["g2"],
             b=parts["b"],
             pattern=CfaPattern.GBRG,
-            full_width=original.width,
-            full_height=original.height,
         )
         assert np.array_equal(recompose(subs).plane.data, original.data)
 

@@ -111,7 +111,7 @@ def _gradient_oracle(mosaic: MosaicImage) -> RgbImage:
     data = mosaic.plane.data
     h, w = data.shape
     pattern = mosaic.pattern
-    r_row = pattern.r_offset[0]
+    r_row = pattern.sites[0][0]
     out = {c: np.zeros((h, w)) for c in "RGB"}
     for i in range(h):
         for j in range(w):
@@ -153,7 +153,7 @@ def _convolve_oracle(mosaic: MosaicImage, kernels) -> tuple:
     h, w = data.shape
     k_g, k_row, k_x = kernels
     est_g, est_row, est_col, est_x = (convolve(data, k, mode="mirror") / k.sum() for k in (k_g, k_row, k_row.T, k_x))
-    r_row = mosaic.pattern.r_offset[0]
+    r_row = mosaic.pattern.sites[0][0]
     out = {c: np.empty((h, w)) for c in "RGB"}
     for i in range(h):
         for j in range(w):
@@ -219,7 +219,7 @@ class TestBilinear:
         mosaic = _random_mosaic(pattern, (8, 8), 5)
         data = mosaic.plane.data
         out = demosaic_bilinear(mosaic)
-        ri, rj = pattern.r_offset
+        ri, rj, _ = pattern.sites[0]
         i, j = ri + 2, rj + 2  # interior red site
         mean4 = (data[i - 1, j] + data[i + 1, j] + data[i, j - 1] + data[i, j + 1]) / 4.0
         assert out.g.data[i, j] == pytest.approx(mean4, abs=1e-12)
@@ -403,7 +403,7 @@ class TestJointBilateral:
             NoiseSpec.uniform(0.05, seed=21),
         )
         out = demosaic_joint_bilateral(noisy, 1.5, 0.1)
-        site = pattern.r_offset
+        site = pattern.sites[0]
         i, j = site[0] + 4, site[1] + 4
         assert out.r.data[i, j] != noisy.plane.data[i, j]
 

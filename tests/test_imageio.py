@@ -42,7 +42,7 @@ class TestPlane:
 
     def test_dimensions(self):
         plane = Plane(np.zeros((4, 7)))
-        assert (plane.height, plane.width) == (4, 7)
+        assert plane.data.shape == (4, 7)
 
     @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 4))])
     def test_rejects_non_2d(self, bad):

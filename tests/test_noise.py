@@ -165,13 +165,10 @@ class TestAddAwgn:
         mosaic = MosaicImage(pattern, Plane(np.full((512, 512), 0.5)))
         noisy = add_awgn(mosaic, NoiseSpec(sigma_r=0.2, sigma_g=0.05, sigma_b=0.0, seed=21))
         delta = noisy.plane.data - 0.5
-        r_dy, r_dx = pattern.r_offset
-        b_dy, b_dx = pattern.b_offset
-        assert abs(np.std(delta[r_dy::2, r_dx::2]) - 0.2) < 0.004
-        assert np.all(delta[b_dy::2, b_dx::2] == 0.0)
-        g_sites = np.concatenate(
-            [delta[pattern.g1_offset[0] :: 2, pattern.g1_offset[1] :: 2].ravel(), delta[pattern.g2_offset[0] :: 2, pattern.g2_offset[1] :: 2].ravel()]
-        )
+        r, g1, g2, b = (delta[dy::2, dx::2] for dy, dx, _ in pattern.sites)
+        assert abs(np.std(r) - 0.2) < 0.004
+        assert np.all(b == 0.0)
+        g_sites = np.concatenate([g1.ravel(), g2.ravel()])
         assert abs(np.std(g_sites) - 0.05) < 0.001
 
     def test_statistical_example_sigma_01(self):

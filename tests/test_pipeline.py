@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from multiprocessing.reduction import ForkingPickler
@@ -409,6 +410,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"^master_seed must be an integer in \[0, 2\^64\), got "):
             run_experiment([("t", _textured_image(32))], grid, master_seed=seed, jobs=1)
 
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, True])
+    def test_bad_jobs_rejected(self, jobs, monkeypatch, inline_pool):
+        # Checked before any run: 0 and -3 would otherwise run serially, and
+        # 2.5 would reach the pool as its number of workers.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(pipeline, "_run_group", None)
+        grid = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.05,), repeats=3)
+        with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 1, got {re.escape(repr(jobs))}$"):
+            run_experiment([("t", _textured_image(32))], grid, jobs=jobs)
+        assert inline_pool == []
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             run_experiment([], ExperimentGrid())
@@ -425,7 +437,7 @@ class TestRunExperiment:
         grid = ExperimentGrid(sigmas=(0.02, 0.05), repeats=3)
         corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
         assert run_experiment(corpus, grid, jobs=500) == run_experiment(corpus, grid, jobs=1)
-        assert [pool.max_workers for pool in inline_pool] == [2]
+        assert [pool.processes for pool in inline_pool] == [2]
         # jobs sets only the pool size: one task per (image, sigma, repeat).
         assert len(inline_pool[0].tasks) == len(corpus) * len(grid.sigmas) * grid.repeats
 
@@ -447,10 +459,10 @@ class TestRunExperiment:
             run_experiment([("t", _textured_image(16)), ("u", _ramp_image(16))], grid, jobs=jobs)
         return str(excinfo.value)
 
-    def test_failing_task_cancels_the_queued_ones(self, monkeypatch, inline_pool):
+    def test_failing_task_terminates_the_pool(self, monkeypatch, inline_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert self._failing_sweep(jobs=2) == self._failing_sweep(jobs=1)
-        assert [pool.cancelled for pool in inline_pool] == [True]
+        assert [pool.failed for pool in inline_pool] == [True]
 
     def test_pool_failure_names_the_serial_point(self):
         message = self._failing_sweep(jobs=2)
@@ -498,7 +510,7 @@ class TestSharedStages:
                 result = stage(*args)
                 if name == "add_awgn":
                     noisy.append(result)
-                elif name == "demosaic" and any(args[0] is mosaic for mosaic in noisy):
+                elif name == "demosaic" and not args[1].is_joint and any(args[0] is mosaic for mosaic in noisy):
                     calls["after-strategy demosaic"] += 1
                 return result
 
@@ -514,7 +526,9 @@ class TestSharedStages:
         assert calls["decompose"] == groups
         assert calls["after-strategy demosaic"] == groups * demosaickers
         assert calls["denoise_subimages"] == groups * denoisers
-        assert calls["demosaic"] == groups * demosaickers * (1 + denoisers)
+        # Each demosaicker after the shared one and after each denoiser, and
+        # one joint run per group.
+        assert calls["demosaic"] == groups * (demosaickers * (1 + denoisers) + 1)
 
     def test_pool_tasks_carry_no_image_planes(self, monkeypatch):
         # Count the bytes a process pool pickles in this process: the tasks
@@ -545,7 +559,6 @@ class TestSharedStages:
             "denoise_subimages": 16,
             "denoise_plane": 32,
             "recompose": 64,
-            "demosaic_joint_bilateral": 128,
         }
         for name, cost in costs.items():
             stage = getattr(pipeline, name)
@@ -558,7 +571,7 @@ class TestSharedStages:
 
         corpus = self._corpus()
         records = run_experiment(corpus, self.GRID, jobs=1, keep_timing=True)
-        want = {"after": 1 + 2 + 8 + 3 * 32, "joint": 1 + 2 + 128, "before": 1 + 2 + 4 + 16 + 64 + 8}
+        want = {"after": 1 + 2 + 8 + 3 * 32, "joint": 1 + 2 + 8, "before": 1 + 2 + 4 + 16 + 64 + 8}
         assert [r.wall_ms for r in records] == [1000.0 * want[r.strategy] for r in records]
         truth = corpus[0][1]
         for strategy, sigma, dn, dm, repeat in self.GRID.points():
