@@ -12,13 +12,14 @@ edge sample not duplicated):
 - joint bilateral: every sample (missing and measured) is a bilateral
   average over the same-color sites in a radius ceil(3 sigma_s) window,
   range-weighted on a bilinear green estimate, so interpolation and light
-  denoising happen in one pass.
+  denoising happen in one pass, walked in row strips of each tile site.
 
 Bilinear and gradient evaluate each kernel only at the tile sites that read
 it: the taps are summed over step-2 views of the padded mosaic, in the order
 scipy.ndimage.convolve sums them, so the values equal whole-frame convolution
 divided by the kernel's weight sum. denoise._shifted does all the padding and
-lattice indexing, here as for the denoisers.
+lattice indexing, here as for the denoisers: it splits the padded mosaic once
+into its four contiguous phase planes, and a step-2 view is a slice of one.
 """
 
 from __future__ import annotations
@@ -207,17 +208,13 @@ def demosaic_gradient(mosaic: MosaicImage) -> RgbImage:
 def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float) -> RgbImage:
     """Bilateral interpolation over same-color sites, guided by bilinear G.
 
-    Each 2x2 tile site is one pass of the shared bilateral kernel, bucketed by
-    color. Filtering the measured sites too is what makes this a joint
-    demosaick-denoise rather than interpolation.
+    One call of the shared bilateral kernel walks all four 2x2 tile sites,
+    bucketed by color. Filtering the measured sites too is what makes this a
+    joint demosaick-denoise rather than interpolation.
     """
-    data = mosaic.plane.data
     guide = demosaic_bilinear(mosaic).g.data
-    out = {color: np.empty_like(data) for color in "RGB"}
-    for dy, dx, _ in mosaic.pattern.sites:
-        for color, mean in _bilateral(data, guide, sigma_s, sigma_r, 2, dy, dx, partial(color_at, mosaic.pattern)).items():
-            out[color][dy::2, dx::2] = mean
-    return RgbImage(*(Plane._adopt(out[color]) for color in "RGB"))
+    means = _bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, 2, partial(color_at, mosaic.pattern))
+    return RgbImage(*(Plane._adopt(means[color]) for color in "RGB"))
 
 
 def demosaic(mosaic: MosaicImage, config: DemosaickerConfig) -> RgbImage:

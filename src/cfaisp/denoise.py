@@ -8,15 +8,18 @@ Four filters with one shared contract (Plane in, same-sized Plane out):
   Radius 1 runs a pruned 19-exchange sorting network of elementwise min/max
   over the nine shifted views; larger radii partition each tile's windows.
 - bilateral: edge-preserving blur weighting neighbors by spatial distance
-  and intensity difference.
+  and intensity difference, walked in row strips whose buffers are written
+  in place.
 - wavelet: soft thresholding of orthonormal Haar detail coefficients with a
   per-subband data-driven threshold; the coarse approximation is kept as is.
 
 Borders are handled by mirror reflection without duplicating the edge sample.
 _shifted is the one place that pads for it: the gaussian, median and
 bilateral filters and the linear and joint demosaickers read every neighbour
-through its views. The wavelet pads a plane whose sides are not multiples of
-2^levels the same way, at the bottom and right, and crops the result back.
+through its views. Step-2 views, one 2x2 tile site each, are slices of
+contiguous phase planes split from the pad once. The wavelet pads a plane
+whose sides are not multiples of 2^levels the same way, at the bottom and
+right, and crops the result back.
 
 The wavelet threshold for a subband with noise level sigma_n and signal
 spread sigma_x = sqrt(max(var - sigma_n^2, 0)) is sigma_n^2 / sigma_x; a
@@ -194,23 +197,42 @@ def _gaussian_kernel(sigma_s: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _shifted(data: np.ndarray, radius: int, step: int = 1, py: int = 0, px: int = 0):
-    """Neighbour reads on the lattice data[py::step, px::step], from one mirror pad.
+def _shifted(data: np.ndarray, radius: int, step: int = 1):
+    """Neighbour reads on the lattice data[::step, ::step], from one mirror pad.
 
     Pads data by radius on every side once, reflecting without duplicating
-    the edge sample, and returns view(dy, dx, rows, cols): the lattice moved
-    by (dy, dx) full-frame samples, rows x cols lattice samples from its
-    first (the whole lattice by default). Mirror reflection keeps an index's
-    parity on an even-size frame, so a step-2 view reads one tile site.
+    the edge sample, and splits the pad into its step^2 phase planes,
+    pad[a::step, b::step], each a contiguous copy (step 1 keeps the pad
+    itself). Returns view(y, x, rows, cols): rows x cols samples step apart
+    from the full-frame sample (y, x), which may lie in the padding; the
+    whole lattice by default. A view is a slice of the plane of (y, x)'s
+    phase, so its rows are contiguous. Mirror reflection keeps an index's
+    parity on an even-size frame, so a step-2 view from a tile site reads
+    that site only.
     """
     pad = np.pad(data, radius, mode="reflect")
-    h, w = len(range(py, data.shape[0], step)), len(range(px, data.shape[1], step))
+    planes = [[np.ascontiguousarray(pad[a::step, b::step]) for b in range(step)] for a in range(step)]
+    h, w = len(range(0, data.shape[0], step)), len(range(0, data.shape[1], step))
 
-    def view(dy: int, dx: int, rows: int = h, cols: int = w) -> np.ndarray:
-        y, x = radius + py + dy, radius + px + dx
-        return pad[y : y + step * rows : step, x : x + step * cols : step]
+    def view(y: int, x: int, rows: int = h, cols: int = w) -> np.ndarray:
+        y, x = y + radius, x + radius
+        top, left = y // step, x // step
+        return planes[y % step][x % step][top : top + rows, left : left + cols]
 
     return view
+
+
+def _tiles(h: int, w: int, samples: int):
+    """(top, left, rows, cols) of the tiles that cover an h x w grid in row-major order.
+
+    A tile holds at most samples samples: whole rows where a row fits,
+    else one piece of a row.
+    """
+    cols = min(w, samples)
+    rows = min(h, samples // cols)
+    for top in range(0, h, rows):
+        for left in range(0, w, cols):
+            yield top, left, min(rows, h - top), min(cols, w - left)
 
 
 def _blur_line(at, kernel: np.ndarray) -> np.ndarray:
@@ -258,10 +280,11 @@ _MEDIAN9 = (
     (4, 7, "lo"), (4, 2, "both"), (6, 4, "hi"), (4, 2, "lo"),
 )  # fmt: skip
 
-# Output samples per tile of the 3x3 median: the network's ten tile-sized
-# buffers then stay in cache (whole 256x256 planes ran 3x slower). A larger
-# window's tile holds as many samples, 9 x _MEDIAN_STRIP, or one window.
-_MEDIAN_STRIP = 16384
+# Output samples per tile of the 3x3 median and per strip of the bilateral
+# walk: the tile-sized buffers then stay in L2 (whole 256x256 planes ran the
+# median 3x slower). A larger median window's tile holds as many samples,
+# 9 x _STRIP, or one window.
+_STRIP = 16384
 
 
 def _median9(p: list) -> np.ndarray:
@@ -296,63 +319,84 @@ def denoise_median(plane: Plane, radius: int) -> Plane:
     at = _shifted(plane.data, radius)
     side = 2 * radius + 1
     size = side * side
-    tile = max(1, 9 * _MEDIAN_STRIP // size)  # output samples per tile
-    cols = min(w, tile)
-    rows = min(h, tile // cols)
     out = np.empty((h, w))
-    for top in range(0, h, rows):
-        for left in range(0, w, cols):
-            n, m = min(rows, h - top), min(cols, w - left)
-            if radius == 1:
-                middle = _median9([at(top + dy, left + dx, n, m) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
-            else:
-                windows = sliding_window_view(at(top - radius, left - radius, n + 2 * radius, m + 2 * radius), (side, side))
-                middle = np.partition(windows.reshape(n, m, size), size // 2, axis=-1)[..., size // 2]
-            out[top : top + n, left : left + m] = middle
+    for top, left, n, m in _tiles(h, w, max(1, 9 * _STRIP // size)):
+        if radius == 1:
+            middle = _median9([at(top + dy, left + dx, n, m) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+        else:
+            windows = sliding_window_view(at(top - radius, left - radius, n + 2 * radius, m + 2 * radius), (side, side))
+            middle = np.partition(windows.reshape(n, m, size), size // 2, axis=-1)[..., size // 2]
+        out[top : top + n, left : left + m] = middle
     return Plane._adopt(out)
 
 
-def _bilateral(data, guide, sigma_s, sigma_r, step=1, py=0, px=0, bucket=lambda row, col: None) -> dict:
-    """Bilateral means of data on the lattice guide[py::step, px::step], one per bucket.
+def _bilateral(data, guide, sigma_s, sigma_r, step=1, bucket=lambda row, col: None) -> dict:
+    """Bilateral means of data, one full frame per bucket.
 
     Weights are exp(-d^2 / 2 sigma_s^2) exp(-(g_p - g_q)^2 / 2 sigma_r^2) over
-    a +/- ceil(3 sigma_s) window, g read from guide. A sample joins the mean of
-    bucket(row, col), its full-frame site; mirror reflection keeps an index's
-    parity on an even-size frame, so a bucket keyed by tile site holds one
-    color at the borders too. A weight sum below the smallest normal float
-    takes the spatial-only mean (the sigma_r -> inf limit).
+    a +/- ceil(3 sigma_s) window, g read from guide. A neighbour q joins p's
+    mean in bucket(row, col), q's full-frame site, and each bucket's frame
+    holds that mean for every p. bucket must repeat with period step; mirror
+    reflection keeps an index's parity on an even-size frame, so a bucket
+    keyed by tile site holds one color at the borders too. A weight sum
+    below the smallest normal float takes the spatial-only mean (the
+    sigma_r -> inf limit).
+
+    The frame is walked one phase of the lattice [::step, ::step] at a time,
+    in strips of _STRIP samples, so a window offset feeds one bucket per
+    strip. A strip runs every offset, in row-major window order, into
+    strip-sized buffers written in place, so its working set stays in cache.
     """
     _check_field("sigma_s", sigma_s)
     _check_field("sigma_r", sigma_r)
     inv_2ss = 1.0 / _two_variance("sigma_s", sigma_s)
     inv_2sr = 1.0 / _two_variance("sigma_r", sigma_r)
     radius = math.ceil(3.0 * sigma_s)
-    data_at = _shifted(data, radius, step, py, px)
-    guide_at = data_at if guide is data else _shifted(guide, radius, step, py, px)
-    center = guide_at(0, 0)
-    h, w = center.shape
+    data_at = _shifted(data, radius, step)
+    guide_at = data_at if guide is data else _shifted(guide, radius, step)
     offsets = range(-radius, radius + 1)
-    # Accumulators made on first use inside the loop ran 15% slower at 512x512.
-    keys = dict.fromkeys(bucket(py + dy, px + dx) for dy in offsets for dx in offsets)
-    sums = {key: (np.zeros((h, w)), np.zeros((h, w))) for key in keys}
-    for dy in offsets:
-        for dx in offsets:
-            spatial = math.exp(-(dy * dy + dx * dx) * inv_2ss)
-            weight = spatial * np.exp(-((guide_at(dy, dx) - center) ** 2) * inv_2sr)
-            num, den = sums[bucket(py + dy, px + dx)]
-            num += weight * data_at(dy, dx)
-            den += weight
-    means, spatial_only = {}, None
-    for key, (num, den) in sums.items():
-        underflow = den < np.finfo(np.float64).tiny
-        if not underflow.any():
-            means[key] = num / den
-        elif math.isinf(sigma_r):
-            raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
-        else:
-            spatial_only = spatial_only or _bilateral(data, guide, sigma_s, math.inf, step, py, px, bucket)
-            means[key] = np.divide(num, den, out=spatial_only[key], where=~underflow)
-    return means
+    window = [(dy, dx, math.exp(-(dy * dy + dx * dx) * inv_2ss)) for dy in offsets for dx in offsets]
+    sites = [(py, px) for py in range(step) for px in range(step)]
+    out = {key: np.empty(data.shape) for key in dict.fromkeys(bucket(py + dy, px + dx) for py, px in sites for dy, dx, _ in window)}
+
+    def sums_at(y, x, n, m, inv_2sr):
+        """Weighted sums (num, den) per bucket for the n x m lattice samples from full-frame (y, x)."""
+        center = guide_at(y, x, n, m)
+        weight, term = np.empty((n, m)), np.empty((n, m))
+        # Accumulators made on first use inside the loop ran 15% slower at 512x512.
+        sums = {key: (np.zeros((n, m)), np.zeros((n, m))) for key in out}
+        for dy, dx, spatial in window:
+            # -(d^2) * k and d^2 * -k round alike: negation is exact.
+            np.subtract(guide_at(y + dy, x + dx, n, m), center, out=weight)
+            np.square(weight, out=weight)
+            np.multiply(weight, -inv_2sr, out=weight)
+            np.exp(weight, out=weight)
+            np.multiply(spatial, weight, out=weight)
+            num, den = sums[bucket(y + dy, x + dx)]
+            np.add(num, np.multiply(weight, data_at(y + dy, x + dx, n, m), out=term), out=num)
+            np.add(den, weight, out=den)
+        return sums
+
+    tiny = np.finfo(np.float64).tiny
+    for py, px in sites:
+        for top, left, n, m in _tiles(data.shape[0] // step, data.shape[1] // step, _STRIP):
+            y, x = py + step * top, px + step * left
+            sums = sums_at(y, x, n, m, inv_2sr)
+            underflow = {key: den < tiny for key, (_, den) in sums.items()}
+            # The fallback is a second sums_at call: a closure that called
+            # itself would be a reference cycle, keeping each call's planes
+            # alive until the next garbage collection.
+            spatial_only = None
+            if any(low.any() for low in underflow.values()):
+                spatial_only = sums_at(y, x, n, m, 0.0)
+                if any((den < tiny).any() for _, den in spatial_only.values()):
+                    raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
+            for key, (num, den) in sums.items():
+                mean = out[key][y : y + step * n : step, x : x + step * m : step]
+                if spatial_only:
+                    np.divide(*spatial_only[key], out=mean)
+                np.divide(num, den, out=mean, where=~underflow[key])
+    return out
 
 
 def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:

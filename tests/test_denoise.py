@@ -6,14 +6,17 @@ filters must satisfy (DC preservation, impulse response, edge behavior).
 The wavelet path gets a fully independent block-Haar + threshold oracle.
 """
 
+import gc
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.ndimage import convolve1d, median_filter
 
-from cfaisp.cfa import CfaPattern, MosaicImage, decompose
+from cfaisp import denoise
+from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose
 from cfaisp.denoise import (
     DenoiserConfig,
     WaveletPyramid,
@@ -26,7 +29,7 @@ from cfaisp.denoise import (
     dwt_haar,
     idwt_haar,
 )
-from cfaisp.demosaic import DemosaickerConfig, demosaic_joint_bilateral
+from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear, demosaic_joint_bilateral
 from cfaisp.imageio import DimensionError, Plane
 from cfaisp.noise import NoiseSpec, add_awgn, estimate_sigma, normal_field
 
@@ -38,6 +41,38 @@ def _reflect(i: int, n: int) -> int:
     period = 2 * n - 2
     i %= period
     return i if i < n else period - i
+
+
+def _whole_lattice_bilateral(data, guide, sigma_s, sigma_r, step=1, py=0, px=0, bucket=lambda row, col: None):
+    """The bilateral kernel as one pass over the whole lattice data[py::step, px::step].
+
+    Frame-sized temporaries per window offset, on strided views of one mirror
+    pad per array: the strip walk must give the same means bit for bit.
+    """
+    inv_2ss, inv_2sr = 1.0 / (2.0 * sigma_s**2), 1.0 / (2.0 * sigma_r**2)
+    radius = math.ceil(3.0 * sigma_s)
+    pads = np.pad(data, radius, mode="reflect"), np.pad(guide, radius, mode="reflect")
+    h, w = len(range(py, data.shape[0], step)), len(range(px, data.shape[1], step))
+
+    def at(pad, dy, dx):
+        y, x = radius + py + dy, radius + px + dx
+        return pad[y : y + step * h : step, x : x + step * w : step]
+
+    offsets = range(-radius, radius + 1)
+    sums = {bucket(py + dy, px + dx): (np.zeros((h, w)), np.zeros((h, w))) for dy in offsets for dx in offsets}
+    for dy in offsets:
+        for dx in offsets:
+            spatial = math.exp(-(dy * dy + dx * dx) * inv_2ss)
+            weight = spatial * np.exp(-((at(pads[1], dy, dx) - at(pads[1], 0, 0)) ** 2) * inv_2sr)
+            num, den = sums[bucket(py + dy, px + dx)]
+            num += weight * at(pads[0], dy, dx)
+            den += weight
+    means = {}
+    for key, (num, den) in sums.items():
+        underflow = den < np.finfo(np.float64).tiny
+        spatial_only = _whole_lattice_bilateral(data, guide, sigma_s, math.inf, step, py, px, bucket) if underflow.any() else None
+        means[key] = num / den if spatial_only is None else np.divide(num, den, out=spatial_only[key], where=~underflow)
+    return means
 
 
 # Block-form one-level Haar: works on 2x2 cells directly, no sqrt(2) stages.
@@ -393,6 +428,65 @@ class TestBilateral:
     def test_bad_parameters(self, sigma_s, sigma_r):
         with pytest.raises(ValueError):
             denoise_bilateral(Plane(np.zeros((4, 4))), sigma_s, sigma_r)
+
+    # With 7-sample strips: a 2x2 lattice is one strip, a 5x3 one is three
+    # strips of two rows and one of one, and a 3x10 one has rows wider than
+    # a strip, cut into pieces of 7 and 3.
+    @pytest.mark.parametrize("lattice", [(2, 2), (5, 3), (3, 10)], ids=["one-strip", "remainder-strip", "wide-row"])
+    @pytest.mark.parametrize("sigma_s,sigma_r", [(1.0, 0.1), (0.7, 1e-3), (1.5, math.inf)])
+    def test_strip_walk_matches_the_whole_lattice_loop(self, monkeypatch, lattice, sigma_s, sigma_r):
+        monkeypatch.setattr(denoise, "_STRIP", 7)
+        rng = np.random.default_rng(77)
+        data = rng.random(lattice)
+        want = _whole_lattice_bilateral(data, data, sigma_s, sigma_r)[None]
+        got = denoise_bilateral(Plane(data), sigma_s, sigma_r).data
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        mosaic_data = rng.random((2 * lattice[0], 2 * lattice[1]))
+        for pattern in CfaPattern:
+            mosaic = MosaicImage(pattern, Plane(mosaic_data))
+            guide = demosaic_bilinear(mosaic).g.data
+            want = {color: np.empty_like(mosaic_data) for color in "RGB"}
+            for dy, dx, _ in pattern.sites:
+                bucket = partial(color_at, pattern)
+                for color, mean in _whole_lattice_bilateral(mosaic_data, guide, sigma_s, sigma_r, 2, dy, dx, bucket).items():
+                    want[color][dy::2, dx::2] = mean
+            for color, plane in zip("RGB", demosaic_joint_bilateral(mosaic, sigma_s, sigma_r).planes):
+                assert np.array_equal(plane.data, want[color]), (pattern, color)
+                assert np.array_equal(np.signbit(plane.data), np.signbit(want[color])), (pattern, color)
+
+    def test_tiny_sigma_r_takes_the_spatial_only_fallback_in_strips(self, monkeypatch):
+        # At sigma_r = 1e-3 the range weights of most other-color neighbours
+        # underflow, so some joint samples are spatial-only means, bit for bit.
+        monkeypatch.setattr(denoise, "_STRIP", 7)
+        mosaic = MosaicImage(CfaPattern.GRBG, Plane(np.random.default_rng(78).random((10, 6))))
+        sharp = demosaic_joint_bilateral(mosaic, 0.7, 1e-3)
+        spatial = demosaic_joint_bilateral(mosaic, 0.7, math.inf)
+        assert any(np.any(got.data == want.data) for got, want in zip(sharp.planes, spatial.planes))
+
+    def test_leaves_no_reference_cycles(self):
+        # A cycle would keep the kernel's padded planes alive until the next
+        # collection: RSS then grows with the number of calls.
+        data = np.random.default_rng(80).random((16, 16))
+        gc.collect()
+        gc.disable()
+        try:
+            denoise_bilateral(Plane(data), 1.5, 0.1)
+            demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(data)), 0.7, 1e-3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_memory_is_bounded_by_the_strip(self):
+        # Whole-frame temporaries for each window offset peaked at 14 MiB;
+        # the strip walk keeps the pad, the output and strip-sized buffers.
+        data = np.random.default_rng(79).random((512, 512))
+        tracemalloc.start()
+        try:
+            denoise_bilateral(Plane(data), 1.5, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20  # five 512 x 512 frames
 
 
 class TestWavelet:
