@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cfaisp.cfa import SubImages
-from cfaisp.imageio import DimensionError, Plane
+from cfaisp.imageio import _STRIP, DimensionError, Plane, _tiles
 from cfaisp.noise import SIGMA_RANGE, estimate_sigma, is_int, sigma_in_range
 
 _SQRT2 = math.sqrt(2.0)
@@ -129,6 +129,12 @@ class WaveletPyramid:
         return len(self.details)
 
 
+def _haar(x: np.ndarray, y: np.ndarray, op, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """op(x, y) / sqrt(2), one Haar filter tap pair, written into out if given."""
+    out = op(x, y, out=out)
+    return np.divide(out, _SQRT2, out=out)
+
+
 def dwt_haar(plane: Plane, levels: int) -> WaveletPyramid:
     """Multi-level orthonormal 2-D Haar transform.
 
@@ -145,12 +151,14 @@ def dwt_haar(plane: Plane, levels: int) -> WaveletPyramid:
     current = plane.data
     details = []
     for _ in range(levels):
-        lo = (current[:, 0::2] + current[:, 1::2]) / _SQRT2
-        hi = (current[:, 0::2] - current[:, 1::2]) / _SQRT2
-        ll = (lo[0::2, :] + lo[1::2, :]) / _SQRT2
-        hl = (lo[0::2, :] - lo[1::2, :]) / _SQRT2
-        lh = (hi[0::2, :] + hi[1::2, :]) / _SQRT2
-        hh = (hi[0::2, :] - hi[1::2, :]) / _SQRT2
+        a, b = current[0::2, 0::2], current[0::2, 1::2]
+        c, d = current[1::2, 0::2], current[1::2, 1::2]
+        # Rows 2i and 2i + 1 of the row pass's lo, then of its hi, each
+        # buffer reused once its last reader is done.
+        even, odd = _haar(a, b, np.add), _haar(c, d, np.add)
+        ll, hl = _haar(even, odd, np.add), _haar(even, odd, np.subtract, out=even)
+        even, odd = _haar(a, b, np.subtract, out=odd), _haar(c, d, np.subtract)
+        lh, hh = _haar(even, odd, np.add), _haar(even, odd, np.subtract, out=even)
         details.append((lh, hl, hh))
         current = ll
     return WaveletPyramid(ll=current, details=tuple(details))
@@ -160,16 +168,17 @@ def idwt_haar(pyramid: WaveletPyramid) -> Plane:
     """Invert dwt_haar, coarsest level first."""
     current = pyramid.ll
     for lh, hl, hh in reversed(pyramid.details):
-        lo = np.empty((current.shape[0] * 2, current.shape[1]), dtype=np.float64)
-        lo[0::2, :] = (current + hl) / _SQRT2
-        lo[1::2, :] = (current - hl) / _SQRT2
-        hi = np.empty_like(lo)
-        hi[0::2, :] = (lh + hh) / _SQRT2
-        hi[1::2, :] = (lh - hh) / _SQRT2
-        out = np.empty((lo.shape[0], lo.shape[1] * 2), dtype=np.float64)
-        out[:, 0::2] = (lo + hi) / _SQRT2
-        out[:, 1::2] = (lo - hi) / _SQRT2
-        current = out
+        h, w = current.shape
+        out = np.empty((2 * h, 2 * w), dtype=np.float64)
+        lo, hi = np.empty((h, w)), np.empty((h, w))
+        # Rows 2i, then rows 2i + 1, of the column pass's lo and hi, whose
+        # sums and differences fill the output's even and odd columns.
+        for row, op in ((0, np.add), (1, np.subtract)):
+            _haar(current, hl, op, out=lo)
+            _haar(lh, hh, op, out=hi)
+            np.add(lo, hi, out=out[row::2, 0::2])
+            np.subtract(lo, hi, out=out[row::2, 1::2])
+        current = np.divide(out, _SQRT2, out=out)
     # A pyramid with no detail levels hands back the caller's own ll array.
     return Plane(current) if current is pyramid.ll else Plane._adopt(current)
 
@@ -222,19 +231,6 @@ def _shifted(data: np.ndarray, radius: int, step: int = 1):
     return view
 
 
-def _tiles(h: int, w: int, samples: int):
-    """(top, left, rows, cols) of the tiles that cover an h x w grid in row-major order.
-
-    A tile holds at most samples samples: whole rows where a row fits,
-    else one piece of a row.
-    """
-    cols = min(w, samples)
-    rows = min(h, samples // cols)
-    for top in range(0, h, rows):
-        for left in range(0, w, cols):
-            yield top, left, min(rows, h - top), min(cols, w - left)
-
-
 def _blur_line(at, kernel: np.ndarray) -> np.ndarray:
     """Sum of kernel[r + j] * at(j) over |j| <= r, for a symmetric odd-length kernel.
 
@@ -280,12 +276,6 @@ _MEDIAN9 = (
     (4, 7, "lo"), (4, 2, "both"), (6, 4, "hi"), (4, 2, "lo"),
 )  # fmt: skip
 
-# Output samples per tile of the 3x3 median and per strip of the bilateral
-# walk: the tile-sized buffers then stay in L2 (whole 256x256 planes ran the
-# median 3x slower). A larger median window's tile holds as many samples,
-# 9 x _STRIP, or one window.
-_STRIP = 16384
-
 
 def _median9(p: list) -> np.ndarray:
     """Elementwise median of nine same-shaped arrays; p's entries are replaced."""
@@ -320,6 +310,7 @@ def denoise_median(plane: Plane, radius: int) -> Plane:
     side = 2 * radius + 1
     size = side * side
     out = np.empty((h, w))
+    # A larger window's tile holds as many samples as 9 x _STRIP, or one window.
     for top, left, n, m in _tiles(h, w, max(1, 9 * _STRIP // size)):
         if radius == 1:
             middle = _median9([at(top + dy, left + dx, n, m) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
@@ -409,8 +400,15 @@ def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:
     return Plane._adopt(mean)
 
 
-def _soft_threshold(band: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(band) * np.maximum(np.abs(band) - threshold, 0.0)
+def _soft_threshold(band: np.ndarray, threshold: float) -> None:
+    """Shrink band toward zero by threshold, in place.
+
+    A band sample of -0.0 gives +0.0, as sign(band) * max(|band| - t, 0) does.
+    """
+    magnitude = np.abs(band)
+    np.maximum(np.subtract(magnitude, threshold, out=magnitude), 0.0, out=magnitude)
+    # + 0.0 turns -0.0 into +0.0 and leaves every other sample as it is.
+    np.copysign(magnitude, np.add(band, 0.0, out=band), out=band)
 
 
 def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) -> Plane:
@@ -434,18 +432,14 @@ def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) 
     padded = Plane._adopt(np.pad(plane.data, pad, mode="reflect")) if pad[0][1] or pad[1][1] else plane
     pyramid = dwt_haar(padded, levels)
     noise_var = sigma_n**2
-    new_details = []
     for triple in pyramid.details:
-        new_triple = []
         for band in triple:
             signal_var = max(float(band.var()) - noise_var, 0.0)
             if signal_var == 0.0:
-                new_triple.append(np.zeros_like(band))
+                band.fill(0.0)
             else:
-                threshold = noise_var / math.sqrt(signal_var)
-                new_triple.append(_soft_threshold(band, threshold))
-        new_details.append(tuple(new_triple))
-    out = idwt_haar(WaveletPyramid(ll=pyramid.ll, details=tuple(new_details)))
+                _soft_threshold(band, noise_var / math.sqrt(signal_var))
+    out = idwt_haar(pyramid)
     return out if padded is plane else Plane(out.data[:h, :w])
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfaisp.cfa import MosaicImage
-from cfaisp.imageio import DimensionError, Plane
+from cfaisp.imageio import _STRIP, DimensionError, Plane
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -82,41 +81,51 @@ class NoiseSpec:
         return cls(sigma_r=sigma, sigma_g=sigma, sigma_b=sigma, seed=seed)
 
 
-def _splitmix64(seed: int, count: int) -> np.ndarray:
-    """Outputs seed+1 .. seed+count of the SplitMix64 stream, as uint64."""
+def _splitmix64(states: np.ndarray, spare: np.ndarray) -> None:
+    """Turn SplitMix64 states, seed + k * golden, into the stream's words k, in place.
+
+    spare is a uint64 buffer of the same length, overwritten.
+    """
     # All arithmetic stays in uint64 arrays, which wrap mod 2^64 silently.
-    index = np.arange(1, count + 1, dtype=np.uint64)
-    z = (np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + index * _GOLDEN) & _MASK64
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _uniforms(seed: int, count: int) -> np.ndarray:
-    """Uniform doubles in [0, 1) built from the top 53 bits of each word."""
-    words = _splitmix64(seed, count)
-    return (words >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.bitwise_xor(states, np.right_shift(states, np.uint64(shift), out=spare), out=states)
+        if mix is not None:
+            np.multiply(states, mix, out=states)
 
 
 def standard_normals(seed: int, count: int) -> np.ndarray:
     """Deterministic N(0, 1) samples via Box-Muller on SplitMix64 uniforms.
 
-    Consecutive uniform pairs (u1, u2) map to radius sqrt(-2 ln(1 - u1)) and
-    angle 2 pi u2; the cosine branch lands at even output indices, the sine
-    branch at odd ones. 1 - u1 is never zero, so the log is always finite.
+    Words 1, 2, ... of the stream from seed become the uniform doubles
+    (word >> 11) 2^-53 in [0, 1), from their top 53 bits. Consecutive
+    uniform pairs (u1, u2) map to radius sqrt(-2 ln(1 - u1)) and angle
+    2 pi u2; the cosine branch lands at even output indices, the sine branch
+    at odd ones. 1 - u1 is never zero, so the log is always finite. Pairs
+    are made _STRIP at a time in reused buffers that stay in cache, and
+    written straight into place.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    check_seed("seed", seed)
+    if not (is_int(count) and count >= 0):
+        raise ValueError(f"count must be an integer >= 0, got {count!r}")
     pairs = (count + 1) // 2
-    u = _uniforms(seed, 2 * pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    theta = (2.0 * np.pi) * u[1::2]
     out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = radius * np.cos(theta)
-    out[1::2] = radius * np.sin(theta)
+    block = min(pairs, _STRIP)
+    steps = np.multiply(np.arange(1, 2 * block + 1, dtype=np.uint64), _GOLDEN)
+    words, spare, u = np.empty_like(steps), np.empty_like(steps), np.empty(2 * block)
+    radius, theta = np.empty(block), np.empty(block)
+    for first in range(0, pairs, _STRIP):
+        n = min(_STRIP, pairs - first)
+        w, v, r, t = words[: 2 * n], u[: 2 * n], radius[:n], theta[:n]
+        # The block's first state, reduced mod 2^64 in Python ints.
+        np.add(steps[: 2 * n], np.uint64((int(seed) + 2 * first * int(_GOLDEN)) % 2**64), out=w)
+        _splitmix64(w, spare[: 2 * n])
+        np.multiply(np.right_shift(w, np.uint64(11), out=w), _TO_UNIT, out=v, dtype=np.float64)
+        # The transcendental ufuncs read and write contiguous buffers only.
+        np.sqrt(np.multiply(np.log1p(np.negative(v[0::2], out=r), out=r), -2.0, out=r), out=r)
+        np.multiply(v[1::2], 2.0 * np.pi, out=t)
+        pair = out[2 * first : 2 * (first + n)]
+        np.multiply(r, np.cos(t, out=v[:n]), out=pair[0::2])
+        np.multiply(r, np.sin(t, out=t), out=pair[1::2])
     return out[:count]
 
 
@@ -132,13 +141,18 @@ def add_awgn(mosaic: MosaicImage, spec: NoiseSpec) -> MosaicImage:
     by the sigma of the color sampled there, so runs that differ only in
     sigma share the same underlying noise realization.
     """
-    h, w = mosaic.plane.data.shape
+    data = mosaic.plane.data
+    h, w = data.shape
     field = normal_field(spec.seed, h, w)
     sigma = {"R": spec.sigma_r, "G": spec.sigma_g, "B": spec.sigma_b}
-    scale = np.empty((h, w), dtype=np.float64)
+    # The per-site scale repeats every two rows, so two rows of it serve the
+    # whole field; data + field * scale is then written into the field.
+    scale = np.empty((2, w), dtype=np.float64)
     for dy, dx, color in mosaic.pattern.sites:
-        scale[dy::2, dx::2] = sigma[color]
-    return MosaicImage(mosaic.pattern, Plane._adopt(mosaic.plane.data + field * scale))
+        scale[dy, dx::2] = sigma[color]
+    rows = field.reshape(h // 2, 2, w)
+    np.multiply(rows, scale, out=rows)
+    return MosaicImage(mosaic.pattern, Plane._adopt(np.add(data, field, out=field)))
 
 
 def estimate_sigma(plane: Plane) -> float:
@@ -154,5 +168,8 @@ def estimate_sigma(plane: Plane) -> float:
     if h < 2 or w < 2:
         raise DimensionError(f"sigma estimation needs at least 2x2 samples, got {w}x{h}")
     data = data[: h - (h % 2), : w - (w % 2)]
-    hh = (data[0::2, 0::2] - data[0::2, 1::2] - data[1::2, 0::2] + data[1::2, 1::2]) / 2.0
-    return float(np.median(np.abs(hh)) / _MAD_SCALE)
+    hh = np.subtract(data[0::2, 0::2], data[0::2, 1::2])
+    hh -= data[1::2, 0::2]
+    hh += data[1::2, 1::2]
+    hh /= 2.0
+    return float(np.median(np.abs(hh, out=hh), overwrite_input=True) / _MAD_SCALE)

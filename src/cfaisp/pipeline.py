@@ -81,8 +81,8 @@ def mse(a: Plane, b: Plane, crop: int = 0) -> float:
     if 2 * crop >= h or 2 * crop >= w:
         raise DimensionError(f"crop {crop} leaves no samples in a {w}x{h} plane")
     window = (slice(crop, h - crop), slice(crop, w - crop))
-    diff = a.data[window] - b.data[window]
-    return float(np.mean(diff * diff))
+    diff = np.subtract(a.data[window], b.data[window])
+    return float(np.mean(np.multiply(diff, diff, out=diff)))
 
 
 def psnr(mse_value: float, peak: float = 1.0) -> float:

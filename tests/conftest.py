@@ -10,6 +10,7 @@ seeds. 96 is divisible by 16, which leaves room for 3 wavelet levels on the
 from __future__ import annotations
 
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,3 +138,18 @@ def inline_pool(monkeypatch):
     monkeypatch.setattr(pipeline, "_worker_sweep", ())
     monkeypatch.setattr(multiprocessing, "Pool", start)
     return pools
+
+
+@pytest.fixture
+def peak_bytes():
+    """The tracemalloc peak, in bytes, of one call of a no-argument function."""
+
+    def measure(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -489,6 +489,98 @@ class TestBilateral:
         assert peak < 10 * 2**20  # five 512 x 512 frames
 
 
+def _whole_frame_dwt(data, levels):
+    """dwt_haar as whole-frame expressions: a column pass into lo and hi, then a row pass."""
+    current, details = data, []
+    for _ in range(levels):
+        lo = (current[:, 0::2] + current[:, 1::2]) / math.sqrt(2.0)
+        hi = (current[:, 0::2] - current[:, 1::2]) / math.sqrt(2.0)
+        ll = (lo[0::2, :] + lo[1::2, :]) / math.sqrt(2.0)
+        hl = (lo[0::2, :] - lo[1::2, :]) / math.sqrt(2.0)
+        lh = (hi[0::2, :] + hi[1::2, :]) / math.sqrt(2.0)
+        hh = (hi[0::2, :] - hi[1::2, :]) / math.sqrt(2.0)
+        details.append((lh, hl, hh))
+        current = ll
+    return current, details
+
+
+def _whole_frame_idwt(ll, details):
+    current = ll
+    for lh, hl, hh in reversed(details):
+        lo = np.empty((current.shape[0] * 2, current.shape[1]))
+        lo[0::2, :] = (current + hl) / math.sqrt(2.0)
+        lo[1::2, :] = (current - hl) / math.sqrt(2.0)
+        hi = np.empty_like(lo)
+        hi[0::2, :] = (lh + hh) / math.sqrt(2.0)
+        hi[1::2, :] = (lh - hh) / math.sqrt(2.0)
+        current = np.empty((lo.shape[0], lo.shape[1] * 2))
+        current[:, 0::2] = (lo + hi) / math.sqrt(2.0)
+        current[:, 1::2] = (lo - hi) / math.sqrt(2.0)
+    return current
+
+
+def _whole_frame_soft_threshold(band, threshold):
+    return np.sign(band) * np.maximum(np.abs(band) - threshold, 0.0)
+
+
+def _whole_frame_wavelet(data, levels, sigma_n):
+    ll, details = _whole_frame_dwt(data, levels)
+    noise_var = sigma_n**2
+    shrunk = []
+    for triple in details:
+        bands = []
+        for band in triple:
+            signal_var = max(float(band.var()) - noise_var, 0.0)
+            bands.append(np.zeros_like(band) if signal_var == 0.0 else _whole_frame_soft_threshold(band, noise_var / math.sqrt(signal_var)))
+        shrunk.append(tuple(bands))
+    return _whole_frame_idwt(ll, shrunk)
+
+
+def _same(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _signed_zeros(shape, seed):
+    """Noisy samples with runs of -0.0 and +0.0, so some Haar bands hold -0.0."""
+    data = 0.5 + 0.1 * np.random.default_rng(seed).standard_normal(shape)
+    data[: shape[0] // 2, : shape[1] // 2 : 2] = -0.0
+    data[: shape[0] // 2, 1 : shape[1] // 2 : 2] = 0.0
+    return data
+
+
+class TestWaveletMatchesTheWholeFrameExpressions:
+    @pytest.mark.parametrize("shape,levels", [((2, 2), 1), ((16, 24), 2), ((64, 40), 3)])
+    def test_dwt_and_idwt_bit_for_bit(self, shape, levels):
+        data = _signed_zeros(shape, 90)
+        pyramid = dwt_haar(Plane(data), levels)
+        ll, details = _whole_frame_dwt(data, levels)
+        assert _same(pyramid.ll, ll)
+        for got, want in zip(pyramid.details, details):
+            assert all(_same(g, w) for g, w in zip(got, want))
+        assert _same(idwt_haar(pyramid).data, _whole_frame_idwt(ll, details))
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3, 0.1])
+    def test_soft_threshold_keeps_the_sign_of_zero(self, threshold):
+        # np.copysign alone would give -0.0 where the band is -0.0.
+        band = np.array([[-0.0, 0.0, -1e-3, 1e-3, -0.05, 0.05, -0.5, 0.5, -5e-324, 5e-324]])
+        want = _whole_frame_soft_threshold(band, threshold)
+        denoise._soft_threshold(band, threshold)
+        assert _same(band, want)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("sigma_n", [1e-200, 0.01, 0.05, 0.5])
+    def test_denoise_wavelet_bit_for_bit(self, levels, sigma_n):
+        # sigma_n = 1e-200 squares to 0: every threshold is 0.
+        data = _signed_zeros((32, 48), 91)
+        assert _same(denoise_wavelet(Plane(data), levels, sigma_n).data, _whole_frame_wavelet(data, levels, sigma_n))
+
+    def test_memory_is_the_pyramid_output_and_two_quarters(self, peak_bytes):
+        # Whole-frame temporaries peaked at 4.5 planes; now the pyramid (4/3
+        # plane), the output and the inverse's two quarter-plane rows.
+        plane = Plane(0.5 + 0.05 * np.random.default_rng(92).standard_normal((512, 512)))
+        assert peak_bytes(lambda: denoise_wavelet(plane, 3, None)) < 3.25 * plane.data.nbytes
+
+
 class TestWavelet:
     def test_sigma_zero_is_identity(self):
         plane = Plane(np.random.default_rng(81).random((16, 16)))

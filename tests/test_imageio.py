@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cfaisp import imageio
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_plane, dwt_haar, idwt_haar
@@ -270,6 +271,77 @@ class TestRoundTrip:
         plane = Plane(rng.uniform(0, 1, size=(6, 5)))
         decoded = decode_pnm(encode_pnm(plane, 16))
         assert np.max(np.abs(decoded.data - plane.data)) <= 0.5 / 65535
+
+
+def _whole_frame_encode(image, bit_depth: int) -> bytes:
+    """encode_pnm as whole-frame expressions: stack, clip, scale, round, cast."""
+    maxval = 255 if bit_depth == 8 else 65535
+    if isinstance(image, Plane):
+        magic, samples = b"P5", image.data
+    else:
+        magic, samples = b"P6", np.stack([p.data for p in image.planes], axis=-1)
+    quantized = np.floor(np.clip(samples, 0.0, 1.0) * maxval + 0.5)
+    header = b"%s %d %d %d\n" % (magic, samples.shape[1], samples.shape[0], maxval)
+    return header + quantized.astype(">u2" if bit_depth == 16 else np.uint8).tobytes()
+
+
+def _whole_frame_decode(raster: bytes, shape, channels: int, maxval: int) -> list:
+    """decode_pnm's planes as whole-frame expressions: convert, divide, split, copy."""
+    dtype = ">u2" if maxval == 65535 else np.uint8
+    samples = np.frombuffer(raster, dtype=dtype).astype(np.float64) / maxval
+    rgb = samples.reshape(*shape, channels)
+    return [np.array(rgb[:, :, c]) for c in range(channels)]
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _edge_samples(shape, seed: int) -> np.ndarray:
+    """Samples below 0, above 1, at -0.0, at 0 and 1, and at exact rounding halves."""
+    data = np.random.default_rng(seed).uniform(-0.3, 1.3, size=shape)
+    flat = data.reshape(-1)
+    flat[0::7], flat[1::11], flat[2::13] = -0.0, 1.0, 0.5 / 255
+    flat[3::17], flat[4::19] = 0.5 / 65535, 0.0
+    return data
+
+
+class TestCodecMatchesTheWholeFrameExpressions:
+    # With 7-sample tiles, a 5-column frame is walked one row at a time, a
+    # 3-column frame two rows at a time with a one-row remainder, and a
+    # 130-column one in pieces of 7 and 4 samples.
+    @pytest.mark.parametrize("tile", [7, imageio._STRIP])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (7, 3), (37, 130)])
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_encode_and_decode_bit_for_bit(self, monkeypatch, tile, shape, bit_depth):
+        monkeypatch.setattr(imageio, "_STRIP", tile)
+        planes = [Plane(_edge_samples(shape, seed)) for seed in (40, 41, 42)]
+        maxval = 255 if bit_depth == 8 else 65535
+        for image, channels in ((planes[0], 1), (RgbImage(*planes), 3)):
+            payload = encode_pnm(image, bit_depth)
+            assert type(payload) is bytes
+            assert payload == _whole_frame_encode(image, bit_depth)
+            decoded = decode_pnm(payload)
+            got = [decoded.data] if channels == 1 else [p.data for p in decoded.planes]
+            raster = payload[payload.index(b"\n") + 1 :]
+            for got_plane, want_plane in zip(got, _whole_frame_decode(raster, shape, channels, maxval)):
+                assert _same(got_plane, want_plane)
+                assert got_plane.flags.c_contiguous and not got_plane.flags.writeable
+
+
+PLANE_512 = 512 * 512 * 8  # bytes in one 512 x 512 float64 plane
+
+
+class TestCodecMemory:
+    # Whole-frame temporaries peaked at 12 planes (encode) and 7 (decode).
+    def test_encode_holds_the_output_twice_and_a_tile(self, peak_bytes):
+        rgb = RgbImage(*(Plane(_edge_samples((512, 512), seed)) for seed in (43, 44, 45)))
+        # The 16-bit raster and the bytes made from it are 3/4 plane each.
+        assert peak_bytes(lambda: encode_pnm(rgb, 16)) < 2 * PLANE_512
+
+    def test_decode_holds_the_three_output_planes(self, peak_bytes):
+        payload = encode_pnm(RgbImage(*(Plane(_edge_samples((512, 512), seed)) for seed in (46, 47, 48))), 16)
+        assert peak_bytes(lambda: decode_pnm(payload)) < 3.5 * PLANE_512
 
 
 def _record(**overrides) -> SimpleNamespace:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cfaisp import noise
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at
 from cfaisp.imageio import DimensionError, Plane
 from cfaisp.noise import NoiseSpec, add_awgn, estimate_sigma, normal_field, standard_normals
@@ -43,7 +44,58 @@ def _normals_oracle(seed: int, count: int) -> list[float]:
     return out[:count]
 
 
+def _whole_array_normals(seed: int, count: int) -> np.ndarray:
+    """standard_normals as whole-array expressions: every word, then every pair, at once."""
+    pairs = (count + 1) // 2
+    index = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    z = np.uint64(seed) + index * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = (2.0 * np.pi) * u[1::2]
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(theta)
+    out[1::2] = radius * np.sin(theta)
+    return out[:count]
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestStandardNormals:
+    @pytest.mark.parametrize("seed", [0, 7, _M64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_blocks_match_the_whole_array_expressions(self, seed, extra):
+        for count in (0, 1, 3, 2 * noise._STRIP + extra):
+            assert _same(standard_normals(seed, count), _whole_array_normals(seed, count)), count
+
+    def test_many_small_blocks_match_the_whole_array_expressions(self, monkeypatch):
+        monkeypatch.setattr(noise, "_STRIP", 3)
+        for count in range(20):
+            assert _same(standard_normals(5, count), _whole_array_normals(5, count)), count
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.7, 1.0, True, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\^64\), got "):
+            standard_normals(seed, 4)
+        with pytest.raises(ValueError, match=r"^seed must be "):
+            normal_field(seed, 2, 2)
+
+    @pytest.mark.parametrize("count", [True, 2.5, 4.0, None])
+    def test_bad_count_rejected(self, count):
+        with pytest.raises(ValueError, match=r"^count must be an integer >= 0, got "):
+            standard_normals(0, count)
+
+    def test_field_memory_is_the_output_and_a_block(self, peak_bytes):
+        # The whole-array expressions peaked at 3.5 planes.
+        plane = 512 * 512 * 8
+        assert peak_bytes(lambda: normal_field(1, 512, 512)) < 2 * plane
+
     @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, _M64, 12345678901234567890])
     def test_matches_scalar_oracle(self, seed):
         got = standard_normals(seed, 64)
@@ -119,7 +171,26 @@ class TestNoiseSpec:
         np.testing.assert_array_equal(noisy.plane.data, add_awgn(mosaic, NoiseSpec.uniform(0.1, seed=3)).plane.data)
 
 
+def _whole_frame_awgn(mosaic: MosaicImage, spec: NoiseSpec) -> np.ndarray:
+    """add_awgn as whole-frame expressions: a full scale plane, then data + field * scale."""
+    h, w = mosaic.plane.data.shape
+    sigma = {"R": spec.sigma_r, "G": spec.sigma_g, "B": spec.sigma_b}
+    scale = np.empty((h, w))
+    for dy, dx, color in mosaic.pattern.sites:
+        scale[dy::2, dx::2] = sigma[color]
+    return mosaic.plane.data + normal_field(spec.seed, h, w) * scale
+
+
 class TestAddAwgn:
+    @pytest.mark.parametrize("pattern", list(CfaPattern))
+    @pytest.mark.parametrize("sigmas", [(0.01, 0.02, 0.03), (0.0, 0.0, 0.0), (0.0, 0.05, 1000.0)])
+    def test_matches_the_whole_frame_expressions(self, pattern, sigmas):
+        data = np.random.default_rng(6).random((6, 10))
+        data[0::3, 1::2], data[1, :] = -0.0, 0.0
+        mosaic = MosaicImage(pattern, Plane(data))
+        spec = NoiseSpec(*sigmas, seed=19)
+        assert _same(add_awgn(mosaic, spec).plane.data, _whole_frame_awgn(mosaic, spec))
+
     def _mosaic(self, rng, pattern=CfaPattern.GBRG, h=8, w=8):
         return MosaicImage(pattern, Plane(rng.random((h, w))))
 
@@ -185,6 +256,13 @@ class TestAddAwgn:
 
 
 class TestEstimateSigma:
+    def test_matches_the_whole_frame_expression(self):
+        data = np.random.default_rng(52).normal(0.0, 0.1, (34, 46))
+        data[::3, ::2], data[1::4, :] = -0.0, 0.0
+        d = data
+        hh = (d[0::2, 0::2] - d[0::2, 1::2] - d[1::2, 0::2] + d[1::2, 1::2]) / 2.0
+        assert estimate_sigma(Plane(data)) == float(np.median(np.abs(hh)) / 0.6745)
+
     def test_constant_plane_is_zero(self):
         assert estimate_sigma(Plane(np.full((16, 16), 0.3))) == 0.0
 

@@ -80,6 +80,20 @@ class TestMse:
         inner = mse(Plane(x[2:-2, 2:-2]), Plane(y[2:-2, 2:-2]))
         assert mse(Plane(x), Plane(y), crop=2) == pytest.approx(inner, rel=1e-12)
 
+    @pytest.mark.parametrize("crop", [0, 1, 4])
+    def test_matches_the_whole_frame_expression(self, crop):
+        rng = np.random.default_rng(4)
+        x, y = rng.random((64, 48)), rng.random((64, 48))
+        x[::5], y[::7] = -0.0, 0.0
+        diff = x[crop : 64 - crop, crop : 48 - crop] - y[crop : 64 - crop, crop : 48 - crop]
+        assert mse(Plane(x), Plane(y), crop) == float(np.mean(diff * diff))
+
+    def test_memory_is_one_difference_plane(self, peak_bytes):
+        # diff * diff made a second plane.
+        rng = np.random.default_rng(5)
+        a, b = Plane(rng.random((512, 512))), Plane(rng.random((512, 512)))
+        assert peak_bytes(lambda: mse(a, b, 4)) < 1.25 * a.data.nbytes
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             mse(Plane(np.zeros((4, 4))), Plane(np.zeros((4, 5))))
