@@ -6,15 +6,17 @@ functions of the arguments and input bytes.
 
 The CLI states no library policy; each rule has one home in the library.
 Defaults come from DenoiserConfig(), DemosaickerConfig(), ExperimentGrid()
-and DEFAULT_PATTERN, the ranges of the --dn-*/--jb-* flags from
-denoise.CONFIG_FIELDS, the strategy/demosaicker pairing from
-pipeline.check_pairing. A configuration the library rejects is a usage
-error, reported before any input is read.
+and DEFAULT_PATTERN. There is one --dn-*/--jb-* flag per field of
+DenoiserConfig and DemosaickerConfig, whose text form, range and meaning
+come from denoise.CONFIG_FIELDS. The noise ranges are noise's rules and the
+strategy/demosaicker pairing is pipeline.check_pairing. A configuration the
+library rejects is a usage error, reported before any input is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Optional, Sequence
@@ -22,8 +24,8 @@ from typing import Optional, Sequence
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosaic_from_rgb
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
 from cfaisp.denoise import CONFIG_FIELDS, DENOISER_KINDS, DenoiserConfig, denoise_plane
-from cfaisp.imageio import DimensionError, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
-from cfaisp.noise import SEED_RANGE, SIGMA_RANGE, NoiseSpec, add_awgn, seed_in_range, sigma_in_range
+from cfaisp.imageio import MAXVAL_BY_DEPTH, DimensionError, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
+from cfaisp.noise import COUNT, SEED, SIGMA, NoiseSpec, Rule, add_awgn
 from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_experiment, run_pipeline
 
 # The library's defaults, which the flags' defaults and help text read.
@@ -41,15 +43,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parsed(parse):
-    """argparse type from a parse function whose ValueError names the bad text."""
+def _parsed(parse, rule: Optional[Rule] = None):
+    """argparse type: parse the text, then check the value against rule, if given.
+
+    A library parse words its own ValueError; a failing int or float cast
+    is worded by argparse ("invalid int value: '1.5'").
+    """
 
     def convert(text: str):
         try:
-            return parse(text)
+            value = parse(text)
         except ValueError as exc:
+            if isinstance(parse, type):
+                raise
             raise argparse.ArgumentTypeError(str(exc)) from None
+        if rule is not None and not rule.test(value):
+            raise argparse.ArgumentTypeError(rule.complaint(text))
+        return value
 
+    convert.__name__ = parse.__name__
     return convert
 
 
@@ -65,49 +77,11 @@ def _kind(family: str, kinds: tuple[str, ...]):
     return convert
 
 
-def _checked(cast, test, need: str):
-    """argparse type: cast the text, then reject values outside the range test."""
-
-    def convert(text: str):
-        value = cast(text)
-        if not test(value):
-            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
-        return value
-
-    convert.__name__ = cast.__name__  # argparse says "invalid int value" when cast fails
-    return convert
-
-
-_count = _checked(int, lambda v: v >= 1, ">= 1")
-_seed = _checked(int, seed_in_range, SEED_RANGE)
-_sigma = _checked(float, sigma_in_range, SIGMA_RANGE)
+_count = _parsed(int, COUNT)
+_seed = _parsed(int, SEED)
+_sigma = _parsed(float, SIGMA)
 _denoiser_kind = _kind("denoiser", DENOISER_KINDS)
 _demosaicker_kind = _kind("demosaicker", DEMOSAICKER_KINDS)
-
-
-def _number_or_auto(text: str) -> Optional[float]:
-    if text.strip().lower() == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
-
-
-# The parameter flags of each method family, one --<prefix>-<field> flag per
-# config field: the field, how its text is cast, and what it means. The range
-# test, its wording, the default and how the default is shown are the library's.
-_DENOISER_FIELDS = (
-    ("sigma_s", float, "gaussian/bilateral spatial sigma in pixels"),
-    ("radius", int, "median window radius"),
-    ("sigma_r", float, "bilateral range sigma, or inf for spatial weights only"),
-    ("levels", int, "wavelet decomposition levels"),
-    ("sigma_n", _number_or_auto, "wavelet noise level, or 'auto' to estimate per plane"),
-)
-_JOINT_FIELDS = (
-    ("sigma_s", float, "joint-bilateral spatial sigma in pixels"),
-    ("sigma_r", float, "joint-bilateral range sigma, or inf for spatial weights only"),
-)
 
 
 def _add_pattern_flag(parser: argparse.ArgumentParser) -> None:
@@ -115,29 +89,33 @@ def _add_pattern_flag(parser: argparse.ArgumentParser) -> None:
         "--pattern",
         type=_parsed(CfaPattern.parse),
         default=DEFAULT_PATTERN,
-        help=f"Bayer pattern: rggb, grbg, gbrg, or bggr (case-insensitive; default {DEFAULT_PATTERN.value})",
+        help=f"Bayer pattern: {', '.join(p.value for p in CfaPattern)} (case-insensitive; default {DEFAULT_PATTERN.value})",
     )
 
 
 def _add_depth_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--depth", type=int, choices=(8, 16), default=8, help="output bits per sample (default 8)")
+    parser.add_argument("--depth", type=int, choices=tuple(MAXVAL_BY_DEPTH), default=8, help="output bits per sample (default %(default)s)")
 
 
 def _add_sigma_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma", type=_sigma, default=0.05, help="noise sigma for all color classes (default 0.05)")
+    parser.add_argument("--sigma", type=_sigma, default=0.05, help="noise sigma for all color classes (default %(default)s)")
     parser.add_argument("--sigma-r", type=_sigma, default=None, help="override sigma for red sites")
     parser.add_argument("--sigma-g", type=_sigma, default=None, help="override sigma for green sites")
     parser.add_argument("--sigma-b", type=_sigma, default=None, help="override sigma for blue sites")
-    parser.add_argument("--seed", type=_seed, default=0, help="64-bit noise seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="64-bit noise seed (default %(default)s)")
 
 
-def _add_field_flags(parser: argparse.ArgumentParser, prefix: str, defaults, fields) -> None:
-    """Add the parameter flags of one method family; each command declares its own kind flag."""
-    for name, cast, meaning in fields:
-        test, need, show = CONFIG_FIELDS[name]
-        default = getattr(defaults, name)
-        flag = f"--{prefix}-{name.replace('_', '-')}"
-        parser.add_argument(flag, type=_checked(cast, test, need), default=default, help=f"{meaning} (default {show(default)})")
+def _add_field_flags(parser: argparse.ArgumentParser, prefix: str, defaults) -> None:
+    """Add one --<prefix>-<field> flag per parameter field of defaults, a method config.
+
+    Each command declares its own kind flag.
+    """
+    for field in dataclasses.fields(defaults):
+        if field.name == "kind":
+            continue
+        spec, default = CONFIG_FIELDS[field.name], getattr(defaults, field.name)
+        flag = f"--{prefix}-{field.name.replace('_', '-')}"
+        parser.add_argument(flag, type=_parsed(spec.parse, spec.rule), default=default, help=f"{spec.meaning} (default {spec.show(default)})")
 
 
 def _fields(args: argparse.Namespace, prefix: str) -> dict:
@@ -279,8 +257,8 @@ def _build_parser() -> _Parser:
     denoise_cmd = commands.add_parser("denoise", help="denoise a single plane")
     denoise_cmd.add_argument("--in", required=True, help="input PGM")
     denoise_cmd.add_argument("--out", required=True, help="output PGM")
-    denoise_cmd.add_argument("--denoiser", type=_denoiser_kind, default=_DN.kind, help="denoiser kind (default %(default)s)")
-    _add_field_flags(denoise_cmd, "dn", _DN, _DENOISER_FIELDS)
+    denoise_cmd.add_argument("--denoiser", type=_denoiser_kind, default=_DN.kind, help=f"{', '.join(DENOISER_KINDS)} (default %(default)s)")
+    _add_field_flags(denoise_cmd, "dn", _DN)
     _add_depth_flag(denoise_cmd)
     denoise_cmd.set_defaults(handler=_stage(Plane, lambda args, plane: denoise_plane(plane, DenoiserConfig(args.denoiser, **_fields(args, "dn")))))
 
@@ -288,8 +266,8 @@ def _build_parser() -> _Parser:
     demosaic_cmd.add_argument("--in", required=True, help="input PGM mosaic")
     demosaic_cmd.add_argument("--out", required=True, help="output PPM")
     _add_pattern_flag(demosaic_cmd)
-    demosaic_cmd.add_argument("--demosaicker", type=_demosaicker_kind, default=_DM.kind, help="bilinear, gradient, or joint-bilateral (default %(default)s)")
-    _add_field_flags(demosaic_cmd, "jb", _DM, _JOINT_FIELDS)
+    demosaic_cmd.add_argument("--demosaicker", type=_demosaicker_kind, default=_DM.kind, help=f"{', '.join(DEMOSAICKER_KINDS)} (default %(default)s)")
+    _add_field_flags(demosaic_cmd, "jb", _DM)
     _add_depth_flag(demosaic_cmd)
     demosaic_cmd.set_defaults(
         handler=_stage(Plane, lambda args, plane: demosaic(MosaicImage(args.pattern, plane), DemosaickerConfig(args.demosaicker, **_fields(args, "jb"))))
@@ -298,18 +276,18 @@ def _build_parser() -> _Parser:
     pipeline_cmd = commands.add_parser("pipeline", help="run one strategy end to end and print its CSV record")
     pipeline_cmd.add_argument("--in", required=True, help="reference PPM (P6)")
     pipeline_cmd.add_argument("--out", default=None, help="optional output PPM of the reconstruction")
-    pipeline_cmd.add_argument("--strategy", type=_parsed(Strategy.parse), default=Strategy.AFTER, help="after, joint, or before (default after)")
+    pipeline_cmd.add_argument("--strategy", type=_parsed(Strategy.parse), default=Strategy.AFTER, help=f"{', '.join(s.value for s in Strategy)} (default {Strategy.AFTER.value})")
     _add_pattern_flag(pipeline_cmd)
     _add_sigma_flags(pipeline_cmd)
-    pipeline_cmd.add_argument("--denoiser", type=_denoiser_kind, default=_DN.kind, help="denoiser kind (default %(default)s)")
-    _add_field_flags(pipeline_cmd, "dn", _DN, _DENOISER_FIELDS)
+    pipeline_cmd.add_argument("--denoiser", type=_denoiser_kind, default=_DN.kind, help=f"{', '.join(DENOISER_KINDS)} (default %(default)s)")
+    _add_field_flags(pipeline_cmd, "dn", _DN)
     pipeline_cmd.add_argument(
         "--demosaicker",
         type=_demosaicker_kind,
         default=None,
-        help=f"bilinear, gradient, or joint-bilateral (default: {_DM.kind}; joint strategy always uses {_GRID.joint_demosaicker.kind})",
+        help=f"{', '.join(DEMOSAICKER_KINDS)} (default: {_DM.kind}; joint strategy always uses {_GRID.joint_demosaicker.kind})",
     )
-    _add_field_flags(pipeline_cmd, "jb", _DM, _JOINT_FIELDS)
+    _add_field_flags(pipeline_cmd, "jb", _DM)
     _add_depth_flag(pipeline_cmd)
     pipeline_cmd.set_defaults(handler=_cmd_pipeline)
 
@@ -331,8 +309,8 @@ def _build_parser() -> _Parser:
     experiment_cmd.add_argument("--jobs", type=_count, default=None, help="worker processes, at most the CPU count (default: CPU count)")
     experiment_cmd.add_argument("--timing", action="store_true", help="record wall time per run (off by default so CSVs are reproducible)")
     _add_pattern_flag(experiment_cmd)
-    _add_field_flags(experiment_cmd, "dn", _DN, _DENOISER_FIELDS)
-    _add_field_flags(experiment_cmd, "jb", _DM, _JOINT_FIELDS)
+    _add_field_flags(experiment_cmd, "dn", _DN)
+    _add_field_flags(experiment_cmd, "jb", _DM)
     experiment_cmd.set_defaults(handler=_cmd_experiment)
 
     return parser

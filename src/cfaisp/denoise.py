@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cfaisp.cfa import SubImages
 from cfaisp.imageio import _STRIP, DimensionError, Plane, _tiles
-from cfaisp.noise import SIGMA_RANGE, estimate_sigma, is_int, sigma_in_range
+from cfaisp.noise import SIGMA, Rule, estimate_sigma, is_int, is_real
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -51,23 +51,47 @@ RADIUS_MAX = math.ceil(3 * SIGMA_S_MAX)
 LEVELS_MAX = 10
 
 
-# Each config field a method can read: its range test, how error messages
-# word that test, and how describe() renders the value. The CLI types its
-# parameter flags with the same tests and wording.
+def _number_or_auto(text: str) -> Optional[float]:
+    """sigma_n's text form: a number, or 'auto' (any case) for None."""
+    if text.strip().lower() == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected a number or 'auto', got {text!r}") from None
+
+
+class ConfigField(NamedTuple):
+    """A method config field: its text parse, its rule, how describe() shows it, and what it means."""
+
+    parse: Callable[[str], Any]
+    rule: Rule
+    show: Callable[[Any], str]
+    meaning: str
+
+
+# Each config field a method can read. The CLI builds one flag per field of
+# DenoiserConfig and DemosaickerConfig from this table, and each show is
+# read back by its parse.
 CONFIG_FIELDS = {
-    "sigma_s": (lambda v: math.isfinite(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}", "{:g}".format),
-    "sigma_r": (lambda v: v > 0, "> 0", "{:g}".format),
-    "radius": (lambda v: is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]", str),
-    "levels": (lambda v: is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]", str),
-    "sigma_n": (lambda v: v is None or sigma_in_range(v), SIGMA_RANGE, lambda v: "auto" if v is None else f"{v:g}"),
+    "sigma_s": ConfigField(
+        float, Rule(lambda v: is_real(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}"), "{:g}".format, "spatial sigma in pixels (gaussian, bilateral, joint-bilateral)"
+    ),
+    "radius": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]"), str, "median window radius"),
+    "sigma_r": ConfigField(
+        float, Rule(lambda v: is_real(v) and v > 0, "> 0"), "{:g}".format, "range sigma (bilateral, joint-bilateral), or inf for spatial weights only"
+    ),
+    "levels": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]"), str, "wavelet decomposition levels"),
+    "sigma_n": ConfigField(
+        _number_or_auto, Rule(lambda v: v is None or SIGMA.test(v), SIGMA.need), lambda v: "auto" if v is None else f"{v:g}", "wavelet noise level, or 'auto' to estimate it per plane"
+    ),
 }
 
 
-def _check_field(name: str, value) -> None:
-    """Raise ValueError if value is outside the range of the config field name."""
-    test, need, _ = CONFIG_FIELDS[name]
-    if not test(value):
-        raise ValueError(f"{name} must be {need}, got {value}")
+def _check_fields(**values) -> None:
+    """Raise ValueError for the first value outside the range of its config field."""
+    for name, value in values.items():
+        CONFIG_FIELDS[name].rule.check(name, value)
 
 
 def check_method(config, table: dict, family: str) -> None:
@@ -78,13 +102,12 @@ def check_method(config, table: dict, family: str) -> None:
     """
     if config.kind not in table:
         raise ValueError(f"unknown {family} kind {config.kind!r}; expected one of {tuple(table)}")
-    for name in table[config.kind][1]:
-        _check_field(name, getattr(config, name))
+    _check_fields(**{name: getattr(config, name) for name in table[config.kind][1]})
 
 
 def describe_method(config, table: dict) -> str:
     """Comma-free descriptor kind(field=value ...) over the fields the kind reads."""
-    params = " ".join(f"{name}={CONFIG_FIELDS[name][2](getattr(config, name))}" for name in table[config.kind][1])
+    params = " ".join(f"{name}={CONFIG_FIELDS[name].show(getattr(config, name))}" for name in table[config.kind][1])
     return f"{config.kind}({params})" if params else config.kind
 
 
@@ -254,7 +277,7 @@ def denoise_gaussian(plane: Plane, sigma_s: float) -> Plane:
     column it mirrors, so its blur is that column's blur, and the horizontal
     pass reads a plane already padded. One pad serves both passes.
     """
-    _check_field("sigma_s", sigma_s)
+    _check_fields(sigma_s=sigma_s)
     kernel = _gaussian_kernel(sigma_s)
     r = len(kernel) // 2
     h, w = plane.data.shape
@@ -304,7 +327,7 @@ def denoise_median(plane: Plane, radius: int) -> Plane:
     mirror-padded plane; a larger window takes the middle element of a
     partition over each tile's windows.
     """
-    _check_field("radius", radius)
+    _check_fields(radius=radius)
     h, w = plane.data.shape
     at = _shifted(plane.data, radius)
     side = 2 * radius + 1
@@ -338,8 +361,7 @@ def _bilateral(data, guide, sigma_s, sigma_r, step=1, bucket=lambda row, col: No
     strip. A strip runs every offset, in row-major window order, into
     strip-sized buffers written in place, so its working set stays in cache.
     """
-    _check_field("sigma_s", sigma_s)
-    _check_field("sigma_r", sigma_r)
+    _check_fields(sigma_s=sigma_s, sigma_r=sigma_r)
     inv_2ss = 1.0 / _two_variance("sigma_s", sigma_s)
     inv_2sr = 1.0 / _two_variance("sigma_r", sigma_r)
     radius = math.ceil(3.0 * sigma_s)
@@ -419,8 +441,7 @@ def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) 
     sides are not multiples of 2**levels is mirror-padded at the bottom and
     right up to the next multiples, and the result is cropped back.
     """
-    _check_field("levels", levels)
-    _check_field("sigma_n", sigma_n)
+    _check_fields(levels=levels, sigma_n=sigma_n)
     if sigma_n is None:
         # The bound is on the caller's sigma_n: under sigma = SIGMA_MAX noise
         # a plane's own estimate can exceed it.

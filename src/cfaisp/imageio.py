@@ -1,4 +1,4 @@
-"""Image containers, binary Netpbm codec, and CSV serialization.
+"""Image containers, binary Netpbm codec, and the experiment record and its CSV.
 
 Images are carried as float64 arrays with a nominal [0, 1] sample range.
 File exchange uses the binary Netpbm formats only: P5 (grayscale) and
@@ -7,7 +7,7 @@ P6 (RGB), at 8 or 16 bits per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -228,10 +228,31 @@ def encode_pnm(image: Union[Plane, RgbImage], bit_depth: int = 8) -> bytes:
     return b"".join((header, raster.data))
 
 
-CSV_HEADER = (
-    "image,pattern,strategy,denoiser,demosaicker,sigma_r,sigma_g,sigma_b,seed,"
-    "mse_r,mse_g,mse_b,psnr_r_db,psnr_g_db,psnr_b_db,cpsnr_db,wall_ms"
-)
+@dataclass(frozen=True)
+class ExperimentRecord:
+    """One scored pipeline run; its fields, in order, are the CSV columns."""
+
+    image: str
+    pattern: str
+    strategy: str
+    denoiser: str
+    demosaicker: str
+    sigma_r: float
+    sigma_g: float
+    sigma_b: float
+    seed: int
+    mse_r: float
+    mse_g: float
+    mse_b: float
+    psnr_r_db: float
+    psnr_g_db: float
+    psnr_b_db: float
+    cpsnr_db: float
+    wall_ms: float
+
+
+CSV_HEADER = ",".join(field.name for field in fields(ExperimentRecord))
+
 
 def format_float(value: float) -> str:
     """Render a float with 6 significant digits, no exponent notation."""
@@ -242,24 +263,29 @@ def format_float(value: float) -> str:
     return text[:-1] if text.endswith(".") else text
 
 
-def write_csv(records: Iterable) -> bytes:
-    """Serialize experiment records to CSV bytes, one column per CSV_HEADER name.
+def check_text(name: str, value: str) -> None:
+    """Raise ValueError unless value can be a CSV text cell, written verbatim."""
+    if "," in value or "\n" in value or "\r" in value:
+        raise ValueError(f"CSV field {name}={value!r} contains a separator")
 
-    Text values are written verbatim and must not contain separators; the
-    seed is written as an integer and every other value with format_float,
-    so equal results serialize to identical bytes.
+
+def write_csv(records: Iterable[ExperimentRecord]) -> bytes:
+    """Serialize experiment records to CSV bytes, one column per ExperimentRecord field.
+
+    Each cell is written as its field's declared type: text verbatim (it
+    must pass check_text), an int as an integer and a float with
+    format_float, so equal results serialize to identical bytes.
     """
-    names = CSV_HEADER.split(",")
+    columns = [(field.name, field.type) for field in fields(ExperimentRecord)]
     lines = [CSV_HEADER]
     for record in records:
         cells = []
-        for name in names:
+        for name, kind in columns:
             value = getattr(record, name)
-            if isinstance(value, str):
-                if "," in value or "\n" in value or "\r" in value:
-                    raise ValueError(f"CSV field {name}={value!r} contains a separator")
+            if kind == "str":
+                check_text(name, value)
                 cells.append(value)
             else:
-                cells.append(str(int(value)) if name == "seed" else format_float(value))
+                cells.append(str(int(value)) if kind == "int" else format_float(value))
         lines.append(",".join(cells))
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -9,7 +9,9 @@ same negative and above-range excursions a real sensor pipeline would.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -21,28 +23,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO_UNIT = 2.0**-53
 
-# The largest noise sigma, a thousand times the [0, 1] sample range: every
-# square the pipeline takes of a noisy sample or of sigma stays far inside
-# float range, so a huge sigma is one ValueError, not an overflow later.
-SIGMA_MAX = 1e3
-SIGMA_RANGE = f"finite, >= 0 and <= {SIGMA_MAX:g}"
-
-# A noise seed starts a SplitMix64 stream, whose state is 64 unsigned bits.
-SEED_RANGE = "an integer in [0, 2^64)"
-
 # MAD-to-sigma factor for a zero-mean normal: 1 / Phi^-1(3/4).
 _MAD_SCALE = 0.6745
-
-
-def sigma_in_range(value: float) -> bool:
-    """Whether value is a valid noise sigma, as SIGMA_RANGE words it (NaN is not)."""
-    return 0 <= value <= SIGMA_MAX
-
-
-def check_sigma(name: str, value: float) -> None:
-    """Raise ValueError naming name if value is not a valid noise sigma."""
-    if not sigma_in_range(value):
-        raise ValueError(f"{name} must be {SIGMA_RANGE}, got {value}")
 
 
 def is_int(value) -> bool:
@@ -50,15 +32,40 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def seed_in_range(value) -> bool:
-    """Whether value is a valid noise seed, as SEED_RANGE words it."""
-    return is_int(value) and 0 <= value < 2**64
+def is_real(value) -> bool:
+    """True for Python and numpy real numbers, integers among them; False for bools and text."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_seed(name: str, value) -> None:
-    """Raise ValueError naming name if value is not a valid noise seed."""
-    if not seed_in_range(value):
-        raise ValueError(f"{name} must be {SEED_RANGE}, got {value!r}")
+@dataclass(frozen=True)
+class Rule:
+    """The one rule type of every checked value: test(value) says whether it holds, need words it."""
+
+    test: Callable[[Any], bool]
+    need: str
+
+    def complaint(self, shown: str) -> str:
+        """What is wrong with a value that breaks the rule, given the value's text."""
+        return f"must be {self.need}, got {shown}"
+
+    def check(self, name: str, value) -> None:
+        """Raise ValueError naming name if value breaks the rule; a numpy scalar shows as its Python value."""
+        if not self.test(value):
+            shown = value.item() if isinstance(value, np.generic) else value
+            raise ValueError(f"{name} {self.complaint(repr(shown))}")
+
+
+# The largest noise sigma, a thousand times the [0, 1] sample range: every
+# square the pipeline takes of a noisy sample or of sigma stays far inside
+# float range, so a huge sigma is one ValueError, not an overflow later.
+SIGMA_MAX = 1e3
+SIGMA = Rule(lambda v: is_real(v) and 0 <= v <= SIGMA_MAX, f"finite, >= 0 and <= {SIGMA_MAX:g}")
+# A noise seed starts a SplitMix64 stream, whose state is 64 unsigned bits.
+SEED = Rule(lambda v: is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)")
+# A number of repeats or of workers.
+COUNT = Rule(lambda v: is_int(v) and v >= 1, "an integer >= 1")
+# A number of noise samples to draw.
+_SAMPLES = Rule(lambda v: is_int(v) and v >= 0, "an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,8 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         for name in ("sigma_r", "sigma_g", "sigma_b"):
-            check_sigma(name, getattr(self, name))
-        check_seed("seed", self.seed)
+            SIGMA.check(name, getattr(self, name))
+        SEED.check("seed", self.seed)
 
     @classmethod
     def uniform(cls, sigma: float, seed: int = 0) -> "NoiseSpec":
@@ -104,9 +111,8 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
     are made _STRIP at a time in reused buffers that stay in cache, and
     written straight into place.
     """
-    check_seed("seed", seed)
-    if not (is_int(count) and count >= 0):
-        raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    SEED.check("seed", seed)
+    _SAMPLES.check("count", count)
     pairs = (count + 1) // 2
     out = np.empty(2 * pairs, dtype=np.float64)
     block = min(pairs, _STRIP)

@@ -29,10 +29,13 @@ import numpy as np
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
-from cfaisp.imageio import DimensionError, Plane, RgbImage
-from cfaisp.noise import NoiseSpec, add_awgn, check_seed, check_sigma, is_int
+from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_text
+from cfaisp.noise import COUNT, SEED, SIGMA, NoiseSpec, add_awgn
 
 METRIC_CROP = 4
+# The smallest side a pipeline run takes: the smallest even side that the
+# metric crop leaves samples in.
+MIN_SIDE = 2 * METRIC_CROP + 2
 
 T = TypeVar("T")
 
@@ -63,12 +66,6 @@ def check_pairing(strategy: Strategy, dm: DemosaickerConfig) -> None:
         raise ValueError(f"strategy joint runs the joint-bilateral demosaicker, not {dm.kind}")
     if strategy is not Strategy.JOINT and dm.is_joint:
         raise ValueError("strategies after and before need a non-joint demosaicker; joint-bilateral runs only with strategy joint")
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError naming name unless value is an integer >= 1."""
-    if not (is_int(value) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def mse(a: Plane, b: Plane, crop: int = 0) -> float:
@@ -104,29 +101,6 @@ def cpsnr(truth: RgbImage, test: RgbImage, crop: int = 0) -> float:
     return psnr(sum(channel_mses) / 3.0)
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One scored pipeline run; field order matches the CSV column order."""
-
-    image: str
-    pattern: str
-    strategy: str
-    denoiser: str
-    demosaicker: str
-    sigma_r: float
-    sigma_g: float
-    sigma_b: float
-    seed: int
-    mse_r: float
-    mse_g: float
-    mse_b: float
-    psnr_r_db: float
-    psnr_g_db: float
-    psnr_b_db: float
-    cpsnr_db: float
-    wall_ms: float
-
-
 def _timed(make: Callable[[], T]) -> tuple[T, float]:
     """make() and the seconds it took."""
     start = time.perf_counter()
@@ -150,8 +124,14 @@ def _run_group(
     Each shared stage keeps the time it took, and every run that uses it
     counts that time, so wall_ms is the run's full cost, from mosaicking to
     the demosaicked result, as if it had run alone. Results are yielded one
-    at a time, so only the shared stages are kept.
+    at a time, so only the shared stages are kept. The image id must be a CSV
+    text cell and each side at least MIN_SIDE; both are checked before the
+    first stage runs.
     """
+    check_text("image", image_id)
+    h, w = truth.r.data.shape
+    if min(h, w) < MIN_SIDE:
+        raise DimensionError(f"a pipeline run needs an image of at least {MIN_SIDE}x{MIN_SIDE}, got {w}x{h}")
     cache: dict[object, tuple[Any, float]] = {}
 
     def shared(key: object, make: Callable[[], T]) -> tuple[T, float]:
@@ -263,12 +243,12 @@ class ExperimentGrid:
         if not self.strategies or not self.sigmas or not self.denoisers or not self.demosaickers:
             raise ValueError("grid axes must be non-empty")
         for sigma in self.sigmas:
-            check_sigma("sigma", sigma)
+            SIGMA.check("sigma", sigma)
         # The demosaickers axis serves after and before, which pair alike.
         for dm in self.demosaickers:
             check_pairing(Strategy.AFTER, dm)
         check_pairing(Strategy.JOINT, self.joint_demosaicker)
-        _check_count("repeats", self.repeats)
+        COUNT.check("repeats", self.repeats)
 
     def points(self) -> Iterator[tuple[Strategy, float, DenoiserConfig, DemosaickerConfig, int]]:
         """Grid points in deterministic order; repeats vary fastest."""
@@ -349,9 +329,9 @@ def run_experiment(
     the sweep and stops the pool's workers, with the offending grid point
     named, the same point whatever jobs is.
     """
-    check_seed("master_seed", master_seed)
+    SEED.check("master_seed", master_seed)
     if jobs is not None:
-        _check_count("jobs", jobs)
+        COUNT.check("jobs", jobs)
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must not be empty")

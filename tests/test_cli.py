@@ -1,5 +1,6 @@
 """Command-line interface tests, run in-process through main()."""
 
+import dataclasses
 import math
 import os
 import re
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, mosaic_from_rgb, recompose
-from cfaisp.cli import main
+import cfaisp.pipeline as pipeline
+from cfaisp.cli import _build_parser, main
 from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear
-from cfaisp.denoise import DenoiserConfig
+from cfaisp.denoise import CONFIG_FIELDS, DenoiserConfig
 from cfaisp.imageio import Plane, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec
 from cfaisp.pipeline import Strategy, run_pipeline
@@ -279,6 +281,78 @@ class TestPipelineCommand:
         want = write_csv([record]).decode("ascii").splitlines()[1].split(",")
         assert got[:16] == want[:16]
         assert "sigma_r=inf" in got[3] + got[4]
+
+
+def _count_noise_calls(monkeypatch):
+    """Count the pipeline's add_awgn calls, its first stage after mosaicking."""
+    calls = []
+    add_awgn = pipeline.add_awgn
+    monkeypatch.setattr(pipeline, "add_awgn", lambda *args: calls.append(1) or add_awgn(*args))
+    return calls
+
+
+class TestRejectedBeforeAnyStage:
+    def test_separator_in_pipeline_image_name(self, tmp_path, capsys, monkeypatch):
+        calls = _count_noise_calls(monkeypatch)
+        src = _write_ppm(tmp_path / "a,b.ppm", _rgb())
+        out = tmp_path / "o.ppm"
+        assert main(["pipeline", "--in", src, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: CSV field image='a,b.ppm' contains a separator\n"
+        assert not out.exists() and not calls
+
+    def test_separator_in_experiment_image_name(self, tmp_path, capsys, monkeypatch):
+        calls = _count_noise_calls(monkeypatch)
+        src = _write_ppm(tmp_path / "a,b.ppm", _rgb())
+        out = tmp_path / "r.csv"
+        assert main(["experiment", src, "--jobs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("CSV field image='a,b.ppm' contains a separator\n") and err.count("\n") == 1
+        assert not out.exists() and not calls
+
+    @pytest.mark.parametrize("strategy", ["after", "joint", "before"])
+    def test_image_below_the_minimum_side(self, tmp_path, capsys, monkeypatch, strategy):
+        calls = _count_noise_calls(monkeypatch)
+        src = _write_ppm(tmp_path / "small.ppm", _rgb(size=8))
+        assert main(["pipeline", "--in", src, "--strategy", strategy, "--out", str(tmp_path / "o.ppm")]) == 2
+        assert capsys.readouterr().err == "error: a pipeline run needs an image of at least 10x10, got 8x8\n"
+        assert not (tmp_path / "o.ppm").exists() and not calls
+
+    def test_stage_commands_take_smaller_images(self, tmp_path):
+        src = _write_ppm(tmp_path / "small.ppm", _rgb(size=2))
+        mosaic, noisy = tmp_path / "m.pgm", tmp_path / "n.pgm"
+        assert main(["mosaic", "--in", src, "--out", str(mosaic)]) == 0
+        assert main(["noise", "--in", str(mosaic), "--out", str(noisy)]) == 0
+        assert main(["demosaic", "--in", str(noisy), "--out", str(tmp_path / "d.ppm")]) == 0
+
+
+# The commands that take each method family's parameter flags.
+_FAMILIES = [
+    ("dn", DenoiserConfig(), ["denoise", "pipeline", "experiment"]),
+    ("jb", DemosaickerConfig(), ["demosaic", "pipeline", "experiment"]),
+]
+_REQUIRED = {"denoise": ["--in", "i", "--out", "o"], "demosaic": ["--in", "i", "--out", "o"], "pipeline": ["--in", "i"], "experiment": ["i.ppm"]}
+
+
+class TestFlagsFromConfigFields:
+    @pytest.mark.parametrize("prefix,defaults,commands", _FAMILIES, ids=["dn", "jb"])
+    def test_one_flag_per_field_with_the_config_default(self, prefix, defaults, commands):
+        names = [field.name for field in dataclasses.fields(defaults) if field.name != "kind"]
+        for command in commands:
+            args = vars(_build_parser().parse_args([command, *_REQUIRED[command]]))
+            assert {dest for dest in args if dest.startswith(f"{prefix}_")} == {f"{prefix}_{name}" for name in names}
+            for name in names:
+                assert args[f"{prefix}_{name}"] == getattr(defaults, name)
+
+    @pytest.mark.parametrize("prefix,defaults,commands", _FAMILIES, ids=["dn", "jb"])
+    def test_flag_text_is_the_field_text_form(self, prefix, defaults, commands):
+        for field in dataclasses.fields(defaults):
+            if field.name == "kind":
+                continue
+            spec, default = CONFIG_FIELDS[field.name], getattr(defaults, field.name)
+            flag = f"--{prefix}-{field.name.replace('_', '-')}"
+            for command in commands:
+                args = _build_parser().parse_args([command, *_REQUIRED[command], flag, spec.show(default)])
+                assert getattr(args, f"{prefix}_{field.name}") == default
 
 
 class TestExperimentCommand:

@@ -6,6 +6,7 @@ filters must satisfy (DC preservation, impulse response, edge behavior).
 The wavelet path gets a fully independent block-Haar + threshold oracle.
 """
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from scipy.ndimage import convolve1d, median_filter
 from cfaisp import denoise
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose
 from cfaisp.denoise import (
+    CONFIG_FIELDS,
     DenoiserConfig,
     WaveletPyramid,
     denoise_bilateral,
@@ -670,6 +672,32 @@ class TestTranslationEquivariance:
         a = full[1 + crop : 24 - crop, 1 + crop : 26 - crop]
         b = moved[crop : 23 - crop, crop : 25 - crop]
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+# One non-default value per config field, which its text form must carry exactly.
+_OTHER_VALUES = {"sigma_s": 2.5, "radius": 2, "sigma_r": math.inf, "levels": 4, "sigma_n": 0.05}
+
+
+class TestConfigFields:
+    def test_every_config_field_is_in_the_table(self):
+        for config in (DenoiserConfig, DemosaickerConfig):
+            names = {field.name for field in dataclasses.fields(config)} - {"kind"}
+            assert names <= set(CONFIG_FIELDS) == set(_OTHER_VALUES)
+
+    @pytest.mark.parametrize("name", CONFIG_FIELDS)
+    def test_show_reads_back(self, name):
+        field = CONFIG_FIELDS[name]
+        defaults = [getattr(config(), name) for config in (DenoiserConfig, DemosaickerConfig) if hasattr(config(), name)]
+        for value in [*defaults, _OTHER_VALUES[name]]:
+            field.rule.check(name, value)
+            assert field.parse(field.show(value)) == value
+
+    def test_sigma_n_auto_is_none(self):
+        field = CONFIG_FIELDS["sigma_n"]
+        assert field.show(None) == "auto"
+        assert field.parse("auto") is None and field.parse(" AUTO ") is None
+        with pytest.raises(ValueError, match=r"^expected a number or 'auto', got 'often'$"):
+            field.parse("often")
 
 
 class TestConfigAndDispatch:

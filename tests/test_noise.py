@@ -2,6 +2,7 @@
 statistical behavior of the injected noise, and the robust sigma estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from cfaisp import noise
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at
 from cfaisp.imageio import DimensionError, Plane
-from cfaisp.noise import NoiseSpec, add_awgn, estimate_sigma, normal_field, standard_normals
+from cfaisp.denoise import CONFIG_FIELDS, DenoiserConfig
+from cfaisp.noise import SIGMA, NoiseSpec, add_awgn, estimate_sigma, normal_field, standard_normals
+from cfaisp.pipeline import ExperimentGrid
 
 _M64 = (1 << 64) - 1
 
@@ -137,6 +140,48 @@ class TestStandardNormals:
     def test_field_is_row_major(self):
         field = normal_field(13, 6, 9)
         np.testing.assert_array_equal(field.ravel(), standard_normals(13, 54))
+
+
+# The float rules: the noise sigma and every float field of a method config.
+_FLOAT_RULES = {"sigma": SIGMA, **{name: CONFIG_FIELDS[name].rule for name in ("sigma_s", "sigma_r", "sigma_n")}}
+
+
+class TestFloatRules:
+    @pytest.mark.parametrize("name", _FLOAT_RULES)
+    @pytest.mark.parametrize("value,shown", [(True, "True"), (False, "False"), (np.True_, "True"), ("1", "'1'"), ("0.1", "'0.1'"), (b"1", "b'1'")])
+    def test_bools_and_text_are_value_errors(self, name, value, shown):
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(shown)}$"):
+            _FLOAT_RULES[name].check(name, value)
+
+    @pytest.mark.parametrize("value,shown", [(np.float64(-1.0), "-1.0"), (np.float32(-0.5), "-0.5"), (np.int64(-2), "-2")])
+    def test_numpy_scalars_show_as_their_values(self, value, shown):
+        with pytest.raises(ValueError, match=rf"^sigma_g must be finite, >= 0 and <= 1000, got {re.escape(shown)}$"):
+            NoiseSpec(sigma_r=0.1, sigma_g=value, sigma_b=0.1)
+
+    @pytest.mark.parametrize("name", _FLOAT_RULES)
+    @pytest.mark.parametrize("value", [1, np.int64(1), 0.5, np.float64(0.5), np.float32(0.5)])
+    def test_real_numbers_pass(self, name, value):
+        _FLOAT_RULES[name].check(name, value)
+
+    def test_zero_int_is_a_sigma(self):
+        SIGMA.check("sigma", 0)
+        assert NoiseSpec.uniform(0).sigma_g == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NoiseSpec(sigma_r=True, sigma_g=0.1, sigma_b=0.1),
+            lambda: NoiseSpec.uniform("0.1"),
+            lambda: ExperimentGrid(sigmas=(True,)),
+            lambda: DenoiserConfig(kind="gaussian", sigma_s=True),
+            lambda: DenoiserConfig(kind="gaussian", sigma_s="1"),
+            lambda: DenoiserConfig(kind="bilateral", sigma_r=False),
+            lambda: DenoiserConfig(kind="wavelet", sigma_n="0.1"),
+        ],
+    )
+    def test_configs_reject_bools_and_text(self, make):
+        with pytest.raises(ValueError, match=" must be "):
+            make()
 
 
 class TestNoiseSpec:

@@ -631,6 +631,30 @@ class TestSharedStages:
             run_experiment([("tiny", tiny)], grid, jobs=1)
 
 
+class TestMinimumSide:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_below_the_minimum_no_stage_runs(self, strategy, monkeypatch):
+        calls = Counter()
+        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "demosaic", "denoise_plane", "denoise_subimages"):
+            monkeypatch.setattr(pipeline, name, lambda *args, name=name: calls.update([name]))
+        dm = JOINT if strategy is Strategy.JOINT else BILINEAR
+        for size in (2, 8):
+            with pytest.raises(DimensionError, match=rf"^a pipeline run needs an image of at least 10x10, got {size}x{size}$"):
+                run_pipeline(_ramp_image(size), CfaPattern.GBRG, NoiseSpec.uniform(0.05), strategy, WAVELET, dm)
+        with pytest.raises(RuntimeError, match="at least 10x10, got 8x8"):
+            run_experiment([("small", _ramp_image(8))], ExperimentGrid(strategies=(strategy,)), jobs=1)
+        assert not calls
+
+    @pytest.mark.parametrize("dn", ["none", "gaussian", "median", "bilateral", "wavelet"])
+    def test_every_run_works_at_the_minimum(self, dn):
+        points = [(s, DenoiserConfig(kind=dn), DemosaickerConfig(kind=k)) for s in (Strategy.AFTER, Strategy.BEFORE) for k in ("bilinear", "gradient")]
+        points.append((Strategy.JOINT, DenoiserConfig(kind=dn), JOINT))
+        truth = _textured_image(10)
+        for strategy, dn_config, dm in points:
+            result, record = run_pipeline(truth, CfaPattern.GBRG, NoiseSpec.uniform(0.05, seed=2), strategy, dn_config, dm)
+            assert result.r.data.shape == (10, 10) and math.isfinite(record.cpsnr_db)
+
+
 class TestStrategyParse:
     def test_parse_values(self):
         assert Strategy.parse("after") is Strategy.AFTER
