@@ -25,11 +25,10 @@ into its four contiguous phase planes, and a step-2 view is a slice of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from cfaisp.cfa import MosaicImage, color_at
+from cfaisp.cfa import MosaicImage
 from cfaisp.denoise import _bilateral, _shifted, check_method, describe_method
 from cfaisp.imageio import Plane, RgbImage
 
@@ -209,12 +208,13 @@ def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float
     """Bilateral interpolation over same-color sites, guided by bilinear G.
 
     One call of the shared bilateral kernel walks all four 2x2 tile sites,
-    bucketed by color. Filtering the measured sites too is what makes this a
-    joint demosaick-denoise rather than interpolation.
+    reading their colors from the mosaic's pattern, into stacked R, G, B
+    means. Filtering the measured sites too makes this a joint
+    demosaick-denoise rather than interpolation.
     """
     guide = demosaic_bilinear(mosaic).g.data
-    means = _bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, 2, partial(color_at, mosaic.pattern))
-    return RgbImage(*(Plane._adopt(means[color]) for color in "RGB"))
+    means = _bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, mosaic.pattern)
+    return RgbImage(*(Plane._adopt(mean) for mean in means))
 
 
 def demosaic(mosaic: MosaicImage, config: DemosaickerConfig) -> RgbImage:

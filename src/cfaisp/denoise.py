@@ -61,6 +61,12 @@ def _number_or_auto(text: str) -> Optional[float]:
         raise ValueError(f"expected a number or 'auto', got {text!r}") from None
 
 
+def _show_real(v: float) -> str:
+    """float(v) in %g form when that reads back to it, else its repr, which always does."""
+    v = float(v)
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
+
+
 class ConfigField(NamedTuple):
     """A method config field: its text parse, its rule, how describe() shows it, and what it means."""
 
@@ -75,15 +81,13 @@ class ConfigField(NamedTuple):
 # read back by its parse.
 CONFIG_FIELDS = {
     "sigma_s": ConfigField(
-        float, Rule(lambda v: is_real(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}"), "{:g}".format, "spatial sigma in pixels (gaussian, bilateral, joint-bilateral)"
+        float, Rule(lambda v: is_real(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}"), _show_real, "spatial sigma in pixels (gaussian, bilateral, joint-bilateral)"
     ),
     "radius": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]"), str, "median window radius"),
-    "sigma_r": ConfigField(
-        float, Rule(lambda v: is_real(v) and v > 0, "> 0"), "{:g}".format, "range sigma (bilateral, joint-bilateral), or inf for spatial weights only"
-    ),
+    "sigma_r": ConfigField(float, Rule(lambda v: is_real(v) and v > 0, "> 0"), _show_real, "range sigma (bilateral, joint-bilateral), or inf for spatial weights only"),
     "levels": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]"), str, "wavelet decomposition levels"),
     "sigma_n": ConfigField(
-        _number_or_auto, Rule(lambda v: v is None or SIGMA.test(v), SIGMA.need), lambda v: "auto" if v is None else f"{v:g}", "wavelet noise level, or 'auto' to estimate it per plane"
+        _number_or_auto, Rule(lambda v: v is None or SIGMA.test(v), SIGMA.need), lambda v: "auto" if v is None else _show_real(v), "wavelet noise level, or 'auto' to estimate it per plane"
     ),
 }
 
@@ -165,11 +169,9 @@ def dwt_haar(plane: Plane, levels: int) -> WaveletPyramid:
     filter pair preserves energy exactly, so the inverse below reconstructs
     to floating-point roundoff.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    _check_fields(levels=levels)
     h, w = plane.data.shape
-    factor = 2**levels
-    if h % factor or w % factor:
+    if h % 2**levels or w % 2**levels:
         raise DimensionError(f"dimensions {w}x{h} not divisible by 2^{levels}")
     current = plane.data
     details = []
@@ -344,40 +346,41 @@ def denoise_median(plane: Plane, radius: int) -> Plane:
     return Plane._adopt(out)
 
 
-def _bilateral(data, guide, sigma_s, sigma_r, step=1, bucket=lambda row, col: None) -> dict:
-    """Bilateral means of data, one full frame per bucket.
+def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
+    """Bilateral means of data, one full frame per bucket, stacked (buckets, h, w).
 
     Weights are exp(-d^2 / 2 sigma_s^2) exp(-(g_p - g_q)^2 / 2 sigma_r^2) over
-    a +/- ceil(3 sigma_s) window, g read from guide. A neighbour q joins p's
-    mean in bucket(row, col), q's full-frame site, and each bucket's frame
-    holds that mean for every p. bucket must repeat with period step; mirror
+    a +/- ceil(3 sigma_s) window, g read from guide. With no pattern, every
+    neighbour q joins p's one mean. With a CFA pattern, q joins p's mean in
+    bucket R, G or B, the color pattern.sites gives q's tile site; mirror
     reflection keeps an index's parity on an even-size frame, so a bucket
-    keyed by tile site holds one color at the borders too. A weight sum
-    below the smallest normal float takes the spatial-only mean (the
-    sigma_r -> inf limit).
+    holds one color at the borders too. A weight sum below the smallest
+    normal float takes the spatial-only mean (the sigma_r -> inf limit).
 
     The frame is walked one phase of the lattice [::step, ::step] at a time,
-    in strips of _STRIP samples, so a window offset feeds one bucket per
-    strip. A strip runs every offset, in row-major window order, into
+    step 2 with a pattern, in pattern.sites order, and in strips of _STRIP
+    samples. A strip runs every offset, in row-major window order, into
     strip-sized buffers written in place, so its working set stays in cache.
     """
     _check_fields(sigma_s=sigma_s, sigma_r=sigma_r)
     inv_2ss = 1.0 / _two_variance("sigma_s", sigma_s)
     inv_2sr = 1.0 / _two_variance("sigma_r", sigma_r)
     radius = math.ceil(3.0 * sigma_s)
+    step, buckets = (1, 1) if pattern is None else (2, 3)
+    sites = [(0, 0, 0)] if pattern is None else [(row, col, "RGB".index(color)) for row, col, color in pattern.sites]
+    tile = [k for _, _, k in sorted(sites)]  # the tile sites' buckets, row-major
     data_at = _shifted(data, radius, step)
     guide_at = data_at if guide is data else _shifted(guide, radius, step)
     offsets = range(-radius, radius + 1)
     window = [(dy, dx, math.exp(-(dy * dy + dx * dx) * inv_2ss)) for dy in offsets for dx in offsets]
-    sites = [(py, px) for py in range(step) for px in range(step)]
-    out = {key: np.empty(data.shape) for key in dict.fromkeys(bucket(py + dy, px + dx) for py, px in sites for dy, dx, _ in window)}
+    out = np.empty((buckets, *data.shape))
 
     def sums_at(y, x, n, m, inv_2sr):
-        """Weighted sums (num, den) per bucket for the n x m lattice samples from full-frame (y, x)."""
+        """Weighted sums (buckets, 2, n, m), each bucket's (num, den), for the n x m lattice samples from full-frame (y, x)."""
         center = guide_at(y, x, n, m)
         weight, term = np.empty((n, m)), np.empty((n, m))
-        # Accumulators made on first use inside the loop ran 15% slower at 512x512.
-        sums = {key: (np.zeros((n, m)), np.zeros((n, m))) for key in out}
+        sums = np.zeros((buckets, 2, n, m))
+        pairs = [tuple(pair) for pair in sums]
         for dy, dx, spatial in window:
             # -(d^2) * k and d^2 * -k round alike: negation is exact.
             np.subtract(guide_at(y + dy, x + dx, n, m), center, out=weight)
@@ -385,30 +388,27 @@ def _bilateral(data, guide, sigma_s, sigma_r, step=1, bucket=lambda row, col: No
             np.multiply(weight, -inv_2sr, out=weight)
             np.exp(weight, out=weight)
             np.multiply(spatial, weight, out=weight)
-            num, den = sums[bucket(y + dy, x + dx)]
+            num, den = pairs[tile[(y + dy) % step * step + (x + dx) % step]]
             np.add(num, np.multiply(weight, data_at(y + dy, x + dx, n, m), out=term), out=num)
             np.add(den, weight, out=den)
         return sums
 
     tiny = np.finfo(np.float64).tiny
-    for py, px in sites:
+    for py, px, _ in sites:
         for top, left, n, m in _tiles(data.shape[0] // step, data.shape[1] // step, _STRIP):
             y, x = py + step * top, px + step * left
             sums = sums_at(y, x, n, m, inv_2sr)
-            underflow = {key: den < tiny for key, (_, den) in sums.items()}
+            underflow = sums[:, 1] < tiny
+            mean = out[:, y : y + step * n : step, x : x + step * m : step]
             # The fallback is a second sums_at call: a closure that called
             # itself would be a reference cycle, keeping each call's planes
             # alive until the next garbage collection.
-            spatial_only = None
-            if any(low.any() for low in underflow.values()):
+            if underflow.any():
                 spatial_only = sums_at(y, x, n, m, 0.0)
-                if any((den < tiny).any() for _, den in spatial_only.values()):
+                if (spatial_only[:, 1] < tiny).any():
                     raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
-            for key, (num, den) in sums.items():
-                mean = out[key][y : y + step * n : step, x : x + step * m : step]
-                if spatial_only:
-                    np.divide(*spatial_only[key], out=mean)
-                np.divide(num, den, out=mean, where=~underflow[key])
+                np.divide(spatial_only[:, 0], spatial_only[:, 1], out=mean)
+            np.divide(sums[:, 0], sums[:, 1], out=mean, where=~underflow)
     return out
 
 
@@ -418,8 +418,7 @@ def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:
     Each output sample is the weight-normalized mean of its +/- ceil(3 sigma_s)
     window, range-weighted on the plane itself; the center has weight 1.
     """
-    (mean,) = _bilateral(plane.data, plane.data, sigma_s, sigma_r).values()
-    return Plane._adopt(mean)
+    return Plane._adopt(_bilateral(plane.data, plane.data, sigma_s, sigma_r)[0])
 
 
 def _soft_threshold(band: np.ndarray, threshold: float) -> None:

@@ -190,9 +190,10 @@ class TestHaar:
         with pytest.raises(DimensionError):
             dwt_haar(Plane(np.zeros((34, 32))), 2)
 
-    def test_bad_levels(self):
-        with pytest.raises(ValueError):
-            dwt_haar(Plane(np.zeros((8, 8))), 0)
+    @pytest.mark.parametrize("levels", [0, 1.5, 11, True])
+    def test_bad_levels(self, levels):
+        with pytest.raises(ValueError, match=r"^levels must be an integer in \[1, 10\], got "):
+            dwt_haar(Plane(np.zeros((8, 8))), levels)
 
     def test_idwt_zero_pyramid(self):
         pyramid = WaveletPyramid(ll=np.zeros((2, 2)), details=((np.zeros((4, 4)),) * 3, (np.zeros((2, 2)),) * 3))
@@ -431,10 +432,11 @@ class TestBilateral:
         with pytest.raises(ValueError):
             denoise_bilateral(Plane(np.zeros((4, 4))), sigma_s, sigma_r)
 
-    # With 7-sample strips: a 2x2 lattice is one strip, a 5x3 one is three
-    # strips of two rows and one of one, and a 3x10 one has rows wider than
-    # a strip, cut into pieces of 7 and 3.
-    @pytest.mark.parametrize("lattice", [(2, 2), (5, 3), (3, 10)], ids=["one-strip", "remainder-strip", "wide-row"])
+    # With 7-sample strips: a 1x1 lattice, from a 2x2 mosaic, is one sample
+    # inside a window larger than the frame; a 2x2 lattice is one strip, a
+    # 5x3 one is three strips of two rows and one of one, and a 3x10 one has
+    # rows wider than a strip, cut into pieces of 7 and 3.
+    @pytest.mark.parametrize("lattice", [(1, 1), (2, 2), (5, 3), (3, 10)], ids=["one-sample", "one-strip", "remainder-strip", "wide-row"])
     @pytest.mark.parametrize("sigma_s,sigma_r", [(1.0, 0.1), (0.7, 1e-3), (1.5, math.inf)])
     def test_strip_walk_matches_the_whole_lattice_loop(self, monkeypatch, lattice, sigma_s, sigma_r):
         monkeypatch.setattr(denoise, "_STRIP", 7)
@@ -676,6 +678,8 @@ class TestTranslationEquivariance:
 
 # One non-default value per config field, which its text form must carry exactly.
 _OTHER_VALUES = {"sigma_s": 2.5, "radius": 2, "sigma_r": math.inf, "levels": 4, "sigma_n": 0.05}
+# Values that six significant digits do not tell apart or read back.
+_LONG_VALUES = {"sigma_s": (1.2345678, 1.2345671), "sigma_r": (1.2345678, 1.2345671), "sigma_n": (0.123456789,)}
 
 
 class TestConfigFields:
@@ -688,7 +692,7 @@ class TestConfigFields:
     def test_show_reads_back(self, name):
         field = CONFIG_FIELDS[name]
         defaults = [getattr(config(), name) for config in (DenoiserConfig, DemosaickerConfig) if hasattr(config(), name)]
-        for value in [*defaults, _OTHER_VALUES[name]]:
+        for value in [*defaults, _OTHER_VALUES[name], *_LONG_VALUES.get(name, ())]:
             field.rule.check(name, value)
             assert field.parse(field.show(value)) == value
 
@@ -708,6 +712,9 @@ class TestConfigAndDispatch:
         assert DenoiserConfig(kind="bilateral", sigma_s=1.2, sigma_r=0.08).describe() == "bilateral(sigma_s=1.2 sigma_r=0.08)"
         assert DenoiserConfig(kind="wavelet", levels=3).describe() == "wavelet(levels=3 sigma_n=auto)"
         assert DenoiserConfig(kind="wavelet", levels=2, sigma_n=0.05).describe() == "wavelet(levels=2 sigma_n=0.05)"
+        assert DenoiserConfig(kind="gaussian", sigma_s=1.2345678).describe() == "gaussian(sigma_s=1.2345678)"
+        assert DenoiserConfig(kind="gaussian", sigma_s=1.2345671).describe() == "gaussian(sigma_s=1.2345671)"
+        assert DenoiserConfig(kind="wavelet", levels=2, sigma_n=0.123456789).describe() == "wavelet(levels=2 sigma_n=0.123456789)"
 
     def test_descriptors_are_comma_free(self):
         for config in (
