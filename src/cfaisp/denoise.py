@@ -302,23 +302,16 @@ _MEDIAN9 = (
 )  # fmt: skip
 
 
-def _median9(p: list) -> np.ndarray:
-    """Elementwise median of nine same-shaped arrays; p's entries are replaced."""
-    own = [False] * 9  # p[k] is a buffer made here, free to overwrite
-    spare = None
+def _median9(views: list) -> np.ndarray:
+    """Elementwise median of nine same-shaped arrays, run on copies made here."""
+    p = [np.array(view) for view in views]
+    spare = np.empty_like(p[0])
     for i, j, keep in _MEDIAN9:
-        if keep == "both":
-            lo = np.minimum(p[i], p[j], out=spare)
-            spare = p[i] if own[i] else None
-            p[j] = np.maximum(p[i], p[j], out=p[j] if own[j] else None)
-            p[i] = lo
-            own[i] = own[j] = True
-        elif keep == "lo":
-            p[i] = np.minimum(p[i], p[j], out=p[i] if own[i] else None)
-            own[i] = True
-        else:
-            p[j] = np.maximum(p[i], p[j], out=p[j] if own[j] else None)
-            own[j] = True
+        low, high = p[i], p[j]
+        if keep != "hi":
+            p[i], spare = np.minimum(low, high, out=spare), low
+        if keep != "lo":
+            np.maximum(low, high, out=high)
     return p[4]
 
 

@@ -146,11 +146,9 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _header_int(data: bytes, pos: int, field: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
-    try:
-        value = int(token.decode("ascii"))
-    except (UnicodeDecodeError, ValueError):
-        raise PnmHeaderError(f"{field} field is not a decimal integer: {token!r}") from None
-    return value, pos
+    if not token.isdigit():  # ASCII digits only, on bytes
+        raise PnmHeaderError(f"{field} field is not a decimal integer: {token!r}")
+    return int(token), pos
 
 
 def decode_pnm(data: bytes) -> Union[Plane, RgbImage]:
@@ -264,9 +262,11 @@ def format_float(value: float) -> str:
 
 
 def check_text(name: str, value: str) -> None:
-    """Raise ValueError unless value can be a CSV text cell, written verbatim."""
+    """Raise ValueError unless value can be a CSV text cell, written verbatim as ASCII."""
     if "," in value or "\n" in value or "\r" in value:
         raise ValueError(f"CSV field {name}={value!r} contains a separator")
+    if not value.isascii():
+        raise ValueError(f"CSV field {name}={value!r} is not ASCII")
 
 
 def write_csv(records: Iterable[ExperimentRecord]) -> bytes:

@@ -325,9 +325,10 @@ def run_experiment(
     one per task, and no pool when that is one worker. Records are returned
     in deterministic order regardless of jobs, and with keep_timing=False
     (the default) wall_ms is zeroed so repeated runs serialize to
-    byte-identical CSV. Image ids must be distinct. Any failing run aborts
-    the sweep and stops the pool's workers, with the offending grid point
-    named, the same point whatever jobs is.
+    byte-identical CSV. Image ids must be distinct CSV text cells; all are
+    checked before the first run. Any failing run aborts the sweep and stops
+    the pool's workers, with the offending grid point named, the same point
+    whatever jobs is.
     """
     SEED.check("master_seed", master_seed)
     if jobs is not None:
@@ -337,6 +338,7 @@ def run_experiment(
         raise ValueError("corpus must not be empty")
     seen: set[str] = set()
     for image_id, _ in corpus:
+        check_text("image", image_id)
         if image_id in seen:
             raise ValueError(f"image id {image_id!r} is repeated; each image needs its own id, which names its rows and seeds its noise")
         seen.add(image_id)

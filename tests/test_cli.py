@@ -291,22 +291,32 @@ def _count_noise_calls(monkeypatch):
     return calls
 
 
+# Image names that cannot be CSV text cells, and the error each one raises.
+_BAD_NAMES = {
+    "a,b.ppm": "CSV field image='a,b.ppm' contains a separator",
+    "café.ppm": "CSV field image='café.ppm' is not ASCII",
+}
+
+
 class TestRejectedBeforeAnyStage:
-    def test_separator_in_pipeline_image_name(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("name", ["a,b.ppm", "café.ppm"])
+    def test_separator_in_pipeline_image_name(self, tmp_path, capsys, monkeypatch, name):
         calls = _count_noise_calls(monkeypatch)
-        src = _write_ppm(tmp_path / "a,b.ppm", _rgb())
+        src = _write_ppm(tmp_path / name, _rgb())
         out = tmp_path / "o.ppm"
         assert main(["pipeline", "--in", src, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: CSV field image='a,b.ppm' contains a separator\n"
+        assert capsys.readouterr().err == f"error: {_BAD_NAMES[name]}\n"
         assert not out.exists() and not calls
 
-    def test_separator_in_experiment_image_name(self, tmp_path, capsys, monkeypatch):
+    # The last case names a good image first: no run of it starts either.
+    @pytest.mark.parametrize("names", [["a,b.ppm"], ["café.ppm"], ["good.ppm", "a,b.ppm"]], ids=" ".join)
+    def test_separator_in_experiment_image_name(self, tmp_path, capsys, monkeypatch, names):
         calls = _count_noise_calls(monkeypatch)
-        src = _write_ppm(tmp_path / "a,b.ppm", _rgb())
+        srcs = [_write_ppm(tmp_path / name, _rgb()) for name in names]
         out = tmp_path / "r.csv"
-        assert main(["experiment", src, "--jobs", "1", "--out", str(out)]) == 2
+        assert main(["experiment", *srcs, "--jobs", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.endswith("CSV field image='a,b.ppm' contains a separator\n") and err.count("\n") == 1
+        assert err.endswith(f"{_BAD_NAMES[names[-1]]}\n") and err.count("\n") == 1
         assert not out.exists() and not calls
 
     @pytest.mark.parametrize("strategy", ["after", "joint", "before"])

@@ -301,6 +301,28 @@ class TestGaussian:
             denoise_gaussian(Plane(np.zeros((4, 4))), 0.0)
 
 
+def _median9_on_owned_buffers(p):
+    """The sorting network as it ran before it copied its inputs: each exchange
+    writes into an array only once an earlier exchange made it, so p's first
+    entries are never written. p's entries are replaced."""
+    own = [False] * 9
+    spare = None
+    for i, j, keep in denoise._MEDIAN9:
+        if keep == "both":
+            lo = np.minimum(p[i], p[j], out=spare)
+            spare = p[i] if own[i] else None
+            p[j] = np.maximum(p[i], p[j], out=p[j] if own[j] else None)
+            p[i] = lo
+            own[i] = own[j] = True
+        elif keep == "lo":
+            p[i] = np.minimum(p[i], p[j], out=p[i] if own[i] else None)
+            own[i] = True
+        else:
+            p[j] = np.maximum(p[i], p[j], out=p[j] if own[j] else None)
+            own[j] = True
+    return p[4]
+
+
 class TestMedian:
     def test_constant_preserved(self):
         out = denoise_median(Plane(np.full((7, 7), 0.6)), 1)
@@ -349,6 +371,24 @@ class TestMedian:
                 assert np.all((np.signbit(got) == np.signbit(want)) | (got == 0.0)), shape
             else:
                 assert np.array_equal(np.signbit(got), np.signbit(want)), shape
+
+    # The scipy oracle cannot tell which of two tied zeros the network keeps;
+    # this pins every exchange's operand order, signs of zero included.
+    @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (128, 128)])
+    def test_network_matches_the_owned_buffer_exchanges(self, shape, kind):
+        rng = np.random.default_rng(76)
+        draw = {
+            "random": lambda: rng.random(shape),
+            "ties": lambda: rng.choice([0.0, 0.5, 1.0], shape),
+            "signed-zeros": lambda: rng.choice([-0.0, 0.0], shape),
+        }[kind]
+        for _ in range(20):
+            views = [draw() for _ in range(9)]
+            for view in views:
+                view.setflags(write=False)
+            got = denoise._median9(views)
+            assert _same(got, _median9_on_owned_buffers(list(views))), shape
 
     def test_wide_window_memory_is_bounded_by_the_tile(self):
         # One row of 81x81 windows stacked at once would take 107 MB.

@@ -173,9 +173,11 @@ class TestDecode:
         with pytest.raises(PnmHeaderError):
             decode_pnm(b"XX 1 1 255\n\x00")
 
-    def test_non_integer_field(self):
+    # int() would take "1_0" and "+10" as 10; a Netpbm field is ASCII digits.
+    @pytest.mark.parametrize("token", [b"two", b"1_0", b"+10"])
+    def test_non_integer_field(self, token):
         with pytest.raises(PnmHeaderError):
-            decode_pnm(b"P5 two 1 255\n\x00")
+            decode_pnm(b"P5 " + token + b" " + token + b" 255\n" + bytes(100))
 
     def test_zero_dimension(self):
         with pytest.raises(PnmHeaderError):
