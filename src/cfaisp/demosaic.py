@@ -12,14 +12,16 @@ edge sample not duplicated):
 - joint bilateral: every sample (missing and measured) is a bilateral
   average over the same-color sites in a radius ceil(3 sigma_s) window,
   range-weighted on a bilinear green estimate, so interpolation and light
-  denoising happen in one pass, walked in row strips of each tile site.
+  denoising happen in one pass, walked in bands of rows of each tile site.
 
 Bilinear and gradient evaluate each kernel only at the tile sites that read
-it: the taps are summed over step-2 views of the padded mosaic, in the order
-scipy.ndimage.convolve sums them, so the values equal whole-frame convolution
-divided by the kernel's weight sum. denoise._shifted does all the padding and
-lattice indexing, here as for the denoisers: it splits the padded mosaic once
-into its four contiguous phase planes, and a step-2 view is a slice of one.
+it: the taps are summed over the padded mosaic, in the order
+scipy.ndimage.convolve sums them, so the values equal whole-frame
+convolution divided by the kernel's weight sum. denoise._shifted does all
+the padding and lattice indexing, here as for the denoisers: it splits the
+padded mosaic once into its four contiguous phase planes, and each tap of a
+band of lattice rows is one contiguous run of one of them. A band is
+computed across the padded width and its padding columns are cropped away.
 """
 
 from __future__ import annotations
@@ -140,17 +142,19 @@ _GRADIENT_STENCILS = _stencils(_GRADIENT_KERNELS)
 
 
 # A sum that overflows is left to Plane's finiteness check to report, as one
-# ValueError rather than a warning first.
+# ValueError rather than a warning first; the padding samples a band computes
+# and drops may overflow too.
 @np.errstate(over="ignore", invalid="ignore")
 def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     """Estimate each missing sample with one fixed kernel chosen by its tile site.
 
     stencils come from _stencils. Each estimate is computed only at the tile
-    sites that use it, from step-2 views of the mirror-padded mosaic, and is
-    divided by its kernel's weight sum, so constants are kept. The taps are
-    summed in row-major order from the first, as scipy.ndimage.convolve sums
-    them, so the values equal convolve(mode="mirror") / k.sum() bit for bit
-    (only a zero's sign can differ). Measured samples pass through. Mirror
+    sites that use it, from flat runs of the mirror-padded mosaic's phase
+    planes, one band of lattice rows at a time, and is divided by its
+    kernel's weight sum, so constants are kept. The taps are summed in
+    row-major order from the first, as scipy.ndimage.convolve sums them, so
+    the values equal convolve(mode="mirror") / k.sum() bit for bit (only a
+    zero's sign can differ). Measured samples pass through. Mirror
     reflection maps an index to one of the same parity, so every kernel
     reads only the color it estimates, at the borders too.
     """
@@ -158,30 +162,35 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     est_g, est_row, est_col, est_x = stencils
     at = _shifted(data, max(abs(dy) for taps, _ in stencils for dy, _, _ in taps), 2)
     out = {color: np.empty_like(data) for color in "RGB"}
-    acc, term = np.empty_like(at(0, 0)), np.empty_like(at(0, 0))
 
-    def estimate(stencil, dy, dx, color):
+    def estimate(stencil, y, x, n, color):
+        """stencil's estimate at the n lattice rows from full-frame (y, x), into out[color]."""
         taps, total = stencil
+        band, term = np.empty(n * at.width), np.empty(at.span(n))
+        acc = band[: term.size]
         for k, (u, v, weight) in enumerate(taps):
-            view = at(dy + u, dx + v)
+            tap = at.run(y + u, x + v, n)
             if k == 0:
-                np.multiply(view, weight, out=acc)
+                np.multiply(tap, weight, out=acc)
             elif weight == 1.0:  # x * 1.0 is x, bit for bit
-                np.add(acc, view, out=acc)
+                np.add(acc, tap, out=acc)
             else:
-                np.add(acc, np.multiply(view, weight, out=term), out=acc)
-        np.divide(acc, total, out=out[color][dy::2, dx::2])
+                np.add(acc, np.multiply(tap, weight, out=term), out=acc)
+        np.divide(at.crop(band, n), total, out=out[color][y : y + 2 * n : 2, x::2])
 
     r_row = mosaic.pattern.sites[0][0]
     for dy, dx, color in mosaic.pattern.sites:
         out[color][dy::2, dx::2] = data[dy::2, dx::2]
-        if color == "G":
-            along, across = ("R", "B") if dy == r_row else ("B", "R")
-            estimate(est_row, dy, dx, along)
-            estimate(est_col, dy, dx, across)
-        else:
-            estimate(est_g, dy, dx, "G")
-            estimate(est_x, dy, dx, "B" if color == "R" else "R")
+    for top, n in at.bands():
+        for dy, dx, color in mosaic.pattern.sites:
+            y = dy + 2 * top
+            if color == "G":
+                along, across = ("R", "B") if dy == r_row else ("B", "R")
+                estimate(est_row, y, dx, n, along)
+                estimate(est_col, y, dx, n, across)
+            else:
+                estimate(est_g, y, dx, n, "G")
+                estimate(est_x, y, dx, n, "B" if color == "R" else "R")
     return RgbImage(*(Plane._adopt(out[color]) for color in "RGB"))
 
 

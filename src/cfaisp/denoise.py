@@ -3,21 +3,25 @@
 Four filters with one shared contract (Plane in, same-sized Plane out):
 
 - gaussian: separable blur, truncated at three sigmas per side, as one
-  vertical and one horizontal pass over shifted views of the padded plane.
-- median: the middle value of each (2 radius + 1)^2 window, walked in tiles.
-  Radius 1 runs a pruned 19-exchange sorting network of elementwise min/max
-  over the nine shifted views; larger radii partition each tile's windows.
+  vertical and one horizontal pass over each band of the padded plane.
+- median: the middle value of each (2 radius + 1)^2 window. Radius 1 runs a
+  pruned 19-exchange sorting network of elementwise min/max over the nine
+  neighbour runs of each band; larger radii partition the windows of one
+  2-D tile at a time.
 - bilateral: edge-preserving blur weighting neighbors by spatial distance
-  and intensity difference, walked in row strips whose buffers are written
-  in place.
+  and intensity difference, walked in bands whose buffers are written in
+  place.
 - wavelet: soft thresholding of orthonormal Haar detail coefficients with a
   per-subband data-driven threshold; the coarse approximation is kept as is.
 
 Borders are handled by mirror reflection without duplicating the edge sample.
 _shifted is the one place that pads for it: the gaussian, median and
 bilateral filters and the linear and joint demosaickers read every neighbour
-through its views. Step-2 views, one 2x2 tile site each, are slices of
-contiguous phase planes split from the pad once. The wavelet pads a plane
+through it. It splits the pad once into contiguous phase planes, one per 2x2
+tile site at step 2. A stencil stage walks the lattice in bands of whole
+rows, at most _STRIP lattice samples each, and reads each neighbour of a band
+as one contiguous run of a flattened phase plane. It computes across the
+padded width and crops the padding columns away. The wavelet pads a plane
 whose sides are not multiples of 2^levels the same way, at the bottom and
 right, and crops the result back.
 
@@ -231,40 +235,95 @@ def _gaussian_kernel(sigma_s: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _shifted(data: np.ndarray, radius: int, step: int = 1):
+class _Lattice(NamedTuple):
+    """The lattice data[::step, ::step], read from one mirror pad; _shifted builds it.
+
+    flat[a][b] is the phase plane pad[a::step, b::step], contiguous and
+    flattened. Every phase plane is width samples wide (at step 2 the frame's
+    sides are even), and the lattice itself is rows x cols. Full-frame
+    coordinates (y, x) may lie in the padding.
+    """
+
+    flat: list
+    radius: int
+    step: int
+    rows: int
+    cols: int
+    width: int
+
+    def _start(self, y: int, x: int):
+        """The phase plane of full-frame sample (y, x), and the sample's index in it."""
+        y, x = y + self.radius, x + self.radius
+        return self.flat[y % self.step][x % self.step], y // self.step * self.width + x // self.step
+
+    def span(self, n: int) -> int:
+        """The length of a run of n lattice rows: n - 1 padded rows, then cols samples."""
+        return (n - 1) * self.width + self.cols
+
+    def run(self, y: int, x: int, n: int) -> np.ndarray:
+        """n lattice rows from (y, x), as one contiguous run of span(n) samples."""
+        plane, start = self._start(y, x)
+        return plane[start : start + self.span(n)]
+
+    def view(self, y: int, x: int, rows: int, cols: int) -> np.ndarray:
+        """rows x cols lattice samples from (y, x), a 2-D slice whose rows are contiguous."""
+        plane, start = self._start(y, x)
+        top, left = divmod(start, self.width)
+        return plane.reshape(-1, self.width)[top : top + rows, left : left + cols]
+
+    def bands(self):
+        """(top, n) for each band of n whole lattice rows: n cols <= _STRIP samples, or one row.
+
+        A band is sized by its lattice samples, not by its padded rows: a
+        remainder band of a few rows costs as many ufunc calls as a full one,
+        and padded rows would leave one in every phase of a power-of-two
+        frame.
+        """
+        n = max(1, _STRIP // self.cols)
+        for top in range(0, self.rows, n):
+            yield top, min(n, self.rows - top)
+
+    def crop(self, buffer: np.ndarray, n: int) -> np.ndarray:
+        """The n x cols lattice samples of a band computed across the padded width.
+
+        buffer's last axis holds at least n width samples, row i of the band
+        at i width; the rest of each row is padding, and is dropped.
+        """
+        return buffer[..., : n * self.width].reshape(*buffer.shape[:-1], n, self.width)[..., : self.cols]
+
+
+def _shifted(data: np.ndarray, radius: int, step: int = 1) -> _Lattice:
     """Neighbour reads on the lattice data[::step, ::step], from one mirror pad.
 
     Pads data by radius on every side once, reflecting without duplicating
     the edge sample, and splits the pad into its step^2 phase planes,
     pad[a::step, b::step], each a contiguous copy (step 1 keeps the pad
-    itself). Returns view(y, x, rows, cols): rows x cols samples step apart
-    from the full-frame sample (y, x), which may lie in the padding; the
-    whole lattice by default. A view is a slice of the plane of (y, x)'s
-    phase, so its rows are contiguous. Mirror reflection keeps an index's
-    parity on an even-size frame, so a step-2 view from a tile site reads
+    itself). A stencil stage walks the lattice in bands of whole rows and
+    reads each neighbour of a band as run(y + dy, x + dx, n): one contiguous
+    run of a flattened phase plane, the band's rows a padded width apart. It
+    computes across the padded width and keeps crop(buffer, n). The samples
+    between the kept rows are padding: no decision reads them, and a stage
+    whose sums can overflow ignores float errors, as they may arise there
+    with no fault of the input; one in a kept sample is left to Plane's
+    finiteness check, as one ValueError. Mirror reflection keeps an index's
+    parity on an even-size frame, so a step-2 run from a tile site reads
     that site only.
     """
     pad = np.pad(data, radius, mode="reflect")
-    planes = [[np.ascontiguousarray(pad[a::step, b::step]) for b in range(step)] for a in range(step)]
-    h, w = len(range(0, data.shape[0], step)), len(range(0, data.shape[1], step))
-
-    def view(y: int, x: int, rows: int = h, cols: int = w) -> np.ndarray:
-        y, x = y + radius, x + radius
-        top, left = y // step, x // step
-        return planes[y % step][x % step][top : top + rows, left : left + cols]
-
-    return view
+    flat = [[np.ascontiguousarray(pad[a::step, b::step]).reshape(-1) for b in range(step)] for a in range(step)]
+    rows, cols, width = (len(range(0, size, step)) for size in (*data.shape, pad.shape[1]))
+    return _Lattice(flat, radius, step, rows, cols, width)
 
 
-def _blur_line(at, kernel: np.ndarray) -> np.ndarray:
-    """Sum of kernel[r + j] * at(j) over |j| <= r, for a symmetric odd-length kernel.
+def _blur_line(at, kernel: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum of kernel[r + j] * at(j) over |j| <= r, for a symmetric odd-length kernel, into out if given.
 
     The center tap comes first, then (at(-j) + at(j)) * kernel[r - j] for j
     from r down to 1, the order scipy.ndimage.convolve1d sums a symmetric
     kernel in, so the values equal convolve1d(mode="mirror") bit for bit.
     """
     r = len(kernel) // 2
-    out = np.multiply(at(0), kernel[r])
+    out = np.multiply(at(0), kernel[r], out=out)
     pair = np.empty_like(out)
     for j in range(r, 0, -1):
         np.add(at(-j), at(j), out=pair)
@@ -272,20 +331,27 @@ def _blur_line(at, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def denoise_gaussian(plane: Plane, sigma_s: float) -> Plane:
-    """Separable Gaussian blur with a renormalized +/- 3 sigma kernel.
+    """Separable Gaussian blur with a renormalized +/- 3 sigma kernel, one band at a time.
 
-    The vertical pass also blurs the padding columns: each is a copy of the
-    column it mirrors, so its blur is that column's blur, and the horizontal
-    pass reads a plane already padded. One pad serves both passes.
+    The vertical pass blurs the band's padded rows whole, padding columns
+    included: each is a copy of the column it mirrors, so its blur is that
+    column's blur. The horizontal pass then reads those rows as flat runs.
+    One pad serves both passes.
     """
     _check_fields(sigma_s=sigma_s)
     kernel = _gaussian_kernel(sigma_s)
     r = len(kernel) // 2
     h, w = plane.data.shape
     at = _shifted(plane.data, r)
-    columns = _blur_line(lambda dy: at(dy, -r, h, w + 2 * r), kernel)
-    return Plane._adopt(_blur_line(lambda dx: columns[:, r + dx : r + dx + w], kernel))
+    out = np.empty((h, w))
+    for top, n in at.bands():
+        columns = _blur_line(lambda dy: at.view(top + dy, -r, n, at.width).reshape(-1), kernel)
+        rows, size = np.empty_like(columns), at.span(n)
+        _blur_line(lambda dx: columns[r + dx : r + dx + size], kernel, rows[:size])
+        out[top : top + n] = at.crop(rows, n)
+    return Plane._adopt(out)
 
 
 # Paeth's 19-exchange network for the median of nine ("Median finding on a
@@ -316,11 +382,11 @@ def _median9(views: list) -> np.ndarray:
 
 
 def denoise_median(plane: Plane, radius: int) -> Plane:
-    """Median over a (2 radius + 1) square window, one tile at a time.
+    """Median over a (2 radius + 1) square window.
 
-    Radius 1 runs a sorting network over the nine shifted views of the
-    mirror-padded plane; a larger window takes the middle element of a
-    partition over each tile's windows.
+    Radius 1 runs a sorting network over the nine neighbour runs of each
+    band of the mirror-padded plane; a larger window takes the middle
+    element of a partition over the windows of one 2-D tile at a time.
     """
     _check_fields(radius=radius)
     h, w = plane.data.shape
@@ -328,17 +394,21 @@ def denoise_median(plane: Plane, radius: int) -> Plane:
     side = 2 * radius + 1
     size = side * side
     out = np.empty((h, w))
-    # A larger window's tile holds as many samples as 9 x _STRIP, or one window.
+    if radius == 1:
+        for top, n in at.bands():
+            middle = _median9([at.run(top + dy, dx, n) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+            band = np.empty(n * at.width)
+            band[: at.span(n)] = middle
+            out[top : top + n] = at.crop(band, n)
+        return Plane._adopt(out)
+    # A tile holds as many samples as 9 x _STRIP, or one window.
     for top, left, n, m in _tiles(h, w, max(1, 9 * _STRIP // size)):
-        if radius == 1:
-            middle = _median9([at(top + dy, left + dx, n, m) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
-        else:
-            windows = sliding_window_view(at(top - radius, left - radius, n + 2 * radius, m + 2 * radius), (side, side))
-            middle = np.partition(windows.reshape(n, m, size), size // 2, axis=-1)[..., size // 2]
-        out[top : top + n, left : left + m] = middle
+        windows = sliding_window_view(at.view(top - radius, left - radius, n + 2 * radius, m + 2 * radius), (side, side))
+        out[top : top + n, left : left + m] = np.partition(windows.reshape(n, m, size), size // 2, axis=-1)[..., size // 2]
     return Plane._adopt(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     """Bilateral means of data, one full frame per bucket, stacked (buckets, h, w).
 
@@ -351,9 +421,11 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     normal float takes the spatial-only mean (the sigma_r -> inf limit).
 
     The frame is walked one phase of the lattice [::step, ::step] at a time,
-    step 2 with a pattern, in pattern.sites order, and in strips of _STRIP
-    samples. A strip runs every offset, in row-major window order, into
-    strip-sized buffers written in place, so its working set stays in cache.
+    step 2 with a pattern, in pattern.sites order, and in bands of whole
+    rows of at most _STRIP lattice samples. A band runs every offset, in
+    row-major window order, over flat neighbour runs into band-sized buffers
+    written in place, so its working set stays in cache. The underflow
+    fallback and its error read the cropped band only.
     """
     _check_fields(sigma_s=sigma_s, sigma_r=sigma_r)
     inv_2ss = 1.0 / _two_variance("sigma_s", sigma_s)
@@ -368,36 +440,36 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     window = [(dy, dx, math.exp(-(dy * dy + dx * dx) * inv_2ss)) for dy in offsets for dx in offsets]
     out = np.empty((buckets, *data.shape))
 
-    def sums_at(y, x, n, m, inv_2sr):
-        """Weighted sums (buckets, 2, n, m), each bucket's (num, den), for the n x m lattice samples from full-frame (y, x)."""
-        center = guide_at(y, x, n, m)
-        weight, term = np.empty((n, m)), np.empty((n, m))
-        sums = np.zeros((buckets, 2, n, m))
-        pairs = [tuple(pair) for pair in sums]
+    def sums_at(y, x, n, inv_2sr):
+        """Weighted sums (buckets, 2, n, cols), each bucket's (num, den), for the n lattice rows from full-frame (y, x)."""
+        center = guide_at.run(y, x, n)
+        weight, term = np.empty_like(center), np.empty_like(center)
+        sums = np.zeros((buckets, 2, n * data_at.width))
+        pairs = [tuple(pair[:, : center.size]) for pair in sums]
         for dy, dx, spatial in window:
             # -(d^2) * k and d^2 * -k round alike: negation is exact.
-            np.subtract(guide_at(y + dy, x + dx, n, m), center, out=weight)
+            np.subtract(guide_at.run(y + dy, x + dx, n), center, out=weight)
             np.square(weight, out=weight)
             np.multiply(weight, -inv_2sr, out=weight)
             np.exp(weight, out=weight)
             np.multiply(spatial, weight, out=weight)
             num, den = pairs[tile[(y + dy) % step * step + (x + dx) % step]]
-            np.add(num, np.multiply(weight, data_at(y + dy, x + dx, n, m), out=term), out=num)
+            np.add(num, np.multiply(weight, data_at.run(y + dy, x + dx, n), out=term), out=num)
             np.add(den, weight, out=den)
-        return sums
+        return data_at.crop(sums, n)
 
     tiny = np.finfo(np.float64).tiny
     for py, px, _ in sites:
-        for top, left, n, m in _tiles(data.shape[0] // step, data.shape[1] // step, _STRIP):
-            y, x = py + step * top, px + step * left
-            sums = sums_at(y, x, n, m, inv_2sr)
+        for top, n in data_at.bands():
+            y = py + step * top
+            sums = sums_at(y, px, n, inv_2sr)
             underflow = sums[:, 1] < tiny
-            mean = out[:, y : y + step * n : step, x : x + step * m : step]
+            mean = out[:, y : y + step * n : step, px::step]
             # The fallback is a second sums_at call: a closure that called
             # itself would be a reference cycle, keeping each call's planes
             # alive until the next garbage collection.
             if underflow.any():
-                spatial_only = sums_at(y, x, n, m, 0.0)
+                spatial_only = sums_at(y, px, n, 0.0)
                 if (spatial_only[:, 1] < tiny).any():
                     raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
                 np.divide(spatial_only[:, 0], spatial_only[:, 1], out=mean)

@@ -262,9 +262,15 @@ def format_float(value: float) -> str:
 
 
 def check_text(name: str, value: str) -> None:
-    """Raise ValueError unless value can be a CSV text cell, written verbatim as ASCII."""
+    """Raise ValueError unless value can be a CSV text cell, written verbatim as ASCII.
+
+    A CSV reader would split a cell at a separator, and would read a cell
+    that starts with a double quote as a quoted one.
+    """
     if "," in value or "\n" in value or "\r" in value:
         raise ValueError(f"CSV field {name}={value!r} contains a separator")
+    if '"' in value:
+        raise ValueError(f"CSV field {name}={value!r} contains a double quote")
     if not value.isascii():
         raise ValueError(f"CSV field {name}={value!r} is not ASCII")
 

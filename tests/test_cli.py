@@ -295,11 +295,12 @@ def _count_noise_calls(monkeypatch):
 _BAD_NAMES = {
     "a,b.ppm": "CSV field image='a,b.ppm' contains a separator",
     "café.ppm": "CSV field image='café.ppm' is not ASCII",
+    '"ab.ppm': """CSV field image='"ab.ppm' contains a double quote""",
 }
 
 
 class TestRejectedBeforeAnyStage:
-    @pytest.mark.parametrize("name", ["a,b.ppm", "café.ppm"])
+    @pytest.mark.parametrize("name", ["a,b.ppm", "café.ppm", '"ab.ppm'])
     def test_separator_in_pipeline_image_name(self, tmp_path, capsys, monkeypatch, name):
         calls = _count_noise_calls(monkeypatch)
         src = _write_ppm(tmp_path / name, _rgb())
@@ -309,7 +310,7 @@ class TestRejectedBeforeAnyStage:
         assert not out.exists() and not calls
 
     # The last case names a good image first: no run of it starts either.
-    @pytest.mark.parametrize("names", [["a,b.ppm"], ["café.ppm"], ["good.ppm", "a,b.ppm"]], ids=" ".join)
+    @pytest.mark.parametrize("names", [["a,b.ppm"], ["café.ppm"], ["good.ppm", "a,b.ppm"], ['"ab.ppm'], ["good.ppm", '"ab.ppm']], ids=" ".join)
     def test_separator_in_experiment_image_name(self, tmp_path, capsys, monkeypatch, names):
         calls = _count_noise_calls(monkeypatch)
         srcs = [_write_ppm(tmp_path / name, _rgb()) for name in names]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import convolve
 
+from cfaisp import denoise
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at, mosaic_from_rgb
 from cfaisp.demosaic import (
     DEMOSAICKER_KINDS,
@@ -291,13 +292,23 @@ class TestGradient:
             score_bilinear = cpsnr(truth, demosaic_bilinear(mosaic), crop=4)
             assert score_gradient > score_bilinear
 
+
+# Mosaics walked in 7-sample bands, each tile site's lattice a quarter of the
+# frame: a 14x4 mosaic walks bands of 3, 3 and 1 lattice rows, a 10x6 one 2,
+# 2 and 1, and a 6x16 one has lattice rows wider than a band, one row per
+# band. The bottom band's last tap run ends at the end of its phase plane.
+BANDED = [(14, 4), (10, 6), (6, 16)]
+
+
 class TestScipyConvolveOracle:
     """The per-site linear demosaic equals whole-frame scipy convolution, bit for bit."""
 
-    @pytest.mark.parametrize("shape", [(2, 2), (4, 6), (6, 4), (10, 12), (64, 64), (130, 98)])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 6), (6, 4), (10, 12), (64, 64), (130, 98), *(pytest.param(s, id=f"banded-{s[0]}x{s[1]}") for s in BANDED)])
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     @pytest.mark.parametrize("demosaicker,kernels", LINEAR, ids=["bilinear", "gradient"])
-    def test_equals_whole_frame_convolution(self, demosaicker, kernels, pattern, shape):
+    def test_equals_whole_frame_convolution(self, monkeypatch, demosaicker, kernels, pattern, shape):
+        if shape in BANDED:
+            monkeypatch.setattr(denoise, "_STRIP", 7)
         mosaic = _random_mosaic(pattern, shape, 11)
         for got, want in zip(demosaicker(mosaic).planes, _convolve_oracle(mosaic, kernels)):
             assert np.array_equal(got.data, want)

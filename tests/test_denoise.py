@@ -262,7 +262,7 @@ class TestGaussian:
         np.testing.assert_allclose(denoise_gaussian(Plane(data), sigma).data, expected, atol=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.3, 100.0])
-    def test_matches_scipy_convolve1d_bit_for_bit(self, sigma):
+    def test_matches_scipy_convolve1d_bit_for_bit(self, monkeypatch, sigma):
         # The sweep CSV's digest depends on exact bits, not on a tolerance.
         radius = math.ceil(3 * sigma)
         offsets = np.arange(-radius, radius + 1, dtype=float)
@@ -274,11 +274,17 @@ class TestGaussian:
             "subnormal": lambda shape: rng.random(shape) * 1e-310,
             "large": lambda shape: rng.uniform(-1e3, 1e3, shape),
         }
-        for shape in [(1, 1), (2, 3), (13, 31), (128, 96)]:
+        cases = [(shape, denoise._STRIP) for shape in [(1, 1), (2, 3), (13, 31), (128, 96)]]
+        # With 7-sample bands a 5x3 plane walks bands of 2, 2 and 1 rows, and
+        # a 5x10 one, whose rows are wider than a band, one row per band. The
+        # bottom band's last run ends at the end of the pad.
+        cases += [((5, 3), 7), ((5, 10), 7)]
+        for shape, strip in cases:
+            monkeypatch.setattr(denoise, "_STRIP", strip)
             for kind, draw in draws.items():
                 data = draw(shape)
                 want = convolve1d(convolve1d(data, kernel, axis=0, mode="mirror"), kernel, axis=1, mode="mirror")
-                assert np.array_equal(denoise_gaussian(Plane(data), sigma).data, want), (shape, kind)
+                assert np.array_equal(denoise_gaussian(Plane(data), sigma).data, want), (shape, strip, kind)
 
     def test_mean_conserved_with_constant_margin(self):
         sigma = 1.0
@@ -472,10 +478,10 @@ class TestBilateral:
         with pytest.raises(ValueError):
             denoise_bilateral(Plane(np.zeros((4, 4))), sigma_s, sigma_r)
 
-    # With 7-sample strips: a 1x1 lattice, from a 2x2 mosaic, is one sample
-    # inside a window larger than the frame; a 2x2 lattice is one strip, a
-    # 5x3 one is three strips of two rows and one of one, and a 3x10 one has
-    # rows wider than a strip, cut into pieces of 7 and 3.
+    # With 7-sample bands: a 1x1 lattice, from a 2x2 mosaic, is one sample
+    # inside a window larger than the frame; a 2x2 lattice is one band, a
+    # 5x3 one is two bands of two rows and one of one, and a 3x10 one has
+    # rows wider than a band, one row per band.
     @pytest.mark.parametrize("lattice", [(1, 1), (2, 2), (5, 3), (3, 10)], ids=["one-sample", "one-strip", "remainder-strip", "wide-row"])
     @pytest.mark.parametrize("sigma_s,sigma_r", [(1.0, 0.1), (0.7, 1e-3), (1.5, math.inf)])
     def test_strip_walk_matches_the_whole_lattice_loop(self, monkeypatch, lattice, sigma_s, sigma_r):

@@ -427,3 +427,9 @@ class TestWriteCsv:
     def test_separator_in_text_field_rejected(self):
         with pytest.raises(ValueError):
             write_csv([_record(image="a,b")])
+
+    def test_double_quote_in_text_field_rejected(self):
+        # Written verbatim, a leading quote makes csv.reader join the cells
+        # up to the next quote into one.
+        with pytest.raises(ValueError, match="contains a double quote"):
+            write_csv([_record(image='"ab.ppm')])
