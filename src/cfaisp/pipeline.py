@@ -21,8 +21,10 @@ import math
 import multiprocessing
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +38,6 @@ METRIC_CROP = 4
 # The smallest side a pipeline run takes: the smallest even side that the
 # metric crop leaves samples in.
 MIN_SIDE = 2 * METRIC_CROP + 2
-
-T = TypeVar("T")
 
 
 class Strategy(enum.Enum):
@@ -101,11 +101,21 @@ def cpsnr(truth: RgbImage, test: RgbImage, crop: int = 0) -> float:
     return psnr(sum(channel_mses) / 3.0)
 
 
-def _timed(make: Callable[[], T]) -> tuple[T, float]:
-    """make() and the seconds it took."""
-    start = time.perf_counter()
-    value = make()
-    return value, time.perf_counter() - start
+def _check_sides(truth: RgbImage, where: str = "") -> None:
+    """Raise DimensionError, its message led by where, unless truth's sides are even and at least MIN_SIDE."""
+    h, w = truth.r.data.shape
+    if min(h, w) < MIN_SIDE:
+        raise DimensionError(f"{where}a pipeline run needs an image of at least {MIN_SIDE}x{MIN_SIDE}, got {w}x{h}")
+    if h % 2 or w % 2:
+        raise DimensionError(f"{where}mosaic requires even dimensions, got {w}x{h}")
+
+
+# Each strategy's run as a path of (stage, the config it takes, if any).
+_TEMPLATES = {
+    Strategy.AFTER: (("noise", None), ("demosaic", "dm"), ("denoise-rgb", "dn")),
+    Strategy.JOINT: (("noise", None), ("demosaic", "dm")),
+    Strategy.BEFORE: (("noise", None), ("decompose", None), ("denoise-subs", "dn"), ("recompose", None), ("demosaic", "dm")),
+}
 
 
 def _run_group(
@@ -117,46 +127,52 @@ def _run_group(
 ) -> Iterator[tuple[RgbImage, ExperimentRecord]]:
     """Run each (strategy, dn, dm) point on one noisy mosaic, yielding (result, record).
 
-    The stages the points share are computed once: the noisy mosaic, the
-    Before strategy's sub-images, the After strategy's demosaic for each dm
-    and the Before strategy's denoised sub-images for each dn. Stages never
-    write to their inputs (planes are read-only), so reusing them is exact.
-    Each shared stage keeps the time it took, and every run that uses it
-    counts that time, so wall_ms is the run's full cost, from mosaicking to
-    the demosaicked result, as if it had run alone. Results are yielded one
-    at a time, so only the shared stages are kept. The image id must be a CSV
-    text cell and each side at least MIN_SIDE; both are checked before the
-    first stage runs.
+    A point walks its strategy's template filled with dn and dm. Each stage
+    output is cached under its path prefix, so a prefix that points share
+    is computed once; stages never write to their inputs, so reuse is exact.
+    Before the first stage each prefix counts its readers (the distinct
+    steps that extend it and the runs that end at it), and it is dropped as
+    its last reader takes it. Each prefix keeps its own step's time, so
+    wall_ms, the sum along the path, is the run's cost had it run alone.
+    The image id must be a CSV text cell and the sides even and at least
+    MIN_SIDE; both are checked before the first stage runs.
     """
     check_text("image", image_id)
-    h, w = truth.r.data.shape
-    if min(h, w) < MIN_SIDE:
-        raise DimensionError(f"a pipeline run needs an image of at least {MIN_SIDE}x{MIN_SIDE}, got {w}x{h}")
-    cache: dict[object, tuple[Any, float]] = {}
+    _check_sides(truth)
+    stages: dict[str, Callable[[Any, Any], Any]] = {
+        "noise": lambda clean, _: add_awgn(mosaic_from_rgb(clean, pattern), noise),
+        "decompose": lambda mosaic, _: decompose(mosaic),
+        "denoise-subs": denoise_subimages,
+        "recompose": lambda subs, _: recompose(subs),
+        "demosaic": demosaic,
+        "denoise-rgb": lambda rgb, dn: RgbImage(*(denoise_plane(p, dn) for p in rgb.planes)),
+    }
+    paths = [tuple((stage, {"dn": dn, "dm": dm}.get(slot)) for stage, slot in _TEMPLATES[strategy]) for strategy, dn, dm in points]
+    readers = Counter(paths)
+    readers.update(prefix[:-1] for prefix in {path[:end] for path in paths for end in range(2, len(path) + 1)})
+    cache: dict[tuple, Any] = {}
+    seconds: dict[tuple, float] = {}
 
-    def shared(key: object, make: Callable[[], T]) -> tuple[T, float]:
-        if key not in cache:
-            cache[key] = _timed(make)
-        return cache[key]
+    def read(prefix: tuple) -> Any:
+        """prefix's cached value, dropped as its last reader takes it."""
+        readers[prefix] -= 1
+        return cache[prefix] if readers[prefix] else cache.pop(prefix)
 
-    for strategy, dn, dm in points:
+    for (strategy, dn, dm), path in zip(points, paths):
         check_pairing(strategy, dm)
-        noisy, elapsed = shared("noisy", lambda: add_awgn(mosaic_from_rgb(truth, pattern), noise))
-        if strategy is Strategy.AFTER:
-            rough, rough_s = shared(("demosaic", dm), lambda: demosaic(noisy, dm))
-            result, own_s = _timed(lambda: RgbImage(*(denoise_plane(p, dn) for p in rough.planes)))
-            elapsed += rough_s + own_s
-        elif strategy is Strategy.JOINT:
-            result, own_s = _timed(lambda: demosaic(noisy, dm))
-            elapsed += own_s
-        else:
-            subs, subs_s = shared("decompose", lambda: decompose(noisy))
-            denoised, denoised_s = shared(("denoise", dn), lambda: denoise_subimages(subs, dn))
-            result, own_s = _timed(lambda: demosaic(recompose(denoised), dm))
-            elapsed += subs_s + denoised_s + own_s
+        # Resume at the longest cached prefix: its next step is yet to run.
+        start = max((end for end in range(1, len(path) + 1) if path[:end] in cache), default=0)
+        value = read(path[:start]) if start else truth
+        for end in range(start + 1, len(path) + 1):
+            stage, config = path[end - 1]
+            began = time.perf_counter()
+            cache[path[:end]] = stages[stage](value, config)
+            seconds[path[:end]] = time.perf_counter() - began
+            value = read(path[:end])
+        elapsed = sum(seconds[path[:end]] for end in range(1, len(path) + 1))
 
-        channel_mses = [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, result.planes)]
-        yield result, ExperimentRecord(
+        channel_mses = [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, value.planes)]
+        yield value, ExperimentRecord(
             image=image_id,
             pattern=pattern.value,
             strategy=strategy.value,
@@ -275,7 +291,8 @@ def _run_task(sweep: tuple, task: tuple[int, list[int]]) -> list[ExperimentRecor
     runs = [(points[i][0], points[i][2], points[i][3]) for i in indices]
     records = []
     try:
-        for _, record in _run_group(truth, pattern, NoiseSpec.uniform(sigma, seed), runs, image_id):
+        # Take only the records: a result bound here would live through the next run.
+        for record in map(itemgetter(1), _run_group(truth, pattern, NoiseSpec.uniform(sigma, seed), runs, image_id)):
             records.append(record if keep_timing else replace(record, wall_ms=0.0))
     except Exception as exc:
         strategy, dn, dm = runs[len(records)]
@@ -325,10 +342,10 @@ def run_experiment(
     one per task, and no pool when that is one worker. Records are returned
     in deterministic order regardless of jobs, and with keep_timing=False
     (the default) wall_ms is zeroed so repeated runs serialize to
-    byte-identical CSV. Image ids must be distinct CSV text cells; all are
-    checked before the first run. Any failing run aborts the sweep and stops
-    the pool's workers, with the offending grid point named, the same point
-    whatever jobs is.
+    byte-identical CSV. Image ids must be distinct CSV text cells and image
+    sides even and at least MIN_SIDE; all are checked before the first run.
+    Any failing run aborts the sweep and stops the pool's workers, with the
+    offending grid point named, the same point whatever jobs is.
     """
     SEED.check("master_seed", master_seed)
     if jobs is not None:
@@ -337,11 +354,12 @@ def run_experiment(
     if not corpus:
         raise ValueError("corpus must not be empty")
     seen: set[str] = set()
-    for image_id, _ in corpus:
+    for image_id, truth in corpus:
         check_text("image", image_id)
         if image_id in seen:
             raise ValueError(f"image id {image_id!r} is repeated; each image needs its own id, which names its rows and seeds its noise")
         seen.add(image_id)
+        _check_sides(truth, f"image {image_id!r}: ")
     points = list(grid.points())
     tasks = _plan_tasks(points, len(corpus))
     sweep = (corpus, points, grid.pattern, master_seed, keep_timing)

@@ -1,8 +1,11 @@
 """Strategy pipeline, metric, and experiment-runner tests."""
 
+import gc
+import itertools
 import math
 import os
 import re
+import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from multiprocessing.reduction import ForkingPickler
@@ -630,6 +633,60 @@ class TestSharedStages:
         with pytest.raises(RuntimeError, match="denoiser=gaussian"):
             run_experiment([("tiny", tiny)], grid, jobs=1)
 
+    def test_duplicate_configs_share_a_whole_path(self, monkeypatch):
+        # Two equal denoisers and two equal demosaickers: every after point
+        # and every before point repeats a path another point walks whole.
+        grid = ExperimentGrid(
+            strategies=(Strategy.AFTER, Strategy.JOINT, Strategy.BEFORE),
+            sigmas=(0.02, 0.05),
+            denoisers=(WAVELET, DenoiserConfig(kind="wavelet", levels=2)),
+            demosaickers=(BILINEAR, DemosaickerConfig(kind="bilinear")),
+        )
+        calls = Counter()
+        outputs = []
+        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "denoise_subimages", "recompose", "demosaic", "denoise_plane"):
+            stage = getattr(pipeline, name)
+
+            def counted(*args, name=name, stage=stage):
+                calls[name] += 1
+                result = stage(*args)
+                outputs.append(weakref.ref(result))
+                return result
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        points = list(grid.points())
+        records = run_experiment(self._corpus()[:1], grid, jobs=1)
+        for (a, record_a), (b, record_b) in itertools.combinations(zip(points, records), 2):
+            assert (record_a == record_b) == (a == b)
+        groups = len(grid.sigmas)
+        # One noisy mosaic, one after-strategy demosaic and its denoise (three
+        # planes), one joint run and one before path per group.
+        want = {"mosaic_from_rgb": 1, "add_awgn": 1, "decompose": 1, "denoise_subimages": 1, "recompose": 1, "demosaic": 3, "denoise_plane": 3}
+        assert calls == Counter({name: groups * count for name, count in want.items()})
+
+        # By the group's last record nothing is cached: every stage output
+        # has been freed except the result it yields.
+        outputs.clear()
+        group = [(strategy, dn, dm) for strategy, sigma, dn, dm, _ in points if sigma == 0.05]
+        runs = pipeline._run_group(self._corpus()[0][1], grid.pattern, NoiseSpec.uniform(0.05), group, "tex")
+        for _ in group[1:]:
+            next(runs)
+        last, _ = next(runs)
+        gc.collect()
+        held = [ref() for ref in outputs if ref() is not None]
+        assert held and all(value is last or any(value is plane for plane in last.planes) for value in held)
+        assert next(runs, None) is None
+
+    def test_a_run_holds_only_the_stages_still_in_use(self, peak_bytes):
+        # Held to the end of the run, the before strategy's noisy mosaic,
+        # sub-images and denoised sub-images made a peak of 8.7 frame-sized
+        # planes; dropped as the next stage takes each, the peak is 5.7.
+        truth = _textured_image(512)
+        noise = NoiseSpec.uniform(0.05, seed=1)
+        peak = peak_bytes(lambda: run_pipeline(truth, CfaPattern.GBRG, noise, Strategy.BEFORE, DenoiserConfig(kind="wavelet"), GRADIENT))
+        assert peak < 7 * truth.r.data.nbytes
+
 
 class TestMinimumSide:
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -641,8 +698,24 @@ class TestMinimumSide:
         for size in (2, 8):
             with pytest.raises(DimensionError, match=rf"^a pipeline run needs an image of at least 10x10, got {size}x{size}$"):
                 run_pipeline(_ramp_image(size), CfaPattern.GBRG, NoiseSpec.uniform(0.05), strategy, WAVELET, dm)
-        with pytest.raises(RuntimeError, match="at least 10x10, got 8x8"):
+        with pytest.raises(DimensionError, match="^image 'small': a pipeline run needs an image of at least 10x10, got 8x8$"):
             run_experiment([("small", _ramp_image(8))], ExperimentGrid(strategies=(strategy,)), jobs=1)
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (RgbImage(*(Plane(np.zeros((11, 12))) for _ in range(3))), "mosaic requires even dimensions, got 12x11"),
+            (_ramp_image(8), "a pipeline run needs an image of at least 10x10, got 8x8"),
+        ],
+    )
+    def test_every_size_is_checked_before_the_first_run(self, bad, message, monkeypatch):
+        calls = Counter()
+        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "demosaic", "denoise_plane", "denoise_subimages"):
+            monkeypatch.setattr(pipeline, name, lambda *args, name=name: calls.update([name]))
+        corpus = [("good", _ramp_image(64)), ("bad", bad)]
+        with pytest.raises(DimensionError, match=f"^image 'bad': {message}$"):
+            run_experiment(corpus, ExperimentGrid(), jobs=1)
         assert not calls
 
     @pytest.mark.parametrize("dn", ["none", "gaussian", "median", "bilateral", "wavelet"])
