@@ -1,10 +1,13 @@
 """Deterministic sensor noise: seeded Gaussian injection and level estimation.
 
 Randomness comes from a counter-based SplitMix64 generator feeding a
-Box-Muller transform, so a (seed, shape) pair always yields the same noise
-field on every platform and regardless of call order. Noise is added per
-color class with its own sigma and is not clipped: downstream stages see the
-same negative and above-range excursions a real sensor pipeline would.
+Box-Muller transform, so on one platform and numpy build a (seed, shape)
+pair always yields the same noise field, regardless of call order. The
+uniforms are the same bits everywhere; the normals pass through np.log1p,
+np.cos and np.sin, whose last bit may differ between platforms, so there a
+sample may differ in its last bits. Noise is added per color class with its
+own sigma and is not clipped: downstream stages see the same negative and
+above-range excursions a real sensor pipeline would.
 """
 
 from __future__ import annotations
@@ -178,4 +181,12 @@ def estimate_sigma(plane: Plane) -> float:
     hh -= data[1::2, 0::2]
     hh += data[1::2, 1::2]
     hh /= 2.0
-    return float(np.median(np.abs(hh, out=hh), overwrite_input=True) / _MAD_SCALE)
+    # One partition places the upper middle value; for an even count the
+    # lower one is the largest value below it, and (lo + hi) / 2 is the
+    # float np.median gives. Finite samples make HH finite or +-inf, never
+    # NaN, so np.median's NaN check would find nothing.
+    flat = np.abs(hh, out=hh).reshape(-1)
+    middle = flat.size // 2
+    flat.partition(middle)
+    median = flat[middle] if flat.size % 2 else (flat[:middle].max() + flat[middle]) / 2.0
+    return float(median / _MAD_SCALE)

@@ -8,6 +8,10 @@ demosaicking:
 - Before: mosaic -> noise -> split into R/G1/G2/B sub-images -> denoise each
   sub-image -> reassemble the mosaic -> demosaic.
 
+The identity denoiser (kind "none") adds no step: before + none leaves out
+the split and the reassembly too, so it walks the same path as after + none
+and the two give one result, computed and scored once per noisy mosaic.
+
 Every run is scored against the reference image with per-channel MSE/PSNR
 and CPSNR over a 4-pixel interior crop, and carries the exact seed that
 produced its noise so it can be reproduced in isolation.
@@ -110,11 +114,20 @@ def _check_sides(truth: RgbImage, where: str = "") -> None:
         raise DimensionError(f"{where}mosaic requires even dimensions, got {w}x{h}")
 
 
-# Each strategy's run as a path of (stage, the config it takes, if any).
+# Each strategy's run as a path of (stage, the config it takes, if any,
+# whether it serves the denoiser). A step that serves the denoiser leaves the
+# path when the denoiser is the identity, kind "none": the before strategy's
+# decompose and recompose exist only to hand the sub-image denoiser its planes.
 _TEMPLATES = {
-    Strategy.AFTER: (("noise", None), ("demosaic", "dm"), ("denoise-rgb", "dn")),
-    Strategy.JOINT: (("noise", None), ("demosaic", "dm")),
-    Strategy.BEFORE: (("noise", None), ("decompose", None), ("denoise-subs", "dn"), ("recompose", None), ("demosaic", "dm")),
+    Strategy.AFTER: (("noise", None, False), ("demosaic", "dm", False), ("denoise-rgb", "dn", True)),
+    Strategy.JOINT: (("noise", None, False), ("demosaic", "dm", False)),
+    Strategy.BEFORE: (
+        ("noise", None, False),
+        ("decompose", None, True),
+        ("denoise-subs", "dn", True),
+        ("recompose", None, True),
+        ("demosaic", "dm", False),
+    ),
 }
 
 
@@ -127,13 +140,18 @@ def _run_group(
 ) -> Iterator[tuple[RgbImage, ExperimentRecord]]:
     """Run each (strategy, dn, dm) point on one noisy mosaic, yielding (result, record).
 
-    A point walks its strategy's template filled with dn and dm. Each stage
+    A point walks its strategy's template filled with dn and dm; with the
+    identity denoiser the steps that serve the denoiser are left out, so
+    after + none and before + none walk one path. Every path ends in a score
+    step, which pairs the result with its three channel MSEs. Each step's
     output is cached under its path prefix, so a prefix that points share
     is computed once; stages never write to their inputs, so reuse is exact.
     Before the first stage each prefix counts its readers (the distinct
     steps that extend it and the runs that end at it), and it is dropped as
     its last reader takes it. Each prefix keeps its own step's time, so
-    wall_ms, the sum along the path, is the run's cost had it run alone.
+    wall_ms, the sum along the path without the score, is the run's cost had
+    it run alone. The record's denoiser is that of the path's denoise step,
+    "none" when it has none.
     The image id must be a CSV text cell and the sides even and at least
     MIN_SIDE; both are checked before the first stage runs.
     """
@@ -146,8 +164,13 @@ def _run_group(
         "recompose": lambda subs, _: recompose(subs),
         "demosaic": demosaic,
         "denoise-rgb": lambda rgb, dn: RgbImage(*(denoise_plane(p, dn) for p in rgb.planes)),
+        "score": lambda rgb, _: (rgb, [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, rgb.planes)]),
     }
-    paths = [tuple((stage, {"dn": dn, "dm": dm}.get(slot)) for stage, slot in _TEMPLATES[strategy]) for strategy, dn, dm in points]
+    paths = [
+        tuple((stage, {"dn": dn, "dm": dm}.get(slot)) for stage, slot, serves_dn in _TEMPLATES[strategy] if not (serves_dn and dn.kind == "none"))
+        + (("score", None),)
+        for strategy, dn, dm in points
+    ]
     readers = Counter(paths)
     readers.update(prefix[:-1] for prefix in {path[:end] for path in paths for end in range(2, len(path) + 1)})
     cache: dict[tuple, Any] = {}
@@ -169,14 +192,15 @@ def _run_group(
             cache[path[:end]] = stages[stage](value, config)
             seconds[path[:end]] = time.perf_counter() - began
             value = read(path[:end])
-        elapsed = sum(seconds[path[:end]] for end in range(1, len(path) + 1))
-
-        channel_mses = [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, value.planes)]
-        yield value, ExperimentRecord(
+        # The result is not bound to a name of its own, which would hold it
+        # through the next run's stages.
+        channel_mses = value[1]
+        elapsed = sum(seconds[path[:end]] for end in range(1, len(path)))
+        yield value[0], ExperimentRecord(
             image=image_id,
             pattern=pattern.value,
             strategy=strategy.value,
-            denoiser="none" if strategy is Strategy.JOINT else dn.describe(),
+            denoiser=next((config.describe() for _, config in path if isinstance(config, DenoiserConfig)), "none"),
             demosaicker=dm.describe(),
             sigma_r=noise.sigma_r,
             sigma_g=noise.sigma_g,

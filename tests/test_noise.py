@@ -300,6 +300,18 @@ class TestAddAwgn:
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
 
+def _estimate_sigma_oracle(plane: Plane) -> float:
+    """estimate_sigma as np.median computes it: the reference for its one-partition median."""
+    data = plane.data
+    h, w = data.shape
+    data = data[: h - (h % 2), : w - (w % 2)]
+    hh = np.subtract(data[0::2, 0::2], data[0::2, 1::2])
+    hh -= data[1::2, 0::2]
+    hh += data[1::2, 1::2]
+    hh /= 2.0
+    return float(np.median(np.abs(hh, out=hh), overwrite_input=True) / 0.6745)
+
+
 class TestEstimateSigma:
     def test_matches_the_whole_frame_expression(self):
         data = np.random.default_rng(52).normal(0.0, 0.1, (34, 46))
@@ -307,6 +319,27 @@ class TestEstimateSigma:
         d = data
         hh = (d[0::2, 0::2] - d[0::2, 1::2] - d[1::2, 0::2] + d[1::2, 1::2]) / 2.0
         assert estimate_sigma(Plane(data)) == float(np.median(np.abs(hh)) / 0.6745)
+
+    # HH counts 1 (2x2 and 3x3), 2, 4, 6, 9, 15 and 368. The value sets give
+    # ties, signed zeros and subnormals, and samples near +-1e308 whose HH
+    # overflows to +-inf before its absolute value is taken.
+    @pytest.mark.parametrize(
+        "values",
+        [(0.0, 0.5, 1.0), (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310), (1e308, -1e308, 1.7e308, -1.7e308, 0.0)],
+        ids=["ties", "zeros-and-subnormals", "overflow"],
+    )
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4), (4, 4), (5, 7), (6, 6), (6, 10), (33, 47)])
+    def test_matches_the_np_median_oracle(self, values, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        results = set()
+        for _ in range(25):
+            plane = Plane(rng.choice(values, shape))
+            with np.errstate(over="ignore"):
+                got, want = estimate_sigma(plane), _estimate_sigma_oracle(plane)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+            results.add(got)
+        if values[0] == 1e308:
+            assert math.inf in results
 
     def test_constant_plane_is_zero(self):
         assert estimate_sigma(Plane(np.full((16, 16), 0.3))) == 0.0

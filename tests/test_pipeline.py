@@ -542,10 +542,12 @@ class TestSharedStages:
         assert calls["add_awgn"] == groups
         assert calls["decompose"] == groups
         assert calls["after-strategy demosaic"] == groups * demosaickers
-        assert calls["denoise_subimages"] == groups * denoisers
-        # Each demosaicker after the shared one and after each denoiser, and
-        # one joint run per group.
-        assert calls["demosaic"] == groups * (demosaickers * (1 + denoisers) + 1)
+        # The identity denoiser adds no step, so none leaves the sub-images alone.
+        assert calls["denoise_subimages"] == groups * (denoisers - 1)
+        # Each demosaicker on the noisy mosaic (the after runs and before +
+        # none) and after each other sub-image denoiser, and one joint run
+        # per group.
+        assert calls["demosaic"] == groups * (demosaickers * denoisers + 1)
 
     def test_pool_tasks_carry_no_image_planes(self, monkeypatch):
         # Count the bytes a process pool pickles in this process: the tasks
@@ -588,13 +590,15 @@ class TestSharedStages:
 
         corpus = self._corpus()
         records = run_experiment(corpus, self.GRID, jobs=1, keep_timing=True)
-        want = {"after": 1 + 2 + 8 + 3 * 32, "joint": 1 + 2 + 8, "before": 1 + 2 + 4 + 16 + 64 + 8}
-        assert [r.wall_ms for r in records] == [1000.0 * want[r.strategy] for r in records]
+        # With the identity denoiser, after and before walk the joint run's
+        # two steps.
+        want = {"after": 1 + 2 + 8 + 3 * 32, "joint": 1 + 2 + 8, "before": 1 + 2 + 4 + 16 + 64 + 8, "none": 1 + 2 + 8}
+        assert [r.wall_ms for r in records] == [1000.0 * want["none" if r.denoiser == "none" else r.strategy] for r in records]
         truth = corpus[0][1]
         for strategy, sigma, dn, dm, repeat in self.GRID.points():
             noise = NoiseSpec.uniform(sigma, derive_run_seed(0, "tex", repeat))
             _, record = run_pipeline(truth, self.GRID.pattern, noise, strategy, dn, dm)
-            assert record.wall_ms == 1000.0 * want[strategy.value]
+            assert record.wall_ms == 1000.0 * want["none" if dn.kind == "none" else strategy.value]
 
     def test_plan_has_one_task_per_group(self):
         points = list(self.GRID.points())
@@ -676,6 +680,68 @@ class TestSharedStages:
         gc.collect()
         held = [ref() for ref in outputs if ref() is not None]
         assert held and all(value is last or any(value is plane for plane in last.planes) for value in held)
+        assert next(runs, None) is None
+
+    # A group with both none runs for each demosaicker and one denoised run
+    # between them, so the shared path outlives the first run that ends on it.
+    NONE_GROUP = [
+        (Strategy.AFTER, NONE, BILINEAR),
+        (Strategy.AFTER, NONE, GRADIENT),
+        (Strategy.AFTER, WAVELET, BILINEAR),
+        (Strategy.BEFORE, NONE, BILINEAR),
+        (Strategy.BEFORE, NONE, GRADIENT),
+    ]
+
+    def _none_group(self):
+        return pipeline._run_group(_textured_image(32), CfaPattern.GBRG, NoiseSpec.uniform(0.05, 3), self.NONE_GROUP, "tex")
+
+    def test_both_none_runs_give_one_result(self):
+        runs = list(self._none_group())
+        for (after, after_record), (before, before_record) in zip(runs[:2], runs[3:]):
+            for got, want in zip(before.planes, after.planes):
+                assert np.array_equal(got.data, want.data) and np.array_equal(np.signbit(got.data), np.signbit(want.data))
+            # wall_ms included: both runs walk the same two steps.
+            assert before_record.strategy == "before" and replace(before_record, strategy="after") == after_record
+
+    def test_both_none_runs_demosaic_and_score_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("demosaic", "mse"):
+            stage = getattr(pipeline, name)
+
+            def counted(*args, name=name, stage=stage):
+                calls[name if name == "mse" else args[1].kind] += 1
+                return stage(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        list(self._none_group())
+        # Three distinct paths: the two none paths and after + wavelet.
+        assert calls == Counter({"bilinear": 1, "gradient": 1, "mse": 3 * 3})
+
+    def test_before_with_no_denoiser_splits_no_mosaic(self, monkeypatch):
+        calls = Counter()
+        for name in ("decompose", "denoise_subimages", "recompose"):
+            stage = getattr(pipeline, name)
+
+            def counted(*args, name=name, stage=stage):
+                calls[name] += 1
+                return stage(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        _, record = run_pipeline(_textured_image(32), CfaPattern.GBRG, NoiseSpec.uniform(0.05, 3), Strategy.BEFORE, NONE, BILINEAR)
+        assert record.denoiser == "none" and not calls
+
+    def test_scores_are_kept_until_the_last_run_that_reads_them(self):
+        runs = self._none_group()
+
+        def kept():
+            """The paths whose scores the group holds between runs."""
+            return sorted(tuple(stage for stage, _ in path) for path in runs.gi_frame.f_locals["cache"] if path[-1][0] == "score")
+
+        # One none path per demosaicker, each read again by its before run.
+        for count in (1, 2, 2, 1, 0):
+            next(runs)
+            assert kept() == [("noise", "demosaic", "score")] * count
         assert next(runs, None) is None
 
     def test_a_run_holds_only_the_stages_still_in_use(self, peak_bytes):
