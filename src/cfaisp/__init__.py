@@ -7,7 +7,7 @@ the result against the reference.
 """
 
 from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, decompose, mosaic_from_rgb, recompose
-from cfaisp.demosaic import DemosaickerConfig, demosaic
+from cfaisp.demosaic import DemosaickerConfig
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
 from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, PnmError, RgbImage, decode_pnm, encode_pnm
 from cfaisp.noise import NoiseSpec, add_awgn, estimate_sigma
@@ -33,7 +33,6 @@ __all__ = [
     "cpsnr",
     "decode_pnm",
     "decompose",
-    "demosaic",
     "denoise_plane",
     "denoise_subimages",
     "encode_pnm",

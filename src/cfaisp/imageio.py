@@ -16,10 +16,11 @@ MAXVAL_BY_DEPTH = {8: 255, 16: 65535}
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
-# Samples per block of the stages that walk a frame in pieces: the codec's
-# tiles, the noise generator's pairs, the 3x3 median's tiles and the
-# bilateral filter's strips. Their block-sized buffers then stay in L2
-# (whole 256x256 planes ran the median 3x slower).
+# Samples per block of the stages that walk a frame in pieces: the encoder's
+# tiles, the noise generator's pairs, the wide median's tiles and the
+# stencil stages' bands. Their block-sized buffers then stay in L2 (whole
+# 256x256 planes ran the median 3x slower). The decoder converts each
+# channel in one call and walks no tiles.
 _STRIP = 16384
 
 
@@ -34,17 +35,6 @@ def _tiles(h: int, w: int, samples: int):
     for top in range(0, h, rows):
         for left in range(0, w, cols):
             yield top, left, min(rows, h - top), min(cols, w - left)
-
-
-def _codec_tiles(height: int, width: int, channels: int):
-    """(window, tile) for each _STRIP-sample tile of a height x width frame.
-
-    window is the tile's pair of slices into the frame; tile is a float
-    buffer of shape (rows, cols, channels), reused from one tile to the next.
-    """
-    buffer = np.empty(min(height * width, _STRIP) * channels)
-    for top, left, n, m in _tiles(height, width, _STRIP):
-        yield (slice(top, top + n), slice(left, left + m)), buffer[: n * m * channels].reshape(n, m, channels)
 
 
 class PnmError(ValueError):
@@ -156,7 +146,8 @@ def decode_pnm(data: bytes) -> Union[Plane, RgbImage]:
 
     Samples are scaled to [0, 1] by the declared maxval; 16-bit rasters are
     read big-endian. Returns a Plane for P5 and an RgbImage for P6. The
-    raster is read in place, in tiles of _STRIP samples per channel.
+    raster is read in place; each channel is converted in one call,
+    straight into the plane it returns.
     """
     magic, pos = _next_token(data, 0)
     if magic in (b"P1", b"P2", b"P3", b"P4", b"P7"):
@@ -183,14 +174,7 @@ def decode_pnm(data: bytes) -> Union[Plane, RgbImage]:
         raise PnmTruncatedError(f"raster needs {need} bytes, found {len(raster)}")
 
     samples = np.frombuffer(raster, dtype=dtype).reshape(height, width, channels)
-    planes = [np.empty((height, width)) for _ in range(channels)]
-    # Each tile is cast to float in one contiguous pass, then split: casting
-    # each channel's strided samples on its own was slower on small frames.
-    for window, tile in _codec_tiles(height, width, channels):
-        np.copyto(tile, samples[window])
-        for c, plane in enumerate(planes):
-            np.divide(tile[:, :, c], maxval, out=plane[window])
-    planes = [Plane._adopt(plane) for plane in planes]
+    planes = [Plane._adopt(np.divide(samples[:, :, c], maxval, out=np.empty((height, width)))) for c in range(channels)]
     return planes[0] if channels == 1 else RgbImage(*planes)
 
 
@@ -214,7 +198,10 @@ def encode_pnm(image: Union[Plane, RgbImage], bit_depth: int = 8) -> bytes:
         raise TypeError(f"expected Plane or RgbImage, got {type(image).__name__}")
     height, width = planes[0].shape
     raster = np.empty((height, width, len(planes)), dtype=out_dtype)
-    for window, tile in _codec_tiles(height, width, len(planes)):
+    buffer = np.empty(min(height * width, _STRIP) * len(planes))
+    for top, left, n, m in _tiles(height, width, _STRIP):
+        window = slice(top, top + n), slice(left, left + m)
+        tile = buffer[: n * m * len(planes)].reshape(n, m, len(planes))
         for c, data in enumerate(planes):
             np.clip(data[window], 0.0, 1.0, out=tile[:, :, c])
         # Round half away from zero: floor(x + 0.5) on the clamped values

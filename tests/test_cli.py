@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main()."""
 
 import dataclasses
+import errno
 import math
 import os
 import re
@@ -526,6 +527,33 @@ class TestOutOfRangeFlags:
         argv = ["pipeline", "--in", image, "--sigma", "1000", "--strategy", "before", "--denoiser", "wavelet", "--seed", "1"]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "argv,flag,parse,value",
+        [
+            (["mosaic", "--in", "a.ppm", "--out", "m.pgm"], "--pattern", CfaPattern.parse, "xyz"),
+            (["pipeline", "--in", "a.ppm"], "--dn-sigma-n", CONFIG_FIELDS["sigma_n"].parse, "often"),
+        ],
+    )
+    def test_flag_rejected_with_the_library_message(self, capsys, argv, flag, parse, value):
+        with pytest.raises(ValueError) as library:
+            parse(value)
+        assert main(argv + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: {library.value}\n"
+
+    def test_header_without_raster_names_the_input(self, tmp_path, capsys):
+        src = tmp_path / "short.ppm"
+        src.write_bytes(b"P6 12 12 255")
+        assert main(["mosaic", "--in", str(src), "--out", str(tmp_path / "m.pgm")]) == 2
+        assert capsys.readouterr().err == f"error: {src}: raster must follow the maxval after a single whitespace byte\n"
+
+    def test_output_in_a_missing_directory(self, tmp_path, capsys):
+        src = _write_ppm(tmp_path / "a.ppm", _rgb(size=8))
+        out = tmp_path / "missing" / "m.pgm"
+        assert main(["mosaic", "--in", src, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
 
 
 class TestHelp:

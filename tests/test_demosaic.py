@@ -7,7 +7,7 @@ oracle with the range kernel saturated. Quality orderings that motivated
 the gradient and joint variants are asserted on the shared corpus.
 """
 
-import importlib
+import inspect
 import math
 
 import numpy as np
@@ -400,8 +400,7 @@ class TestJointBilateral:
             calls.append(mosaic)
             return demosaic_bilinear(mosaic)
 
-        # The package re-exports the demosaic() function under the submodule's name.
-        monkeypatch.setattr(importlib.import_module("cfaisp.demosaic"), "demosaic_bilinear", counting)
+        monkeypatch.setattr("cfaisp.demosaic.demosaic_bilinear", counting)
         mosaic = _random_mosaic(CfaPattern.RGGB, (8, 10), 12)
         demosaic_joint_bilateral(mosaic, 1.0, 0.1)
         demosaic(mosaic, DemosaickerConfig(kind="joint-bilateral"))
@@ -479,3 +478,11 @@ class TestConfigAndDispatch:
             got = demosaic(mosaic, config)
             for g, w in zip(got.planes, want.planes):
                 np.testing.assert_array_equal(g.data, w.data)
+
+    def test_import_gives_the_submodule(self):
+        # The package does not re-export demosaic(), which would hide the
+        # submodule of the same name.
+        import cfaisp.demosaic as m
+
+        assert inspect.ismodule(m)
+        assert m.demosaic_bilinear is demosaic_bilinear

@@ -187,6 +187,20 @@ class TestDecode:
         with pytest.raises(PnmHeaderError):
             decode_pnm(b"P5 2 2")
 
+    # A comment runs to the end of its line, here the end of the data.
+    @pytest.mark.parametrize("data", [b"", b"P5 2 2", b"P5 2 2 #255"])
+    def test_header_ended_before_all_fields_were_read(self, data):
+        with pytest.raises(PnmHeaderError, match="^header ended before all fields were read$"):
+            decode_pnm(data)
+
+    def test_comment_ends_a_token(self):
+        plane = decode_pnm(b"P5 2#c\n2 255\n" + bytes([1, 2, 3, 4]))
+        assert plane.data.tolist() == [[1 / 255, 2 / 255], [3 / 255, 4 / 255]]
+
+    def test_raster_must_follow_the_maxval(self):
+        with pytest.raises(PnmHeaderError, match="^raster must follow the maxval after a single whitespace byte$"):
+            decode_pnm(b"P5 2 2 255")
+
     @pytest.mark.parametrize("maxval", [1, 254, 1000, 65534])
     def test_unsupported_maxval(self, maxval):
         with pytest.raises(PnmMaxvalError):
