@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfaisp.imageio import DimensionError, Plane, RgbImage
+from cfaisp.imageio import DimensionError, Plane, RgbImage, parse_name
 
 
 class CfaPattern(enum.Enum):
@@ -31,11 +31,7 @@ class CfaPattern(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "CfaPattern":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            choices = ", ".join(p.value for p in cls)
-            raise ValueError(f"unknown CFA pattern {name!r}; expected one of {choices}") from None
+        return cls(parse_name("CFA pattern", name, [p.value for p in cls]))
 
     @property
     def sites(self) -> tuple[tuple[int, int, str], ...]:

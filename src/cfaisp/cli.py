@@ -8,7 +8,8 @@ The CLI states no library policy; each rule has one home in the library.
 Defaults come from DenoiserConfig(), DemosaickerConfig(), ExperimentGrid()
 and DEFAULT_PATTERN. There is one --dn-*/--jb-* flag per field of
 DenoiserConfig and DemosaickerConfig, whose text form, range and meaning
-come from denoise.CONFIG_FIELDS. The noise ranges are noise's rules and the
+come from denoise.CONFIG_FIELDS, sigma floor included. imageio.parse_name
+reads every typed name. The noise ranges are noise's rules and the
 strategy/demosaicker pairing is pipeline.check_pairing. A configuration the
 library rejects is a usage error, reported before any input is read.
 """
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosaic_from_rgb
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
 from cfaisp.denoise import CONFIG_FIELDS, DENOISER_KINDS, DenoiserConfig, denoise_plane
-from cfaisp.imageio import MAXVAL_BY_DEPTH, DimensionError, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
+from cfaisp.imageio import MAXVAL_BY_DEPTH, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, parse_name, write_csv
 from cfaisp.noise import COUNT, SEED, SIGMA, NoiseSpec, Rule, add_awgn
 from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_experiment, run_pipeline
 
@@ -65,23 +66,11 @@ def _parsed(parse, rule: Optional[Rule] = None):
     return convert
 
 
-def _kind(family: str, kinds: tuple[str, ...]):
-    """argparse type for a method kind; case and '_' for '-' are forgiven."""
-
-    def convert(text: str) -> str:
-        kind = text.strip().lower().replace("_", "-")
-        if kind not in kinds:
-            raise argparse.ArgumentTypeError(f"unknown {family} {text!r}; expected one of {kinds}")
-        return kind
-
-    return convert
-
-
 _count = _parsed(int, COUNT)
 _seed = _parsed(int, SEED)
 _sigma = _parsed(float, SIGMA)
-_denoiser_kind = _kind("denoiser", DENOISER_KINDS)
-_demosaicker_kind = _kind("demosaicker", DEMOSAICKER_KINDS)
+_denoiser_kind = _parsed(lambda text: parse_name("denoiser", text, DENOISER_KINDS))
+_demosaicker_kind = _parsed(lambda text: parse_name("demosaicker", text, DEMOSAICKER_KINDS))
 
 
 def _add_pattern_flag(parser: argparse.ArgumentParser) -> None:
@@ -324,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (UsageError, PnmError, DimensionError, ValueError, OSError, RuntimeError) as exc:
+    except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
 

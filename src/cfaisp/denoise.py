@@ -48,6 +48,9 @@ _SQRT2 = math.sqrt(2.0)
 # The largest spatial sigma, a 601 x 601 window. A bound tied to the frame
 # size would reject the default sigma_s on the 1x1 sub-images of a 2x2 mosaic.
 SIGMA_S_MAX = 100.0
+# The smallest spatial or range sigma: below about 5.27e-155 the 1 / (2 sigma^2)
+# in a Gaussian weight's exponent overflows, and no weight exists.
+SIGMA_FLOOR = 1e-154
 # The largest median radius: the same 601 x 601 window.
 RADIUS_MAX = math.ceil(3 * SIGMA_S_MAX)
 # The most wavelet levels. Padding a side to a multiple of 2^levels then adds
@@ -85,10 +88,13 @@ class ConfigField(NamedTuple):
 # read back by its parse.
 CONFIG_FIELDS = {
     "sigma_s": ConfigField(
-        float, Rule(lambda v: is_real(v) and 0 < v <= SIGMA_S_MAX, f"finite, > 0 and <= {SIGMA_S_MAX:g}"), _show_real, "spatial sigma in pixels (gaussian, bilateral, joint-bilateral)"
+        float, Rule(lambda v: is_real(v) and SIGMA_FLOOR <= v <= SIGMA_S_MAX, f"finite, >= {SIGMA_FLOOR:g} and <= {SIGMA_S_MAX:g}"), _show_real,
+        "spatial sigma in pixels (gaussian, bilateral, joint-bilateral)",
     ),
     "radius": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]"), str, "median window radius"),
-    "sigma_r": ConfigField(float, Rule(lambda v: is_real(v) and v > 0, "> 0"), _show_real, "range sigma (bilateral, joint-bilateral), or inf for spatial weights only"),
+    "sigma_r": ConfigField(
+        float, Rule(lambda v: is_real(v) and v >= SIGMA_FLOOR, f">= {SIGMA_FLOOR:g}"), _show_real, "range sigma (bilateral, joint-bilateral), or inf for spatial weights only"
+    ),
     "levels": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]"), str, "wavelet decomposition levels"),
     "sigma_n": ConfigField(
         _number_or_auto, Rule(lambda v: v is None or SIGMA.test(v), SIGMA.need), lambda v: "auto" if v is None else _show_real(v), "wavelet noise level, or 'auto' to estimate it per plane"
@@ -109,7 +115,7 @@ def check_method(config, table: dict, family: str) -> None:
     denoiser and demosaicker configs share this check and describe_method.
     """
     if config.kind not in table:
-        raise ValueError(f"unknown {family} kind {config.kind!r}; expected one of {tuple(table)}")
+        raise ValueError(f"unknown {family} kind {config.kind!r}; expected one of {', '.join(table)}")
     _check_fields(**{name: getattr(config, name) for name in table[config.kind][1]})
 
 
@@ -213,26 +219,10 @@ def idwt_haar(pyramid: WaveletPyramid) -> Plane:
     return Plane(current) if current is pyramid.ll else Plane._adopt(current)
 
 
-def _two_variance(name: str, sigma: float) -> float:
-    """2 sigma^2, the divisor in a Gaussian weight's exponent.
-
-    A square too large for a float gives inf, so the weights take their
-    sigma -> inf limit. A sigma so small that 1 / (2 sigma^2) is not a finite
-    float gives no weights at all and is rejected.
-    """
-    try:
-        two_var = 2.0 * sigma**2
-    except OverflowError:
-        return math.inf
-    if two_var == 0.0 or math.isinf(1.0 / two_var):
-        raise ValueError(f"{name}={sigma:g} is too small: 1 / (2 {name}^2) overflows")
-    return two_var
-
-
 def _gaussian_kernel(sigma_s: float) -> np.ndarray:
     radius = math.ceil(3.0 * sigma_s)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets**2) / _two_variance("sigma_s", sigma_s))
+    kernel = np.exp(-(offsets**2) / (2.0 * sigma_s * sigma_s))
     return kernel / kernel.sum()
 
 
@@ -429,8 +419,10 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     fallback and its error read the cropped band only.
     """
     _check_fields(sigma_s=sigma_s, sigma_r=sigma_r)
-    inv_2ss = 1.0 / _two_variance("sigma_s", sigma_s)
-    inv_2sr = 1.0 / _two_variance("sigma_r", sigma_r)
+    # 2 sigma sigma is inf where sigma^2 overflows, which gives the weights'
+    # sigma -> inf limit; SIGMA_FLOOR keeps 1 / (2 sigma^2) finite.
+    inv_2ss = 1.0 / (2.0 * sigma_s * sigma_s)
+    inv_2sr = 1.0 / (2.0 * sigma_r * sigma_r)
     radius = math.ceil(3.0 * sigma_s)
     step, buckets = (1, 1) if pattern is None else (2, 3)
     sites = [(0, 0, 0)] if pattern is None else [(row, col, "RGB".index(color)) for row, col, color in pattern.sites]

@@ -2,13 +2,14 @@
 
 Images are carried as float64 arrays with a nominal [0, 1] sample range.
 File exchange uses the binary Netpbm formats only: P5 (grayscale) and
-P6 (RGB), at 8 or 16 bits per sample.
+P6 (RGB), at 8 or 16 bits per sample. parse_name reads every typed name
+(a pattern, a strategy, a method kind) for the library and the CLI alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -246,6 +247,14 @@ def format_float(value: float) -> str:
     text = np.format_float_positional(value, precision=6, unique=False, fractional=False, trim="k")
     # Magnitudes >= 1e6 come back with a dangling decimal point ("123457.").
     return text[:-1] if text.endswith(".") else text
+
+
+def parse_name(family: str, text: str, names: Sequence[str]) -> str:
+    """The one of names that text spells, read stripped, in any case and with '_' for '-'."""
+    name = text.strip().lower().replace("_", "-")
+    if name not in names:
+        raise ValueError(f"unknown {family} {text!r}; expected one of {', '.join(names)}")
+    return name
 
 
 def check_text(name: str, value: str) -> None:

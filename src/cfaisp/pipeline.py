@@ -35,7 +35,7 @@ import numpy as np
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
-from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_text
+from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_text, parse_name
 from cfaisp.noise import COUNT, SEED, SIGMA, NoiseSpec, add_awgn
 
 METRIC_CROP = 4
@@ -53,11 +53,7 @@ class Strategy(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Strategy":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            choices = ", ".join(s.value for s in cls)
-            raise ValueError(f"unknown strategy {name!r}; expected one of {choices}") from None
+        return cls(parse_name("strategy", name, [s.value for s in cls]))
 
 
 def check_pairing(strategy: Strategy, dm: DemosaickerConfig) -> None:
@@ -99,8 +95,6 @@ def psnr(mse_value: float, peak: float = 1.0) -> float:
 
 def cpsnr(truth: RgbImage, test: RgbImage, crop: int = 0) -> float:
     """PSNR of the mean of the three per-channel MSEs."""
-    if truth.r.data.shape != test.r.data.shape:
-        raise DimensionError(f"shape mismatch: {truth.r.data.shape} vs {test.r.data.shape}")
     channel_mses = [mse(a, b, crop) for a, b in zip(truth.planes, test.planes)]
     return psnr(sum(channel_mses) / 3.0)
 

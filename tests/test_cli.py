@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, mosaic_from_rgb, reco
 import cfaisp.pipeline as pipeline
 from cfaisp.cli import _build_parser, main
 from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear
-from cfaisp.denoise import CONFIG_FIELDS, DenoiserConfig
-from cfaisp.imageio import Plane, RgbImage, decode_pnm, encode_pnm, write_csv
+from cfaisp.denoise import CONFIG_FIELDS, DENOISER_KINDS, DenoiserConfig
+from cfaisp.imageio import Plane, RgbImage, decode_pnm, encode_pnm, parse_name, write_csv
 from cfaisp.noise import NoiseSpec
 from cfaisp.pipeline import Strategy, run_pipeline
 
@@ -496,6 +497,10 @@ class TestOutOfRangeFlags:
             ("experiment", "--dn-levels", "25"),
             ("pipeline", "--dn-sigma-r", "nan"),
             ("pipeline", "--jb-sigma-r", "0"),
+            ("denoise --denoiser gaussian", "--dn-sigma-s", "1e-200"),
+            ("denoise --denoiser bilateral", "--dn-sigma-r", "1e-200"),
+            ("pipeline --strategy joint", "--jb-sigma-s", "1e-200"),
+            ("experiment", "--dn-sigma-s", "1e-200"),
         ],
     )
     def test_usage_error_names_the_flag(self, tmp_path, capsys, command, flag, value):
@@ -512,6 +517,11 @@ class TestOutOfRangeFlags:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert flag in err and value in err
+
+    def test_usage_error_is_found_before_the_input_is_read(self, tmp_path, capsys):
+        argv = ["denoise", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "d.pgm"), "--denoiser", "gaussian", "--dn-sigma-s", "1e-200"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: argument --dn-sigma-s: must be finite, >= 1e-154 and <= 100, got 1e-200\n"
 
     @pytest.mark.parametrize("strategy", ["after", "before", "joint"])
     @pytest.mark.parametrize("denoiser", ["none", "gaussian", "median", "bilateral", "wavelet"])
@@ -535,6 +545,8 @@ class TestErrorMessages:
         [
             (["mosaic", "--in", "a.ppm", "--out", "m.pgm"], "--pattern", CfaPattern.parse, "xyz"),
             (["pipeline", "--in", "a.ppm"], "--dn-sigma-n", CONFIG_FIELDS["sigma_n"].parse, "often"),
+            (["pipeline", "--in", "a.ppm"], "--strategy", Strategy.parse, "sideways"),
+            (["pipeline", "--in", "a.ppm"], "--denoiser", partial(parse_name, "denoiser", names=DENOISER_KINDS), "nl_means"),
         ],
     )
     def test_flag_rejected_with_the_library_message(self, capsys, argv, flag, parse, value):

@@ -845,7 +845,7 @@ class TestConfigAndDispatch:
         ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
     )
     def test_infinite_sigma_s_is_rejected(self, build):
-        with pytest.raises(ValueError, match="sigma_s must be finite, > 0 and <= 100, got inf"):
+        with pytest.raises(ValueError, match="sigma_s must be finite, >= 1e-154 and <= 100, got inf"):
             build()
 
     @pytest.mark.parametrize("sigma_s", [100.5, 1e200])
@@ -862,7 +862,7 @@ class TestConfigAndDispatch:
         ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
     )
     def test_sigma_s_above_100_is_rejected(self, build, sigma_s):
-        with pytest.raises(ValueError, match=r"^sigma_s must be finite, > 0 and <= 100, got "):
+        with pytest.raises(ValueError, match=r"^sigma_s must be finite, >= 1e-154 and <= 100, got "):
             build(sigma_s)
 
     def test_sigma_s_of_100_is_accepted(self):
@@ -897,25 +897,29 @@ class TestConfigAndDispatch:
         for got, want in zip(run(plane, sigma_r), run(plane, math.inf)):
             np.testing.assert_array_equal(got.data, want.data)
 
-    @pytest.mark.parametrize("sigma_s", [1e-156, 1e-160, 1e-200])
+    @pytest.mark.parametrize("sigma_s", [6e-155, 1e-156, 1e-160, 1e-200])
     @pytest.mark.parametrize(
         "run",
         [
+            lambda plane, sigma_s: DenoiserConfig(kind="gaussian", sigma_s=sigma_s),
+            lambda plane, sigma_s: DenoiserConfig(kind="bilateral", sigma_s=sigma_s),
+            lambda plane, sigma_s: DemosaickerConfig(kind="joint-bilateral", sigma_s=sigma_s),
             lambda plane, sigma_s: denoise_gaussian(plane, sigma_s),
             lambda plane, sigma_s: denoise_bilateral(plane, sigma_s, 0.1),
             lambda plane, sigma_s: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, plane), sigma_s, 0.1),
         ],
-        ids=["gaussian", "bilateral", "joint"],
+        ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
     )
     def test_tiny_sigma_s_is_rejected(self, run, sigma_s):
-        # 1 / (2 sigma_s**2) overflows (or sigma_s**2 underflows to 0): no
-        # weight exists, and the error names the parameter.
-        with pytest.raises(ValueError, match=r"^sigma_s=\S+ is too small"):
+        # The field's rule rejects any value below the floor of 1e-154,
+        # naming it. Below about 5.27e-155, 1 / (2 sigma_s**2) overflows (or
+        # sigma_s**2 underflows to 0) and no weight exists.
+        with pytest.raises(ValueError, match=r"^sigma_s must be finite, >= 1e-154 and <= 100, got "):
             run(Plane(np.zeros((8, 8))), sigma_s)
 
-    @pytest.mark.parametrize("sigma_r", [1e-156, 1e-200])
+    @pytest.mark.parametrize("sigma_r", [6e-155, 1e-156, 1e-200])
     def test_tiny_sigma_r_is_rejected(self, sigma_r):
-        with pytest.raises(ValueError, match=r"^sigma_r=\S+ is too small"):
+        with pytest.raises(ValueError, match=r"^sigma_r must be >= 1e-154, got "):
             denoise_bilateral(Plane(np.zeros((8, 8))), 1.0, sigma_r)
 
     @pytest.mark.parametrize("denoise", [lambda p: denoise_gaussian(p, 1e-154), lambda p: denoise_bilateral(p, 1e-154, 0.1)])

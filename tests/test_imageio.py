@@ -27,6 +27,7 @@ from cfaisp.imageio import (
     decode_pnm,
     encode_pnm,
     format_float,
+    parse_name,
     write_csv,
 )
 from cfaisp.noise import NoiseSpec, add_awgn
@@ -402,6 +403,16 @@ class TestFormatFloat:
         for value in (0.0123456789, 31.4159265, 999999.5, 1e-7):
             rendered = format_float(value)
             assert abs(float(rendered) - value) <= abs(value) * 1e-5 + 1e-300
+
+
+class TestParseName:
+    def test_reads_case_blanks_and_underscores(self):
+        assert parse_name("demosaicker", " Joint_Bilateral\n", ("bilinear", "joint-bilateral")) == "joint-bilateral"
+
+    def test_unknown_name_lists_the_names(self):
+        with pytest.raises(ValueError) as excinfo:
+            parse_name("strategy", "During", ("after", "joint", "before"))
+        assert str(excinfo.value) == "unknown strategy 'During'; expected one of after, joint, before"
 
 
 class TestWriteCsv:

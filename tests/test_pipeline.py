@@ -55,6 +55,9 @@ WAVELET = DenoiserConfig(kind="wavelet", levels=2)
 BILINEAR = DemosaickerConfig(kind="bilinear")
 GRADIENT = DemosaickerConfig(kind="gradient")
 JOINT = DemosaickerConfig(kind="joint-bilateral")
+# Passes the config check but fails when it runs: at sigma_s = 0.03 every
+# spatial weight between some site and its nearest same-color sites underflows.
+FAILING_JOINT = DemosaickerConfig(kind="joint-bilateral", sigma_s=0.03)
 NONE = DenoiserConfig(kind="none")
 
 
@@ -405,18 +408,13 @@ class TestRunExperiment:
         assert timed[0].wall_ms > 0.0
 
     def test_failure_names_grid_point(self):
-        # sigma_s = 1e-200 passes the config check, but 1 / (2 sigma_s^2)
-        # overflows, so the gaussian filter raises when it runs.
-        grid = ExperimentGrid(
-            strategies=(Strategy.BEFORE,),
-            sigmas=(0.05,),
-            denoisers=(DenoiserConfig(kind="gaussian", sigma_s=1e-200),),
-        )
+        # The after run succeeds; FAILING_JOINT raises when the joint run starts.
+        grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.05,), joint_demosaicker=FAILING_JOINT)
         yy, xx = np.mgrid[0:10, 0:10] / 9.0
         tiny = RgbImage(Plane(xx), Plane(yy), Plane(xx * yy))
         with pytest.raises(RuntimeError, match="image=tiny") as excinfo:
             run_experiment([("tiny", tiny)], grid, jobs=1)
-        assert "strategy=before" in str(excinfo.value)
+        assert "strategy=joint" in str(excinfo.value)
         assert "sigma=0.05" in str(excinfo.value)
 
     @pytest.mark.parametrize("seed", [-1, 2**64 + 5, 1.5, True])
@@ -466,13 +464,14 @@ class TestRunExperiment:
         assert inline_pool == []
 
     def _failing_sweep(self, jobs):
-        # Every group fails at its gaussian run: 1 / (2 sigma_s^2) overflows.
+        # Every group fails at its joint run, after its after runs succeed.
         grid = ExperimentGrid(
-            strategies=(Strategy.BEFORE,),
+            strategies=(Strategy.AFTER, Strategy.JOINT),
             sigmas=(0.01, 0.02, 0.03, 0.04),
-            denoisers=(NONE, DenoiserConfig(kind="gaussian", sigma_s=1e-200)),
+            denoisers=(NONE, DenoiserConfig(kind="gaussian")),
+            joint_demosaicker=FAILING_JOINT,
         )
-        with pytest.raises(RuntimeError, match="denoiser=gaussian") as excinfo:
+        with pytest.raises(RuntimeError, match="strategy=joint") as excinfo:
             run_experiment([("t", _textured_image(16)), ("u", _ramp_image(16))], grid, jobs=jobs)
         return str(excinfo.value)
 
@@ -625,16 +624,17 @@ class TestSharedStages:
         assert [math.copysign(1.0, r.sigma_g) for r in records] == [1.0, -1.0, 1.0, -1.0]
 
     def test_failure_inside_a_group_names_its_point(self):
-        # The none run of the group succeeds; the gaussian run after it fails
-        # (1 / (2 sigma_s^2) overflows), and the message names the gaussian point.
+        # The after runs of the group succeed; the joint run after them
+        # fails, and the message names the joint point.
         grid = ExperimentGrid(
-            strategies=(Strategy.BEFORE,),
+            strategies=(Strategy.AFTER, Strategy.JOINT),
             sigmas=(0.05,),
-            denoisers=(NONE, DenoiserConfig(kind="gaussian", sigma_s=1e-200)),
+            denoisers=(NONE, DenoiserConfig(kind="gaussian")),
+            joint_demosaicker=FAILING_JOINT,
         )
         yy, xx = np.mgrid[0:10, 0:10] / 9.0
         tiny = RgbImage(Plane(xx), Plane(yy), Plane(xx * yy))
-        with pytest.raises(RuntimeError, match="denoiser=gaussian"):
+        with pytest.raises(RuntimeError, match="strategy=joint"):
             run_experiment([("tiny", tiny)], grid, jobs=1)
 
     def test_duplicate_configs_share_a_whole_path(self, monkeypatch):
