@@ -8,7 +8,8 @@ The CLI states no library policy; each rule has one home in the library.
 Defaults come from DenoiserConfig(), DemosaickerConfig(), ExperimentGrid()
 and DEFAULT_PATTERN. There is one --dn-*/--jb-* flag per field of
 DenoiserConfig and DemosaickerConfig, whose text form, range and meaning
-come from denoise.CONFIG_FIELDS, sigma floor included. imageio.parse_name
+come from denoise.CONFIG_FIELDS, sigma floor included; --jb-sigma-s also
+checks joint-bilateral's floor, demosaic.JOINT_SIGMA_S. imageio.parse_name
 reads every typed name. The noise ranges are noise's rules and the
 strategy/demosaicker pairing is pipeline.check_pairing. A configuration the
 library rejects is a usage error, reported before any input is read.
@@ -23,7 +24,7 @@ import sys
 from typing import Optional, Sequence
 
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosaic_from_rgb
-from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
+from cfaisp.demosaic import DEMOSAICKER_KINDS, JOINT_SIGMA_S, DemosaickerConfig, demosaic
 from cfaisp.denoise import CONFIG_FIELDS, DENOISER_KINDS, DenoiserConfig, denoise_plane
 from cfaisp.imageio import MAXVAL_BY_DEPTH, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, parse_name, write_csv
 from cfaisp.noise import COUNT, SEED, SIGMA, NoiseSpec, Rule, add_awgn
@@ -44,8 +45,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parsed(parse, rule: Optional[Rule] = None):
-    """argparse type: parse the text, then check the value against rule, if given.
+def _parsed(parse, *rules: Rule):
+    """argparse type: parse the text, then check the value against each rule in turn.
 
     A library parse words its own ValueError; a failing int or float cast
     is worded by argparse ("invalid int value: '1.5'").
@@ -58,8 +59,9 @@ def _parsed(parse, rule: Optional[Rule] = None):
             if isinstance(parse, type):
                 raise
             raise argparse.ArgumentTypeError(str(exc)) from None
-        if rule is not None and not rule.test(value):
-            raise argparse.ArgumentTypeError(rule.complaint(text))
+        for rule in rules:
+            if not rule.test(value):
+                raise argparse.ArgumentTypeError(rule.complaint(text))
         return value
 
     convert.__name__ = parse.__name__
@@ -104,7 +106,9 @@ def _add_field_flags(parser: argparse.ArgumentParser, prefix: str, defaults) -> 
             continue
         spec, default = CONFIG_FIELDS[field.name], getattr(defaults, field.name)
         flag = f"--{prefix}-{field.name.replace('_', '-')}"
-        parser.add_argument(flag, type=_parsed(spec.parse, spec.rule), default=default, help=f"{spec.meaning} (default {spec.show(default)})")
+        # The --jb-* flags set joint-bilateral's fields, so its sigma_s floor holds there.
+        rules = (spec.rule, JOINT_SIGMA_S) if flag == "--jb-sigma-s" else (spec.rule,)
+        parser.add_argument(flag, type=_parsed(spec.parse, *rules), default=default, help=f"{spec.meaning} (default {spec.show(default)})")
 
 
 def _fields(args: argparse.Namespace, prefix: str) -> dict:

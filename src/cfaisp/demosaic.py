@@ -26,6 +26,7 @@ computed across the padded width and its padding columns are cropped away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from cfaisp.cfa import MosaicImage
 from cfaisp.denoise import _bilateral, _shifted, check_method, describe_method
 from cfaisp.imageio import Plane, RgbImage
+from cfaisp.noise import Rule
 
 # kind -> (name of the function in this module, the DemosaickerConfig fields
 # it takes after the mosaic). demosaic() looks the name up when it runs, so a
@@ -43,6 +45,9 @@ _DEMOSAICKERS = {
     "joint-bilateral": ("demosaic_joint_bilateral", ("sigma_s", "sigma_r")),
 }
 DEMOSAICKER_KINDS = tuple(_DEMOSAICKERS)
+# joint-bilateral's sigma_s floor: below about 0.037535 the spatial weights of an
+# R site's four diagonal B sites, exp(-1 / sigma_s^2) each, sum below the smallest normal float.
+JOINT_SIGMA_S = Rule(lambda s: 4.0 * math.exp(-1.0 / (s * s)) >= np.finfo(np.float64).tiny, "about 0.037535 or more for joint-bilateral")
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,8 @@ class DemosaickerConfig:
 
     def __post_init__(self) -> None:
         check_method(self, _DEMOSAICKERS, "demosaicker")
+        if self.is_joint:
+            JOINT_SIGMA_S.check("sigma_s", self.sigma_s)
 
     @property
     def is_joint(self) -> bool:

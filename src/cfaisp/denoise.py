@@ -130,10 +130,11 @@ class DenoiserConfig:
     """Denoiser selection plus the parameters the chosen kind reads.
 
     kind "none" is the identity filter, kept so pipelines can be configured
-    with denoising disabled. In a pipeline run it adds no step: the before
-    strategy then skips decompose and recompose too, so before + none and
-    after + none run the same stages. sigma_n=None asks the wavelet filter
-    to estimate the noise level from each plane it processes.
+    with denoising disabled. In a pipeline run it adds no step: with it
+    every strategy walks the joint strategy's path, noise then demosaic, so
+    before + none and after + none run the same stages. sigma_n=None asks
+    the wavelet filter to estimate the noise level from each plane it
+    processes.
     """
 
     kind: str = "wavelet"

@@ -13,6 +13,7 @@ above-range excursions a real sensor pipeline would.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -36,8 +37,9 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """True for Python and numpy real numbers, integers among them; False for bools and text."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for Python and numpy real numbers, integers among them; False for bools, text and ints or fractions beyond float range."""
+    in_range = not isinstance(value, numbers.Rational) or -sys.float_info.max <= value <= sys.float_info.max
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and in_range
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ demosaicking:
 
 - After:  mosaic -> noise -> demosaic -> denoise each RGB channel.
 - Joint:  mosaic -> noise -> joint bilateral demosaick-denoise (one pass).
-- Before: mosaic -> noise -> split into R/G1/G2/B sub-images -> denoise each
-  sub-image -> reassemble the mosaic -> demosaic.
+- Before: mosaic -> noise -> split into R/G1/G2/B sub-images -> denoise the
+  sub-images and reassemble the mosaic -> demosaic.
 
-The identity denoiser (kind "none") adds no step: before + none leaves out
-the split and the reassembly too, so it walks the same path as after + none
-and the two give one result, computed and scored once per noisy mosaic.
+With the identity denoiser (kind "none") every strategy walks joint's path,
+noise then demosaic, so after + none and before + none give one result,
+computed and scored once per noisy mosaic.
 
 Every run is scored against the reference image with per-channel MSE/PSNR
 and CPSNR over a 4-pixel interior crop, and carries the exact seed that
@@ -82,15 +82,13 @@ def mse(a: Plane, b: Plane, crop: int = 0) -> float:
     return float(np.mean(np.multiply(diff, diff, out=diff)))
 
 
-def psnr(mse_value: float, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the MSE is zero."""
+def psnr(mse_value: float) -> float:
+    """Peak signal-to-noise ratio in dB for samples in [0, 1]; +inf when the MSE is zero."""
     if mse_value < 0:
         raise ValueError(f"mse must be >= 0, got {mse_value}")
-    if not peak > 0:
-        raise ValueError(f"peak must be > 0, got {peak}")
     if mse_value == 0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse_value)
+    return 10.0 * math.log10(1.0 / mse_value)
 
 
 def cpsnr(truth: RgbImage, test: RgbImage, crop: int = 0) -> float:
@@ -108,20 +106,12 @@ def _check_sides(truth: RgbImage, where: str = "") -> None:
         raise DimensionError(f"{where}mosaic requires even dimensions, got {w}x{h}")
 
 
-# Each strategy's run as a path of (stage, the config it takes, if any,
-# whether it serves the denoiser). A step that serves the denoiser leaves the
-# path when the denoiser is the identity, kind "none": the before strategy's
-# decompose and recompose exist only to hand the sub-image denoiser its planes.
+# Each strategy's run as a path of (stage, the point's config it takes, if
+# any). Without a denoiser all three strategies are joint's path.
 _TEMPLATES = {
-    Strategy.AFTER: (("noise", None, False), ("demosaic", "dm", False), ("denoise-rgb", "dn", True)),
-    Strategy.JOINT: (("noise", None, False), ("demosaic", "dm", False)),
-    Strategy.BEFORE: (
-        ("noise", None, False),
-        ("decompose", None, True),
-        ("denoise-subs", "dn", True),
-        ("recompose", None, True),
-        ("demosaic", "dm", False),
-    ),
+    Strategy.AFTER: (("noise", None), ("demosaic", "dm"), ("denoise-rgb", "dn")),
+    Strategy.JOINT: (("noise", None), ("demosaic", "dm")),
+    Strategy.BEFORE: (("noise", None), ("decompose", None), ("denoise-subs", "dn"), ("demosaic", "dm")),
 }
 
 
@@ -134,12 +124,13 @@ def _run_group(
 ) -> Iterator[tuple[RgbImage, ExperimentRecord]]:
     """Run each (strategy, dn, dm) point on one noisy mosaic, yielding (result, record).
 
-    A point walks its strategy's template filled with dn and dm; with the
-    identity denoiser the steps that serve the denoiser are left out, so
-    after + none and before + none walk one path. Every path ends in a score
-    step, which pairs the result with its three channel MSEs. Each step's
-    output is cached under its path prefix, so a prefix that points share
-    is computed once; stages never write to their inputs, so reuse is exact.
+    A point walks its strategy's template filled with dn and dm, or joint's
+    template when dn is the identity, so after + none and before + none walk
+    one path. Every path ends in a score step, which pairs the result with
+    its three channel MSEs. Each step's output is cached under its path
+    prefix, so a prefix that points share is computed once (before's
+    decompose once for all its denoisers); stages never write to their
+    inputs, so reuse is exact.
     Before the first stage each prefix counts its readers (the distinct
     steps that extend it and the runs that end at it), and it is dropped as
     its last reader takes it. Each prefix keeps its own step's time, so
@@ -154,15 +145,13 @@ def _run_group(
     stages: dict[str, Callable[[Any, Any], Any]] = {
         "noise": lambda clean, _: add_awgn(mosaic_from_rgb(clean, pattern), noise),
         "decompose": lambda mosaic, _: decompose(mosaic),
-        "denoise-subs": denoise_subimages,
-        "recompose": lambda subs, _: recompose(subs),
+        "denoise-subs": lambda subs, dn: recompose(denoise_subimages(subs, dn)),
         "demosaic": demosaic,
         "denoise-rgb": lambda rgb, dn: RgbImage(*(denoise_plane(p, dn) for p in rgb.planes)),
         "score": lambda rgb, _: (rgb, [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, rgb.planes)]),
     }
     paths = [
-        tuple((stage, {"dn": dn, "dm": dm}.get(slot)) for stage, slot, serves_dn in _TEMPLATES[strategy] if not (serves_dn and dn.kind == "none"))
-        + (("score", None),)
+        tuple((stage, {"dn": dn, "dm": dm}.get(slot)) for stage, slot in _TEMPLATES[Strategy.JOINT if dn.kind == "none" else strategy]) + (("score", None),)
         for strategy, dn, dm in points
     ]
     readers = Counter(paths)

@@ -501,6 +501,11 @@ class TestOutOfRangeFlags:
             ("denoise --denoiser bilateral", "--dn-sigma-r", "1e-200"),
             ("pipeline --strategy joint", "--jb-sigma-s", "1e-200"),
             ("experiment", "--dn-sigma-s", "1e-200"),
+            # Below joint-bilateral's own sigma_s floor.
+            ("pipeline --strategy joint", "--jb-sigma-s", "0.03"),
+            ("demosaic --demosaicker joint-bilateral", "--jb-sigma-s", "0.03"),
+            ("experiment --strategies after joint", "--jb-sigma-s", "0.03"),
+            ("demosaic --demosaicker joint-bilateral --in missing.pgm", "--jb-sigma-s", "0.03753"),
         ],
     )
     def test_usage_error_names_the_flag(self, tmp_path, capsys, command, flag, value):
@@ -512,6 +517,7 @@ class TestOutOfRangeFlags:
             "pipeline": ["pipeline", "--in", image],
             "noise": ["noise", "--in", mosaic, "--out", str(tmp_path / "n.pgm")],
             "denoise": ["denoise", "--in", mosaic, "--out", str(tmp_path / "d.pgm")],
+            "demosaic": ["demosaic", "--in", mosaic, "--out", str(tmp_path / "x.ppm")],
         }[name]
         assert main(argv + options + [flag, value]) == 1
         err = capsys.readouterr().err

@@ -464,6 +464,19 @@ class TestConfigAndDispatch:
         with pytest.raises(ValueError):
             DemosaickerConfig(kind="joint-bilateral", sigma_r=-0.5)
 
+    def test_joint_sigma_s_floor_is_checked_when_built(self):
+        # The kernel itself fails below the same floor: an R site's four
+        # diagonal B weights underflow.
+        mosaic = _random_mosaic(CfaPattern.GBRG, (6, 6), 13)
+        with pytest.raises(ValueError, match=r"^sigma_s must be about 0\.037535 or more for joint-bilateral, got 0\.03753$"):
+            DemosaickerConfig(kind="joint-bilateral", sigma_s=0.03753)
+        with pytest.raises(ValueError, match="sigma_s=0.03753 is too small"):
+            demosaic_joint_bilateral(mosaic, 0.03753, 0.1)
+        config = DemosaickerConfig(kind="joint-bilateral", sigma_s=0.03754)
+        assert demosaic(mosaic, config).r.data.shape == (6, 6)
+        # Other kinds do not read sigma_s.
+        assert DemosaickerConfig(kind="bilinear", sigma_s=0.03).describe() == "bilinear"
+
     def test_dispatch_matches_direct_calls(self):
         mosaic = _random_mosaic(CfaPattern.RGGB, (12, 12), 30)
         cases = [

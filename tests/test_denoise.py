@@ -922,6 +922,21 @@ class TestConfigAndDispatch:
         with pytest.raises(ValueError, match=r"^sigma_r must be >= 1e-154, got "):
             denoise_bilateral(Plane(np.zeros((8, 8))), 1.0, sigma_r)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DenoiserConfig(kind="bilateral", sigma_r=10**400).describe(),
+            lambda: denoise_bilateral(Plane(np.zeros((8, 8))), 1.0, 10**400),
+            lambda: DemosaickerConfig(kind="joint-bilateral", sigma_r=10**400),
+        ],
+        ids=["bilateral-config", "bilateral", "joint-config"],
+    )
+    def test_sigma_r_beyond_float_range_is_rejected(self, build):
+        # An int no float can hold is one ValueError, not an OverflowError
+        # from its conversion.
+        with pytest.raises(ValueError, match=r"^sigma_r must be >= 1e-154, got 10{400}$"):
+            build()
+
     @pytest.mark.parametrize("denoise", [lambda p: denoise_gaussian(p, 1e-154), lambda p: denoise_bilateral(p, 1e-154, 0.1)])
     def test_smallest_accepted_sigma_s_is_identity(self, denoise):
         plane = Plane(np.random.default_rng(96).random((8, 8)))

@@ -55,10 +55,12 @@ WAVELET = DenoiserConfig(kind="wavelet", levels=2)
 BILINEAR = DemosaickerConfig(kind="bilinear")
 GRADIENT = DemosaickerConfig(kind="gradient")
 JOINT = DemosaickerConfig(kind="joint-bilateral")
-# Passes the config check but fails when it runs: at sigma_s = 0.03 every
-# spatial weight between some site and its nearest same-color sites underflows.
-FAILING_JOINT = DemosaickerConfig(kind="joint-bilateral", sigma_s=0.03)
 NONE = DenoiserConfig(kind="none")
+
+
+def _huge_image(size=16):
+    """Finite samples that fail at run time: a demosaic sum of them overflows."""
+    return RgbImage(*(Plane(np.full((size, size), 1e308)) for _ in range(3)))
 
 
 class TestMse:
@@ -119,19 +121,12 @@ class TestPsnr:
         assert psnr(1e-4) == pytest.approx(40.0, abs=1e-12)
         assert psnr(1.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_peak_scaling(self):
-        assert psnr(1.0, peak=10.0) == pytest.approx(20.0, abs=1e-12)
-
     def test_zero_is_infinite(self):
         assert psnr(0.0) == math.inf
 
     def test_negative_mse_rejected(self):
         with pytest.raises(ValueError):
             psnr(-1e-9)
-
-    def test_bad_peak(self):
-        with pytest.raises(ValueError):
-            psnr(0.1, peak=0.0)
 
 
 class TestCpsnr:
@@ -408,14 +403,16 @@ class TestRunExperiment:
         assert timed[0].wall_ms > 0.0
 
     def test_failure_names_grid_point(self):
-        # The after run succeeds; FAILING_JOINT raises when the joint run starts.
-        grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.05,), joint_demosaicker=FAILING_JOINT)
+        # The first image's runs succeed; the second image's first run fails
+        # when its demosaic overflows.
+        grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.05,))
         yy, xx = np.mgrid[0:10, 0:10] / 9.0
         tiny = RgbImage(Plane(xx), Plane(yy), Plane(xx * yy))
-        with pytest.raises(RuntimeError, match="image=tiny") as excinfo:
-            run_experiment([("tiny", tiny)], grid, jobs=1)
-        assert "strategy=joint" in str(excinfo.value)
+        with pytest.raises(RuntimeError, match="image=huge") as excinfo:
+            run_experiment([("tiny", tiny), ("huge", _huge_image(10))], grid, jobs=1)
+        assert "strategy=after" in str(excinfo.value)
         assert "sigma=0.05" in str(excinfo.value)
+        assert str(excinfo.value).endswith("plane samples must be finite")
 
     @pytest.mark.parametrize("seed", [-1, 2**64 + 5, 1.5, True])
     def test_bad_master_seed_rejected(self, seed, monkeypatch):
@@ -464,15 +461,15 @@ class TestRunExperiment:
         assert inline_pool == []
 
     def _failing_sweep(self, jobs):
-        # Every group fails at its joint run, after its after runs succeed.
+        # The first image's groups succeed; every group of the second fails
+        # at its first run.
         grid = ExperimentGrid(
             strategies=(Strategy.AFTER, Strategy.JOINT),
             sigmas=(0.01, 0.02, 0.03, 0.04),
             denoisers=(NONE, DenoiserConfig(kind="gaussian")),
-            joint_demosaicker=FAILING_JOINT,
         )
-        with pytest.raises(RuntimeError, match="strategy=joint") as excinfo:
-            run_experiment([("t", _textured_image(16)), ("u", _ramp_image(16))], grid, jobs=jobs)
+        with pytest.raises(RuntimeError, match="strategy=after") as excinfo:
+            run_experiment([("t", _textured_image(16)), ("u", _huge_image(16))], grid, jobs=jobs)
         return str(excinfo.value)
 
     def test_failing_task_terminates_the_pool(self, monkeypatch, inline_pool):
@@ -483,7 +480,7 @@ class TestRunExperiment:
     def test_pool_failure_names_the_serial_point(self):
         message = self._failing_sweep(jobs=2)
         assert message == self._failing_sweep(jobs=1)
-        assert "image=t" in message and "sigma=0.01" in message
+        assert "image=u" in message and "sigma=0.01" in message
 
 
 class TestSharedStages:
@@ -623,18 +620,23 @@ class TestSharedStages:
         records = run_experiment(self._corpus(), grid, jobs=1)
         assert [math.copysign(1.0, r.sigma_g) for r in records] == [1.0, -1.0, 1.0, -1.0]
 
-    def test_failure_inside_a_group_names_its_point(self):
+    def test_failure_inside_a_group_names_its_point(self, monkeypatch):
         # The after runs of the group succeed; the joint run after them
         # fails, and the message names the joint point.
+        def failing(mosaic, dm):
+            if dm.is_joint:
+                raise ValueError("joint demosaic failed")
+            return demosaic(mosaic, dm)
+
+        monkeypatch.setattr(pipeline, "demosaic", failing)
         grid = ExperimentGrid(
             strategies=(Strategy.AFTER, Strategy.JOINT),
             sigmas=(0.05,),
             denoisers=(NONE, DenoiserConfig(kind="gaussian")),
-            joint_demosaicker=FAILING_JOINT,
         )
         yy, xx = np.mgrid[0:10, 0:10] / 9.0
         tiny = RgbImage(Plane(xx), Plane(yy), Plane(xx * yy))
-        with pytest.raises(RuntimeError, match="strategy=joint"):
+        with pytest.raises(RuntimeError, match="strategy=joint .*: joint demosaic failed$"):
             run_experiment([("tiny", tiny)], grid, jobs=1)
 
     def test_duplicate_configs_share_a_whole_path(self, monkeypatch):
