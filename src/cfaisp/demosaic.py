@@ -20,8 +20,8 @@ scipy.ndimage.convolve sums them, so the values equal whole-frame
 convolution divided by the kernel's weight sum. denoise._shifted does all
 the padding and lattice indexing, here as for the denoisers: it splits the
 padded mosaic once into its four contiguous phase planes, and each tap of a
-band of lattice rows is one contiguous run of one of them. A band is
-computed across the padded width and its padding columns are cropped away.
+band of lattice rows is one contiguous run of one of them. A band's estimate
+is one run of the same length, whose kept samples crop views.
 """
 
 from __future__ import annotations
@@ -173,17 +173,16 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     def estimate(stencil, y, x, n, color):
         """stencil's estimate at the n lattice rows from full-frame (y, x), into out[color]."""
         taps, total = stencil
-        band, term = np.empty(n * at.width), np.empty(at.span(n))
-        acc = band[: term.size]
-        for k, (u, v, weight) in enumerate(taps):
+        (u, v, weight), *rest = taps
+        acc = np.multiply(at.run(y + u, x + v, n), weight)
+        term = np.empty_like(acc)
+        for u, v, weight in rest:
             tap = at.run(y + u, x + v, n)
-            if k == 0:
-                np.multiply(tap, weight, out=acc)
-            elif weight == 1.0:  # x * 1.0 is x, bit for bit
+            if weight == 1.0:  # x * 1.0 is x, bit for bit
                 np.add(acc, tap, out=acc)
             else:
                 np.add(acc, np.multiply(tap, weight, out=term), out=acc)
-        np.divide(at.crop(band, n), total, out=out[color][y : y + 2 * n : 2, x::2])
+        np.divide(at.crop(acc, n), total, out=out[color][y : y + 2 * n : 2, x::2])
 
     r_row = mosaic.pattern.sites[0][0]
     for dy, dx, color in mosaic.pattern.sites:

@@ -357,7 +357,7 @@ class TestMedian:
 
     @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros"])
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    def test_matches_scipy_median_filter(self, radius, kind):
+    def test_matches_scipy_median_filter(self, monkeypatch, radius, kind):
         # Sizes up to 17x9, plus frames cut into several tiles with a short
         # last one.
         rng = np.random.default_rng(["random", "ties", "signed-zeros"].index(kind))
@@ -367,16 +367,23 @@ class TestMedian:
             "signed-zeros": lambda shape: rng.choice([-0.0, 0.0, 0.5], shape),
         }[kind]
         shapes = [(h, w) for h in range(1, 18) for w in range(1, 10)] + [(70, 512), (33, 1000)]
-        for shape in shapes:
+        cases = [(shape, denoise._STRIP) for shape in shapes]
+        # With 7-sample bands the 3x3 median walks remainder bands (5x3: 2, 2
+        # and 1 rows) and rows wider than a band (5x10, 3x20: one row each);
+        # a wider window's tiles hold 9 x 7 // 25 = 2 or 9 x 7 // 49 = 1
+        # samples and split every row.
+        cases += [(shape, 7) for shape in [(5, 3), (5, 10), (9, 7), (3, 20), (12, 5)]]
+        for shape, strip in cases:
+            monkeypatch.setattr(denoise, "_STRIP", strip)
             data = draw(shape)
             got = denoise_median(Plane(data), radius).data
             want = median_filter(data, size=2 * radius + 1, mode="mirror")
-            assert np.array_equal(got, want), shape
+            assert np.array_equal(got, want), (shape, strip)
             if kind == "signed-zeros":
                 # Both pick one of the tied zeros; which one may differ.
-                assert np.all((np.signbit(got) == np.signbit(want)) | (got == 0.0)), shape
+                assert np.all((np.signbit(got) == np.signbit(want)) | (got == 0.0)), (shape, strip)
             else:
-                assert np.array_equal(np.signbit(got), np.signbit(want)), shape
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (shape, strip)
 
     # The scipy oracle cannot tell which of two tied zeros the network keeps;
     # this pins every exchange's operand order, signs of zero included.
@@ -919,7 +926,7 @@ class TestConfigAndDispatch:
 
     @pytest.mark.parametrize("sigma_r", [6e-155, 1e-156, 1e-200])
     def test_tiny_sigma_r_is_rejected(self, sigma_r):
-        with pytest.raises(ValueError, match=r"^sigma_r must be >= 1e-154, got "):
+        with pytest.raises(ValueError, match=r"^sigma_r must be in float range and >= 1e-154, or inf, got "):
             denoise_bilateral(Plane(np.zeros((8, 8))), 1.0, sigma_r)
 
     @pytest.mark.parametrize(
@@ -934,7 +941,7 @@ class TestConfigAndDispatch:
     def test_sigma_r_beyond_float_range_is_rejected(self, build):
         # An int no float can hold is one ValueError, not an OverflowError
         # from its conversion.
-        with pytest.raises(ValueError, match=r"^sigma_r must be >= 1e-154, got 10{400}$"):
+        with pytest.raises(ValueError, match=r"^sigma_r must be in float range and >= 1e-154, or inf, got 10{400}$"):
             build()
 
     @pytest.mark.parametrize("denoise", [lambda p: denoise_gaussian(p, 1e-154), lambda p: denoise_bilateral(p, 1e-154, 0.1)])
