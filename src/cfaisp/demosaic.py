@@ -169,13 +169,17 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     est_g, est_row, est_col, est_x = stencils
     at = _shifted(data, max(abs(dy) for taps, _ in stencils for dy, _, _ in taps), 2)
     out = {color: np.empty_like(data) for color in "RGB"}
+    # One accumulator and one term for every estimate, sized for the largest
+    # band and rounded up to whole 64-byte lines.
+    size = -(-at.length(max(n for _, n in at.bands())) // 8) * 8
+    acc_buffer, term_buffer = np.empty(size), np.empty(size)
 
     def estimate(stencil, y, x, n, color):
         """stencil's estimate at the n lattice rows from full-frame (y, x), into out[color]."""
         taps, total = stencil
         (u, v, weight), *rest = taps
-        acc = np.multiply(at.run(y + u, x + v, n), weight)
-        term = np.empty_like(acc)
+        acc, term = acc_buffer[: at.length(n)], term_buffer[: at.length(n)]
+        np.multiply(at.run(y + u, x + v, n), weight, out=acc)
         for u, v, weight in rest:
             tap = at.run(y + u, x + v, n)
             if weight == 1.0:  # x * 1.0 is x, bit for bit

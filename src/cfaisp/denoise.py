@@ -9,8 +9,11 @@ Four filters with one shared contract (Plane in, same-sized Plane out):
   neighbour runs of each band; larger radii partition the windows of one
   2-D tile at a time.
 - bilateral: edge-preserving blur weighting neighbors by spatial distance
-  and intensity difference, walked in bands whose buffers are written in
-  place.
+  and intensity difference, walked in bands of up to 2 _STRIP samples on a
+  pool of one thread per CPU (at most 4), opened and closed within the call.
+  Each thread writes in place into one buffer set the calling thread
+  allocated, so the call's memory stays in one malloc arena; the bits do not
+  depend on the thread count.
 - wavelet: soft thresholding of orthonormal Haar detail coefficients with a
   per-subband data-driven threshold; the coarse approximation is kept as is.
 
@@ -19,11 +22,12 @@ _shifted is the one place that pads for it: the gaussian, median and
 bilateral filters and the linear and joint demosaickers read every neighbour
 through it. It splits the pad once into contiguous phase planes, one per 2x2
 tile site at step 2. A stencil stage walks the lattice in bands of whole
-rows, at most _STRIP lattice samples each, and reads each neighbour of a band
-as one contiguous run of a flattened phase plane. The band's result is one
-run of the same length, and _Lattice.crop views its kept samples. The
-wavelet pads a plane whose sides are not multiples of 2^levels the same way,
-at the bottom and right, and crops the result back.
+rows, at most _STRIP lattice samples each (twice that for the bilateral),
+and reads each neighbour of a band as one contiguous run of a flattened
+phase plane. The band's result is one run of the same length, and
+_Lattice.crop views its kept samples. The wavelet pads a plane whose sides
+are not multiples of 2^levels the same way, at the bottom and right, and
+crops the result back.
 
 The wavelet threshold for a subband with noise level sigma_n and signal
 spread sigma_x = sqrt(max(var - sigma_n^2, 0)) is sigma_n^2 / sigma_x; a
@@ -33,6 +37,8 @@ subband with no estimated signal is zeroed outright.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -243,21 +249,25 @@ class _Lattice(NamedTuple):
     cols: int
     width: int
 
+    def length(self, n: int) -> int:
+        """The samples in a run of n lattice rows: (n - 1) width + cols."""
+        return (n - 1) * self.width + self.cols
+
     def run(self, y: int, x: int, n: int) -> np.ndarray:
-        """n lattice rows from full-frame (y, x), as one contiguous run of (n - 1) width + cols samples."""
+        """n lattice rows from full-frame (y, x), as one contiguous run of length(n) samples."""
         y, x = y + self.radius, x + self.radius
         start = y // self.step * self.width + x // self.step
-        return self.flat[y % self.step][x % self.step][start : start + (n - 1) * self.width + self.cols]
+        return self.flat[y % self.step][x % self.step][start : start + self.length(n)]
 
-    def bands(self):
-        """(top, n) for each band of n whole lattice rows: n cols <= _STRIP samples, or one row.
+    def bands(self, strips: int = 1):
+        """(top, n) for each band of n whole lattice rows: n cols <= strips _STRIP samples, or one row.
 
         A band is sized by its lattice samples, not by its padded rows: a
         remainder band of a few rows costs as many ufunc calls as a full one,
         and padded rows would leave one in every phase of a power-of-two
         frame.
         """
-        n = max(1, _STRIP // self.cols)
+        n = max(1, strips * _STRIP // self.cols)
         for top in range(0, self.rows, n):
             yield top, min(n, self.rows - top)
 
@@ -388,7 +398,6 @@ def denoise_median(plane: Plane, radius: int) -> Plane:
     return Plane._adopt(out)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     """Bilateral means of data, one full frame per bucket, stacked (buckets, h, w).
 
@@ -400,12 +409,26 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     holds one color at the borders too. A weight sum below the smallest
     normal float takes the spatial-only mean (the sigma_r -> inf limit).
 
-    The frame is walked one phase of the lattice [::step, ::step] at a time,
-    step 2 with a pattern, in pattern.sites order, and in bands of whole
-    rows of at most _STRIP lattice samples. A band runs every offset, in
-    row-major window order, over flat neighbour runs into run-length buffers
-    written in place, so its working set stays in cache. The underflow
-    fallback and its error read the cropped band only.
+    The work is a list of bands: each phase of the lattice [::step, ::step],
+    step 2 with a pattern, in pattern.sites order, in bands of whole rows of
+    at most 2 _STRIP lattice samples. A band runs every offset, in row-major
+    window order, over flat neighbour runs into buffers written in place, so
+    its working set stays in cache. The underflow fallback and its error
+    read the cropped band only.
+
+    min(os.cpu_count(), bands, 4) threads walk the list, from a pool opened
+    and closed within the call; one thread is the calling thread itself,
+    with no pool. A band writes only its own samples of the result and sums
+    each in a fixed order, so the bits do not depend on the thread count or
+    the schedule. Bands are 2 _STRIP samples so that each ufunc call runs
+    long enough for another thread to take the interpreter lock meanwhile:
+    at _STRIP, two threads ran no faster than one. The calling thread
+    allocates one buffer set per thread before the pool starts, and a band
+    takes a free set from a list: buffers allocated in a helper thread would
+    land in that thread's malloc arena, which keeps its peak. The first
+    failing band's error, in list order, is raised after the pool closes.
+    Helper threads call no public module attribute, which a tracer may
+    replace, and their spans would not nest.
     """
     _check_fields(sigma_s=sigma_s, sigma_r=sigma_r)
     # 2 sigma sigma is inf where sigma^2 overflows, which gives the weights'
@@ -421,13 +444,25 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     offsets = range(-radius, radius + 1)
     window = [(dy, dx, math.exp(-(dy * dy + dx * dx) * inv_2ss)) for dy in offsets for dx in offsets]
     out = np.empty((buckets, *data.shape))
+    bands = list(data_at.bands(2))
+    work = [(py + step * top, px, n) for py, px, _ in sites for top, n in bands]
+    most = max(n for _, n in bands)
+    length = data_at.length(most)
+    # At most 4 threads: each adds a buffer set, about 0.8 MiB for one plane,
+    # so a 512^2 plane peaks within five frames on a host with many CPUs.
+    threads = min(os.cpu_count() or 1, len(work), 4)
+    # One buffer set per thread: the weights, the sums and the underflow mask,
+    # sized for the largest band. The sums' rows are a whole number of 64-byte
+    # lines apart: a run apart, they ran about 7% slower at 512^2. No more
+    # bands run at once than there are threads, so a band always finds a set.
+    free = [(np.empty(length), np.empty((buckets, 2, -(-length // 8) * 8)), np.empty((buckets, most, data_at.cols), bool)) for _ in range(threads)]
 
-    def sums_at(y, x, n, inv_2sr):
+    def sums_at(buffers, y, x, n, inv_2sr):
         """Weighted sums (buckets, 2, n, cols), each bucket's (num, den), for the n lattice rows from full-frame (y, x)."""
         center = guide_at.run(y, x, n)
-        weight, term = np.empty_like(center), np.empty_like(center)
-        # Rows a whole number of 64-byte lines apart: a run apart, they ran about 7% slower at 512^2.
-        sums = np.zeros((buckets, 2, -(-center.size // 8) * 8))
+        weight, sums, _ = buffers
+        weight = weight[: center.size]
+        sums.fill(0.0)
         pairs = [tuple(pair[:, : center.size]) for pair in sums]
         for dy, dx, spatial in window:
             # -(d^2) * k and d^2 * -k round alike: negation is exact.
@@ -437,26 +472,43 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
             np.exp(weight, out=weight)
             np.multiply(spatial, weight, out=weight)
             num, den = pairs[tile[(y + dy) % step * step + (x + dx) % step]]
-            np.add(num, np.multiply(weight, data_at.run(y + dy, x + dx, n), out=term), out=num)
             np.add(den, weight, out=den)
+            np.add(num, np.multiply(weight, data_at.run(y + dy, x + dx, n), out=weight), out=num)
         return data_at.crop(sums, n)
 
     tiny = np.finfo(np.float64).tiny
-    for py, px, _ in sites:
-        for top, n in data_at.bands():
-            y = py + step * top
-            sums = sums_at(y, px, n, inv_2sr)
-            underflow = sums[:, 1] < tiny
-            mean = out[:, y : y + step * n : step, px::step]
-            # The fallback is a second sums_at call: a closure that called
-            # itself would be a reference cycle, keeping each call's planes
-            # alive until the next garbage collection.
-            if underflow.any():
-                spatial_only = sums_at(y, px, n, 0.0)
-                if (spatial_only[:, 1] < tiny).any():
-                    raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
-                np.divide(spatial_only[:, 0], spatial_only[:, 1], out=mean)
-            np.divide(sums[:, 0], sums[:, 1], out=mean, where=~underflow)
+
+    def walk(band):
+        """Write the means of one band, (y, x, n) as in sums_at, into out with a free buffer set."""
+        y, x, n = band
+        buffers = free.pop()
+        # numpy keeps its float error state per thread, so each band sets its own.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = sums_at(buffers, y, x, n, inv_2sr)
+                mean = out[:, y : y + step * n : step, x::step]
+                np.divide(sums[:, 0], sums[:, 1], out=mean)
+                underflow = np.less(sums[:, 1], tiny, out=buffers[2][:, :n])
+                # The fallback is a second sums_at call, into the same buffers:
+                # a closure that called itself would be a reference cycle,
+                # keeping each call's planes alive until the next collection.
+                if underflow.any():
+                    sums = sums_at(buffers, y, x, n, 0.0)
+                    if (sums[:, 1] < tiny).any():
+                        raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
+                    np.divide(sums[:, 0], sums[:, 1], out=mean, where=underflow)
+        finally:
+            free.append(buffers)
+
+    if threads == 1:
+        for band in work:
+            walk(band)
+    else:
+        # map raises the first failing band's error in list order and cancels
+        # the bands not yet started; leaving the block waits for the rest.
+        with ThreadPoolExecutor(threads) as pool:
+            for _ in pool.map(walk, work):
+                pass
     return out
 
 

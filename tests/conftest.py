@@ -10,13 +10,16 @@ seeds. 96 is divisible by 16, which leaves room for 3 wavelet levels on the
 from __future__ import annotations
 
 import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
 import cfaisp.pipeline as pipeline
+from cfaisp import denoise
 from cfaisp.imageio import Plane, RgbImage, encode_pnm
 
 SIZE = 96
@@ -153,3 +156,30 @@ def peak_bytes():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def by_cpus(monkeypatch):
+    """Run a call with os.cpu_count() giving 1, 2 and 3.
+
+    Returns {cpus: (the call's result, the thread counts of the pools the
+    bilateral kernel opened during it)}.
+    """
+    opened = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(denoise, "ThreadPoolExecutor", CountedPool)
+
+    def run(call) -> dict:
+        got = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            opened.clear()
+            got[cpus] = (call(), tuple(opened))
+        return got
+
+    return run

@@ -9,6 +9,8 @@ The wavelet path gets a fully independent block-Haar + threshold oracle.
 import dataclasses
 import gc
 import math
+import os
+import threading
 import tracemalloc
 from functools import partial
 
@@ -544,6 +546,47 @@ class TestBilateral:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20  # five 512 x 512 frames
+
+
+class TestBilateralThreads:
+    # Bands of 2 _STRIP samples: with _STRIP = 7, a 2x7 plane is one band, an
+    # 8x7 one four bands of two rows, a 5x3 one a band of four rows and a
+    # remainder of one, and a 3x20 one has rows wider than a band, one row
+    # per band; at the real _STRIP a 300x120 plane is 273 rows and 27.
+    @pytest.mark.parametrize(
+        "strip,shape,bands",
+        [(7, (2, 7), 1), (7, (8, 7), 4), (7, (5, 3), 2), (7, (3, 20), 3), (None, (300, 120), 2)],
+        ids=["one-band", "several-bands", "remainder-band", "wide-row", "full-strip"],
+    )
+    def test_thread_count_does_not_change_the_bits(self, monkeypatch, by_cpus, strip, shape, bands):
+        if strip is not None:
+            monkeypatch.setattr(denoise, "_STRIP", strip)
+        plane = Plane(np.random.default_rng(81).random(shape))
+        got = by_cpus(lambda: denoise_bilateral(plane, 1.0, 0.1).data.tobytes())
+        assert got[1][0] == got[2][0] == got[3][0]
+        # One thread, or one band, is the calling thread alone.
+        assert [pools for _, pools in got.values()] == [()] + [(min(cpus, bands),) if bands > 1 else () for cpus in (2, 3)]
+
+    def test_rows_wider_than_a_band_match_the_whole_lattice_loop(self, monkeypatch):
+        # At _STRIP = 7 a band holds 14 samples, so each 20-sample row is a band.
+        monkeypatch.setattr(denoise, "_STRIP", 7)
+        data = np.random.default_rng(84).random((3, 20))
+        for sigma_s, sigma_r in [(1.0, 0.1), (1.5, math.inf)]:
+            want = _whole_lattice_bilateral(data, data, sigma_s, sigma_r)[None]
+            assert np.array_equal(denoise_bilateral(Plane(data), sigma_s, sigma_r).data, want)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(denoise, "_STRIP", 7)
+        data = np.random.default_rng(82).random((8, 8))
+        before = threading.active_count()
+        denoise_bilateral(Plane(data), 1.0, 0.1)
+        demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(data)), 0.7, 1e-3)
+        assert threading.active_count() == before
+        # Every band of the 4 phases fails; the first one's error is raised.
+        with pytest.raises(ValueError, match="sigma_s=0.03 is too small"):
+            denoise._bilateral(data, data, 0.03, 0.1, CfaPattern.GBRG)
+        assert threading.active_count() == before
 
 
 def _whole_frame_dwt(data, levels):

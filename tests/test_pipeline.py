@@ -5,6 +5,8 @@ import itertools
 import math
 import os
 import re
+import threading
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -481,6 +483,21 @@ class TestRunExperiment:
         message = self._failing_sweep(jobs=2)
         assert message == self._failing_sweep(jobs=1)
         assert "image=u" in message and "sigma=0.01" in message
+
+    def test_a_pool_starts_cleanly_after_a_threaded_bilateral_call(self, monkeypatch):
+        # Python 3.12 warns when a process with more than one thread forks, so
+        # a thread the bilateral kernel left alive would fail this sweep's
+        # pool. Its workers run the kernel's threads too.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        image = _textured_image(32)
+        grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            demosaic_joint_bilateral(mosaic_from_rgb(image, CfaPattern.GBRG), 1.5, 0.1)
+            assert threading.active_count() == threads
+            pooled = run_experiment([("t", image)], grid, jobs=2)
+        assert pooled == run_experiment([("t", image)], grid, jobs=1)
 
 
 class TestSharedStages:
