@@ -169,9 +169,8 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     est_g, est_row, est_col, est_x = stencils
     at = _shifted(data, max(abs(dy) for taps, _ in stencils for dy, _, _ in taps), 2)
     out = {color: np.empty_like(data) for color in "RGB"}
-    # One accumulator and one term for every estimate, sized for the largest
-    # band and rounded up to whole 64-byte lines.
-    size = -(-at.length(max(n for _, n in at.bands())) // 8) * 8
+    # One accumulator and one term for every estimate, sized for the largest band.
+    size = at.length(max(n for _, n in at.bands()))
     acc_buffer, term_buffer = np.empty(size), np.empty(size)
 
     def estimate(stencil, y, x, n, color):

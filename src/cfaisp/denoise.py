@@ -10,10 +10,10 @@ Four filters with one shared contract (Plane in, same-sized Plane out):
   2-D tile at a time.
 - bilateral: edge-preserving blur weighting neighbors by spatial distance
   and intensity difference, walked in bands of up to 2 _STRIP samples on a
-  pool of one thread per CPU (at most 4), opened and closed within the call.
-  Each thread writes in place into one buffer set the calling thread
-  allocated, so the call's memory stays in one malloc arena; the bits do not
-  depend on the thread count.
+  pool of one thread per CPU (at most 4; one in an experiment's pool
+  workers), opened and closed within the call. Each thread writes in place
+  into one buffer set the calling thread allocated, so the call's memory
+  stays in one malloc arena; the bits do not depend on the thread count.
 - wavelet: soft thresholding of orthonormal Haar detail coefficients with a
   per-subband data-driven threshold; the coarse approximation is kept as is.
 
@@ -398,6 +398,13 @@ def denoise_median(plane: Plane, radius: int) -> Plane:
     return Plane._adopt(out)
 
 
+# The most threads one _bilateral call runs on. Each adds a buffer set, about
+# 0.8 MiB for one plane, so a 512^2 plane peaks within five frames on a host
+# with many CPUs; whether a 3rd or 4th thread runs faster is unmeasured. An
+# experiment's pool workers set it to 1, since each CPU there runs a worker.
+_threads_max = 4
+
+
 def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     """Bilateral means of data, one full frame per bucket, stacked (buckets, h, w).
 
@@ -416,16 +423,16 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     its working set stays in cache. The underflow fallback and its error
     read the cropped band only.
 
-    min(os.cpu_count(), bands, 4) threads walk the list, from a pool opened
-    and closed within the call; one thread is the calling thread itself,
-    with no pool. A band writes only its own samples of the result and sums
-    each in a fixed order, so the bits do not depend on the thread count or
-    the schedule. Bands are 2 _STRIP samples so that each ufunc call runs
-    long enough for another thread to take the interpreter lock meanwhile:
-    at _STRIP, two threads ran no faster than one. The calling thread
-    allocates one buffer set per thread before the pool starts, and a band
-    takes a free set from a list: buffers allocated in a helper thread would
-    land in that thread's malloc arena, which keeps its peak. The first
+    min(os.cpu_count(), bands, _threads_max) threads walk the list, from a
+    pool opened and closed within the call; one thread is the calling thread
+    itself, with no pool. A band writes only its own samples of the result
+    and sums each in a fixed order, so the bits do not depend on the thread
+    count or the schedule. Bands are 2 _STRIP samples so that each ufunc
+    call runs long enough for another thread to take the interpreter lock
+    meanwhile: at _STRIP, two threads ran no faster than one. The calling
+    thread allocates one buffer set per thread before the pool starts, and a
+    band takes a free set from a list: buffers allocated in a helper thread
+    would land in that thread's malloc arena, which keeps its peak. The first
     failing band's error, in list order, is raised after the pool closes.
     Helper threads call no public module attribute, which a tracer may
     replace, and their spans would not nest.
@@ -448,9 +455,7 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     work = [(py + step * top, px, n) for py, px, _ in sites for top, n in bands]
     most = max(n for _, n in bands)
     length = data_at.length(most)
-    # At most 4 threads: each adds a buffer set, about 0.8 MiB for one plane,
-    # so a 512^2 plane peaks within five frames on a host with many CPUs.
-    threads = min(os.cpu_count() or 1, len(work), 4)
+    threads = min(os.cpu_count() or 1, len(work), _threads_max)
     # One buffer set per thread: the weights, the sums and the underflow mask,
     # sized for the largest band. The sums' rows are a whole number of 64-byte
     # lines apart: a run apart, they ran about 7% slower at 512^2. No more

@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from cfaisp import denoise
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
@@ -316,6 +317,9 @@ _worker_sweep: tuple = ()
 def _init_worker(sweep: tuple) -> None:
     global _worker_sweep
     _worker_sweep = sweep
+    # Each CPU already runs a worker: the bilateral kernel's threads on top
+    # slowed a 2-worker sweep on 2 CPUs, so a worker runs it on its own thread.
+    denoise._threads_max = 1
 
 
 def _run_worker_task(task: tuple[int, list[int]]) -> list[ExperimentRecord]:
@@ -346,7 +350,8 @@ def run_experiment(
     repeat, sigma) share one noisy mosaic and form one task, which computes
     each shared stage once (see _run_group). jobs, an integer >= 1 (default:
     the CPU count), sets only the pool size: at most one worker per CPU and
-    one per task, and no pool when that is one worker. Records are returned
+    one per task, and no pool when that is one worker. A pool's workers run
+    the bilateral kernel on one thread each. Records are returned
     in deterministic order regardless of jobs, and with keep_timing=False
     (the default) wall_ms is zeroed so repeated runs serialize to
     byte-identical CSV. Image ids must be distinct CSV text cells and image

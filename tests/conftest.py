@@ -139,6 +139,7 @@ def inline_pool(monkeypatch):
 
     # The initializer sets this process's pool-worker state; undo it afterwards.
     monkeypatch.setattr(pipeline, "_worker_sweep", ())
+    monkeypatch.setattr(denoise, "_threads_max", denoise._threads_max)
     monkeypatch.setattr(multiprocessing, "Pool", start)
     return pools
 

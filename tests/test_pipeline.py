@@ -487,7 +487,7 @@ class TestRunExperiment:
     def test_a_pool_starts_cleanly_after_a_threaded_bilateral_call(self, monkeypatch):
         # Python 3.12 warns when a process with more than one thread forks, so
         # a thread the bilateral kernel left alive would fail this sweep's
-        # pool. Its workers run the kernel's threads too.
+        # pool.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         image = _textured_image(32)
         grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
@@ -498,6 +498,18 @@ class TestRunExperiment:
             assert threading.active_count() == threads
             pooled = run_experiment([("t", image)], grid, jobs=2)
         assert pooled == run_experiment([("t", image)], grid, jobs=1)
+
+    def test_pool_workers_run_the_bilateral_kernel_on_one_thread(self, inline_pool, by_cpus):
+        # Joint at 32^2 is four phase bands, so a serial sweep's kernel opens
+        # a thread pool once a second CPU is there; a worker's does not.
+        image = _textured_image(32)
+        grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
+        serial = by_cpus(lambda: run_experiment([("t", image)], grid, jobs=1))
+        pooled = by_cpus(lambda: run_experiment([("t", image)], grid, jobs=2))
+        assert [bool(pools) for _, pools in serial.values()] == [False, True, True]
+        assert [pools for _, pools in pooled.values()] == [(), (), ()]
+        assert [pool.processes for pool in inline_pool] == [2, 2]
+        assert all(records == serial[1][0] for records, _ in [*serial.values(), *pooled.values()])
 
 
 class TestSharedStages:
