@@ -299,7 +299,7 @@ def _build_parser() -> _Parser:
         experiment_cmd.add_argument(flag, type=axis_type, nargs="+", default=default, help=f"{meaning} (default: {shown})")
     experiment_cmd.add_argument("--repeats", type=_count, default=_GRID.repeats, help="noise realizations per grid point (default %(default)s)")
     experiment_cmd.add_argument("--seed", type=_seed, default=0, help="master seed; per-run seeds derive from it (default 0)")
-    experiment_cmd.add_argument("--jobs", type=_count, default=None, help="worker processes, at most the CPU count (default: CPU count)")
+    experiment_cmd.add_argument("--jobs", type=_count, default=None, help="worker processes, at most one per CPU this process may run on (default: one per CPU)")
     experiment_cmd.add_argument("--timing", action="store_true", help="record wall time per run (off by default so CSVs are reproducible)")
     _add_pattern_flag(experiment_cmd)
     _add_field_flags(experiment_cmd, "dn", _DN)

@@ -4,10 +4,13 @@ Images are carried as float64 arrays with a nominal [0, 1] sample range.
 File exchange uses the binary Netpbm formats only: P5 (grayscale) and
 P6 (RGB), at 8 or 16 bits per sample. parse_name reads every typed name
 (a pattern, a strategy, a method kind) for the library and the CLI alike.
+_walk is the one thread pool of the stages that run on several CPUs.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, Union
 
@@ -21,8 +24,67 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 # tiles, the noise generator's pairs, the wide median's tiles and the
 # stencil stages' bands. Their block-sized buffers then stay in L2 (whole
 # 256x256 planes ran the median 3x slower). The decoder converts each
-# channel in one call and walks no tiles.
+# channel in one call and walks no tiles. The noise generator's blocks and
+# the bilateral kernel's bands of 2 _STRIP samples run on _walk's threads:
+# a block's cosines and sines, and each of a band's ufunc calls, run long
+# enough for another thread to take the interpreter lock meanwhile. At
+# _STRIP samples the bilateral's calls were too short, and two threads ran
+# no faster than one.
 _STRIP = 16384
+
+# The most threads one _walk runs on. Each holds a buffer set of its
+# caller's: a 2 _STRIP-sample buffer for the noise generator, about 0.8 MiB
+# for a 512^2 bilateral plane, 1.8 planes for a wavelet plane. Whether a 3rd
+# or 4th thread runs faster is unmeasured. An experiment's pool workers set
+# it to 1, since each CPU there runs a worker.
+_threads_max = 4
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _threads(items: int) -> int:
+    """The threads that walk a list of items: one per CPU, at most _threads_max and one per item."""
+    return max(1, min(_cpus(), items, _threads_max))
+
+
+def _walk(work, step, sets) -> None:
+    """Call step(item, buffers) for every item of work, on one thread per buffer set.
+
+    The calling thread allocates the sets, since buffers that a helper
+    thread allocates land in that thread's malloc arena, which keeps its
+    peak. An item takes a free set and puts it back when done; no more items
+    run at once than there are sets, so one always finds a set. With one set
+    the calling thread walks the items in order and no pool starts;
+    otherwise a pool of len(sets) threads, opened and closed within the
+    call, runs them. The first failing item's error, in list order, is
+    raised once the pool has closed. Helper threads run step only: it must
+    call no public module attribute, which a tracer may replace and whose
+    spans would not nest. numpy keeps its float error state per thread, so
+    a step that needs one sets it itself.
+    """
+    free = list(sets)
+    if len(free) == 1:
+        for item in work:
+            step(item, free[0])
+        return
+
+    def run(item):
+        buffers = free.pop()
+        try:
+            step(item, buffers)
+        finally:
+            free.append(buffers)
+
+    # map raises the first failing item's error in list order and cancels
+    # the items not yet started; leaving the block waits for the rest.
+    with ThreadPoolExecutor(len(free)) as pool:
+        for _ in pool.map(run, work):
+            pass
 
 
 def _tiles(h: int, w: int, samples: int):

@@ -20,12 +20,17 @@ from typing import Any, Callable
 import numpy as np
 
 from cfaisp.cfa import MosaicImage
-from cfaisp.imageio import _STRIP, DimensionError, Plane
+from cfaisp.imageio import _STRIP, DimensionError, Plane, _threads, _walk
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO_UNIT = 2.0**-53
+
+# The most pairs a field draws on the calling thread alone. A 256^2 field,
+# two blocks, ran slower on two threads than on one: the pool's start and
+# the handoffs outweighed the overlap.
+_POOLED_PAIRS = 2 * _STRIP
 
 # MAD-to-sigma factor for a zero-mean normal: 1 / Phi^-1(3/4).
 _MAD_SCALE = 0.6745
@@ -112,9 +117,14 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
     (word >> 11) 2^-53 in [0, 1), from their top 53 bits. Consecutive
     uniform pairs (u1, u2) map to radius sqrt(-2 ln(1 - u1)) and angle
     2 pi u2; the cosine branch lands at even output indices, the sine branch
-    at odd ones. 1 - u1 is never zero, so the log is always finite. Pairs
-    are made _STRIP at a time in reused buffers that stay in cache, and
-    written straight into place.
+    at odd ones. 1 - u1 is never zero, so the log is always finite.
+
+    Pairs are made in blocks of _STRIP. A block's words depend only on its
+    index, so the blocks may run in any order: a field of more than
+    _POOLED_PAIRS pairs runs them on _walk's threads, a smaller one on the
+    calling thread, and the bits are the same. A block computes in place in
+    its own stretch of the output and in a buffer of as many samples, one
+    per thread, which the calling thread allocates.
     """
     SEED.check("seed", seed)
     _SAMPLES.check("count", count)
@@ -122,21 +132,30 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
     out = np.empty(2 * pairs, dtype=np.float64)
     block = min(pairs, _STRIP)
     steps = np.multiply(np.arange(1, 2 * block + 1, dtype=np.uint64), _GOLDEN)
-    words, spare, u = np.empty_like(steps), np.empty_like(steps), np.empty(2 * block)
-    radius, theta = np.empty(block), np.empty(block)
-    for first in range(0, pairs, _STRIP):
+    firsts = range(0, pairs, _STRIP)
+    threads = _threads(len(firsts)) if pairs > _POOLED_PAIRS else 1
+
+    def fill(first, buffer):
+        """Write the pairs of the block from pair first into out."""
         n = min(_STRIP, pairs - first)
-        w, v, r, t = words[: 2 * n], u[: 2 * n], radius[:n], theta[:n]
+        pair, spare = out[2 * first : 2 * (first + n)], buffer[: 2 * n]
+        words = pair.view(np.uint64)
         # The block's first state, reduced mod 2^64 in Python ints.
-        np.add(steps[: 2 * n], np.uint64((int(seed) + 2 * first * int(_GOLDEN)) % 2**64), out=w)
-        _splitmix64(w, spare[: 2 * n])
-        np.multiply(np.right_shift(w, np.uint64(11), out=w), _TO_UNIT, out=v, dtype=np.float64)
-        # The transcendental ufuncs read and write contiguous buffers only.
-        np.sqrt(np.multiply(np.log1p(np.negative(v[0::2], out=r), out=r), -2.0, out=r), out=r)
-        np.multiply(v[1::2], 2.0 * np.pi, out=t)
-        pair = out[2 * first : 2 * (first + n)]
-        np.multiply(r, np.cos(t, out=v[:n]), out=pair[0::2])
-        np.multiply(r, np.sin(t, out=t), out=pair[1::2])
+        np.add(steps[: 2 * n], np.uint64((int(seed) + 2 * first * int(_GOLDEN)) % 2**64), out=words)
+        _splitmix64(words, spare.view(np.uint64))
+        u = np.multiply(np.right_shift(words, np.uint64(11), out=words), _TO_UNIT, out=spare, dtype=np.float64)
+        # The transcendental ufuncs read and write contiguous buffers only:
+        # the radii and angles in the block's stretch of out, the cosines and
+        # sines in the buffer, whose products then fill out.
+        radius, theta = pair[:n], pair[n:]
+        np.sqrt(np.multiply(np.log1p(np.negative(u[0::2], out=radius), out=radius), -2.0, out=radius), out=radius)
+        np.multiply(u[1::2], 2.0 * np.pi, out=theta)
+        cos, sin = np.cos(theta, out=spare[:n]), np.sin(theta, out=spare[n:])
+        np.multiply(radius, cos, out=cos)
+        np.multiply(radius, sin, out=sin)
+        pair[0::2], pair[1::2] = cos, sin
+
+    _walk(firsts, fill, [np.empty(2 * block) for _ in range(threads)])
     return out[:count]
 
 
@@ -174,12 +193,17 @@ def estimate_sigma(plane: Plane) -> float:
     median-absolute-deviation estimator. Smooth image structure barely
     reaches HH, so the estimate tracks the noise rather than the content.
     """
-    data = plane.data
+    h, w = plane.data.shape
+    return _estimate_sigma(plane.data, np.empty((h // 2) * (w // 2)))
+
+
+def _estimate_sigma(data: np.ndarray, spare: np.ndarray) -> float:
+    """estimate_sigma of the samples data, with HH computed in spare, a flat buffer of at least (h // 2)(w // 2) samples."""
     h, w = data.shape
     if h < 2 or w < 2:
         raise DimensionError(f"sigma estimation needs at least 2x2 samples, got {w}x{h}")
     data = data[: h - (h % 2), : w - (w % 2)]
-    hh = np.subtract(data[0::2, 0::2], data[0::2, 1::2])
+    hh = np.subtract(data[0::2, 0::2], data[0::2, 1::2], out=spare[: (h // 2) * (w // 2)].reshape(h // 2, w // 2))
     hh -= data[1::2, 0::2]
     hh += data[1::2, 1::2]
     hh /= 2.0

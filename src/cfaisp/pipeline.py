@@ -23,7 +23,6 @@ import enum
 import itertools
 import math
 import multiprocessing
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -32,10 +31,10 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from cfaisp import denoise
+from cfaisp import imageio
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
-from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
+from cfaisp.denoise import DenoiserConfig, denoise_planes, denoise_subimages
 from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_text, parse_name
 from cfaisp.noise import COUNT, SEED, SIGMA, NoiseSpec, add_awgn
 
@@ -148,7 +147,7 @@ def _run_group(
         "decompose": lambda mosaic, _: decompose(mosaic),
         "denoise-subs": lambda subs, dn: recompose(denoise_subimages(subs, dn)),
         "demosaic": demosaic,
-        "denoise-rgb": lambda rgb, dn: RgbImage(*(denoise_plane(p, dn) for p in rgb.planes)),
+        "denoise-rgb": lambda rgb, dn: RgbImage(*denoise_planes(rgb.planes, dn)),
         "score": lambda rgb, _: (rgb, [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, rgb.planes)]),
     }
     paths = [
@@ -318,8 +317,9 @@ def _init_worker(sweep: tuple) -> None:
     global _worker_sweep
     _worker_sweep = sweep
     # Each CPU already runs a worker: the bilateral kernel's threads on top
-    # slowed a 2-worker sweep on 2 CPUs, so a worker runs it on its own thread.
-    denoise._threads_max = 1
+    # slowed a 2-worker sweep on 2 CPUs, so a worker runs every stage on its
+    # own thread.
+    imageio._threads_max = 1
 
 
 def _run_worker_task(task: tuple[int, list[int]]) -> list[ExperimentRecord]:
@@ -349,9 +349,9 @@ def run_experiment(
     master_seed must be an integer in [0, 2^64). The runs of one (image,
     repeat, sigma) share one noisy mosaic and form one task, which computes
     each shared stage once (see _run_group). jobs, an integer >= 1 (default:
-    the CPU count), sets only the pool size: at most one worker per CPU and
-    one per task, and no pool when that is one worker. A pool's workers run
-    the bilateral kernel on one thread each. Records are returned
+    the CPUs this process may run on), sets only the pool size: at most one
+    worker per CPU and one per task, and no pool when that is one worker. A
+    pool's workers run every stage on one thread each. Records are returned
     in deterministic order regardless of jobs, and with keep_timing=False
     (the default) wall_ms is zeroed so repeated runs serialize to
     byte-identical CSV. Image ids must be distinct CSV text cells and image
@@ -375,7 +375,7 @@ def run_experiment(
     points = list(grid.points())
     tasks = _plan_tasks(points, len(corpus))
     sweep = (corpus, points, grid.pattern, master_seed, keep_timing)
-    cpus = os.cpu_count() or 1
+    cpus = imageio._cpus()
     workers = min(cpus if jobs is None else jobs, cpus, len(tasks))
     if workers <= 1:
         done = [_run_task(sweep, task) for task in tasks]

@@ -10,7 +10,6 @@ seeds. 96 is divisible by 16, which leaves room for 3 wavelet levels on the
 from __future__ import annotations
 
 import multiprocessing
-import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,7 +18,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import cfaisp.pipeline as pipeline
-from cfaisp import denoise
+from cfaisp import imageio
 from cfaisp.imageio import Plane, RgbImage, encode_pnm
 
 SIZE = 96
@@ -139,7 +138,7 @@ def inline_pool(monkeypatch):
 
     # The initializer sets this process's pool-worker state; undo it afterwards.
     monkeypatch.setattr(pipeline, "_worker_sweep", ())
-    monkeypatch.setattr(denoise, "_threads_max", denoise._threads_max)
+    monkeypatch.setattr(imageio, "_threads_max", imageio._threads_max)
     monkeypatch.setattr(multiprocessing, "Pool", start)
     return pools
 
@@ -161,10 +160,10 @@ def peak_bytes():
 
 @pytest.fixture
 def by_cpus(monkeypatch):
-    """Run a call with os.cpu_count() giving 1, 2 and 3.
+    """Run a call with imageio._cpus() giving each of cpus, 1, 2 and 3 by default.
 
-    Returns {cpus: (the call's result, the thread counts of the pools the
-    bilateral kernel opened during it)}.
+    Returns {cpus: (the call's result, the thread counts of the pools that
+    imageio._walk opened during it)}.
     """
     opened = []
 
@@ -173,14 +172,14 @@ def by_cpus(monkeypatch):
             opened.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(denoise, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(imageio, "ThreadPoolExecutor", CountedPool)
 
-    def run(call) -> dict:
+    def run(call, cpus=(1, 2, 3)) -> dict:
         got = {}
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for count in cpus:
+            monkeypatch.setattr(imageio, "_cpus", lambda: count)
             opened.clear()
-            got[cpus] = (call(), tuple(opened))
+            got[count] = (call(), tuple(opened))
         return got
 
     return run

@@ -9,7 +9,6 @@ The wavelet path gets a fully independent block-Haar + threshold oracle.
 import dataclasses
 import gc
 import math
-import os
 import threading
 import tracemalloc
 from functools import partial
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import convolve1d, median_filter
 
-from cfaisp import denoise
+from cfaisp import denoise, imageio
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose
 from cfaisp.denoise import (
     CONFIG_FIELDS,
@@ -28,6 +27,7 @@ from cfaisp.denoise import (
     denoise_gaussian,
     denoise_median,
     denoise_plane,
+    denoise_planes,
     denoise_subimages,
     denoise_wavelet,
     dwt_haar,
@@ -576,7 +576,7 @@ class TestBilateralThreads:
             assert np.array_equal(denoise_bilateral(Plane(data), sigma_s, sigma_r).data, want)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
         monkeypatch.setattr(denoise, "_STRIP", 7)
         data = np.random.default_rng(82).random((8, 8))
         before = threading.active_count()
@@ -679,6 +679,77 @@ class TestWaveletMatchesTheWholeFrameExpressions:
         # plane), the output and the inverse's two quarter-plane rows.
         plane = Plane(0.5 + 0.05 * np.random.default_rng(92).standard_normal((512, 512)))
         assert peak_bytes(lambda: denoise_wavelet(plane, 3, None)) < 3.25 * plane.data.nbytes
+
+
+class TestWaveletPlanesThreads:
+    """denoise_planes runs a frame's wavelet planes on threads, with the bytes of denoise_plane."""
+
+    # _POOLED_SAMPLES is 8 _STRIP = 131,072 samples: 256^2 planes run one by
+    # one on the calling thread, 363 x 365 planes (which take the pad at 3
+    # levels) and 512^2 ones on threads.
+    @pytest.mark.parametrize("count", [3, 4])
+    @pytest.mark.parametrize("shape,pooled", [((256, 256), False), ((363, 365), True), ((512, 512), True)], ids=["256", "363x365", "512"])
+    @pytest.mark.parametrize("sigma_n", [None, 0.02, 0.0], ids=["auto", "0.02", "0"])
+    def test_thread_count_does_not_change_the_bytes(self, by_cpus, count, shape, pooled, sigma_n):
+        rng = np.random.default_rng(93)
+        planes = [Plane(0.5 + 0.05 * rng.standard_normal(shape)) for _ in range(count)]
+        config = DenoiserConfig(kind="wavelet", sigma_n=sigma_n)
+        threads = threading.active_count()
+        got = by_cpus(lambda: (b"".join(plane.data.tobytes() for plane in denoise_planes(planes, config)), threading.active_count()), cpus=(1, 2, 3, 4))
+        assert all(result == got[1][0] for result, _ in got.values())
+        assert got[1][0] == (b"".join(denoise_plane(plane, config).data.tobytes() for plane in planes), threads)
+        assert [pools for _, pools in got.values()] == [(min(cpus, count),) if pooled and cpus > 1 else () for cpus in (1, 2, 3, 4)]
+
+    def test_sigma_zero_hands_back_the_planes(self, monkeypatch):
+        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
+        planes = [Plane(np.random.default_rng(94).random((512, 512))) for _ in range(3)]
+        assert all(got is plane for got, plane in zip(denoise_planes(planes, DenoiserConfig(kind="wavelet", sigma_n=0.0)), planes))
+
+    def test_band_walked_kinds_run_on_the_calling_thread(self, by_cpus):
+        planes = [Plane(np.random.default_rng(95).random((512, 512))) for _ in range(3)]
+        for kind in ("none", "gaussian", "median"):
+            got = by_cpus(lambda: [plane.data.tobytes() for plane in denoise_planes(planes, DenoiserConfig(kind=kind))], cpus=(1, 2))
+            assert got[1] == got[2] == ([denoise_plane(plane, DenoiserConfig(kind=kind)).data.tobytes() for plane in planes], ())
+
+    def test_a_failing_plane_raises_and_leaves_no_thread(self, monkeypatch, by_cpus):
+        # A one-row plane has no 2 x 2 block to estimate sigma from; with the
+        # size rule at 0, even these planes run on threads.
+        monkeypatch.setattr(denoise, "_POOLED_SAMPLES", 0)
+        planes = [Plane(np.full((1, 40), 0.5)) for _ in range(3)]
+        threads = threading.active_count()
+
+        def call():
+            with pytest.raises(DimensionError, match=r"^sigma estimation needs at least 2x2 samples, got 40x1$"):
+                denoise_planes(planes, DenoiserConfig(kind="wavelet"))
+            return threading.active_count()
+
+        assert by_cpus(call, cpus=(1, 2, 3, 4)) == {1: (threads, ()), 2: (threads, (2,)), 3: (threads, (3,)), 4: (threads, (3,))}
+
+    @pytest.mark.parametrize("sigma_n", [None, 0.02])
+    def test_memory_is_the_outputs_and_a_buffer_set_per_thread(self, by_cpus, peak_bytes, sigma_n):
+        # A set holds every level's four subbands (4/3 plane) and two spares of
+        # a finest subband: 1.83 planes. Three planes read 4.88 planes at one
+        # thread and 6.73 at two.
+        planes = [Plane(0.5 + 0.05 * np.random.default_rng(96 + k).standard_normal((512, 512))) for k in range(3)]
+        plane = planes[0].data.nbytes
+        config = DenoiserConfig(kind="wavelet", sigma_n=sigma_n)
+        got = by_cpus(lambda: peak_bytes(lambda: denoise_planes(planes, config)), cpus=(1, 2))
+        assert [pools for _, pools in got.values()] == [(), (2,)]
+        assert got[1][0] < 5 * plane and got[2][0] < 7 * plane
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 2), (5, 7), (9, 16), (16, 9), (33, 17)])
+    @pytest.mark.parametrize("levels", [1, 3, 6])
+    def test_mirror_is_np_pad(self, shape, levels):
+        data = np.random.default_rng(97).random(shape)
+        want = np.pad(data, ((0, -shape[0] % 2**levels), (0, -shape[1] % 2**levels)), mode="reflect")
+        pad = np.empty(want.shape)
+        denoise._mirror(data, pad)
+        assert _same(pad, want)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64), (128, 200), (256, 256)])
+    def test_variance_is_np_var_bit_for_bit(self, shape):
+        band = 0.7 + 1e-3 * np.random.default_rng(98).standard_normal(shape)
+        assert denoise._variance(band, np.empty(shape)) == float(band.var())
 
 
 class TestWavelet:

@@ -4,7 +4,11 @@ The 16-bit decode path is checked against an independent struct-based
 reader, and encode quantization against hand-computed byte values.
 """
 
+import os
 import struct
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -458,3 +462,66 @@ class TestWriteCsv:
         # up to the next quote into one.
         with pytest.raises(ValueError, match="contains a double quote"):
             write_csv([_record(image='"ab.ppm')])
+
+
+class TestWalk:
+    """imageio._walk, the one thread pool of the program, and its thread count."""
+
+    def test_cpus_is_the_affinity_set_where_the_os_keeps_one(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert imageio._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert imageio._cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert imageio._cpus() == 1
+
+    def test_threads_are_one_per_cpu_and_per_item_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(imageio, "_cpus", lambda: 8)
+        assert [imageio._threads(items) for items in (0, 1, 3, 10)] == [1, 1, 3, 4]
+        monkeypatch.setattr(imageio, "_threads_max", 1)
+        assert imageio._threads(10) == 1
+
+    def test_one_set_walks_in_order_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(imageio, "ThreadPoolExecutor", None)
+        seen = []
+        imageio._walk(range(5), lambda item, buffers: seen.append((item, buffers, threading.get_ident())), ["set"])
+        assert seen == [(item, "set", threading.get_ident()) for item in range(5)]
+
+    @pytest.mark.parametrize("sets", [2, 3, 4])
+    def test_no_two_running_items_share_a_set(self, sets):
+        # Up to 4 threads, switching every 10 us.
+        running, seen, lock = set(), [], threading.Lock()
+
+        def step(item, buffers):
+            with lock:
+                assert id(buffers) not in running
+                running.add(id(buffers))
+            time.sleep(0.0002)
+            with lock:
+                running.discard(id(buffers))
+                seen.append(item)
+
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            imageio._walk(range(200), step, [[] for _ in range(sets)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(200))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("sets", [1, 2, 3])
+    def test_the_first_failing_item_raises_once_the_pool_has_closed(self, sets):
+        done = []
+
+        def step(item, buffers):
+            if item in (3, 7):
+                raise ValueError(f"item {item}")
+            done.append(item)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^item 3$"):
+            imageio._walk(range(10), step, [[] for _ in range(sets)])
+        assert threading.active_count() == before
+        assert {0, 1, 2} <= set(done)

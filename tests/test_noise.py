@@ -3,6 +3,7 @@ statistical behavior of the injected noise, and the robust sigma estimator."""
 
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -70,6 +71,35 @@ def _same(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+class TestNormalsThreads:
+    """A field draws the same bytes on any number of threads."""
+
+    # (_STRIP, _POOLED_PAIRS, count, blocks): one block, four, four and a
+    # remainder of one pair, and at _STRIP = 3 seven blocks, the last of one
+    # pair. None keeps the module's value.
+    @pytest.mark.parametrize(
+        "strip,pooled,count,blocks",
+        [(None, 0, 1001, 1), (None, None, 8 * 16384, 4), (None, None, 8 * 16384 + 1, 5), (3, 6, 37, 7)],
+        ids=["one-block", "several-blocks", "remainder-block", "strip-3"],
+    )
+    def test_thread_count_does_not_change_the_bytes(self, monkeypatch, by_cpus, strip, pooled, count, blocks):
+        if strip is not None:
+            monkeypatch.setattr(noise, "_STRIP", strip)
+        if pooled is not None:
+            monkeypatch.setattr(noise, "_POOLED_PAIRS", pooled)
+        threads = threading.active_count()
+        got = by_cpus(lambda: (standard_normals(11, count).tobytes(), normal_field(11, 1, count).tobytes(), threading.active_count()), cpus=(1, 2, 3, 4))
+        assert all(result == got[1][0] for result, _ in got.values())
+        assert got[1][0] == (_whole_array_normals(11, count).tobytes(),) * 2 + (threads,)
+        # Each call of the pair opens one pool, of a thread per CPU and per block.
+        assert [pools for _, pools in got.values()] == [(min(cpus, blocks),) * 2 if blocks > 1 and cpus > 1 else () for cpus in (1, 2, 3, 4)]
+
+    def test_a_field_of_two_blocks_runs_on_the_calling_thread(self, by_cpus):
+        # A 256^2 field is 2 _STRIP pairs, where two threads ran slower than one.
+        got = by_cpus(lambda: normal_field(3, 256, 256).tobytes(), cpus=(1, 2, 4))
+        assert [pools for _, pools in got.values()] == [(), (), ()]
+
+
 class TestStandardNormals:
     @pytest.mark.parametrize("seed", [0, 7, _M64])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -98,6 +128,13 @@ class TestStandardNormals:
         # The whole-array expressions peaked at 3.5 planes.
         plane = 512 * 512 * 8
         assert peak_bytes(lambda: normal_field(1, 512, 512)) < 2 * plane
+
+    def test_field_memory_is_the_output_and_a_block_at_any_thread_count(self, by_cpus, peak_bytes):
+        # Each thread adds one buffer of a block's 2 _STRIP samples.
+        plane = 512 * 512 * 8
+        got = by_cpus(lambda: peak_bytes(lambda: normal_field(1, 512, 512)), cpus=(1, 2, 3, 4))
+        assert [pools for _, pools in got.values()] == [(), (2,), (3,), (4,)]
+        assert all(peak < 2 * plane for peak, _ in got.values())
 
     @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, _M64, 12345678901234567890])
     def test_matches_scalar_oracle(self, seed):

@@ -3,7 +3,6 @@
 import gc
 import itertools
 import math
-import os
 import re
 import threading
 import warnings
@@ -17,6 +16,7 @@ import numpy as np
 import pytest
 
 import cfaisp.pipeline as pipeline
+from cfaisp import denoise, imageio, noise
 from cfaisp.cfa import CfaPattern, mosaic_from_rgb
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic, demosaic_joint_bilateral
 from cfaisp.denoise import DenoiserConfig
@@ -428,7 +428,7 @@ class TestRunExperiment:
     def test_bad_jobs_rejected(self, jobs, monkeypatch, inline_pool):
         # Checked before any run: 0 and -3 would otherwise run serially, and
         # 2.5 would reach the pool as its number of workers.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(imageio, "_cpus", lambda: 4)
         monkeypatch.setattr(pipeline, "_run_group", None)
         grid = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.05,), repeats=3)
         with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 1, got {re.escape(repr(jobs))}$"):
@@ -447,7 +447,7 @@ class TestRunExperiment:
             run_experiment(corpus, ExperimentGrid(sigmas=(0.05,)), jobs=1)
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, inline_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
         grid = ExperimentGrid(sigmas=(0.02, 0.05), repeats=3)
         corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
         assert run_experiment(corpus, grid, jobs=500) == run_experiment(corpus, grid, jobs=1)
@@ -456,7 +456,7 @@ class TestRunExperiment:
         assert len(inline_pool[0].tasks) == len(corpus) * len(grid.sigmas) * grid.repeats
 
     def test_one_group_starts_no_pool(self, monkeypatch, inline_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
         grid = ExperimentGrid(sigmas=(0.05,))
         corpus = [("t", _textured_image(32))]
         assert run_experiment(corpus, grid, jobs=2) == run_experiment(corpus, grid, jobs=1)
@@ -475,7 +475,7 @@ class TestRunExperiment:
         return str(excinfo.value)
 
     def test_failing_task_terminates_the_pool(self, monkeypatch, inline_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
         assert self._failing_sweep(jobs=2) == self._failing_sweep(jobs=1)
         assert [pool.failed for pool in inline_pool] == [True]
 
@@ -488,7 +488,7 @@ class TestRunExperiment:
         # Python 3.12 warns when a process with more than one thread forks, so
         # a thread the bilateral kernel left alive would fail this sweep's
         # pool.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
         image = _textured_image(32)
         grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
         threads = threading.active_count()
@@ -499,17 +499,29 @@ class TestRunExperiment:
             pooled = run_experiment([("t", image)], grid, jobs=2)
         assert pooled == run_experiment([("t", image)], grid, jobs=1)
 
-    def test_pool_workers_run_the_bilateral_kernel_on_one_thread(self, inline_pool, by_cpus):
+    def test_pool_workers_run_the_bilateral_kernel_on_one_thread(self, inline_pool, by_cpus, monkeypatch):
         # Joint at 32^2 is four phase bands, so a serial sweep's kernel opens
-        # a thread pool once a second CPU is there; a worker's does not.
+        # a thread pool once a second CPU is there; a worker's does not. So do
+        # the noise field, here in eight blocks of 64 pairs, and the after
+        # and before steps' wavelet planes, with their size rules at 0; each
+        # sweep below runs one of the three stages on threads.
         image = _textured_image(32)
-        grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
-        serial = by_cpus(lambda: run_experiment([("t", image)], grid, jobs=1))
-        pooled = by_cpus(lambda: run_experiment([("t", image)], grid, jobs=2))
-        assert [bool(pools) for _, pools in serial.values()] == [False, True, True]
-        assert [pools for _, pools in pooled.values()] == [(), (), ()]
-        assert [pool.processes for pool in inline_pool] == [2, 2]
-        assert all(records == serial[1][0] for records, _ in [*serial.values(), *pooled.values()])
+        bilateral = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
+        field = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.02, 0.05), denoisers=(NONE,))
+        wavelet = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.BEFORE), sigmas=(0.02, 0.05), denoisers=(WAVELET,))
+        # The inline pool's initializer sets this process's cap to 1.
+        patches = [(imageio, "_threads_max", imageio._threads_max)]
+        for grid, sizes in [(bilateral, []), (field, [(noise, "_STRIP", 64), (noise, "_POOLED_PAIRS", 0)]), (wavelet, [(denoise, "_POOLED_SAMPLES", 0)])]:
+            with monkeypatch.context() as patched:
+                for module, name, value in patches + sizes:
+                    patched.setattr(module, name, value)
+                inline_pool.clear()
+                serial = by_cpus(lambda: run_experiment([("t", image)], grid, jobs=1))
+                pooled = by_cpus(lambda: run_experiment([("t", image)], grid, jobs=2))
+            assert [bool(pools) for _, pools in serial.values()] == [False, True, True]
+            assert [pools for _, pools in pooled.values()] == [(), (), ()]
+            assert [pool.processes for pool in inline_pool] == [2, 2]
+            assert all(records == serial[1][0] for records, _ in [*serial.values(), *pooled.values()])
 
 
 class TestSharedStages:
@@ -601,7 +613,7 @@ class TestSharedStages:
             "decompose": 4,
             "demosaic": 8,
             "denoise_subimages": 16,
-            "denoise_plane": 32,
+            "denoise_planes": 32,
             "recompose": 64,
         }
         for name, cost in costs.items():
@@ -617,7 +629,7 @@ class TestSharedStages:
         records = run_experiment(corpus, self.GRID, jobs=1, keep_timing=True)
         # With the identity denoiser, after and before walk the joint run's
         # two steps.
-        want = {"after": 1 + 2 + 8 + 3 * 32, "joint": 1 + 2 + 8, "before": 1 + 2 + 4 + 16 + 64 + 8, "none": 1 + 2 + 8}
+        want = {"after": 1 + 2 + 8 + 32, "joint": 1 + 2 + 8, "before": 1 + 2 + 4 + 16 + 64 + 8, "none": 1 + 2 + 8}
         assert [r.wall_ms for r in records] == [1000.0 * want["none" if r.denoiser == "none" else r.strategy] for r in records]
         truth = corpus[0][1]
         for strategy, sigma, dn, dm, repeat in self.GRID.points():
@@ -679,13 +691,14 @@ class TestSharedStages:
         )
         calls = Counter()
         outputs = []
-        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "denoise_subimages", "recompose", "demosaic", "denoise_plane"):
+        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "denoise_subimages", "recompose", "demosaic", "denoise_planes"):
             stage = getattr(pipeline, name)
 
             def counted(*args, name=name, stage=stage):
                 calls[name] += 1
                 result = stage(*args)
-                outputs.append(weakref.ref(result))
+                # denoise_planes returns a list of planes, which takes no weak reference.
+                outputs.extend(weakref.ref(value) for value in (result if isinstance(result, list) else [result]))
                 return result
 
             monkeypatch.setattr(pipeline, name, counted)
@@ -695,9 +708,10 @@ class TestSharedStages:
         for (a, record_a), (b, record_b) in itertools.combinations(zip(points, records), 2):
             assert (record_a == record_b) == (a == b)
         groups = len(grid.sigmas)
-        # One noisy mosaic, one after-strategy demosaic and its denoise (three
-        # planes), one joint run and one before path per group.
-        want = {"mosaic_from_rgb": 1, "add_awgn": 1, "decompose": 1, "denoise_subimages": 1, "recompose": 1, "demosaic": 3, "denoise_plane": 3}
+        # One noisy mosaic, one after-strategy demosaic and its denoise (one
+        # call for the three planes), one joint run and one before path per
+        # group.
+        want = {"mosaic_from_rgb": 1, "add_awgn": 1, "decompose": 1, "denoise_subimages": 1, "recompose": 1, "demosaic": 3, "denoise_planes": 1}
         assert calls == Counter({name: groups * count for name, count in want.items()})
 
         # By the group's last record nothing is cached: every stage output
@@ -789,7 +803,7 @@ class TestMinimumSide:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_below_the_minimum_no_stage_runs(self, strategy, monkeypatch):
         calls = Counter()
-        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "demosaic", "denoise_plane", "denoise_subimages"):
+        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "demosaic", "denoise_planes", "denoise_subimages"):
             monkeypatch.setattr(pipeline, name, lambda *args, name=name: calls.update([name]))
         dm = JOINT if strategy is Strategy.JOINT else BILINEAR
         for size in (2, 8):
@@ -808,7 +822,7 @@ class TestMinimumSide:
     )
     def test_every_size_is_checked_before_the_first_run(self, bad, message, monkeypatch):
         calls = Counter()
-        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "demosaic", "denoise_plane", "denoise_subimages"):
+        for name in ("mosaic_from_rgb", "add_awgn", "decompose", "demosaic", "denoise_planes", "denoise_subimages"):
             monkeypatch.setattr(pipeline, name, lambda *args, name=name: calls.update([name]))
         corpus = [("good", _ramp_image(64)), ("bad", bad)]
         with pytest.raises(DimensionError, match=f"^image 'bad': {message}$"):
