@@ -8,9 +8,9 @@ the result against the reference.
 
 from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig
-from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages
+from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_subimages, estimate_sigma
 from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, PnmError, RgbImage, decode_pnm, encode_pnm
-from cfaisp.noise import NoiseSpec, add_awgn, estimate_sigma
+from cfaisp.noise import NoiseSpec, add_awgn
 from cfaisp.pipeline import ExperimentGrid, Strategy, cpsnr, mse, psnr, run_experiment, run_pipeline
 
 __version__ = "0.1.0"

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfaisp.imageio import DimensionError, Plane, RgbImage, parse_name
+from cfaisp.config import parse_name
+from cfaisp.imageio import DimensionError, Plane, RgbImage
 
 
 class CfaPattern(enum.Enum):

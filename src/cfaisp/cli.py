@@ -8,9 +8,9 @@ The CLI states no library policy; each rule has one home in the library.
 Defaults come from DenoiserConfig(), DemosaickerConfig(), ExperimentGrid()
 and DEFAULT_PATTERN. There is one --dn-*/--jb-* flag per field of
 DenoiserConfig and DemosaickerConfig, whose text form, range and meaning
-come from denoise.CONFIG_FIELDS, sigma floor included; --jb-sigma-s also
-checks joint-bilateral's floor, demosaic.JOINT_SIGMA_S. imageio.parse_name
-reads every typed name. The noise ranges are noise's rules and the
+come from config.CONFIG_FIELDS, sigma floor included; --jb-sigma-s also
+checks joint-bilateral's floor, demosaic.JOINT_SIGMA_S. config.parse_name
+reads every typed name. The noise ranges are config's rules and the
 strategy/demosaicker pairing is pipeline.check_pairing. A configuration the
 library rejects is a usage error, reported before any input is read.
 """
@@ -24,10 +24,11 @@ import sys
 from typing import Optional, Sequence
 
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosaic_from_rgb
+from cfaisp.config import CONFIG_FIELDS, COUNT, SEED, SIGMA, Rule, parse_name
 from cfaisp.demosaic import DEMOSAICKER_KINDS, JOINT_SIGMA_S, DemosaickerConfig, demosaic
-from cfaisp.denoise import CONFIG_FIELDS, DENOISER_KINDS, DenoiserConfig, denoise_plane
-from cfaisp.imageio import MAXVAL_BY_DEPTH, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, parse_name, write_csv
-from cfaisp.noise import COUNT, SEED, SIGMA, NoiseSpec, Rule, add_awgn
+from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
+from cfaisp.imageio import MAXVAL_BY_DEPTH, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
+from cfaisp.noise import NoiseSpec, add_awgn
 from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_experiment, run_pipeline
 
 # The library's defaults, which the flags' defaults and help text read.

@@ -14,14 +14,9 @@ edge sample not duplicated):
   range-weighted on a bilinear green estimate, so interpolation and light
   denoising happen in one pass, walked in bands of rows of each tile site.
 
-Bilinear and gradient evaluate each kernel only at the tile sites that read
-it: the taps are summed over the padded mosaic, in the order
-scipy.ndimage.convolve sums them, so the values equal whole-frame
-convolution divided by the kernel's weight sum. denoise._shifted does all
-the padding and lattice indexing, here as for the denoisers: it splits the
-padded mosaic once into its four contiguous phase planes, and each tap of a
-band of lattice rows is one contiguous run of one of them. A band's estimate
-is one run of the same length, whose kept samples crop views.
+Bilinear and gradient read their taps through _kernel._shifted's lattice,
+joint bilateral runs _kernel._bilateral, and the configs check their fields
+with config.check_method.
 """
 
 from __future__ import annotations
@@ -31,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cfaisp import _kernel
 from cfaisp.cfa import MosaicImage
-from cfaisp.denoise import _bilateral, _shifted, check_method, describe_method
+from cfaisp.config import Rule, check_method, describe_method
 from cfaisp.imageio import Plane, RgbImage
-from cfaisp.noise import Rule
 
 # kind -> (name of the function in this module, the DemosaickerConfig fields
 # it takes after the mosaic). demosaic() looks the name up when it runs, so a
@@ -167,7 +162,7 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     """
     data = mosaic.plane.data
     est_g, est_row, est_col, est_x = stencils
-    at = _shifted(data, max(abs(dy) for taps, _ in stencils for dy, _, _ in taps), 2)
+    at = _kernel._shifted(data, max(abs(dy) for taps, _ in stencils for dy, _, _ in taps), 2)
     out = {color: np.empty_like(data) for color in "RGB"}
     # One accumulator and one term for every estimate, sized for the largest band.
     size = at.length(max(n for _, n in at.bands()))
@@ -231,7 +226,7 @@ def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float
     demosaick-denoise rather than interpolation.
     """
     guide = demosaic_bilinear(mosaic).g.data
-    means = _bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, mosaic.pattern)
+    means = _kernel._bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, mosaic.pattern)
     return RgbImage(*(Plane._adopt(mean) for mean in means))
 
 

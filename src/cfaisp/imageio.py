@@ -2,103 +2,22 @@
 
 Images are carried as float64 arrays with a nominal [0, 1] sample range.
 File exchange uses the binary Netpbm formats only: P5 (grayscale) and
-P6 (RGB), at 8 or 16 bits per sample. parse_name reads every typed name
-(a pattern, a strategy, a method kind) for the library and the CLI alike.
-_walk is the one thread pool of the stages that run on several CPUs.
+P6 (RGB), at 8 or 16 bits per sample. The encoder walks its tiles with
+_kernel._tiles; the typed names and the config rules live in config.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
+
+from cfaisp import _kernel
 
 MAXVAL_BY_DEPTH = {8: 255, 16: 65535}
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-
-# Samples per block of the stages that walk a frame in pieces: the encoder's
-# tiles, the noise generator's pairs, the wide median's tiles and the
-# stencil stages' bands. Their block-sized buffers then stay in L2 (whole
-# 256x256 planes ran the median 3x slower). The decoder converts each
-# channel in one call and walks no tiles. The noise generator's blocks and
-# the bilateral kernel's bands of 2 _STRIP samples run on _walk's threads:
-# a block's cosines and sines, and each of a band's ufunc calls, run long
-# enough for another thread to take the interpreter lock meanwhile. At
-# _STRIP samples the bilateral's calls were too short, and two threads ran
-# no faster than one.
-_STRIP = 16384
-
-# The most threads one _walk runs on. Each holds a buffer set of its
-# caller's: a 2 _STRIP-sample buffer for the noise generator, about 0.8 MiB
-# for a 512^2 bilateral plane, 1.8 planes for a wavelet plane. Whether a 3rd
-# or 4th thread runs faster is unmeasured. An experiment's pool workers set
-# it to 1, since each CPU there runs a worker.
-_threads_max = 4
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS keeps one, else the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _threads(items: int) -> int:
-    """The threads that walk a list of items: one per CPU, at most _threads_max and one per item."""
-    return max(1, min(_cpus(), items, _threads_max))
-
-
-def _walk(work, step, sets) -> None:
-    """Call step(item, buffers) for every item of work, on one thread per buffer set.
-
-    The calling thread allocates the sets, since buffers that a helper
-    thread allocates land in that thread's malloc arena, which keeps its
-    peak. An item takes a free set and puts it back when done; no more items
-    run at once than there are sets, so one always finds a set. With one set
-    the calling thread walks the items in order and no pool starts;
-    otherwise a pool of len(sets) threads, opened and closed within the
-    call, runs them. The first failing item's error, in list order, is
-    raised once the pool has closed. Helper threads run step only: it must
-    call no public module attribute, which a tracer may replace and whose
-    spans would not nest. numpy keeps its float error state per thread, so
-    a step that needs one sets it itself.
-    """
-    free = list(sets)
-    if len(free) == 1:
-        for item in work:
-            step(item, free[0])
-        return
-
-    def run(item):
-        buffers = free.pop()
-        try:
-            step(item, buffers)
-        finally:
-            free.append(buffers)
-
-    # map raises the first failing item's error in list order and cancels
-    # the items not yet started; leaving the block waits for the rest.
-    with ThreadPoolExecutor(len(free)) as pool:
-        for _ in pool.map(run, work):
-            pass
-
-
-def _tiles(h: int, w: int, samples: int):
-    """(top, left, rows, cols) of the tiles that cover an h x w grid in row-major order.
-
-    A tile holds at most samples samples: whole rows where a row fits,
-    else one piece of a row.
-    """
-    cols = min(w, samples)
-    rows = min(h, samples // cols)
-    for top in range(0, h, rows):
-        for left in range(0, w, cols):
-            yield top, left, min(rows, h - top), min(cols, w - left)
-
 
 class PnmError(ValueError):
     """Base class for Netpbm encode/decode failures."""
@@ -261,8 +180,8 @@ def encode_pnm(image: Union[Plane, RgbImage], bit_depth: int = 8) -> bytes:
         raise TypeError(f"expected Plane or RgbImage, got {type(image).__name__}")
     height, width = planes[0].shape
     raster = np.empty((height, width, len(planes)), dtype=out_dtype)
-    buffer = np.empty(min(height * width, _STRIP) * len(planes))
-    for top, left, n, m in _tiles(height, width, _STRIP):
+    buffer = np.empty(min(height * width, _kernel._STRIP) * len(planes))
+    for top, left, n, m in _kernel._tiles(height, width, _kernel._STRIP):
         window = slice(top, top + n), slice(left, left + m)
         tile = buffer[: n * m * len(planes)].reshape(n, m, len(planes))
         for c, data in enumerate(planes):
@@ -309,14 +228,6 @@ def format_float(value: float) -> str:
     text = np.format_float_positional(value, precision=6, unique=False, fractional=False, trim="k")
     # Magnitudes >= 1e6 come back with a dangling decimal point ("123457.").
     return text[:-1] if text.endswith(".") else text
-
-
-def parse_name(family: str, text: str, names: Sequence[str]) -> str:
-    """The one of names that text spells, read stripped, in any case and with '_' for '-'."""
-    name = text.strip().lower().replace("_", "-")
-    if name not in names:
-        raise ValueError(f"unknown {family} {text!r}; expected one of {', '.join(names)}")
-    return name
 
 
 def check_text(name: str, value: str) -> None:

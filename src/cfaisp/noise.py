@@ -1,4 +1,4 @@
-"""Deterministic sensor noise: seeded Gaussian injection and level estimation.
+"""Deterministic sensor noise: seeded Gaussian injection.
 
 Randomness comes from a counter-based SplitMix64 generator feeding a
 Box-Muller transform, so on one platform and numpy build a (seed, shape)
@@ -12,70 +12,25 @@ above-range excursions a real sensor pipeline would.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 
+from cfaisp import _kernel
 from cfaisp.cfa import MosaicImage
-from cfaisp.imageio import _STRIP, DimensionError, Plane, _threads, _walk
+from cfaisp.config import SEED, SIGMA, Rule, is_int
+from cfaisp.imageio import Plane
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO_UNIT = 2.0**-53
+_SAMPLES = Rule(lambda v: is_int(v) and v >= 0, "an integer >= 0")
 
 # The most pairs a field draws on the calling thread alone. A 256^2 field,
 # two blocks, ran slower on two threads than on one: the pool's start and
 # the handoffs outweighed the overlap.
-_POOLED_PAIRS = 2 * _STRIP
-
-# MAD-to-sigma factor for a zero-mean normal: 1 / Phi^-1(3/4).
-_MAD_SCALE = 0.6745
-
-
-def is_int(value) -> bool:
-    """True for Python and numpy integers; False for bools and integral floats."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """True for Python and numpy real numbers, integers among them; False for bools, text and ints or fractions beyond float range."""
-    in_range = not isinstance(value, numbers.Rational) or -sys.float_info.max <= value <= sys.float_info.max
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and in_range
-
-
-@dataclass(frozen=True)
-class Rule:
-    """The one rule type of every checked value: test(value) says whether it holds, need words it."""
-
-    test: Callable[[Any], bool]
-    need: str
-
-    def complaint(self, shown: str) -> str:
-        """What is wrong with a value that breaks the rule, given the value's text."""
-        return f"must be {self.need}, got {shown}"
-
-    def check(self, name: str, value) -> None:
-        """Raise ValueError naming name if value breaks the rule; a numpy scalar shows as its Python value."""
-        if not self.test(value):
-            shown = value.item() if isinstance(value, np.generic) else value
-            raise ValueError(f"{name} {self.complaint(repr(shown))}")
-
-
-# The largest noise sigma, a thousand times the [0, 1] sample range: every
-# square the pipeline takes of a noisy sample or of sigma stays far inside
-# float range, so a huge sigma is one ValueError, not an overflow later.
-SIGMA_MAX = 1e3
-SIGMA = Rule(lambda v: is_real(v) and 0 <= v <= SIGMA_MAX, f"finite, >= 0 and <= {SIGMA_MAX:g}")
-# A noise seed starts a SplitMix64 stream, whose state is 64 unsigned bits.
-SEED = Rule(lambda v: is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)")
-# A number of repeats or of workers.
-COUNT = Rule(lambda v: is_int(v) and v >= 1, "an integer >= 1")
-# A number of noise samples to draw.
-_SAMPLES = Rule(lambda v: is_int(v) and v >= 0, "an integer >= 0")
+_POOLED_PAIRS = 2 * _kernel._STRIP
 
 
 @dataclass(frozen=True)
@@ -119,25 +74,22 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
     2 pi u2; the cosine branch lands at even output indices, the sine branch
     at odd ones. 1 - u1 is never zero, so the log is always finite.
 
-    Pairs are made in blocks of _STRIP. A block's words depend only on its
-    index, so the blocks may run in any order: a field of more than
-    _POOLED_PAIRS pairs runs them on _walk's threads, a smaller one on the
-    calling thread, and the bits are the same. A block computes in place in
-    its own stretch of the output and in a buffer of as many samples, one
-    per thread, which the calling thread allocates.
+    Pairs are made in blocks of _STRIP, in place in the block's stretch of
+    the output and in a buffer of as many samples. A block's words depend
+    only on its index, so the blocks of a field of more than _POOLED_PAIRS
+    pairs may run on _walk's threads, with the same bits.
     """
     SEED.check("seed", seed)
     _SAMPLES.check("count", count)
     pairs = (count + 1) // 2
     out = np.empty(2 * pairs, dtype=np.float64)
-    block = min(pairs, _STRIP)
+    strip = _kernel._STRIP
+    block = min(pairs, strip)
     steps = np.multiply(np.arange(1, 2 * block + 1, dtype=np.uint64), _GOLDEN)
-    firsts = range(0, pairs, _STRIP)
-    threads = _threads(len(firsts)) if pairs > _POOLED_PAIRS else 1
 
     def fill(first, buffer):
         """Write the pairs of the block from pair first into out."""
-        n = min(_STRIP, pairs - first)
+        n = min(strip, pairs - first)
         pair, spare = out[2 * first : 2 * (first + n)], buffer[: 2 * n]
         words = pair.view(np.uint64)
         # The block's first state, reduced mod 2^64 in Python ints.
@@ -155,7 +107,7 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
         np.multiply(radius, sin, out=sin)
         pair[0::2], pair[1::2] = cos, sin
 
-    _walk(firsts, fill, [np.empty(2 * block) for _ in range(threads)])
+    _kernel._walk(range(0, pairs, strip), fill, lambda: np.empty(2 * block), pairs <= _POOLED_PAIRS)
     return out[:count]
 
 
@@ -183,36 +135,3 @@ def add_awgn(mosaic: MosaicImage, spec: NoiseSpec) -> MosaicImage:
     rows = field.reshape(h // 2, 2, w)
     np.multiply(rows, scale, out=rows)
     return MosaicImage(mosaic.pattern, Plane._adopt(np.add(data, field, out=field)))
-
-
-def estimate_sigma(plane: Plane) -> float:
-    """Robust noise-level estimate from the finest diagonal wavelet band.
-
-    Computes the one-level orthonormal Haar HH coefficients (odd trailing
-    row/column cropped first) and returns median(|HH|) / 0.6745, the usual
-    median-absolute-deviation estimator. Smooth image structure barely
-    reaches HH, so the estimate tracks the noise rather than the content.
-    """
-    h, w = plane.data.shape
-    return _estimate_sigma(plane.data, np.empty((h // 2) * (w // 2)))
-
-
-def _estimate_sigma(data: np.ndarray, spare: np.ndarray) -> float:
-    """estimate_sigma of the samples data, with HH computed in spare, a flat buffer of at least (h // 2)(w // 2) samples."""
-    h, w = data.shape
-    if h < 2 or w < 2:
-        raise DimensionError(f"sigma estimation needs at least 2x2 samples, got {w}x{h}")
-    data = data[: h - (h % 2), : w - (w % 2)]
-    hh = np.subtract(data[0::2, 0::2], data[0::2, 1::2], out=spare[: (h // 2) * (w // 2)].reshape(h // 2, w // 2))
-    hh -= data[1::2, 0::2]
-    hh += data[1::2, 1::2]
-    hh /= 2.0
-    # One partition places the upper middle value; for an even count the
-    # lower one is the largest value below it, and (lo + hi) / 2 is the
-    # float np.median gives. Finite samples make HH finite or +-inf, never
-    # NaN, so np.median's NaN check would find nothing.
-    flat = np.abs(hh, out=hh).reshape(-1)
-    middle = flat.size // 2
-    flat.partition(middle)
-    median = flat[middle] if flat.size % 2 else (flat[:middle].max() + flat[middle]) / 2.0
-    return float(median / _MAD_SCALE)

@@ -31,12 +31,13 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from cfaisp import imageio
+from cfaisp import _kernel
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_planes, denoise_subimages
-from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_text, parse_name
-from cfaisp.noise import COUNT, SEED, SIGMA, NoiseSpec, add_awgn
+from cfaisp.config import COUNT, SEED, SIGMA, parse_name
+from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_text
+from cfaisp.noise import NoiseSpec, add_awgn
 
 METRIC_CROP = 4
 # The smallest side a pipeline run takes: the smallest even side that the
@@ -68,8 +69,9 @@ def check_pairing(strategy: Strategy, dm: DemosaickerConfig) -> None:
         raise ValueError("strategies after and before need a non-joint demosaicker; joint-bilateral runs only with strategy joint")
 
 
+@np.errstate(over="ignore")
 def mse(a: Plane, b: Plane, crop: int = 0) -> float:
-    """Mean squared error, optionally over a crop-pixel interior margin."""
+    """Mean squared error, optionally over a crop-pixel interior margin; inf where it overflows."""
     if a.data.shape != b.data.shape:
         raise DimensionError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
     if crop < 0:
@@ -83,11 +85,13 @@ def mse(a: Plane, b: Plane, crop: int = 0) -> float:
 
 
 def psnr(mse_value: float) -> float:
-    """Peak signal-to-noise ratio in dB for samples in [0, 1]; +inf when the MSE is zero."""
+    """Peak signal-to-noise ratio in dB for samples in [0, 1]; +inf when the MSE is zero, -inf when it is inf."""
     if mse_value < 0:
         raise ValueError(f"mse must be >= 0, got {mse_value}")
     if mse_value == 0:
         return math.inf
+    if mse_value == math.inf:
+        return -math.inf
     return 10.0 * math.log10(1.0 / mse_value)
 
 
@@ -316,10 +320,8 @@ _worker_sweep: tuple = ()
 def _init_worker(sweep: tuple) -> None:
     global _worker_sweep
     _worker_sweep = sweep
-    # Each CPU already runs a worker: the bilateral kernel's threads on top
-    # slowed a 2-worker sweep on 2 CPUs, so a worker runs every stage on its
-    # own thread.
-    imageio._threads_max = 1
+    # A worker runs every stage on its own thread (see _kernel._threads_max).
+    _kernel._threads_max = 1
 
 
 def _run_worker_task(task: tuple[int, list[int]]) -> list[ExperimentRecord]:
@@ -375,7 +377,7 @@ def run_experiment(
     points = list(grid.points())
     tasks = _plan_tasks(points, len(corpus))
     sweep = (corpus, points, grid.pattern, master_seed, keep_timing)
-    cpus = imageio._cpus()
+    cpus = _kernel._cpus()
     workers = min(cpus if jobs is None else jobs, cpus, len(tasks))
     if workers <= 1:
         done = [_run_task(sweep, task) for task in tasks]

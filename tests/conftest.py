@@ -18,7 +18,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import cfaisp.pipeline as pipeline
-from cfaisp import imageio
+from cfaisp import _kernel
 from cfaisp.imageio import Plane, RgbImage, encode_pnm
 
 SIZE = 96
@@ -138,7 +138,7 @@ def inline_pool(monkeypatch):
 
     # The initializer sets this process's pool-worker state; undo it afterwards.
     monkeypatch.setattr(pipeline, "_worker_sweep", ())
-    monkeypatch.setattr(imageio, "_threads_max", imageio._threads_max)
+    monkeypatch.setattr(_kernel, "_threads_max", _kernel._threads_max)
     monkeypatch.setattr(multiprocessing, "Pool", start)
     return pools
 
@@ -160,10 +160,10 @@ def peak_bytes():
 
 @pytest.fixture
 def by_cpus(monkeypatch):
-    """Run a call with imageio._cpus() giving each of cpus, 1, 2 and 3 by default.
+    """Run a call with _kernel._cpus() giving each of cpus, 1, 2 and 3 by default.
 
     Returns {cpus: (the call's result, the thread counts of the pools that
-    imageio._walk opened during it)}.
+    _kernel._walk opened during it)}.
     """
     opened = []
 
@@ -172,12 +172,12 @@ def by_cpus(monkeypatch):
             opened.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(imageio, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(_kernel, "ThreadPoolExecutor", CountedPool)
 
     def run(call, cpus=(1, 2, 3)) -> dict:
         got = {}
         for count in cpus:
-            monkeypatch.setattr(imageio, "_cpus", lambda: count)
+            monkeypatch.setattr(_kernel, "_cpus", lambda: count)
             opened.clear()
             got[count] = (call(), tuple(opened))
         return got

@@ -18,8 +18,9 @@ from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, mosaic_from_rgb, reco
 import cfaisp.pipeline as pipeline
 from cfaisp.cli import _build_parser, main
 from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear
-from cfaisp.denoise import CONFIG_FIELDS, DENOISER_KINDS, DenoiserConfig
-from cfaisp.imageio import Plane, RgbImage, decode_pnm, encode_pnm, parse_name, write_csv
+from cfaisp.config import CONFIG_FIELDS, parse_name
+from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig
+from cfaisp.imageio import Plane, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec
 from cfaisp.pipeline import Strategy, run_pipeline
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import convolve
 
-from cfaisp import denoise
+from cfaisp import _kernel
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at, mosaic_from_rgb
 from cfaisp.demosaic import (
     DEMOSAICKER_KINDS,
@@ -308,7 +308,7 @@ class TestScipyConvolveOracle:
     @pytest.mark.parametrize("demosaicker,kernels", LINEAR, ids=["bilinear", "gradient"])
     def test_equals_whole_frame_convolution(self, monkeypatch, demosaicker, kernels, pattern, shape):
         if shape in BANDED:
-            monkeypatch.setattr(denoise, "_STRIP", 7)
+            monkeypatch.setattr(_kernel, "_STRIP", 7)
         mosaic = _random_mosaic(pattern, shape, 11)
         for got, want in zip(demosaicker(mosaic).planes, _convolve_oracle(mosaic, kernels)):
             assert np.array_equal(got.data, want)
@@ -402,7 +402,7 @@ class TestJointBilateral:
     )
     def test_thread_count_does_not_change_the_bits(self, monkeypatch, by_cpus, pattern, strip, lattice):
         if strip is not None:
-            monkeypatch.setattr(denoise, "_STRIP", strip)
+            monkeypatch.setattr(_kernel, "_STRIP", strip)
         mosaic = _random_mosaic(pattern, (2 * lattice[0], 2 * lattice[1]), 83)
         got = by_cpus(lambda: b"".join(plane.data.tobytes() for plane in demosaic_joint_bilateral(mosaic, 0.7, 0.1).planes))
         assert got[1][0] == got[2][0] == got[3][0]
@@ -422,7 +422,7 @@ class TestJointBilateral:
 
         def error():
             with pytest.raises(ValueError) as raised:
-                denoise._bilateral(data, data, 0.03, 0.1, CfaPattern.GBRG)
+                _kernel._bilateral(data, data, 0.03, 0.1, CfaPattern.GBRG)
             return str(raised.value)
 
         got = by_cpus(error)

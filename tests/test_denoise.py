@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from scipy.ndimage import convolve1d, median_filter
 
-from cfaisp import denoise, imageio
+from cfaisp import _kernel, denoise
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose
+from cfaisp.config import CONFIG_FIELDS
 from cfaisp.denoise import (
-    CONFIG_FIELDS,
     DenoiserConfig,
     WaveletPyramid,
     denoise_bilateral,
@@ -31,11 +31,12 @@ from cfaisp.denoise import (
     denoise_subimages,
     denoise_wavelet,
     dwt_haar,
+    estimate_sigma,
     idwt_haar,
 )
 from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear, demosaic_joint_bilateral
 from cfaisp.imageio import DimensionError, Plane
-from cfaisp.noise import NoiseSpec, add_awgn, estimate_sigma, normal_field
+from cfaisp.noise import NoiseSpec, add_awgn, normal_field
 
 
 def _reflect(i: int, n: int) -> int:
@@ -276,13 +277,13 @@ class TestGaussian:
             "subnormal": lambda shape: rng.random(shape) * 1e-310,
             "large": lambda shape: rng.uniform(-1e3, 1e3, shape),
         }
-        cases = [(shape, denoise._STRIP) for shape in [(1, 1), (2, 3), (13, 31), (128, 96)]]
+        cases = [(shape, _kernel._STRIP) for shape in [(1, 1), (2, 3), (13, 31), (128, 96)]]
         # With 7-sample bands a 5x3 plane walks bands of 2, 2 and 1 rows, and
         # a 5x10 one, whose rows are wider than a band, one row per band. The
         # bottom band's last run ends at the end of the pad.
         cases += [((5, 3), 7), ((5, 10), 7)]
         for shape, strip in cases:
-            monkeypatch.setattr(denoise, "_STRIP", strip)
+            monkeypatch.setattr(_kernel, "_STRIP", strip)
             for kind, draw in draws.items():
                 data = draw(shape)
                 want = convolve1d(convolve1d(data, kernel, axis=0, mode="mirror"), kernel, axis=1, mode="mirror")
@@ -369,14 +370,14 @@ class TestMedian:
             "signed-zeros": lambda shape: rng.choice([-0.0, 0.0, 0.5], shape),
         }[kind]
         shapes = [(h, w) for h in range(1, 18) for w in range(1, 10)] + [(70, 512), (33, 1000)]
-        cases = [(shape, denoise._STRIP) for shape in shapes]
+        cases = [(shape, _kernel._STRIP) for shape in shapes]
         # With 7-sample bands the 3x3 median walks remainder bands (5x3: 2, 2
         # and 1 rows) and rows wider than a band (5x10, 3x20: one row each);
         # a wider window's tiles hold 9 x 7 // 25 = 2 or 9 x 7 // 49 = 1
         # samples and split every row.
         cases += [(shape, 7) for shape in [(5, 3), (5, 10), (9, 7), (3, 20), (12, 5)]]
         for shape, strip in cases:
-            monkeypatch.setattr(denoise, "_STRIP", strip)
+            monkeypatch.setattr(_kernel, "_STRIP", strip)
             data = draw(shape)
             got = denoise_median(Plane(data), radius).data
             want = median_filter(data, size=2 * radius + 1, mode="mirror")
@@ -494,7 +495,7 @@ class TestBilateral:
     @pytest.mark.parametrize("lattice", [(1, 1), (2, 2), (5, 3), (3, 10)], ids=["one-sample", "one-strip", "remainder-strip", "wide-row"])
     @pytest.mark.parametrize("sigma_s,sigma_r", [(1.0, 0.1), (0.7, 1e-3), (1.5, math.inf)])
     def test_strip_walk_matches_the_whole_lattice_loop(self, monkeypatch, lattice, sigma_s, sigma_r):
-        monkeypatch.setattr(denoise, "_STRIP", 7)
+        monkeypatch.setattr(_kernel, "_STRIP", 7)
         rng = np.random.default_rng(77)
         data = rng.random(lattice)
         want = _whole_lattice_bilateral(data, data, sigma_s, sigma_r)[None]
@@ -516,7 +517,7 @@ class TestBilateral:
     def test_tiny_sigma_r_takes_the_spatial_only_fallback_in_strips(self, monkeypatch):
         # At sigma_r = 1e-3 the range weights of most other-color neighbours
         # underflow, so some joint samples are spatial-only means, bit for bit.
-        monkeypatch.setattr(denoise, "_STRIP", 7)
+        monkeypatch.setattr(_kernel, "_STRIP", 7)
         mosaic = MosaicImage(CfaPattern.GRBG, Plane(np.random.default_rng(78).random((10, 6))))
         sharp = demosaic_joint_bilateral(mosaic, 0.7, 1e-3)
         spatial = demosaic_joint_bilateral(mosaic, 0.7, math.inf)
@@ -560,7 +561,7 @@ class TestBilateralThreads:
     )
     def test_thread_count_does_not_change_the_bits(self, monkeypatch, by_cpus, strip, shape, bands):
         if strip is not None:
-            monkeypatch.setattr(denoise, "_STRIP", strip)
+            monkeypatch.setattr(_kernel, "_STRIP", strip)
         plane = Plane(np.random.default_rng(81).random(shape))
         got = by_cpus(lambda: denoise_bilateral(plane, 1.0, 0.1).data.tobytes())
         assert got[1][0] == got[2][0] == got[3][0]
@@ -569,15 +570,15 @@ class TestBilateralThreads:
 
     def test_rows_wider_than_a_band_match_the_whole_lattice_loop(self, monkeypatch):
         # At _STRIP = 7 a band holds 14 samples, so each 20-sample row is a band.
-        monkeypatch.setattr(denoise, "_STRIP", 7)
+        monkeypatch.setattr(_kernel, "_STRIP", 7)
         data = np.random.default_rng(84).random((3, 20))
         for sigma_s, sigma_r in [(1.0, 0.1), (1.5, math.inf)]:
             want = _whole_lattice_bilateral(data, data, sigma_s, sigma_r)[None]
             assert np.array_equal(denoise_bilateral(Plane(data), sigma_s, sigma_r).data, want)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
-        monkeypatch.setattr(denoise, "_STRIP", 7)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
+        monkeypatch.setattr(_kernel, "_STRIP", 7)
         data = np.random.default_rng(82).random((8, 8))
         before = threading.active_count()
         denoise_bilateral(Plane(data), 1.0, 0.1)
@@ -585,7 +586,7 @@ class TestBilateralThreads:
         assert threading.active_count() == before
         # Every band of the 4 phases fails; the first one's error is raised.
         with pytest.raises(ValueError, match="sigma_s=0.03 is too small"):
-            denoise._bilateral(data, data, 0.03, 0.1, CfaPattern.GBRG)
+            _kernel._bilateral(data, data, 0.03, 0.1, CfaPattern.GBRG)
         assert threading.active_count() == before
 
 
@@ -701,7 +702,7 @@ class TestWaveletPlanesThreads:
         assert [pools for _, pools in got.values()] == [(min(cpus, count),) if pooled and cpus > 1 else () for cpus in (1, 2, 3, 4)]
 
     def test_sigma_zero_hands_back_the_planes(self, monkeypatch):
-        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
         planes = [Plane(np.random.default_rng(94).random((512, 512))) for _ in range(3)]
         assert all(got is plane for got, plane in zip(denoise_planes(planes, DenoiserConfig(kind="wavelet", sigma_n=0.0)), planes))
 

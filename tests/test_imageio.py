@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cfaisp import imageio
+from cfaisp import _kernel
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_plane, dwt_haar, idwt_haar
@@ -31,9 +31,9 @@ from cfaisp.imageio import (
     decode_pnm,
     encode_pnm,
     format_float,
-    parse_name,
     write_csv,
 )
+from cfaisp.config import parse_name
 from cfaisp.noise import NoiseSpec, add_awgn
 
 
@@ -331,11 +331,11 @@ class TestCodecMatchesTheWholeFrameExpressions:
     # With 7-sample tiles, a 5-column frame is walked one row at a time, a
     # 3-column frame two rows at a time with a one-row remainder, and a
     # 130-column one in pieces of 7 and 4 samples.
-    @pytest.mark.parametrize("tile", [7, imageio._STRIP])
+    @pytest.mark.parametrize("tile", [7, _kernel._STRIP])
     @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (7, 3), (37, 130)])
     @pytest.mark.parametrize("bit_depth", [8, 16])
     def test_encode_and_decode_bit_for_bit(self, monkeypatch, tile, shape, bit_depth):
-        monkeypatch.setattr(imageio, "_STRIP", tile)
+        monkeypatch.setattr(_kernel, "_STRIP", tile)
         planes = [Plane(_edge_samples(shape, seed)) for seed in (40, 41, 42)]
         maxval = 255 if bit_depth == 8 else 65535
         for image, channels in ((planes[0], 1), (RgbImage(*planes), 3)):
@@ -465,31 +465,41 @@ class TestWriteCsv:
 
 
 class TestWalk:
-    """imageio._walk, the one thread pool of the program, and its thread count."""
+    """_kernel._walk, the one thread pool of the program, and its thread count."""
 
     def test_cpus_is_the_affinity_set_where_the_os_keeps_one(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert imageio._cpus() == len(os.sched_getaffinity(0))
+            assert _kernel._cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert imageio._cpus() == 6
+        assert _kernel._cpus() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert imageio._cpus() == 1
+        assert _kernel._cpus() == 1
 
     def test_threads_are_one_per_cpu_and_per_item_up_to_the_cap(self, monkeypatch):
-        monkeypatch.setattr(imageio, "_cpus", lambda: 8)
-        assert [imageio._threads(items) for items in (0, 1, 3, 10)] == [1, 1, 3, 4]
-        monkeypatch.setattr(imageio, "_threads_max", 1)
-        assert imageio._threads(10) == 1
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 8)
+        assert [_kernel._threads(items) for items in (0, 1, 3, 10)] == [1, 1, 3, 4]
+        monkeypatch.setattr(_kernel, "_threads_max", 1)
+        assert _kernel._threads(10) == 1
+
+    def _walk_alone(self, monkeypatch, cpus, small):
+        """(items and sets seen, threads that built a set) of a 5-item walk that must start no pool."""
+        monkeypatch.setattr(_kernel, "ThreadPoolExecutor", None)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: cpus)
+        seen, built = [], []
+        _kernel._walk(range(5), lambda item, buffers: seen.append((item, buffers, threading.get_ident())), lambda: built.append(threading.get_ident()) or "set", small)
+        return seen, built
 
     def test_one_set_walks_in_order_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(imageio, "ThreadPoolExecutor", None)
-        seen = []
-        imageio._walk(range(5), lambda item, buffers: seen.append((item, buffers, threading.get_ident())), ["set"])
+        seen, built = self._walk_alone(monkeypatch, 1, False)
         assert seen == [(item, "set", threading.get_ident()) for item in range(5)]
+        assert built == [threading.get_ident()]
+
+    def test_work_below_its_size_rule_walks_on_the_calling_thread(self, monkeypatch):
+        assert self._walk_alone(monkeypatch, 4, True) == ([(item, "set", threading.get_ident()) for item in range(5)], [threading.get_ident()])
 
     @pytest.mark.parametrize("sets", [2, 3, 4])
-    def test_no_two_running_items_share_a_set(self, sets):
+    def test_no_two_running_items_share_a_set(self, monkeypatch, sets):
         # Up to 4 threads, switching every 10 us.
         running, seen, lock = set(), [], threading.Lock()
 
@@ -502,17 +512,21 @@ class TestWalk:
                 running.discard(id(buffers))
                 seen.append(item)
 
+        # The calling thread builds one set per thread.
+        built = []
+        monkeypatch.setattr(_kernel, "_cpus", lambda: sets)
         before, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            imageio._walk(range(200), step, [[] for _ in range(sets)])
+            _kernel._walk(range(200), step, lambda: built.append(threading.get_ident()) or [])
         finally:
             sys.setswitchinterval(interval)
         assert sorted(seen) == list(range(200))
         assert threading.active_count() == before
+        assert built == [threading.get_ident()] * sets
 
     @pytest.mark.parametrize("sets", [1, 2, 3])
-    def test_the_first_failing_item_raises_once_the_pool_has_closed(self, sets):
+    def test_the_first_failing_item_raises_once_the_pool_has_closed(self, monkeypatch, sets):
         done = []
 
         def step(item, buffers):
@@ -520,8 +534,9 @@ class TestWalk:
                 raise ValueError(f"item {item}")
             done.append(item)
 
+        monkeypatch.setattr(_kernel, "_cpus", lambda: sets)
         before = threading.active_count()
         with pytest.raises(ValueError, match="^item 3$"):
-            imageio._walk(range(10), step, [[] for _ in range(sets)])
+            _kernel._walk(range(10), step, list)
         assert threading.active_count() == before
         assert {0, 1, 2} <= set(done)

@@ -8,11 +8,12 @@ import threading
 import numpy as np
 import pytest
 
-from cfaisp import noise
+from cfaisp import _kernel, noise
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at
+from cfaisp.config import CONFIG_FIELDS, SIGMA
 from cfaisp.imageio import DimensionError, Plane
-from cfaisp.denoise import CONFIG_FIELDS, DenoiserConfig
-from cfaisp.noise import SIGMA, NoiseSpec, add_awgn, estimate_sigma, normal_field, standard_normals
+from cfaisp.denoise import DenoiserConfig, estimate_sigma
+from cfaisp.noise import NoiseSpec, add_awgn, normal_field, standard_normals
 from cfaisp.pipeline import ExperimentGrid
 
 _M64 = (1 << 64) - 1
@@ -84,7 +85,7 @@ class TestNormalsThreads:
     )
     def test_thread_count_does_not_change_the_bytes(self, monkeypatch, by_cpus, strip, pooled, count, blocks):
         if strip is not None:
-            monkeypatch.setattr(noise, "_STRIP", strip)
+            monkeypatch.setattr(_kernel, "_STRIP", strip)
         if pooled is not None:
             monkeypatch.setattr(noise, "_POOLED_PAIRS", pooled)
         threads = threading.active_count()
@@ -104,11 +105,11 @@ class TestStandardNormals:
     @pytest.mark.parametrize("seed", [0, 7, _M64])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_blocks_match_the_whole_array_expressions(self, seed, extra):
-        for count in (0, 1, 3, 2 * noise._STRIP + extra):
+        for count in (0, 1, 3, 2 * _kernel._STRIP + extra):
             assert _same(standard_normals(seed, count), _whole_array_normals(seed, count)), count
 
     def test_many_small_blocks_match_the_whole_array_expressions(self, monkeypatch):
-        monkeypatch.setattr(noise, "_STRIP", 3)
+        monkeypatch.setattr(_kernel, "_STRIP", 3)
         for count in range(20):
             assert _same(standard_normals(5, count), _whole_array_normals(5, count)), count
 

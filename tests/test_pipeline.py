@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import cfaisp.pipeline as pipeline
-from cfaisp import denoise, imageio, noise
+from cfaisp import _kernel, denoise, noise
 from cfaisp.cfa import CfaPattern, mosaic_from_rgb
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic, demosaic_joint_bilateral
 from cfaisp.denoise import DenoiserConfig
-from cfaisp.imageio import DimensionError, Plane, RgbImage
+from cfaisp.imageio import CSV_HEADER, DimensionError, Plane, RgbImage, write_csv
 from cfaisp.noise import NoiseSpec
 from cfaisp.pipeline import (
     METRIC_CROP,
@@ -126,6 +126,9 @@ class TestPsnr:
     def test_zero_is_infinite(self):
         assert psnr(0.0) == math.inf
 
+    def test_an_infinite_mse_is_minus_infinity(self):
+        assert psnr(math.inf) == -math.inf
+
     def test_negative_mse_rejected(self):
         with pytest.raises(ValueError):
             psnr(-1e-9)
@@ -213,6 +216,18 @@ class TestRunPipeline:
         _, record = run_pipeline(truth, CfaPattern.GBRG, noise, Strategy.AFTER, NONE, BILINEAR)
         assert record.cpsnr_db == math.inf
         assert record.mse_r == 0.0 and record.mse_g == 0.0 and record.mse_b == 0.0
+
+    @pytest.mark.parametrize("strategy,dn", [(Strategy.AFTER, NONE), (Strategy.BEFORE, DenoiserConfig(kind="gaussian"))], ids=["after-none", "before-gaussian"])
+    def test_an_error_whose_square_overflows_scores_minus_infinity(self, strategy, dn):
+        # A finite checkerboard of +-1e200: bilinear's estimates miss by about
+        # 1e200, whose square overflows. Tier-1 makes the overflow warning an
+        # error, and psnr took log10(0) of the infinite MSE.
+        board = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2, 1e200, -1e200)
+        truth = RgbImage(Plane(board), Plane(board), Plane(board))
+        _, record = run_pipeline(truth, CfaPattern.GBRG, NoiseSpec.uniform(0.0), strategy, dn, BILINEAR)
+        assert record.cpsnr_db == -math.inf and record.mse_g == math.inf
+        row = dict(zip(CSV_HEADER.split(","), write_csv([record]).decode("ascii").splitlines()[1].split(",")))
+        assert row["cpsnr_db"] == "-inf" and row["mse_g"] == "inf"
 
     def test_gradient_on_clean_ramp_scores_near_machine_precision(self):
         truth = _ramp_image(32)
@@ -428,7 +443,7 @@ class TestRunExperiment:
     def test_bad_jobs_rejected(self, jobs, monkeypatch, inline_pool):
         # Checked before any run: 0 and -3 would otherwise run serially, and
         # 2.5 would reach the pool as its number of workers.
-        monkeypatch.setattr(imageio, "_cpus", lambda: 4)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 4)
         monkeypatch.setattr(pipeline, "_run_group", None)
         grid = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.05,), repeats=3)
         with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 1, got {re.escape(repr(jobs))}$"):
@@ -447,7 +462,7 @@ class TestRunExperiment:
             run_experiment(corpus, ExperimentGrid(sigmas=(0.05,)), jobs=1)
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, inline_pool):
-        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
         grid = ExperimentGrid(sigmas=(0.02, 0.05), repeats=3)
         corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
         assert run_experiment(corpus, grid, jobs=500) == run_experiment(corpus, grid, jobs=1)
@@ -456,7 +471,7 @@ class TestRunExperiment:
         assert len(inline_pool[0].tasks) == len(corpus) * len(grid.sigmas) * grid.repeats
 
     def test_one_group_starts_no_pool(self, monkeypatch, inline_pool):
-        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
         grid = ExperimentGrid(sigmas=(0.05,))
         corpus = [("t", _textured_image(32))]
         assert run_experiment(corpus, grid, jobs=2) == run_experiment(corpus, grid, jobs=1)
@@ -475,7 +490,7 @@ class TestRunExperiment:
         return str(excinfo.value)
 
     def test_failing_task_terminates_the_pool(self, monkeypatch, inline_pool):
-        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
         assert self._failing_sweep(jobs=2) == self._failing_sweep(jobs=1)
         assert [pool.failed for pool in inline_pool] == [True]
 
@@ -488,7 +503,7 @@ class TestRunExperiment:
         # Python 3.12 warns when a process with more than one thread forks, so
         # a thread the bilateral kernel left alive would fail this sweep's
         # pool.
-        monkeypatch.setattr(imageio, "_cpus", lambda: 2)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
         image = _textured_image(32)
         grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
         threads = threading.active_count()
@@ -510,8 +525,8 @@ class TestRunExperiment:
         field = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.02, 0.05), denoisers=(NONE,))
         wavelet = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.BEFORE), sigmas=(0.02, 0.05), denoisers=(WAVELET,))
         # The inline pool's initializer sets this process's cap to 1.
-        patches = [(imageio, "_threads_max", imageio._threads_max)]
-        for grid, sizes in [(bilateral, []), (field, [(noise, "_STRIP", 64), (noise, "_POOLED_PAIRS", 0)]), (wavelet, [(denoise, "_POOLED_SAMPLES", 0)])]:
+        patches = [(_kernel, "_threads_max", _kernel._threads_max)]
+        for grid, sizes in [(bilateral, []), (field, [(_kernel, "_STRIP", 64), (noise, "_POOLED_PAIRS", 0)]), (wavelet, [(denoise, "_POOLED_SAMPLES", 0)])]:
             with monkeypatch.context() as patched:
                 for module, name, value in patches + sizes:
                     patched.setattr(module, name, value)
