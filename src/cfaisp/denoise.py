@@ -17,7 +17,8 @@ The bilateral kernel's bands (_kernel._bilateral, shared with the joint
 demosaicker) and denoise_planes's large wavelet planes run on _kernel._walk's
 threads. The stencil filters read their neighbours through _kernel._shifted's
 mirror pad, and the wavelet pads sides that are not multiples of 2^levels
-the same way (_mirror). The fields' rules are config.CONFIG_FIELDS.
+with the same np.pad(mode="reflect"). The fields' rules are
+config.CONFIG_FIELDS.
 
 The wavelet threshold for a subband with noise level sigma_n and signal
 spread sigma_x = sqrt(max(var - sigma_n^2, 0)) is sigma_n^2 / sigma_x; a
@@ -122,14 +123,14 @@ def idwt_haar(pyramid: WaveletPyramid) -> Plane:
 def _wavelet_buffers(shape: tuple, levels: int) -> tuple:
     """The buffers one plane's wavelet denoising writes, for planes of the given shape.
 
-    (the mirror pad, or None where the sides are multiples of 2**levels;
-    each level's [ll, lh, hl, hh], finest first; two flat buffers of a
-    finest subband's samples, one for the sigma estimate's HH and each
-    subband's temporaries, the other for the inverse's hi rows).
+    (each level's [ll, lh, hl, hh], finest first, of the shape padded up to
+    multiples of 2**levels; two flat buffers of a finest subband's samples,
+    one for the sigma estimate's HH and each subband's temporaries, the other
+    for the inverse's hi rows). The pad itself is not among them: _wavelet
+    allocates it.
     """
     h, w = (-(-side // 2**levels) * 2**levels for side in shape)
-    pad = None if (h, w) == tuple(shape) else np.empty((h, w))
-    return pad, _subbands((h, w), levels), np.empty(h * w // 4), np.empty(h * w // 4)
+    return _subbands((h, w), levels), np.empty(h * w // 4), np.empty(h * w // 4)
 
 
 def _subbands(shape: tuple, levels: int) -> list:
@@ -306,22 +307,6 @@ def _variance(band: np.ndarray, spare: np.ndarray) -> float:
     return float(np.add.reduce(spare, axis=None) / band.size)
 
 
-def _mirror(data: np.ndarray, pad: np.ndarray) -> None:
-    """Fill pad with data at its top left and data's mirror reflection below and right of it, as np.pad(mode="reflect") does."""
-    h, w = data.shape
-    pad[:h, :w] = data
-    for lines, n in ((pad[:, :w], h), (pad.T, w)):
-        if n == 1:
-            # np.pad repeats a lone line.
-            lines[1:] = lines[:1]
-            continue
-        # Each pass reflects up to n - 1 lines about the last one written.
-        while n < len(lines):
-            k = min(n - 1, len(lines) - n)
-            lines[n : n + k] = lines[n - 1 - k : n - 1][::-1]
-            n += k
-
-
 def estimate_sigma(plane: Plane) -> float:
     """Robust noise-level estimate from the finest diagonal wavelet band.
 
@@ -334,6 +319,7 @@ def estimate_sigma(plane: Plane) -> float:
     return _estimate_sigma(plane.data, np.empty((h // 2) * (w // 2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _estimate_sigma(data: np.ndarray, spare: np.ndarray) -> float:
     """estimate_sigma of the samples data, with HH computed in spare, a flat buffer of at least (h // 2)(w // 2) samples."""
     h, w = data.shape
@@ -355,37 +341,45 @@ def _estimate_sigma(data: np.ndarray, spare: np.ndarray) -> float:
     return float(median / _MAD_SCALE)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _wavelet(data: np.ndarray, levels: int, sigma_n: Optional[float], buffers: tuple, out: np.ndarray) -> bool:
     """denoise_wavelet's samples for data, written into out, with buffers from _wavelet_buffers.
 
     False, with out untouched, where the noise level is 0 and the result is
-    data itself.
+    data itself. A subband whose signal spread is not positive, or NaN where
+    overflow made inf - inf, is zeroed, as an infinite noise level would.
     """
-    pad, subbands, spare, other = buffers
+    subbands, spare, other = buffers
     if sigma_n is None:
         # The bound is on the caller's sigma_n: under sigma = SIGMA_MAX noise
         # a plane's own estimate can exceed it.
         sigma_n = _estimate_sigma(data, spare)
     if sigma_n == 0.0:
         return False
-    if pad is not None:
-        _mirror(data, pad)
+    h, w = data.shape
+    rows, cols = (2 * side for side in subbands[0][0].shape)
+    # The one buffer the caller does not hand in: on a helper thread it lands
+    # in that thread's malloc arena, which keeps its peak (after and before
+    # runs on a 1004^2 frame: 6-9% more peak RSS than a pad per buffer set).
+    pad = None if (rows, cols) == (h, w) else np.pad(data, ((0, rows - h), (0, cols - w)), mode="reflect")
     _dwt(data if pad is None else pad, subbands, spare)
-    noise_var = sigma_n**2
+    try:
+        noise_var = sigma_n**2
+    except OverflowError:
+        noise_var = math.inf
     for _, *triple in subbands:
         for band in triple:
             temporary = _prefix(spare, band.shape)
-            signal_var = max(_variance(band, temporary) - noise_var, 0.0)
-            if signal_var == 0.0:
-                band.fill(0.0)
-            else:
+            signal_var = _variance(band, temporary) - noise_var
+            if signal_var > 0.0:
                 _soft_threshold(band, noise_var / math.sqrt(signal_var), temporary)
+            else:
+                band.fill(0.0)
     # The inverse writes each level into the next finer level's ll, dead since
     # the forward pass, and the finest into out, or into the pad to crop.
     finest = out if pad is None else pad
     _idwt(subbands[-1][0], [triple for _, *triple in subbands], [finest] + [ll for ll, *_ in subbands[:-1]], spare, other)
     if pad is not None:
-        h, w = data.shape
         out[...] = pad[:h, :w]
     return True
 

@@ -223,8 +223,6 @@ CSV_HEADER = ",".join(field.name for field in fields(ExperimentRecord))
 
 def format_float(value: float) -> str:
     """Render a float with 6 significant digits, no exponent notation."""
-    if np.isinf(value):
-        return "inf" if value > 0 else "-inf"
     text = np.format_float_positional(value, precision=6, unique=False, fractional=False, trim="k")
     # Magnitudes >= 1e6 come back with a dangling decimal point ("123457.").
     return text[:-1] if text.endswith(".") else text

@@ -738,14 +738,21 @@ class TestWaveletPlanesThreads:
         assert [pools for _, pools in got.values()] == [(), (2,)]
         assert got[1][0] < 5 * plane and got[2][0] < 7 * plane
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 2), (5, 7), (9, 16), (16, 9), (33, 17)])
-    @pytest.mark.parametrize("levels", [1, 3, 6])
-    def test_mirror_is_np_pad(self, shape, levels):
-        data = np.random.default_rng(97).random(shape)
-        want = np.pad(data, ((0, -shape[0] % 2**levels), (0, -shape[1] % 2**levels)), mode="reflect")
-        pad = np.empty(want.shape)
-        denoise._mirror(data, pad)
-        assert _same(pad, want)
+    @pytest.mark.parametrize("sigma_n", [None, 0.02])
+    def test_a_padded_frame_takes_at_most_one_pad_per_thread(self, by_cpus, peak_bytes, sigma_n):
+        # 363 x 365 planes pad to 368^2 at 3 levels, on the thread that
+        # denoises them, and free the pad when done. Temporaries outside the
+        # buffer set read about 0.15 MiB per thread.
+        shape, levels = (363, 365), 3
+        planes = [Plane(0.5 + 0.05 * np.random.default_rng(97 + k).standard_normal(shape)) for k in range(3)]
+        subbands, *spares = denoise._wavelet_buffers(shape, levels)
+        buffer_set = sum(band.nbytes for level in subbands for band in level) + sum(spare.nbytes for spare in spares)
+        pad = 368 * 368 * 8
+        config = DenoiserConfig(kind="wavelet", levels=levels, sigma_n=sigma_n)
+        got = by_cpus(lambda: peak_bytes(lambda: denoise_planes(planes, config)), cpus=(1, 2))
+        assert [pools for _, pools in got.values()] == [(), (2,)]
+        for cpus, (peak, _) in got.items():
+            assert peak < 3 * planes[0].data.nbytes + cpus * (buffer_set + pad + 2**18), cpus
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64), (128, 200), (256, 256)])
     def test_variance_is_np_var_bit_for_bit(self, shape):
@@ -816,6 +823,19 @@ class TestWavelet:
         cols = [_reflect(j, w) for j in range(w + -w % 8)]
         want = _wavelet_oracle(data[np.ix_(rows, cols)], levels, sigma_n)[:h, :w]
         np.testing.assert_allclose(denoise_wavelet(Plane(data), levels, sigma_n).data, want, rtol=0, atol=1e-9)
+
+    def test_a_sigma_whose_square_overflows_zeroes_every_subband(self):
+        # The estimate, about 3e160, squares past a Python float's range.
+        board = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2, 1e160, -1e160)
+        assert np.array_equal(denoise_wavelet(Plane(board), 1).data, np.zeros((16, 16)))
+
+    def test_coefficients_that_overflow_zero_their_subbands(self):
+        # HH of a +-1.5e308 board is -inf: the estimate is inf, with no
+        # overflow warning (which tier-1 makes an error), and inf - inf makes
+        # NaN variances, which zero their subbands as an infinite sigma does.
+        board = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2, 1.5e308, -1.5e308)
+        assert estimate_sigma(Plane(board)) == math.inf
+        assert np.array_equal(denoise_wavelet(Plane(board), 2).data, np.zeros((16, 16)))
 
     def test_auto_sigma_is_estimated_before_padding(self):
         plane = Plane(0.5 + 0.05 * normal_field(89, 20, 28))

@@ -217,14 +217,20 @@ class TestRunPipeline:
         assert record.cpsnr_db == math.inf
         assert record.mse_r == 0.0 and record.mse_g == 0.0 and record.mse_b == 0.0
 
-    @pytest.mark.parametrize("strategy,dn", [(Strategy.AFTER, NONE), (Strategy.BEFORE, DenoiserConfig(kind="gaussian"))], ids=["after-none", "before-gaussian"])
-    def test_an_error_whose_square_overflows_scores_minus_infinity(self, strategy, dn):
+    @pytest.mark.parametrize(
+        "strategy,dn,dm",
+        [(Strategy.AFTER, NONE, BILINEAR), (Strategy.BEFORE, DenoiserConfig(kind="gaussian"), BILINEAR), (Strategy.AFTER, WAVELET, GRADIENT)],
+        ids=["after-none", "before-gaussian", "after-wavelet-gradient"],
+    )
+    def test_an_error_whose_square_overflows_scores_minus_infinity(self, strategy, dn, dm):
         # A finite checkerboard of +-1e200: bilinear's estimates miss by about
         # 1e200, whose square overflows. Tier-1 makes the overflow warning an
-        # error, and psnr took log10(0) of the infinite MSE.
+        # error, and psnr took log10(0) of the infinite MSE. The wavelet
+        # estimates sigma near 1e184 from gradient's planes, whose square
+        # overflows a Python float.
         board = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2, 1e200, -1e200)
         truth = RgbImage(Plane(board), Plane(board), Plane(board))
-        _, record = run_pipeline(truth, CfaPattern.GBRG, NoiseSpec.uniform(0.0), strategy, dn, BILINEAR)
+        _, record = run_pipeline(truth, CfaPattern.GBRG, NoiseSpec.uniform(0.0), strategy, dn, dm)
         assert record.cpsnr_db == -math.inf and record.mse_g == math.inf
         row = dict(zip(CSV_HEADER.split(","), write_csv([record]).decode("ascii").splitlines()[1].split(",")))
         assert row["cpsnr_db"] == "-inf" and row["mse_g"] == "inf"
