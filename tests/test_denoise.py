@@ -824,6 +824,16 @@ class TestWavelet:
         want = _wavelet_oracle(data[np.ix_(rows, cols)], levels, sigma_n)[:h, :w]
         np.testing.assert_allclose(denoise_wavelet(Plane(data), levels, sigma_n).data, want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 2), (5, 7), (9, 16), (16, 9), (33, 17)])
+    @pytest.mark.parametrize("levels", [1, 3, 6])
+    def test_the_pad_is_np_pad_cropped_back(self, shape, levels):
+        # Bit for bit: the plane padded by np.pad beforehand, denoised with no
+        # pad of its own, and cropped to the plane's sides.
+        data = np.random.default_rng(97).random(shape)
+        padded = np.pad(data, ((0, -shape[0] % 2**levels), (0, -shape[1] % 2**levels)), mode="reflect")
+        want = denoise_wavelet(Plane(padded), levels, 0.05).data[: shape[0], : shape[1]]
+        assert _same(denoise_wavelet(Plane(data), levels, 0.05).data, want)
+
     def test_a_sigma_whose_square_overflows_zeroes_every_subband(self):
         # The estimate, about 3e160, squares past a Python float's range.
         board = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2, 1e160, -1e160)
