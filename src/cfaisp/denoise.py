@@ -14,11 +14,13 @@ Four filters with one shared contract (Plane in, same-sized Plane out):
   per-subband data-driven threshold; the coarse approximation is kept as is.
 
 The bilateral kernel's bands (_kernel._bilateral, shared with the joint
-demosaicker) and denoise_planes's large wavelet planes run on _kernel._walk's
-threads. The stencil filters read their neighbours through _kernel._shifted's
-mirror pad, and the wavelet pads sides that are not multiples of 2^levels
-with the same np.pad(mode="reflect"). The fields' rules are
-config.CONFIG_FIELDS.
+demosaicker) run on _kernel._walk's threads. Every wavelet plane, one plane
+through denoise_wavelet or a frame's planes, runs through denoise_planes on
+_walk too: on its threads for planes of at least _POOLED_SAMPLES samples, on
+the calling thread with one buffer set below that. The stencil filters read
+their neighbours through _kernel._shifted's mirror pad, and the wavelet pads
+sides that are not multiples of 2^levels with the same np.pad(mode="reflect").
+The fields' rules are config.CONFIG_FIELDS.
 
 The wavelet threshold for a subband with noise level sigma_n and signal
 spread sigma_x = sqrt(max(var - sigma_n^2, 0)) is sigma_n^2 / sigma_x; a
@@ -72,52 +74,10 @@ class DenoiserConfig:
         return describe_method(self, _DENOISERS)
 
 
-@dataclass(frozen=True)
-class WaveletPyramid:
-    """Orthonormal Haar decomposition: coarse LL plus per-level detail triples.
-
-    details[0] is the finest level; each entry is (LH, HL, HH) where the
-    first letter is the vertical filter and the second the horizontal one.
-    """
-
-    ll: np.ndarray
-    details: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
-
 def _haar(x: np.ndarray, y: np.ndarray, op, out: Optional[np.ndarray] = None) -> np.ndarray:
     """op(x, y) / sqrt(2), one Haar filter tap pair, written into out if given."""
     out = op(x, y, out=out)
     return np.divide(out, _SQRT2, out=out)
-
-
-def dwt_haar(plane: Plane, levels: int) -> WaveletPyramid:
-    """Multi-level orthonormal 2-D Haar transform.
-
-    Both dimensions must be divisible by 2**levels. The (a +/- b) / sqrt(2)
-    filter pair preserves energy exactly, so the inverse below reconstructs
-    to floating-point roundoff.
-    """
-    check_fields(levels=levels)
-    h, w = plane.data.shape
-    if h % 2**levels or w % 2**levels:
-        raise DimensionError(f"dimensions {w}x{h} not divisible by 2^{levels}")
-    subbands = _subbands((h, w), levels)
-    _dwt(plane.data, subbands, np.empty(h * w // 4))
-    return WaveletPyramid(ll=subbands[-1][0], details=tuple((lh, hl, hh) for _, lh, hl, hh in subbands))
-
-
-def idwt_haar(pyramid: WaveletPyramid) -> Plane:
-    """Invert dwt_haar, coarsest level first."""
-    h, w = pyramid.ll.shape
-    outs = [np.empty((h << k, w << k)) for k in range(pyramid.levels, 0, -1)]
-    finest = pyramid.details[0][0].size if pyramid.details else 0
-    current = _idwt(pyramid.ll, pyramid.details, outs, np.empty(finest), np.empty(finest))
-    # A pyramid with no detail levels hands back the caller's own ll array.
-    return Plane(current) if current is pyramid.ll else Plane._adopt(current)
 
 
 def _wavelet_buffers(shape: tuple, levels: int) -> tuple:
@@ -130,13 +90,8 @@ def _wavelet_buffers(shape: tuple, levels: int) -> tuple:
     allocates it.
     """
     h, w = (-(-side // 2**levels) * 2**levels for side in shape)
-    return _subbands((h, w), levels), np.empty(h * w // 4), np.empty(h * w // 4)
-
-
-def _subbands(shape: tuple, levels: int) -> list:
-    """Empty [ll, lh, hl, hh] of each level of a shape's pyramid, finest first."""
-    h, w = shape
-    return [[np.empty((h >> k, w >> k)) for _ in range(4)] for k in range(1, levels + 1)]
+    subbands = [[np.empty((h >> k, w >> k)) for _ in range(4)] for k in range(1, levels + 1)]
+    return subbands, np.empty(h * w // 4), np.empty(h * w // 4)
 
 
 def _prefix(flat: np.ndarray, shape: tuple) -> np.ndarray:
@@ -145,7 +100,13 @@ def _prefix(flat: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _dwt(current: np.ndarray, subbands: list, spare: np.ndarray) -> None:
-    """dwt_haar's levels of current, written into subbands as from _wavelet_buffers; spare holds a temporary."""
+    """The orthonormal 2-D Haar levels of current, written into subbands as from _wavelet_buffers.
+
+    Each level is [ll, lh, hl, hh], finest first, where the first letter is
+    the vertical filter and the second the horizontal one. spare holds a
+    temporary. The (a +/- b) / sqrt(2) filter pair preserves energy, so
+    _idwt reconstructs to floating-point roundoff.
+    """
     for ll, lh, hl, hh in subbands:
         a, b = current[0::2, 0::2], current[0::2, 1::2]
         c, d = current[1::2, 0::2], current[1::2, 1::2]
@@ -390,12 +351,10 @@ def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) 
     sigma_n=None estimates the noise level from the plane itself. sigma_n=0
     returns the input unchanged (every threshold would be zero). A plane whose
     sides are not multiples of 2**levels is mirror-padded at the bottom and
-    right up to the next multiples, and the result is cropped back.
+    right up to the next multiples, and the result is cropped back. The plane
+    is a frame of one, run by denoise_planes.
     """
-    check_fields(levels=levels, sigma_n=sigma_n)
-    out = np.empty(plane.data.shape)
-    denoised = _wavelet(plane.data, levels, sigma_n, _wavelet_buffers(plane.data.shape, levels), out)
-    return Plane._adopt(out) if denoised else plane
+    return denoise_planes([plane], DenoiserConfig(kind="wavelet", levels=levels, sigma_n=sigma_n))[0]
 
 
 # kind -> (filter, the DenoiserConfig fields it takes after the plane).
@@ -422,23 +381,28 @@ _POOLED_SAMPLES = 8 * _kernel._STRIP
 
 
 def denoise_planes(planes: Sequence[Plane], config: DenoiserConfig) -> list[Plane]:
-    """Apply the configured denoiser to each of planes, in order.
+    """Apply the configured denoiser to each of planes, the planes of one frame, in order.
 
-    Wavelet planes of one shape and at least _POOLED_SAMPLES samples each run
-    on _walk's threads, one plane per item, into outputs and buffers the
-    calling thread allocates, with the bits of denoise_plane. Other planes
-    and kinds run one by one through denoise_plane on the calling thread.
+    The planes must share one shape. Wavelet planes run on _walk, one plane
+    per item, into outputs and buffers the calling thread allocates: planes
+    of at least _POOLED_SAMPLES samples on its threads, smaller ones on the
+    calling thread with one buffer set for all. Other kinds run one by one
+    through denoise_plane on the calling thread.
     """
-    if config.kind != "wavelet" or len({plane.data.shape for plane in planes}) != 1 or planes[0].data.size < _POOLED_SAMPLES:
+    shapes = dict.fromkeys(plane.data.shape for plane in planes)
+    if len(shapes) > 1:
+        raise DimensionError(f"the planes of one frame must share one shape, got {', '.join(f'{w}x{h}' for h, w in shapes)}")
+    if config.kind != "wavelet" or not planes:
         return [denoise_plane(plane, config) for plane in planes]
-    shape = planes[0].data.shape
+    (shape,) = shapes
     outs = [np.empty(shape) for _ in planes]
     denoised = [False] * len(planes)
 
     def step(i, buffers):
         denoised[i] = _wavelet(planes[i].data, config.levels, config.sigma_n, buffers, outs[i])
 
-    _kernel._walk(range(len(planes)), step, lambda: _wavelet_buffers(shape, config.levels))
+    small = planes[0].data.size < _POOLED_SAMPLES
+    _kernel._walk(range(len(planes)), step, lambda: _wavelet_buffers(shape, config.levels), small)
     return [Plane._adopt(out) if done else plane for plane, out, done in zip(planes, outs, denoised)]
 
 

@@ -92,7 +92,10 @@ def psnr(mse_value: float) -> float:
         return math.inf
     if mse_value == math.inf:
         return -math.inf
-    return 10.0 * math.log10(1.0 / mse_value)
+    inverse = 1.0 / mse_value
+    # Below about 5.6e-309 the reciprocal overflows to inf; log10 of the MSE
+    # itself is finite there. Elsewhere the reciprocal keeps its last bits.
+    return 10.0 * math.log10(inverse) if inverse != math.inf else -10.0 * math.log10(mse_value)
 
 
 def cpsnr(truth: RgbImage, test: RgbImage, crop: int = 0) -> float:

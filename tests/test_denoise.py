@@ -13,6 +13,7 @@ import threading
 import tracemalloc
 from functools import partial
 
+import haar
 import numpy as np
 import pytest
 from scipy.ndimage import convolve1d, median_filter
@@ -21,8 +22,8 @@ from cfaisp import _kernel, denoise
 from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose
 from cfaisp.config import CONFIG_FIELDS
 from cfaisp.denoise import (
+    DENOISER_KINDS,
     DenoiserConfig,
-    WaveletPyramid,
     denoise_bilateral,
     denoise_gaussian,
     denoise_median,
@@ -30,9 +31,7 @@ from cfaisp.denoise import (
     denoise_planes,
     denoise_subimages,
     denoise_wavelet,
-    dwt_haar,
     estimate_sigma,
-    idwt_haar,
 )
 from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear, demosaic_joint_bilateral
 from cfaisp.imageio import DimensionError, Plane
@@ -133,16 +132,18 @@ def _wavelet_oracle(data, levels, sigma_n):
 
 
 class TestHaar:
+    """The transform kernels _dwt and _idwt, through tests/haar.py, and the levels rule."""
+
     def test_constant_one_level(self):
-        pyramid = dwt_haar(Plane(np.full((4, 4), 0.3)), 1)
-        np.testing.assert_allclose(pyramid.ll, 0.6, atol=1e-12)
-        for band in pyramid.details[0]:
+        ll, details = haar.dwt(np.full((4, 4), 0.3), 1)
+        np.testing.assert_allclose(ll, 0.6, atol=1e-12)
+        for band in details[0]:
             np.testing.assert_allclose(band, 0.0, atol=1e-12)
 
     def test_single_tile_closed_form(self):
-        pyramid = dwt_haar(Plane(np.array([[1.0, 2.0], [3.0, 4.0]])), 1)
-        lh, hl, hh = pyramid.details[0]
-        assert pyramid.ll[0, 0] == pytest.approx((1 + 2 + 3 + 4) / 2, abs=1e-12)
+        ll, details = haar.dwt(np.array([[1.0, 2.0], [3.0, 4.0]]), 1)
+        lh, hl, hh = details[0]
+        assert ll[0, 0] == pytest.approx((1 + 2 + 3 + 4) / 2, abs=1e-12)
         assert hl[0, 0] == pytest.approx((1 + 2 - 3 - 4) / 2, abs=1e-12)
         assert lh[0, 0] == pytest.approx((1 - 2 + 3 - 4) / 2, abs=1e-12)
         assert hh[0, 0] == pytest.approx((1 - 2 - 3 + 4) / 2, abs=1e-12)
@@ -150,81 +151,65 @@ class TestHaar:
     def test_matches_block_oracle(self):
         rng = np.random.default_rng(61)
         data = rng.random((8, 12))
-        pyramid = dwt_haar(Plane(data), 1)
-        ll, lh, hl, hh = _haar_forward_oracle(data)
-        np.testing.assert_allclose(pyramid.ll, ll, atol=1e-12)
-        np.testing.assert_allclose(pyramid.details[0][0], lh, atol=1e-12)
-        np.testing.assert_allclose(pyramid.details[0][1], hl, atol=1e-12)
-        np.testing.assert_allclose(pyramid.details[0][2], hh, atol=1e-12)
+        ll, details = haar.dwt(data, 1)
+        want_ll, lh, hl, hh = _haar_forward_oracle(data)
+        np.testing.assert_allclose(ll, want_ll, atol=1e-12)
+        np.testing.assert_allclose(details[0][0], lh, atol=1e-12)
+        np.testing.assert_allclose(details[0][1], hl, atol=1e-12)
+        np.testing.assert_allclose(details[0][2], hh, atol=1e-12)
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_perfect_reconstruction(self, levels):
         rng = np.random.default_rng(62)
         for _ in range(10):
             data = rng.random((32, 32))
-            restored = idwt_haar(dwt_haar(Plane(data), levels))
-            assert np.max(np.abs(restored.data - data)) < 1e-9
+            restored = haar.idwt(*haar.dwt(data, levels))
+            assert np.max(np.abs(restored - data)) < 1e-9
 
     def test_rectangular_reconstruction(self):
         rng = np.random.default_rng(63)
         data = rng.random((16, 64))
-        np.testing.assert_allclose(idwt_haar(dwt_haar(Plane(data), 3)).data, data, atol=1e-9)
+        np.testing.assert_allclose(haar.idwt(*haar.dwt(data, 3)), data, atol=1e-9)
 
     def test_parseval(self):
         rng = np.random.default_rng(64)
         data = rng.random((16, 16))
-        pyramid = dwt_haar(Plane(data), 2)
-        coeff_energy = float(np.sum(pyramid.ll**2))
-        for triple in pyramid.details:
+        ll, details = haar.dwt(data, 2)
+        coeff_energy = float(np.sum(ll**2))
+        for triple in details:
             for band in triple:
                 coeff_energy += float(np.sum(band**2))
         sample_energy = float(np.sum(data**2))
         assert abs(coeff_energy - sample_energy) / sample_energy < 1e-9
 
     def test_subband_shapes_and_count(self):
-        pyramid = dwt_haar(Plane(np.zeros((32, 48))), 3)
-        assert pyramid.levels == 3
-        shapes = [triple[0].shape for triple in pyramid.details]
+        ll, details = haar.dwt(np.zeros((32, 48)), 3)
+        assert len(details) == 3
+        shapes = [triple[0].shape for triple in details]
         assert shapes == [(16, 24), (8, 12), (4, 6)]
-        count = pyramid.ll.size + sum(band.size for triple in pyramid.details for band in triple)
+        count = ll.size + sum(band.size for triple in details for band in triple)
         assert count == 32 * 48
-
-    def test_indivisible_dimensions_rejected(self):
-        with pytest.raises(DimensionError):
-            dwt_haar(Plane(np.zeros((34, 32))), 2)
 
     @pytest.mark.parametrize("levels", [0, 1.5, 11, True])
     def test_bad_levels(self, levels):
         with pytest.raises(ValueError, match=r"^levels must be an integer in \[1, 10\], got "):
-            dwt_haar(Plane(np.zeros((8, 8))), levels)
+            denoise_wavelet(Plane(np.zeros((8, 8))), levels)
 
     def test_idwt_zero_pyramid(self):
-        pyramid = WaveletPyramid(ll=np.zeros((2, 2)), details=((np.zeros((4, 4)),) * 3, (np.zeros((2, 2)),) * 3))
-        assert np.all(idwt_haar(pyramid).data == 0.0)
+        assert np.all(haar.idwt(np.zeros((2, 2)), [(np.zeros((4, 4)),) * 3, (np.zeros((2, 2)),) * 3]) == 0.0)
 
     def test_idwt_ll_only_constant(self):
-        pyramid = dwt_haar(Plane(np.full((8, 8), 0.4)), 2)
-        stripped = WaveletPyramid(ll=pyramid.ll, details=tuple(tuple(np.zeros_like(b) for b in t) for t in pyramid.details))
-        np.testing.assert_allclose(idwt_haar(stripped).data, 0.4, atol=1e-12)
-
-    def test_idwt_without_details_copies_ll(self):
-        ll = np.full((2, 2), 0.3)
-        out = idwt_haar(WaveletPyramid(ll=ll, details=()))
-        assert not np.shares_memory(out.data, ll)
-        assert ll.flags.writeable
+        ll, details = haar.dwt(np.full((8, 8), 0.4), 2)
+        stripped = [tuple(np.zeros_like(b) for b in t) for t in details]
+        np.testing.assert_allclose(haar.idwt(ll, stripped), 0.4, atol=1e-12)
 
     def test_dwt_of_idwt_roundtrip(self):
         rng = np.random.default_rng(65)
-        pyramid = WaveletPyramid(
-            ll=rng.random((4, 4)),
-            details=(
-                tuple(rng.random((8, 8)) for _ in range(3)),
-                tuple(rng.random((4, 4)) for _ in range(3)),
-            ),
-        )
-        back = dwt_haar(idwt_haar(pyramid), 2)
-        np.testing.assert_allclose(back.ll, pyramid.ll, atol=1e-9)
-        for got, want in zip(back.details, pyramid.details):
+        ll = rng.random((4, 4))
+        details = [tuple(rng.random((8, 8)) for _ in range(3)), tuple(rng.random((4, 4)) for _ in range(3))]
+        back_ll, back_details = haar.dwt(haar.idwt(ll, details), 2)
+        np.testing.assert_allclose(back_ll, ll, atol=1e-9)
+        for got, want in zip(back_details, details):
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, atol=1e-9)
 
@@ -591,7 +576,7 @@ class TestBilateralThreads:
 
 
 def _whole_frame_dwt(data, levels):
-    """dwt_haar as whole-frame expressions: a column pass into lo and hi, then a row pass."""
+    """The Haar pyramid as whole-frame expressions: a column pass into lo and hi, then a row pass."""
     current, details = data, []
     for _ in range(levels):
         lo = (current[:, 0::2] + current[:, 1::2]) / math.sqrt(2.0)
@@ -653,12 +638,12 @@ class TestWaveletMatchesTheWholeFrameExpressions:
     @pytest.mark.parametrize("shape,levels", [((2, 2), 1), ((16, 24), 2), ((64, 40), 3)])
     def test_dwt_and_idwt_bit_for_bit(self, shape, levels):
         data = _signed_zeros(shape, 90)
-        pyramid = dwt_haar(Plane(data), levels)
+        got_ll, got_details = haar.dwt(data, levels)
         ll, details = _whole_frame_dwt(data, levels)
-        assert _same(pyramid.ll, ll)
-        for got, want in zip(pyramid.details, details):
+        assert _same(got_ll, ll)
+        for got, want in zip(got_details, details):
             assert all(_same(g, w) for g, w in zip(got, want))
-        assert _same(idwt_haar(pyramid).data, _whole_frame_idwt(ll, details))
+        assert _same(haar.idwt(got_ll, got_details), _whole_frame_idwt(ll, details))
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-3, 0.1])
     def test_soft_threshold_keeps_the_sign_of_zero(self, threshold):
@@ -700,6 +685,32 @@ class TestWaveletPlanesThreads:
         assert all(result == got[1][0] for result, _ in got.values())
         assert got[1][0] == (b"".join(denoise_plane(plane, config).data.tobytes() for plane in planes), threads)
         assert [pools for _, pools in got.values()] == [(min(cpus, count),) if pooled and cpus > 1 else () for cpus in (1, 2, 3, 4)]
+
+    def test_a_small_frame_builds_one_buffer_set(self, monkeypatch, by_cpus):
+        # 256^2 planes are below _POOLED_SAMPLES: the calling thread walks all
+        # three with one set, at any CPU count.
+        builds = []
+        build = denoise._wavelet_buffers
+        monkeypatch.setattr(denoise, "_wavelet_buffers", lambda *args: builds.append(args) or build(*args))
+        planes = [Plane(0.5 + 0.05 * np.random.default_rng(99 + k).standard_normal((256, 256))) for k in range(3)]
+        config = DenoiserConfig(kind="wavelet")
+
+        def call():
+            builds.clear()
+            denoise_planes(planes, config)
+            return list(builds)
+
+        assert by_cpus(call, cpus=(1, 2)) == {1: ([((256, 256), 3)], ()), 2: ([((256, 256), 3)], ())}
+
+    @pytest.mark.parametrize("kind", DENOISER_KINDS)
+    def test_planes_of_two_shapes_are_rejected(self, kind):
+        planes = [Plane(np.zeros((8, 8))), Plane(np.zeros((8, 8))), Plane(np.zeros((6, 10)))]
+        with pytest.raises(DimensionError, match=r"^the planes of one frame must share one shape, got 8x8, 10x6$"):
+            denoise_planes(planes, DenoiserConfig(kind=kind))
+
+    @pytest.mark.parametrize("kind", DENOISER_KINDS)
+    def test_no_planes_give_no_planes(self, kind):
+        assert denoise_planes([], DenoiserConfig(kind=kind)) == []
 
     def test_sigma_zero_hands_back_the_planes(self, monkeypatch):
         monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
@@ -807,7 +818,7 @@ class TestWavelet:
     def test_ll_band_untouched(self):
         plane = Plane(0.5 + 0.05 * normal_field(87, 32, 32))
         out = denoise_wavelet(plane, 2, 0.05)
-        np.testing.assert_allclose(dwt_haar(out, 2).ll, dwt_haar(plane, 2).ll, atol=1e-9)
+        np.testing.assert_allclose(haar.dwt(out.data, 2)[0], haar.dwt(plane.data, 2)[0], atol=1e-9)
 
     def test_bad_sigma_n(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,14 @@ import threading
 import time
 from types import SimpleNamespace
 
+import haar
 import numpy as np
 import pytest
 
 from cfaisp import _kernel
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
-from cfaisp.denoise import DenoiserConfig, denoise_plane, dwt_haar, idwt_haar
+from cfaisp.denoise import DenoiserConfig, denoise_plane
 from cfaisp.imageio import (
     CSV_HEADER,
     DimensionError,
@@ -67,7 +68,7 @@ _STAGES = {
     "add_awgn": lambda truth, mosaic: [add_awgn(mosaic, NoiseSpec.uniform(0.05, 3)).plane],
     "decompose": lambda truth, mosaic: list(decompose(mosaic).planes),
     "recompose": lambda truth, mosaic: [recompose(decompose(mosaic)).plane],
-    "idwt_haar": lambda truth, mosaic: [idwt_haar(dwt_haar(mosaic.plane, 2))],
+    "haar-round-trip": lambda truth, mosaic: [Plane._adopt(haar.idwt(*haar.dwt(mosaic.plane.data, 2)))],
     "decode_pnm": lambda truth, mosaic: [decode_pnm(encode_pnm(mosaic.plane, 16)), *decode_pnm(encode_pnm(truth, 16)).planes],
     "gaussian": lambda truth, mosaic: [denoise_plane(mosaic.plane, DenoiserConfig(kind="gaussian"))],
     "median-3x3": lambda truth, mosaic: [denoise_plane(mosaic.plane, DenoiserConfig(kind="median", radius=1))],

@@ -129,6 +129,12 @@ class TestPsnr:
     def test_an_infinite_mse_is_minus_infinity(self):
         assert psnr(math.inf) == -math.inf
 
+    def test_an_mse_whose_reciprocal_overflows_is_finite(self):
+        # 1 / mse overflows below about 5.6e-309; the PSNR is still -10 log10(mse).
+        assert psnr(5e-324) == pytest.approx(3233.062153431158, abs=1e-9)
+        assert psnr(1e-310) > psnr(1e-300)
+        assert psnr(1e-310) == pytest.approx(3100.0, abs=1e-9)
+
     def test_negative_mse_rejected(self):
         with pytest.raises(ValueError):
             psnr(-1e-9)

@@ -2,7 +2,8 @@
 
 The stage machinery has one home, the private _kernel module: no other
 module reads a sibling's private names, binds the strip, opens a thread
-pool or sizes one. The demosaickers do not depend on the denoisers.
+pool or sizes one. The demosaickers do not depend on the denoisers. Every
+wavelet plane enters the transform through denoise_planes.
 """
 
 import ast
@@ -85,3 +86,16 @@ def test_demosaic_does_not_import_denoise():
     imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= set(_sibling_aliases(tree).values())
     assert not imported & {"cfaisp.denoise", "denoise"}
+
+
+def test_the_wavelet_is_called_only_inside_denoise_planes():
+    # (module, top-level definition) of each call of _wavelet, by name or attribute.
+    calls = []
+    for module, tree in TREES.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = node.func.id if isinstance(node.func, ast.Name) else node.func.attr if isinstance(node.func, ast.Attribute) else None
+                    if called == "_wavelet":
+                        calls.append((module, getattr(top, "name", None)))
+    assert calls == [("denoise", "denoise_planes")]
