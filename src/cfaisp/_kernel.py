@@ -28,9 +28,10 @@ from cfaisp.config import check_fields
 _STRIP = 16384
 
 # The most threads one _walk runs on. Each holds a buffer set of its
-# caller's: a 2 _STRIP-sample buffer for the noise generator, about 0.8 MiB
-# for a 512^2 bilateral plane, 1.8 planes for a wavelet plane. Whether a 3rd
-# or 4th thread runs faster is unmeasured. An experiment's pool workers set
+# caller's: a 2 _STRIP-sample buffer for the noise generator, about 1.2 MiB
+# for a 512^2 bilateral plane and 2.7 MiB for a 512^2 joint mosaic (four
+# class sums), 1.8 planes for a wavelet plane. Whether a 3rd or 4th thread
+# runs faster is unmeasured. An experiment's pool workers set
 # it to 1: each CPU there runs a worker, and the bilateral kernel's threads
 # on top slowed a 2-worker sweep on 2 CPUs.
 _threads_max = 4
@@ -113,11 +114,11 @@ class _Lattice(NamedTuple):
         """The samples in a run of n lattice rows: (n - 1) width + cols."""
         return (n - 1) * self.width + self.cols
 
-    def run(self, y: int, x: int, n: int) -> np.ndarray:
-        """n lattice rows from full-frame (y, x), as one contiguous run of length(n) samples."""
+    def run(self, y: int, x: int, n: int, extra: int = 0) -> np.ndarray:
+        """n lattice rows from full-frame (y, x), as one contiguous run of length(n) samples and extra more."""
         y, x = y + self.radius, x + self.radius
         start = y // self.step * self.width + x // self.step
-        return self.flat[y % self.step][x % self.step][start : start + self.length(n)]
+        return self.flat[y % self.step][x % self.step][start : start + self.length(n) + extra]
 
     def bands(self, strips: int = 1):
         """(top, n) for each band of n whole lattice rows: n cols <= strips _STRIP samples, or one row.
@@ -132,7 +133,7 @@ class _Lattice(NamedTuple):
             yield top, min(n, self.rows - top)
 
     def crop(self, run: np.ndarray, n: int) -> np.ndarray:
-        """The n x cols lattice samples of a band's result, as a read-only view.
+        """The n x cols lattice samples of a band's result, as a view.
 
         run is C-contiguous, and its last axis at least as long as run(y, x,
         n); row i of the band is the cols samples from i width. The samples
@@ -140,7 +141,7 @@ class _Lattice(NamedTuple):
         run's buffer checks its bounds, in a fraction of as_strided's time.
         """
         *outer, item = run.strides
-        return np.ndarray((*run.shape[:-1], n, self.cols), run.dtype, memoryview(run).toreadonly(), 0, (*outer, self.width * item, item))
+        return np.ndarray((*run.shape[:-1], n, self.cols), run.dtype, memoryview(run), 0, (*outer, self.width * item, item))
 
 
 def _shifted(data: np.ndarray, radius: int, step: int = 1) -> _Lattice:
@@ -175,14 +176,21 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     holds one color at the borders too. A weight sum below the smallest
     normal float takes the spatial-only mean (the sigma_r -> inf limit).
 
-    The work is a list of bands: each phase of the lattice [::step, ::step],
-    step 2 with a pattern, in pattern.sites order, in bands of whole rows of
-    at most 2 _STRIP lattice samples. A band runs every offset, in row-major
-    window order, over flat neighbour runs into buffers written in place, so
-    its working set stays in cache. The underflow fallback and its error
-    read the cropped band only. _walk runs the list; a band writes only its
-    own samples of the result and sums each in a fixed order, so the bits do
-    not depend on the thread count or the schedule.
+    The weight is symmetric, w(p, p + d) = w(p + d, p) bit for bit, so each
+    offset pair +/- d is computed once (Condat 2010): the run of weights
+    w(q, q + d) over a band and |dy| more rows serves d at q and -d at
+    q + d. The work is a list of bands of whole full-resolution rows of at
+    most 2 _STRIP samples. A band keeps one (num, den) sum per parity class (dy mod 2, dx
+    mod 2) of the offsets, one class with no pattern: all neighbours of one
+    class have one color relative to p's tile site. Each sum takes the
+    centre first, then d and -d for each offset d of the window's first
+    half in row-major order; at each tile site, the classes of one color
+    are added in class order before the division. Every run is written in
+    place into buffers sized for the largest band, so the working set stays
+    in cache. The underflow fallback and its error read the cropped band
+    only. _walk runs the list; a band writes only its own rows of the result
+    and sums each in a fixed order, so the bits do not depend on the thread
+    count or the schedule.
     """
     check_fields(sigma_s=sigma_s, sigma_r=sigma_r)
     # 2 sigma sigma is inf where sigma^2 overflows, which gives the weights'
@@ -191,61 +199,103 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     inv_2sr = 1.0 / (2.0 * sigma_r * sigma_r)
     radius = math.ceil(3.0 * sigma_s)
     step, buckets = (1, 1) if pattern is None else (2, 3)
-    sites = [(0, 0, 0)] if pattern is None else [(row, col, "RGB".index(color)) for row, col, color in pattern.sites]
-    tile = [k for _, _, k in sorted(sites)]  # the tile sites' buckets, row-major
-    data_at = _shifted(data, radius, step)
-    guide_at = data_at if guide is data else _shifted(guide, radius, step)
-    offsets = range(-radius, radius + 1)
-    window = [(dy, dx, math.exp(-(dy * dy + dx * dx) * inv_2ss)) for dy in offsets for dx in offsets]
+    color = {(0, 0): 0} if pattern is None else {(row, col): "RGB".index(c) for row, col, c in pattern.sites}
+    classes = [(cy, cx) for cy in range(step) for cx in range(step)]
+    # (tile site row, col, bucket, the classes of the bucket's color there),
+    # classes indexed as in classes.
+    groups = [
+        (row, col, k, [i for i, (cy, cx) in enumerate(classes) if color[(row + cy) % step, (col + cx) % step] == k])
+        for row, col in sorted(color)
+        for k in range(buckets)
+    ]
+    # The means come before the pads: allocated after them, in a sequence of
+    # joint and bilateral runs at 512^2, they found no free block of the heap
+    # often enough to raise the peak resident set by 4 MiB.
     out = np.empty((buckets, *data.shape))
-    bands = list(data_at.bands(2))
-    work = [(py + step * top, px, n) for py, px, _ in sites for top, n in bands]
-    most = max(n for _, n in bands)
+    data_at = _shifted(data, radius)
+    guide_at = data_at if guide is data else _shifted(guide, radius)
+    half = [
+        (dy, dx, math.exp(-(dy * dy + dx * dx) * inv_2ss), dy % step * step + dx % step)
+        for dy in range(-radius, 1)
+        for dx in range(-radius, radius + 1 if dy < 0 else 0)
+    ]
+    work = list(data_at.bands(2))
+    most = max(n for _, n in work)
     length = data_at.length(most)
+    overhang = radius * data_at.width + radius  # the most samples a weight run reaches past its band
 
-    # A thread's buffer set: the weights, the sums and the underflow mask,
-    # sized for the largest band. The sums' rows are a whole number of 64-byte
-    # lines apart: a run apart, they ran about 7% slower at 512^2.
+    # A thread's buffer set: the weights, a product, each class's sums and
+    # the underflow mask, sized for the largest band. A sum's rows are a
+    # whole number of 64-byte lines apart: a run apart, they ran about 7%
+    # slower at 512^2. One array per class, rather than one for all four,
+    # fitted the heap's free blocks better: 2 MiB less peak resident set.
     def buffer_set():
-        return np.empty(length), np.empty((buckets, 2, -(-length // 8) * 8)), np.empty((buckets, most, data_at.cols), bool)
+        return np.empty(length + overhang), np.empty(length), [np.empty((2, -(-length // 8) * 8)) for _ in classes], np.empty((buckets, most, data_at.cols), bool)
 
-    def sums_at(buffers, y, x, n, inv_2sr):
-        """Weighted sums (buckets, 2, n, cols), each bucket's (num, den), for the n lattice rows from full-frame (y, x)."""
-        center = guide_at.run(y, x, n)
-        weight, sums, _ = buffers
-        weight = weight[: center.size]
-        sums.fill(0.0)
-        pairs = [tuple(pair[:, : center.size]) for pair in sums]
-        for dy, dx, spatial in window:
+    def sums_at(buffers, top, n, inv_2sr):
+        """Each class's weighted sums, (num, den) as one (2, n, cols) view, for the n rows from top."""
+        weights, product, sums, _ = buffers
+        size = data_at.length(n)
+        product = product[:size]
+        pairs = [tuple(pair[:, :size]) for pair in sums]
+        # The centre's weight is exp(-0) = 1, and x + 0.0 is x added to a
+        # zeroed sum, -0 included.
+        np.add(data_at.run(top, 0, n), 0.0, out=pairs[0][0])
+        pairs[0][1].fill(1.0)
+        for pair in sums[1:]:
+            pair.fill(0.0)
+        for dy, dx, spatial, kind in half:
+            # weight[i] is the weight of the pair (q, q + d), q the i-th
+            # sample from the band's first: d's weight at p = q, and -d's at
+            # p = q + d, which lies shift samples before q.
+            shift = -dy * data_at.width - dx
+            weight = weights[: size + shift]
             # -(d^2) * k and d^2 * -k round alike: negation is exact.
-            np.subtract(guide_at.run(y + dy, x + dx, n), center, out=weight)
+            np.subtract(guide_at.run(top + dy, dx, n, shift), guide_at.run(top, 0, n, shift), out=weight)
             np.square(weight, out=weight)
             np.multiply(weight, -inv_2sr, out=weight)
             np.exp(weight, out=weight)
             np.multiply(spatial, weight, out=weight)
-            num, den = pairs[tile[(y + dy) % step * step + (x + dx) % step]]
-            np.add(den, weight, out=den)
-            np.add(num, np.multiply(weight, data_at.run(y + dy, x + dx, n), out=weight), out=num)
-        return data_at.crop(sums, n)
+            num, den = pairs[kind]
+            for start, y, x in ((0, top + dy, dx), (shift, top - dy, -dx)):
+                run = weight[start : start + size]
+                np.add(den, run, out=den)
+                np.add(num, np.multiply(run, data_at.run(y, x, n), out=product), out=num)
+        return [data_at.crop(pair, n) for pair in sums]
+
+    def sites(sums, top, n, underflows):
+        """(mean, (num, den), underflow) of each group in the n rows from top, as views at its tile site.
+
+        mean views out, underflow a mask of the buffer set, and a group's
+        classes are added in class order into its first class's sums.
+        """
+        for row, col, k, members in groups:
+            at = (slice((row - top) % step, None, step), slice(col, None, step))
+            first, *rest = (sums[i][:, at[0], at[1]] for i in members)
+            for pair in rest:
+                np.add(first, pair, out=first)
+            yield out[k, top : top + n][at], first, underflows[k][at]
 
     tiny = np.finfo(np.float64).tiny
 
     def walk(band, buffers):
-        """Write the means of one band, (y, x, n) as in sums_at, into out."""
-        y, x, n = band
+        """Write the means of one band, (top, n) rows, into out."""
+        top, n = band
+        underflows = buffers[3][:, :n]
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = sums_at(buffers, y, x, n, inv_2sr)
-            mean = out[:, y : y + step * n : step, x::step]
-            np.divide(sums[:, 0], sums[:, 1], out=mean)
-            underflow = np.less(sums[:, 1], tiny, out=buffers[2][:, :n])
+            fallback = False
+            for mean, (num, den), underflow in sites(sums_at(buffers, top, n, inv_2sr), top, n, underflows):
+                np.divide(num, den, out=mean)
+                fallback |= np.less(den, tiny, out=underflow).any()
             # The fallback is a second sums_at call, into the same buffers:
             # a closure that called itself would be a reference cycle,
             # keeping each call's planes alive until the next collection.
-            if underflow.any():
-                sums = sums_at(buffers, y, x, n, 0.0)
-                if (sums[:, 1] < tiny).any():
-                    raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
-                np.divide(sums[:, 0], sums[:, 1], out=mean, where=underflow)
+            if fallback:
+                for mean, (num, den), underflow in sites(sums_at(buffers, top, n, 0.0), top, n, underflows):
+                    # A one-row band holds no row of the other tile row's sites.
+                    if den.size and den.min() < tiny:
+                        raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
+                    np.divide(num, den, out=mean, where=underflow)
 
     _walk(work, walk, buffer_set)
     return out

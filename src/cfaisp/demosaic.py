@@ -12,7 +12,8 @@ edge sample not duplicated):
 - joint bilateral: every sample (missing and measured) is a bilateral
   average over the same-color sites in a radius ceil(3 sigma_s) window,
   range-weighted on a bilinear green estimate, so interpolation and light
-  denoising happen in one pass, walked in bands of rows of each tile site.
+  denoising happen in one pass, walked in bands of full-resolution rows
+  that compute each neighbour pair's weight once.
 
 Bilinear and gradient read their taps through _kernel._shifted's lattice,
 joint bilateral runs _kernel._bilateral, and the configs check their fields
@@ -220,10 +221,11 @@ def demosaic_gradient(mosaic: MosaicImage) -> RgbImage:
 def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float) -> RgbImage:
     """Bilateral interpolation over same-color sites, guided by bilinear G.
 
-    One call of the shared bilateral kernel walks all four 2x2 tile sites,
-    reading their colors from the mosaic's pattern, into stacked R, G, B
-    means. Filtering the measured sites too makes this a joint
-    demosaick-denoise rather than interpolation.
+    One call of the shared bilateral kernel walks the full-resolution
+    mosaic once, keeping one sum per parity class of neighbours, and gives
+    each tile site's classes their colors from the mosaic's pattern, into
+    stacked R, G, B means. Filtering the measured sites too makes this a
+    joint demosaick-denoise rather than interpolation.
     """
     guide = demosaic_bilinear(mosaic).g.data
     means = _kernel._bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, mosaic.pattern)

@@ -9,7 +9,8 @@ Four filters with one shared contract (Plane in, same-sized Plane out):
   neighbour runs of each band; larger radii partition the windows of one
   2-D tile at a time.
 - bilateral: edge-preserving blur weighting neighbors by spatial distance
-  and intensity difference, walked in bands of up to 2 _STRIP samples.
+  and intensity difference, walked in bands of up to 2 _STRIP samples that
+  compute each neighbour pair's weight once, for both of its samples.
 - wavelet: soft thresholding of orthonormal Haar detail coefficients with a
   per-subband data-driven threshold; the coarse approximation is kept as is.
 

@@ -390,35 +390,37 @@ class TestJointBilateral:
         with pytest.raises(ValueError, match="sigma_s=0.03 is too small"):
             demosaic_joint_bilateral(mosaic, 0.03, 0.1)
 
-    # Bands of 2 _STRIP samples per phase: with _STRIP = 7, a 2x7 lattice is
-    # one band, an 8x7 one four, a 5x3 one two, the second a remainder, and a
-    # 3x20 one a row per band; at the real _STRIP a 260x128 lattice is 256
-    # rows and 4.
+    # Bands of whole rows of 2 _STRIP samples: with _STRIP = 7, a 2x6 mosaic
+    # is one band, an 8x6 one four, a 4x4 one a band of three rows and a
+    # remainder from an odd row, and a 6x20 one a row per band; at the real
+    # _STRIP a 520x256 mosaic is four bands of 128 rows and one of 8.
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     @pytest.mark.parametrize(
-        "strip,lattice",
-        [(7, (2, 7)), (7, (8, 7)), (7, (5, 3)), (7, (3, 20)), (None, (260, 128))],
+        "strip,shape,bands",
+        [(7, (2, 6), 1), (7, (8, 6), 4), (7, (4, 4), 2), (7, (6, 20), 6), (None, (520, 256), 5)],
         ids=["one-band", "several-bands", "remainder-band", "wide-row", "full-strip"],
     )
-    def test_thread_count_does_not_change_the_bits(self, monkeypatch, by_cpus, pattern, strip, lattice):
+    def test_thread_count_does_not_change_the_bits(self, monkeypatch, by_cpus, pattern, strip, shape, bands):
         if strip is not None:
             monkeypatch.setattr(_kernel, "_STRIP", strip)
-        mosaic = _random_mosaic(pattern, (2 * lattice[0], 2 * lattice[1]), 83)
+        mosaic = _random_mosaic(pattern, shape, 83)
         got = by_cpus(lambda: b"".join(plane.data.tobytes() for plane in demosaic_joint_bilateral(mosaic, 0.7, 0.1).planes))
         assert got[1][0] == got[2][0] == got[3][0]
-        # The 4 phases' bands are one work list, so even one band per phase runs on 3 threads.
-        assert [pools for _, pools in got.values()] == [(), (2,), (3,)]
+        # One thread, or one band, is the calling thread alone.
+        assert [pools for _, pools in got.values()] == [()] + [(min(cpus, bands),) if bands > 1 else () for cpus in (2, 3)]
 
     def test_underflow_fallback_is_the_same_on_every_thread_count(self, by_cpus):
-        # The fallback case of test_underflowing_range_weights_fall_back_to_spatial_weights.
-        mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.random.default_rng(0).uniform(0.1, 1.0, (32, 32))))
+        # The fallback case of test_underflowing_range_weights_fall_back_to_spatial_weights,
+        # at 192^2: two bands, of 170 rows and 22.
+        mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.random.default_rng(0).uniform(0.1, 1.0, (192, 192))))
         got = by_cpus(lambda: b"".join(plane.data.tobytes() for plane in demosaic_joint_bilateral(mosaic, 1.5, 1e-3).planes))
         assert got[1][0] == got[2][0] == got[3][0]
-        assert [pools for _, pools in got.values()] == [(), (2,), (3,)]
+        assert [pools for _, pools in got.values()] == [(), (2,), (2,)]
 
     def test_sigma_s_below_the_floor_raises_the_same_error_on_every_thread_count(self, by_cpus):
-        # Called on the kernel directly, as DemosaickerConfig rejects it.
-        data = _random_mosaic(CfaPattern.GBRG, (6, 6), 13).plane.data
+        # Called on the kernel directly, as DemosaickerConfig rejects it; at
+        # 192^2 the frame is two bands, and both raise.
+        data = _random_mosaic(CfaPattern.GBRG, (192, 192), 13).plane.data
 
         def error():
             with pytest.raises(ValueError) as raised:
@@ -427,7 +429,7 @@ class TestJointBilateral:
 
         got = by_cpus(error)
         assert got[1][0] == got[2][0] == got[3][0] == "sigma_s=0.03 is too small: the spatial weights of some sample underflow"
-        assert [pools for _, pools in got.values()] == [(), (2,), (3,)]
+        assert [pools for _, pools in got.values()] == [(), (2,), (2,)]
 
     def test_calls_bilinear_once_through_the_module_attribute(self, monkeypatch):
         # Tracing replaces cfaisp.demosaic.demosaic_bilinear to attribute the

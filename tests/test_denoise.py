@@ -11,7 +11,6 @@ import gc
 import math
 import threading
 import tracemalloc
-from functools import partial
 
 import haar
 import numpy as np
@@ -47,36 +46,76 @@ def _reflect(i: int, n: int) -> int:
     return i if i < n else period - i
 
 
-def _whole_lattice_bilateral(data, guide, sigma_s, sigma_r, step=1, py=0, px=0, bucket=lambda row, col: None):
-    """The bilateral kernel as one pass over the whole lattice data[py::step, px::step].
+def _whole_frame_bilateral(data, guide, sigma_s, sigma_r, pattern=None):
+    """The bilateral kernel as one pass over the whole frame, stacked (buckets, h, w).
 
-    Frame-sized temporaries per window offset, on strided views of one mirror
-    pad per array: the strip walk must give the same means bit for bit.
+    Frame-sized temporaries per window offset, on views of one mirror pad
+    per array, summed in the kernel's order: one (num, den) per parity class
+    of the offsets (dy mod 2, dx mod 2) with a pattern, one class without;
+    the centre first, then d and -d for each offset d of the window's first
+    half in row-major order; at each tile site, a color's classes added in
+    class order. Each weight comes from its own neighbour q, (g_q - g_p)^2
+    for d and -d alike, so the band walk, which computes one weight per
+    pair, must give the same means bit for bit.
     """
     inv_2ss, inv_2sr = 1.0 / (2.0 * sigma_s**2), 1.0 / (2.0 * sigma_r**2)
     radius = math.ceil(3.0 * sigma_s)
     pads = np.pad(data, radius, mode="reflect"), np.pad(guide, radius, mode="reflect")
-    h, w = len(range(py, data.shape[0], step)), len(range(px, data.shape[1], step))
+    h, w = data.shape
+    step = 1 if pattern is None else 2
 
     def at(pad, dy, dx):
-        y, x = radius + py + dy, radius + px + dx
-        return pad[y : y + step * h : step, x : x + step * w : step]
+        return pad[radius + dy : radius + dy + h, radius + dx : radius + dx + w]
 
-    offsets = range(-radius, radius + 1)
-    sums = {bucket(py + dy, px + dx): (np.zeros((h, w)), np.zeros((h, w))) for dy in offsets for dx in offsets}
-    for dy in offsets:
-        for dx in offsets:
+    sums = np.zeros((step * step, 2, h, w))
+    sums[0, 0] += data
+    sums[0, 1] += 1.0
+    for dy in range(-radius, 1):
+        for dx in range(-radius, radius + 1 if dy < 0 else 0):
             spatial = math.exp(-(dy * dy + dx * dx) * inv_2ss)
-            weight = spatial * np.exp(-((at(pads[1], dy, dx) - at(pads[1], 0, 0)) ** 2) * inv_2sr)
-            num, den = sums[bucket(py + dy, px + dx)]
-            num += weight * at(pads[0], dy, dx)
-            den += weight
-    means = {}
-    for key, (num, den) in sums.items():
-        underflow = den < np.finfo(np.float64).tiny
-        spatial_only = _whole_lattice_bilateral(data, guide, sigma_s, math.inf, step, py, px, bucket) if underflow.any() else None
-        means[key] = num / den if spatial_only is None else np.divide(num, den, out=spatial_only[key], where=~underflow)
-    return means
+            num, den = sums[dy % step * step + dx % step]
+            for u, v in ((dy, dx), (-dy, -dx)):
+                weight = spatial * np.exp(-((at(pads[1], u, v) - at(pads[1], 0, 0)) ** 2) * inv_2sr)
+                den += weight
+                num += weight * at(pads[0], u, v)
+    if pattern is None:
+        groups = [(0, 0, 0, [0])]
+    else:
+        groups = [(row, col, "RGB".index(color), [c for c in range(4) if color_at(pattern, row + c // 2, col + c % 2) == color]) for row in (0, 1) for col in (0, 1) for color in "RGB"]
+    out = np.empty((1 if pattern is None else 3, h, w))
+    underflow = np.zeros(out.shape, bool)
+    for row, col, k, members in groups:
+        num, den = sums[members[0], :, row::step, col::step]
+        for c in members[1:]:
+            num, den = num + sums[c, 0, row::step, col::step], den + sums[c, 1, row::step, col::step]
+        # An underflowing sum's mean is replaced below, 0 / 0 included.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[k, row::step, col::step] = num / den
+        underflow[k, row::step, col::step] = den < np.finfo(np.float64).tiny
+    if underflow.any():
+        out[underflow] = _whole_frame_bilateral(data, guide, sigma_s, math.inf, pattern)[underflow]
+    return out
+
+
+def _fsum_bilateral(data, guide, sigma_s, sigma_r, pattern=None):
+    """The bilateral means with each sample's sums taken by math.fsum: a reference free of summation order."""
+    h, w = data.shape
+    radius = math.ceil(3.0 * sigma_s)
+    colors = "." if pattern is None else "RGB"
+    out = np.empty((len(colors), h, w))
+    for i in range(h):
+        for j in range(w):
+            terms = {color: ([], []) for color in colors}
+            for u in range(-radius, radius + 1):
+                for v in range(-radius, radius + 1):
+                    y, x = _reflect(i + u, h), _reflect(j + v, w)
+                    weight = math.exp(-(u * u + v * v) / (2.0 * sigma_s**2)) * math.exp(-((guide[y, x] - guide[i, j]) ** 2) / (2.0 * sigma_r**2))
+                    num, den = terms["." if pattern is None else color_at(pattern, y, x)]
+                    num.append(weight * data[y, x])
+                    den.append(weight)
+            for k, (num, den) in enumerate(terms.values()):
+                out[k, i, j] = math.fsum(num) / math.fsum(den)
+    return out
 
 
 # Block-form one-level Haar: works on 2x2 cells directly, no sqrt(2) stages.
@@ -473,31 +512,43 @@ class TestBilateral:
         with pytest.raises(ValueError):
             denoise_bilateral(Plane(np.zeros((4, 4))), sigma_s, sigma_r)
 
-    # With 7-sample bands: a 1x1 lattice, from a 2x2 mosaic, is one sample
-    # inside a window larger than the frame; a 2x2 lattice is one band, a
-    # 5x3 one is two bands of two rows and one of one, and a 3x10 one has
-    # rows wider than a band, one row per band.
-    @pytest.mark.parametrize("lattice", [(1, 1), (2, 2), (5, 3), (3, 10)], ids=["one-sample", "one-strip", "remainder-strip", "wide-row"])
+    # With _STRIP = 7 a band holds 14 samples. Planes: a 1x1 plane is one
+    # sample inside a window larger than the frame, a 2x2 one is one band, a
+    # 5x3 one a band of four rows and a remainder of one, and a 3x10 one a
+    # row per band. Their 2x mosaics: one band of 2x2, a band of three rows
+    # and one from an odd row, five bands of two rows, and rows wider than a
+    # band.
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 3), (3, 10)], ids=["one-sample", "one-band", "remainder-band", "wide-row"])
     @pytest.mark.parametrize("sigma_s,sigma_r", [(1.0, 0.1), (0.7, 1e-3), (1.5, math.inf)])
-    def test_strip_walk_matches_the_whole_lattice_loop(self, monkeypatch, lattice, sigma_s, sigma_r):
+    def test_band_walk_matches_the_whole_frame_loop(self, monkeypatch, shape, sigma_s, sigma_r):
         monkeypatch.setattr(_kernel, "_STRIP", 7)
         rng = np.random.default_rng(77)
-        data = rng.random(lattice)
-        want = _whole_lattice_bilateral(data, data, sigma_s, sigma_r)[None]
-        got = denoise_bilateral(Plane(data), sigma_s, sigma_r).data
+        data = rng.random(shape)
+        want = _whole_frame_bilateral(data, data, sigma_s, sigma_r)
+        got = denoise_bilateral(Plane(data), sigma_s, sigma_r).data[None]
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-        mosaic_data = rng.random((2 * lattice[0], 2 * lattice[1]))
+        mosaic_data = rng.random((2 * shape[0], 2 * shape[1]))
         for pattern in CfaPattern:
             mosaic = MosaicImage(pattern, Plane(mosaic_data))
+            want = _whole_frame_bilateral(mosaic_data, demosaic_bilinear(mosaic).g.data, sigma_s, sigma_r, pattern)
+            for color, plane, mean in zip("RGB", demosaic_joint_bilateral(mosaic, sigma_s, sigma_r).planes, want):
+                assert np.array_equal(plane.data, mean), (pattern, color)
+                assert np.array_equal(np.signbit(plane.data), np.signbit(mean)), (pattern, color)
+
+    # Only rounding moved when each pair's weight came to be computed once:
+    # both kernels stay within 1e-13 of sums that math.fsum takes exactly.
+    @pytest.mark.parametrize("shape", [(6, 8), (10, 6)])
+    @pytest.mark.parametrize("sigma_s,sigma_r", [(1.0, 0.1), (1.5, 0.05), (0.7, math.inf)])
+    def test_both_kernels_match_order_free_sums(self, shape, sigma_s, sigma_r):
+        rng = np.random.default_rng(85)
+        data = rng.random(shape)
+        got = denoise_bilateral(Plane(data), sigma_s, sigma_r).data[None]
+        np.testing.assert_allclose(got, _fsum_bilateral(data, data, sigma_s, sigma_r), rtol=1e-13, atol=0)
+        for pattern in CfaPattern:
+            mosaic = MosaicImage(pattern, Plane(data))
             guide = demosaic_bilinear(mosaic).g.data
-            want = {color: np.empty_like(mosaic_data) for color in "RGB"}
-            for dy, dx, _ in pattern.sites:
-                bucket = partial(color_at, pattern)
-                for color, mean in _whole_lattice_bilateral(mosaic_data, guide, sigma_s, sigma_r, 2, dy, dx, bucket).items():
-                    want[color][dy::2, dx::2] = mean
-            for color, plane in zip("RGB", demosaic_joint_bilateral(mosaic, sigma_s, sigma_r).planes):
-                assert np.array_equal(plane.data, want[color]), (pattern, color)
-                assert np.array_equal(np.signbit(plane.data), np.signbit(want[color])), (pattern, color)
+            got = np.stack([plane.data for plane in demosaic_joint_bilateral(mosaic, sigma_s, sigma_r).planes])
+            np.testing.assert_allclose(got, _fsum_bilateral(data, guide, sigma_s, sigma_r, pattern), rtol=1e-13, atol=0)
 
     def test_tiny_sigma_r_takes_the_spatial_only_fallback_in_strips(self, monkeypatch):
         # At sigma_r = 1e-3 the range weights of most other-color neighbours
@@ -533,6 +584,18 @@ class TestBilateral:
             tracemalloc.stop()
         assert peak < 10 * 2**20  # five 512 x 512 frames
 
+    def test_joint_memory_is_bounded_by_the_strip(self, by_cpus, peak_bytes):
+        # The means, the bilinear guide and the two pads come to about six
+        # 512 x 512 frames. Each thread adds one buffer set: the four class
+        # sums of a band of 2 _STRIP samples, its weights, a product and a
+        # mask, under twelve such bands.
+        mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.random.default_rng(86).random((512, 512))))
+        got = by_cpus(lambda: peak_bytes(lambda: demosaic_joint_bilateral(mosaic, 1.5, 0.1)), cpus=(1, 2, 4))
+        frame, band = 512 * 512 * 8, 2 * _kernel._STRIP * 8
+        assert {cpus: pools for cpus, (_, pools) in got.items()} == {1: (), 2: (2,), 4: (4,)}
+        for cpus, (peak, _) in got.items():
+            assert peak < 6.5 * frame + cpus * 12 * band, cpus
+
 
 class TestBilateralThreads:
     # Bands of 2 _STRIP samples: with _STRIP = 7, a 2x7 plane is one band, an
@@ -553,13 +616,13 @@ class TestBilateralThreads:
         # One thread, or one band, is the calling thread alone.
         assert [pools for _, pools in got.values()] == [()] + [(min(cpus, bands),) if bands > 1 else () for cpus in (2, 3)]
 
-    def test_rows_wider_than_a_band_match_the_whole_lattice_loop(self, monkeypatch):
+    def test_rows_wider_than_a_band_match_the_whole_frame_loop(self, monkeypatch):
         # At _STRIP = 7 a band holds 14 samples, so each 20-sample row is a band.
         monkeypatch.setattr(_kernel, "_STRIP", 7)
         data = np.random.default_rng(84).random((3, 20))
         for sigma_s, sigma_r in [(1.0, 0.1), (1.5, math.inf)]:
-            want = _whole_lattice_bilateral(data, data, sigma_s, sigma_r)[None]
-            assert np.array_equal(denoise_bilateral(Plane(data), sigma_s, sigma_r).data, want)
+            want = _whole_frame_bilateral(data, data, sigma_s, sigma_r)
+            assert np.array_equal(denoise_bilateral(Plane(data), sigma_s, sigma_r).data[None], want)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
@@ -569,7 +632,7 @@ class TestBilateralThreads:
         denoise_bilateral(Plane(data), 1.0, 0.1)
         demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(data)), 0.7, 1e-3)
         assert threading.active_count() == before
-        # Every band of the 4 phases fails; the first one's error is raised.
+        # Each of the 8 one-row bands fails; the first one's error is raised.
         with pytest.raises(ValueError, match="sigma_s=0.03 is too small"):
             _kernel._bilateral(data, data, 0.03, 0.1, CfaPattern.GBRG)
         assert threading.active_count() == before

@@ -527,18 +527,19 @@ class TestRunExperiment:
         assert pooled == run_experiment([("t", image)], grid, jobs=1)
 
     def test_pool_workers_run_the_bilateral_kernel_on_one_thread(self, inline_pool, by_cpus, monkeypatch):
-        # Joint at 32^2 is four phase bands, so a serial sweep's kernel opens
-        # a thread pool once a second CPU is there; a worker's does not. So do
-        # the noise field, here in eight blocks of 64 pairs, and the after
-        # and before steps' wavelet planes, with their size rules at 0; each
-        # sweep below runs one of the three stages on threads.
+        # At _STRIP = 256 a 32^2 plane or mosaic is two bilateral bands of 16
+        # rows, so a serial sweep's kernel opens a thread pool once a second
+        # CPU is there; a worker's does not. So do the noise field, here in
+        # eight blocks of 64 pairs, and the after and before steps' wavelet
+        # planes, with their size rules at 0; each sweep below runs one of
+        # the three stages on threads.
         image = _textured_image(32)
         bilateral = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
         field = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.02, 0.05), denoisers=(NONE,))
         wavelet = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.BEFORE), sigmas=(0.02, 0.05), denoisers=(WAVELET,))
         # The inline pool's initializer sets this process's cap to 1.
         patches = [(_kernel, "_threads_max", _kernel._threads_max)]
-        for grid, sizes in [(bilateral, []), (field, [(_kernel, "_STRIP", 64), (noise, "_POOLED_PAIRS", 0)]), (wavelet, [(denoise, "_POOLED_SAMPLES", 0)])]:
+        for grid, sizes in [(bilateral, [(_kernel, "_STRIP", 256)]), (field, [(_kernel, "_STRIP", 64), (noise, "_POOLED_PAIRS", 0)]), (wavelet, [(denoise, "_POOLED_SAMPLES", 0)])]:
             with monkeypatch.context() as patched:
                 for module, name, value in patches + sizes:
                     patched.setattr(module, name, value)
