@@ -47,11 +47,6 @@ class CfaPattern(enum.Enum):
 DEFAULT_PATTERN = CfaPattern.GBRG
 
 
-def color_at(pattern: CfaPattern, row: int, col: int) -> str:
-    """Color class ('R', 'G', or 'B') sampled at a photosite."""
-    return pattern.name[2 * (row % 2) + col % 2]
-
-
 @dataclass(frozen=True)
 class MosaicImage:
     """Single-plane CFA frame tagged with its Bayer phase.

@@ -19,9 +19,10 @@ demosaicker) run on _kernel._walk's threads. Every wavelet plane, one plane
 through denoise_wavelet or a frame's planes, runs through denoise_planes on
 _walk too: on its threads for planes of at least _POOLED_SAMPLES samples, on
 the calling thread with one buffer set below that. The stencil filters read
-their neighbours through _kernel._shifted's mirror pad, and the wavelet pads
+their neighbours as runs of _kernel._shifted's lattice, and the wavelet pads
 sides that are not multiples of 2^levels with the same np.pad(mode="reflect").
-The fields' rules are config.CONFIG_FIELDS.
+_idwt inverts the pyramid as _dwt lays it out. The fields' rules are
+config.CONFIG_FIELDS.
 
 The wavelet threshold for a subband with noise level sigma_n and signal
 spread sigma_x = sqrt(max(var - sigma_n^2, 0)) is sigma_n^2 / sigma_x; a
@@ -75,8 +76,8 @@ class DenoiserConfig:
         return describe_method(self, _DENOISERS)
 
 
-def _haar(x: np.ndarray, y: np.ndarray, op, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """op(x, y) / sqrt(2), one Haar filter tap pair, written into out if given."""
+def _haar(x: np.ndarray, y: np.ndarray, op, out: np.ndarray) -> np.ndarray:
+    """op(x, y) / sqrt(2), one Haar filter tap pair, written into out."""
     out = op(x, y, out=out)
     return np.divide(out, _SQRT2, out=out)
 
@@ -122,15 +123,17 @@ def _dwt(current: np.ndarray, subbands: list, spare: np.ndarray) -> None:
         current = ll
 
 
-def _idwt(ll: np.ndarray, details, outs: list, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Invert the (lh, hl, hh) levels details, finest first, on coarse approximation ll.
+def _idwt(subbands: list, finest: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Invert the pyramid subbands, laid out as _dwt writes it, into finest, which is returned.
 
-    Level k's result is written into outs[k], twice level k's subbands on
-    each side, and the finest one is returned. lo and hi are flat buffers of
-    at least a finest subband's samples.
+    The inverse starts from the coarsest ll. Each level's result is written
+    into the next finer level's ll, dead since the forward pass, and the
+    finest level's into finest, twice its subbands on each side. lo and hi
+    are flat buffers of at least a finest subband's samples.
     """
-    current = ll
-    for (lh, hl, hh), out in zip(reversed(details), reversed(outs)):
+    current = subbands[-1][0]
+    outs = [finest] + [ll for ll, *_ in subbands[:-1]]
+    for (_, lh, hl, hh), out in zip(reversed(subbands), reversed(outs)):
         rows, cols = current.shape
         low, high = _prefix(lo, (rows, cols)), _prefix(hi, (rows, cols))
         # Rows 2i, then rows 2i + 1, of the column pass's lo and hi, whose
@@ -171,19 +174,18 @@ def _blur_line(at, kernel: np.ndarray) -> np.ndarray:
 def denoise_gaussian(plane: Plane, sigma_s: float) -> Plane:
     """Separable Gaussian blur with a renormalized +/- 3 sigma kernel, one band at a time.
 
-    The vertical pass blurs the band's n whole rows of the pad, padding
-    columns included: each is a copy of the column it mirrors, so its blur is
-    that column's blur. The horizontal pass then reads those rows as flat
-    runs, each 2 r samples shorter. One pad serves both passes.
+    The vertical pass blurs the band's n whole rows of the pad as lattice
+    runs from column -r: a padding column is a copy of the column it mirrors,
+    so its blur is that column's blur. The horizontal pass then reads those
+    rows as flat runs, each 2 r samples shorter. One pad serves both passes.
     """
     check_fields(sigma_s=sigma_s)
     kernel = _gaussian_kernel(sigma_s)
     r = len(kernel) // 2
     at = _kernel._shifted(plane.data, r)
-    pad, width = at.flat[0][0], at.width
     out = np.empty(plane.data.shape)
     for top, n in at.bands():
-        columns = _blur_line(lambda dy: pad[(top + r + dy) * width : (top + r + dy + n) * width], kernel)
+        columns = _blur_line(lambda dy: at.run(top + dy, -r, n, 2 * r), kernel)
         rows = _blur_line(lambda dx: columns[r + dx : columns.size - r + dx], kernel)
         out[top : top + n] = at.crop(rows, n)
     return Plane._adopt(out)
@@ -251,8 +253,8 @@ def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:
     return Plane._adopt(_kernel._bilateral(plane.data, plane.data, sigma_s, sigma_r)[0])
 
 
-def _soft_threshold(band: np.ndarray, threshold: float, magnitude: Optional[np.ndarray] = None) -> None:
-    """Shrink band toward zero by threshold, in place, with magnitude, band-shaped, as a temporary if given.
+def _soft_threshold(band: np.ndarray, threshold: float, magnitude: np.ndarray) -> None:
+    """Shrink band toward zero by threshold, in place, with magnitude, band-shaped, as a temporary.
 
     A band sample of -0.0 gives +0.0, as sign(band) * max(|band| - t, 0) does.
     """
@@ -337,10 +339,8 @@ def _wavelet(data: np.ndarray, levels: int, sigma_n: Optional[float], buffers: t
                 _soft_threshold(band, noise_var / math.sqrt(signal_var), temporary)
             else:
                 band.fill(0.0)
-    # The inverse writes each level into the next finer level's ll, dead since
-    # the forward pass, and the finest into out, or into the pad to crop.
-    finest = out if pad is None else pad
-    _idwt(subbands[-1][0], [triple for _, *triple in subbands], [finest] + [ll for ll, *_ in subbands[:-1]], spare, other)
+    # The finest level is written into out, or into the pad to crop.
+    _idwt(subbands, out if pad is None else pad, spare, other)
     if pad is not None:
         out[...] = pad[:h, :w]
     return True

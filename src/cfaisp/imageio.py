@@ -142,8 +142,8 @@ def decode_pnm(data: bytes) -> Union[Plane, RgbImage]:
     if width < 1 or height < 1:
         raise PnmHeaderError(f"dimensions must be positive, got {width}x{height}")
     maxval, pos = _header_int(data, pos, "maxval")
-    if maxval not in (255, 65535):
-        raise PnmMaxvalError(f"maxval {maxval} not supported; expected 255 or 65535")
+    if maxval not in MAXVAL_BY_DEPTH.values():
+        raise PnmMaxvalError(f"maxval {maxval} not supported; expected {' or '.join(map(str, MAXVAL_BY_DEPTH.values()))}")
     if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
         raise PnmHeaderError("raster must follow the maxval after a single whitespace byte")
     pos += 1

@@ -1,8 +1,9 @@
 """The wavelet's orthonormal Haar transform and its inverse, as the denoiser runs them.
 
 dwt and idwt call denoise's own kernels, _dwt and _idwt, on buffer sets from
-_wavelet_buffers, laid out as _wavelet lays them out, so the transform tests
-check the code that every wavelet plane runs through.
+_wavelet_buffers, so the transform tests check the code that every wavelet
+plane runs through. _idwt itself works out where each level's inverse is
+written, as it does in _wavelet.
 """
 
 import numpy as np
@@ -24,10 +25,13 @@ def dwt(data: np.ndarray, levels: int):
 def idwt(ll: np.ndarray, details) -> np.ndarray:
     """The samples whose pyramid is ll and details, finest first, as dwt gives them.
 
-    As in _wavelet, each level is written into the next finer level's ll
-    buffer and the finest into an output of its own.
+    ll and details take their places in a buffer set's pyramid, and _idwt
+    inverts it into an output of its own.
     """
     levels = len(details)
     shape = tuple(side << levels for side in ll.shape)
     subbands, lo, hi = denoise._wavelet_buffers(shape, levels)
-    return denoise._idwt(ll, details, [np.empty(shape)] + [level[0] for level in subbands[:-1]], lo, hi)
+    for level, triple in zip(subbands, details):
+        level[1:] = triple
+    subbands[-1][0] = ll
+    return denoise._idwt(subbands, np.empty(shape), lo, hi)

@@ -12,8 +12,9 @@ import time
 import haar
 import numpy as np
 import pytest
+from oracles import color_at, reflect
 
-from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose, mosaic_from_rgb, recompose
+from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
 from cfaisp.cli import main
 from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_bilinear, demosaic_gradient
 from cfaisp.denoise import (
@@ -31,14 +32,6 @@ from cfaisp.pipeline import Strategy, run_pipeline
 def _report(number: int, name: str, ok: bool) -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {verdict} | criterion {number}: {name}")
-
-
-def _reflect(i: int, n: int) -> int:
-    if n == 1:
-        return 0
-    period = 2 * n - 2
-    i %= period
-    return i if i < n else period - i
 
 
 class TestAcceptance:
@@ -108,7 +101,7 @@ class TestAcceptance:
                             num = den = 0.0
                             for u in (-1, 0, 1):
                                 for v in (-1, 0, 1):
-                                    si, sj = _reflect(i + u, 6), _reflect(j + v, 6)
+                                    si, sj = reflect(i + u, 6), reflect(j + v, 6)
                                     if color_at(pattern, si, sj) == color:
                                         num += data[si, sj]
                                         den += 1.0

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import color_at
 
-from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, color_at, decompose, mosaic_from_rgb, recompose
+from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, decompose, mosaic_from_rgb, recompose
 from cfaisp.imageio import DimensionError, Plane, RgbImage
 
 ALL_PATTERNS = tuple(CfaPattern)

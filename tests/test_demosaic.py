@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import color_at, reflect
 from scipy.ndimage import convolve
 
 from cfaisp import _kernel
-from cfaisp.cfa import CfaPattern, MosaicImage, color_at, mosaic_from_rgb
+from cfaisp.cfa import CfaPattern, MosaicImage, mosaic_from_rgb
 from cfaisp.demosaic import (
     DEMOSAICKER_KINDS,
     DemosaickerConfig,
@@ -32,14 +33,6 @@ from cfaisp.noise import NoiseSpec, add_awgn
 from cfaisp.pipeline import cpsnr, mse
 
 ALL_PATTERNS = list(CfaPattern)
-
-
-def _reflect(i: int, n: int) -> int:
-    if n == 1:
-        return 0
-    period = 2 * n - 2
-    i %= period
-    return i if i < n else period - i
 
 
 def _bilinear_oracle(mosaic: MosaicImage) -> RgbImage:
@@ -56,7 +49,7 @@ def _bilinear_oracle(mosaic: MosaicImage) -> RgbImage:
                 num = den = 0.0
                 for u in (-1, 0, 1):
                     for v in (-1, 0, 1):
-                        si, sj = _reflect(i + u, h), _reflect(j + v, w)
+                        si, sj = reflect(i + u, h), reflect(j + v, w)
                         if color_at(mosaic.pattern, si, sj) == color:
                             num += data[si, sj]
                             den += 1.0
@@ -104,7 +97,7 @@ def _apply_kernel_at(data: np.ndarray, kernel: np.ndarray, i: int, j: int) -> fl
     acc = 0.0
     for u in range(-2, 3):
         for v in range(-2, 3):
-            acc += kernel[u + 2, v + 2] * data[_reflect(i + u, h), _reflect(j + v, w)]
+            acc += kernel[u + 2, v + 2] * data[reflect(i + u, h), reflect(j + v, w)]
     return acc
 
 
@@ -187,7 +180,7 @@ def _joint_weight_sums(mosaic: MosaicImage, sigma_s: float, sigma_r: float) -> d
     sums = {color: np.zeros((h, w)) for color in "RGB"}
     for u in range(-radius, radius + 1):
         for v in range(-radius, radius + 1):
-            at = np.ix_([_reflect(i + u, h) for i in range(h)], [_reflect(j + v, w) for j in range(w)])
+            at = np.ix_([reflect(i + u, h) for i in range(h)], [reflect(j + v, w) for j in range(w)])
             weight = math.exp(-(u * u + v * v) / (2 * sigma_s**2)) * np.exp(-((guide[at] - guide) ** 2) / (2 * sigma_r**2))
             for color, den in sums.items():
                 den += np.where(colors[at] == color, weight, 0.0)
@@ -354,7 +347,7 @@ class TestJointBilateral:
                     num = den = 0.0
                     for u in range(-radius, radius + 1):
                         for v in range(-radius, radius + 1):
-                            si, sj = _reflect(i + u, h), _reflect(j + v, w)
+                            si, sj = reflect(i + u, h), reflect(j + v, w)
                             if color_at(pattern, si, sj) != color:
                                 continue
                             weight = math.exp(-(u * u + v * v) / (2 * sigma_s**2))

@@ -15,10 +15,11 @@ import tracemalloc
 import haar
 import numpy as np
 import pytest
+from oracles import color_at, reflect, same
 from scipy.ndimage import convolve1d, median_filter
 
 from cfaisp import _kernel, denoise
-from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose
+from cfaisp.cfa import CfaPattern, MosaicImage, decompose
 from cfaisp.config import CONFIG_FIELDS
 from cfaisp.denoise import (
     DENOISER_KINDS,
@@ -35,15 +36,6 @@ from cfaisp.denoise import (
 from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear, demosaic_joint_bilateral
 from cfaisp.imageio import DimensionError, Plane
 from cfaisp.noise import NoiseSpec, add_awgn, normal_field
-
-
-def _reflect(i: int, n: int) -> int:
-    """Mirror index without edge duplication (period 2n-2)."""
-    if n == 1:
-        return 0
-    period = 2 * n - 2
-    i %= period
-    return i if i < n else period - i
 
 
 def _whole_frame_bilateral(data, guide, sigma_s, sigma_r, pattern=None):
@@ -108,7 +100,7 @@ def _fsum_bilateral(data, guide, sigma_s, sigma_r, pattern=None):
             terms = {color: ([], []) for color in colors}
             for u in range(-radius, radius + 1):
                 for v in range(-radius, radius + 1):
-                    y, x = _reflect(i + u, h), _reflect(j + v, w)
+                    y, x = reflect(i + u, h), reflect(j + v, w)
                     weight = math.exp(-(u * u + v * v) / (2.0 * sigma_s**2)) * math.exp(-((guide[y, x] - guide[i, j]) ** 2) / (2.0 * sigma_r**2))
                     num, den = terms["." if pattern is None else color_at(pattern, y, x)]
                     num.append(weight * data[y, x])
@@ -284,7 +276,7 @@ class TestGaussian:
                 acc = 0.0
                 for u in range(-radius, radius + 1):
                     for v in range(-radius, radius + 1):
-                        acc += kernel[u + radius] * kernel[v + radius] * data[_reflect(i + u, h), _reflect(j + v, w)]
+                        acc += kernel[u + radius] * kernel[v + radius] * data[reflect(i + u, h), reflect(j + v, w)]
                 expected[i, j] = acc
         np.testing.assert_allclose(denoise_gaussian(Plane(data), sigma).data, expected, atol=1e-12)
 
@@ -378,7 +370,7 @@ class TestMedian:
         expected = np.zeros_like(data)
         for i in range(h):
             for j in range(w):
-                window = [data[_reflect(i + u, h), _reflect(j + v, w)] for u in range(-radius, radius + 1) for v in range(-radius, radius + 1)]
+                window = [data[reflect(i + u, h), reflect(j + v, w)] for u in range(-radius, radius + 1) for v in range(-radius, radius + 1)]
                 expected[i, j] = sorted(window)[len(window) // 2]
         np.testing.assert_array_equal(denoise_median(Plane(data), radius).data, expected)
 
@@ -428,7 +420,7 @@ class TestMedian:
             for view in views:
                 view.setflags(write=False)
             got = denoise._median9(views)
-            assert _same(got, _median9_on_owned_buffers(list(views))), shape
+            assert same(got, _median9_on_owned_buffers(list(views))), shape
 
     def test_wide_window_memory_is_bounded_by_the_tile(self):
         # One row of 81x81 windows stacked at once would take 107 MB.
@@ -468,7 +460,7 @@ class TestBilateral:
                 num = den = 0.0
                 for u in range(-radius, radius + 1):
                     for v in range(-radius, radius + 1):
-                        sample = data[_reflect(i + u, h), _reflect(j + v, w)]
+                        sample = data[reflect(i + u, h), reflect(j + v, w)]
                         weight = math.exp(-(u * u + v * v) / (2 * sigma_s**2)) * math.exp(-((sample - data[i, j]) ** 2) / (2 * sigma_r**2))
                         num += weight * sample
                         den += weight
@@ -685,10 +677,6 @@ def _whole_frame_wavelet(data, levels, sigma_n):
     return _whole_frame_idwt(ll, shrunk)
 
 
-def _same(got, want):
-    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
 def _signed_zeros(shape, seed):
     """Noisy samples with runs of -0.0 and +0.0, so some Haar bands hold -0.0."""
     data = 0.5 + 0.1 * np.random.default_rng(seed).standard_normal(shape)
@@ -703,25 +691,25 @@ class TestWaveletMatchesTheWholeFrameExpressions:
         data = _signed_zeros(shape, 90)
         got_ll, got_details = haar.dwt(data, levels)
         ll, details = _whole_frame_dwt(data, levels)
-        assert _same(got_ll, ll)
+        assert same(got_ll, ll)
         for got, want in zip(got_details, details):
-            assert all(_same(g, w) for g, w in zip(got, want))
-        assert _same(haar.idwt(got_ll, got_details), _whole_frame_idwt(ll, details))
+            assert all(same(g, w) for g, w in zip(got, want))
+        assert same(haar.idwt(got_ll, got_details), _whole_frame_idwt(ll, details))
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-3, 0.1])
     def test_soft_threshold_keeps_the_sign_of_zero(self, threshold):
         # np.copysign alone would give -0.0 where the band is -0.0.
         band = np.array([[-0.0, 0.0, -1e-3, 1e-3, -0.05, 0.05, -0.5, 0.5, -5e-324, 5e-324]])
         want = _whole_frame_soft_threshold(band, threshold)
-        denoise._soft_threshold(band, threshold)
-        assert _same(band, want)
+        denoise._soft_threshold(band, threshold, np.empty_like(band))
+        assert same(band, want)
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
     @pytest.mark.parametrize("sigma_n", [1e-200, 0.01, 0.05, 0.5])
     def test_denoise_wavelet_bit_for_bit(self, levels, sigma_n):
         # sigma_n = 1e-200 squares to 0: every threshold is 0.
         data = _signed_zeros((32, 48), 91)
-        assert _same(denoise_wavelet(Plane(data), levels, sigma_n).data, _whole_frame_wavelet(data, levels, sigma_n))
+        assert same(denoise_wavelet(Plane(data), levels, sigma_n).data, _whole_frame_wavelet(data, levels, sigma_n))
 
     def test_memory_is_the_pyramid_output_and_two_quarters(self, peak_bytes):
         # Whole-frame temporaries peaked at 4.5 planes; now the pyramid (4/3
@@ -893,8 +881,8 @@ class TestWavelet:
         levels, sigma_n = 3, 0.05
         h, w = shape
         data = 0.5 + 0.1 * np.random.default_rng(88).standard_normal(shape)
-        rows = [_reflect(i, h) for i in range(h + -h % 8)]
-        cols = [_reflect(j, w) for j in range(w + -w % 8)]
+        rows = [reflect(i, h) for i in range(h + -h % 8)]
+        cols = [reflect(j, w) for j in range(w + -w % 8)]
         want = _wavelet_oracle(data[np.ix_(rows, cols)], levels, sigma_n)[:h, :w]
         np.testing.assert_allclose(denoise_wavelet(Plane(data), levels, sigma_n).data, want, rtol=0, atol=1e-9)
 
@@ -906,7 +894,7 @@ class TestWavelet:
         data = np.random.default_rng(97).random(shape)
         padded = np.pad(data, ((0, -shape[0] % 2**levels), (0, -shape[1] % 2**levels)), mode="reflect")
         want = denoise_wavelet(Plane(padded), levels, 0.05).data[: shape[0], : shape[1]]
-        assert _same(denoise_wavelet(Plane(data), levels, 0.05).data, want)
+        assert same(denoise_wavelet(Plane(data), levels, 0.05).data, want)
 
     def test_a_sigma_whose_square_overflows_zeroes_every_subband(self):
         # The estimate, about 3e160, squares past a Python float's range.

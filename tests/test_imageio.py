@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import haar
 import numpy as np
 import pytest
+from oracles import same
 
 from cfaisp import _kernel
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
@@ -315,10 +316,6 @@ def _whole_frame_decode(raster: bytes, shape, channels: int, maxval: int) -> lis
     return [np.array(rgb[:, :, c]) for c in range(channels)]
 
 
-def _same(got: np.ndarray, want: np.ndarray) -> bool:
-    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
 def _edge_samples(shape, seed: int) -> np.ndarray:
     """Samples below 0, above 1, at -0.0, at 0 and 1, and at exact rounding halves."""
     data = np.random.default_rng(seed).uniform(-0.3, 1.3, size=shape)
@@ -347,7 +344,7 @@ class TestCodecMatchesTheWholeFrameExpressions:
             got = [decoded.data] if channels == 1 else [p.data for p in decoded.planes]
             raster = payload[payload.index(b"\n") + 1 :]
             for got_plane, want_plane in zip(got, _whole_frame_decode(raster, shape, channels, maxval)):
-                assert _same(got_plane, want_plane)
+                assert same(got_plane, want_plane)
                 assert got_plane.flags.c_contiguous and not got_plane.flags.writeable
 
 

@@ -7,9 +7,10 @@ import threading
 
 import numpy as np
 import pytest
+from oracles import color_at, same
 
 from cfaisp import _kernel, noise
-from cfaisp.cfa import CfaPattern, MosaicImage, color_at
+from cfaisp.cfa import CfaPattern, MosaicImage
 from cfaisp.config import CONFIG_FIELDS, SIGMA
 from cfaisp.imageio import DimensionError, Plane
 from cfaisp.denoise import DenoiserConfig, estimate_sigma
@@ -68,10 +69,6 @@ def _whole_array_normals(seed: int, count: int) -> np.ndarray:
     return out[:count]
 
 
-def _same(got: np.ndarray, want: np.ndarray) -> bool:
-    return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
 class TestNormalsThreads:
     """A field draws the same bytes on any number of threads."""
 
@@ -106,12 +103,12 @@ class TestStandardNormals:
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_blocks_match_the_whole_array_expressions(self, seed, extra):
         for count in (0, 1, 3, 2 * _kernel._STRIP + extra):
-            assert _same(standard_normals(seed, count), _whole_array_normals(seed, count)), count
+            assert same(standard_normals(seed, count), _whole_array_normals(seed, count)), count
 
     def test_many_small_blocks_match_the_whole_array_expressions(self, monkeypatch):
         monkeypatch.setattr(_kernel, "_STRIP", 3)
         for count in range(20):
-            assert _same(standard_normals(5, count), _whole_array_normals(5, count)), count
+            assert same(standard_normals(5, count), _whole_array_normals(5, count)), count
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.7, 1.0, True, "3"])
     def test_bad_seed_rejected(self, seed):
@@ -272,7 +269,7 @@ class TestAddAwgn:
         data[0::3, 1::2], data[1, :] = -0.0, 0.0
         mosaic = MosaicImage(pattern, Plane(data))
         spec = NoiseSpec(*sigmas, seed=19)
-        assert _same(add_awgn(mosaic, spec).plane.data, _whole_frame_awgn(mosaic, spec))
+        assert same(add_awgn(mosaic, spec).plane.data, _whole_frame_awgn(mosaic, spec))
 
     def _mosaic(self, rng, pattern=CfaPattern.GBRG, h=8, w=8):
         return MosaicImage(pattern, Plane(rng.random((h, w))))

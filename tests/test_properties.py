@@ -10,8 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import color_at
 
-from cfaisp.cfa import CfaPattern, MosaicImage, color_at, decompose, mosaic_from_rgb, recompose
+from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import demosaic_bilinear, demosaic_gradient, demosaic_joint_bilateral
 from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
 from cfaisp.imageio import Plane, RgbImage

@@ -1,0 +1,46 @@
+"""README's examples run as written: the Library snippet and every command of the CLI block.
+
+The CLI commands run in-process through main(), in order, in a temporary
+directory where each image the block reads but never writes is a scene of
+the synthetic corpus. The experiment's pool runs inline, so no process
+starts.
+"""
+
+import pathlib
+import re
+import shlex
+
+from cfaisp.cli import main
+from cfaisp.imageio import encode_pnm
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _block(heading: str, language: str) -> str:
+    """The first fenced block of the given language in the section under heading."""
+    section = README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def _commands() -> list:
+    """The argument lists of the CLI block's cfaisp commands, continuation lines joined."""
+    lines = _block("CLI", "sh").replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cfaisp ")]
+
+
+def test_the_library_snippet_runs(capsys):
+    exec(compile(_block("Library", "python"), "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) > 0.0
+
+
+def test_every_cli_command_exits_0(tmp_path, monkeypatch, corpus, inline_pool):
+    commands = _commands()
+    assert commands
+    written = {argv[i + 1] for argv in commands for i, arg in enumerate(argv[:-1]) if arg == "--out"}
+    scenes = sorted({arg for argv in commands for arg in argv if arg.endswith(".ppm")} - written)
+    for i, name in enumerate(scenes):
+        _, image = corpus[i % len(corpus)]
+        (tmp_path / name).write_bytes(encode_pnm(image, bit_depth=16))
+    monkeypatch.chdir(tmp_path)
+    assert [(argv[0], main(argv)) for argv in commands] == [(argv[0], 0) for argv in commands]
+    assert sorted(name for name in written if not (tmp_path / name).is_file()) == []

@@ -2,8 +2,12 @@
 
 The stage machinery has one home, the private _kernel module: no other
 module reads a sibling's private names, binds the strip, opens a thread
-pool or sizes one. The demosaickers do not depend on the denoisers. Every
-wavelet plane enters the transform through denoise_planes.
+pool or sizes one, but for pipeline's pool workers, which set
+_kernel._threads_max to 1 as they start. The demosaickers do not depend on
+the denoisers. Every wavelet plane enters the transform through
+denoise_planes. Each layout has one reader: the Bayer tile is read from
+CfaPattern.sites, a padded plane through _kernel._shifted's lattice, and
+the wavelet pyramid by _idwt.
 """
 
 import ast
@@ -49,6 +53,30 @@ def _private_reads(module: str, tree) -> list:
     return found
 
 
+def _nodes():
+    """(module, scope, node) for every node of the package, scope the dotted name of its innermost enclosing def or class."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+            yield inner, child
+            yield from visit(child, inner)
+
+    for module, tree in TREES.items():
+        for scope, node in visit(tree, ""):
+            yield module, scope, node
+
+
+def _calls(name: str) -> list:
+    """(module, scope) of each call of name, by name or attribute."""
+    return [(module, scope) for module, scope, node in _nodes() if isinstance(node, ast.Call) and _name(node.func) == name]
+
+
+def _name(node):
+    """The name a Name or Attribute node reads, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
 def test_the_layout_is_read_from_every_module():
     # A glob that found nothing would pass every rule below.
     assert {"_kernel", "config", "demosaic", "denoise", "imageio", "noise", "pipeline"} <= SIBLINGS
@@ -89,13 +117,35 @@ def test_demosaic_does_not_import_denoise():
 
 
 def test_the_wavelet_is_called_only_inside_denoise_planes():
-    # (module, top-level definition) of each call of _wavelet, by name or attribute.
-    calls = []
-    for module, tree in TREES.items():
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    called = node.func.id if isinstance(node.func, ast.Name) else node.func.attr if isinstance(node.func, ast.Attribute) else None
-                    if called == "_wavelet":
-                        calls.append((module, getattr(top, "name", None)))
-    assert calls == [("denoise", "denoise_planes")]
+    assert _calls("_wavelet") == [("denoise", "denoise_planes.step")]
+
+
+def test_the_tile_is_read_only_from_cfa_pattern_sites():
+    # A pattern's name spells its tile: a subscript of it is a second reading.
+    reads = [(module, scope) for module, scope, node in _nodes() if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "name"]
+    assert reads == [("cfa", "CfaPattern.sites")]
+
+
+def test_planes_are_padded_only_by_the_lattice_and_the_wavelet():
+    assert _calls("pad") == [("_kernel", "_shifted"), ("denoise", "_wavelet")]
+
+
+def test_padded_rows_are_read_through_the_lattice():
+    # Outside _kernel, only the wide median's window view reads a phase plane whole.
+    reads = [(module, scope) for module, scope, node in _nodes() if module != KERNEL and isinstance(node, ast.Attribute) and node.attr == "flat"]
+    assert reads == [("denoise", "denoise_median")]
+
+
+def test_the_pyramid_is_inverted_only_by_the_wavelet():
+    assert _calls("_idwt") == [("denoise", "_wavelet")]
+
+
+def test_only_the_pool_workers_set_a_kernel_attribute():
+    found = []
+    for module, scope, node in _nodes():
+        if module != KERNEL and isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            aliases = _sibling_aliases(TREES[module])
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and aliases.get(target.value.id) == KERNEL for target in targets):
+                found.append((module, scope, ast.unparse(node)))
+    assert found == [("pipeline", "_init_worker", "_kernel._threads_max = 1")]
