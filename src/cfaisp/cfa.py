@@ -47,6 +47,12 @@ class CfaPattern(enum.Enum):
 DEFAULT_PATTERN = CfaPattern.GBRG
 
 
+def check_even(h: int, w: int, where: str = "") -> None:
+    """Raise DimensionError, its message led by where, unless an h x w frame holds whole 2x2 tiles."""
+    if h % 2 or w % 2:
+        raise DimensionError(f"{where}mosaic requires even dimensions, got {w}x{h}")
+
+
 @dataclass(frozen=True)
 class MosaicImage:
     """Single-plane CFA frame tagged with its Bayer phase.
@@ -58,9 +64,7 @@ class MosaicImage:
     plane: Plane
 
     def __post_init__(self) -> None:
-        h, w = self.plane.data.shape
-        if h % 2 or w % 2:
-            raise DimensionError(f"mosaic requires even dimensions, got {w}x{h}")
+        check_even(*self.plane.data.shape)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosa
 from cfaisp.config import CONFIG_FIELDS, COUNT, SEED, SIGMA, Rule, parse_name
 from cfaisp.demosaic import DEMOSAICKER_KINDS, JOINT_SIGMA_S, DemosaickerConfig, demosaic
 from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
-from cfaisp.imageio import MAXVAL_BY_DEPTH, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
+from cfaisp.imageio import DEPTHS, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec, add_awgn
 from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_experiment, run_pipeline
 
@@ -86,7 +86,7 @@ def _add_pattern_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_depth_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--depth", type=int, choices=tuple(MAXVAL_BY_DEPTH), default=8, help="output bits per sample (default %(default)s)")
+    parser.add_argument("--depth", type=int, choices=tuple(DEPTHS), default=8, help="output bits per sample (default %(default)s)")
 
 
 def _add_sigma_flags(parser: argparse.ArgumentParser) -> None:

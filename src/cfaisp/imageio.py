@@ -2,7 +2,7 @@
 
 Images are carried as float64 arrays with a nominal [0, 1] sample range.
 File exchange uses the binary Netpbm formats only: P5 (grayscale) and
-P6 (RGB), at 8 or 16 bits per sample. The encoder walks its tiles with
+P6 (RGB), at each sample depth of DEPTHS. The encoder walks its tiles with
 _kernel._tiles; the typed names and the config rules live in config.
 """
 
@@ -15,7 +15,8 @@ import numpy as np
 
 from cfaisp import _kernel
 
-MAXVAL_BY_DEPTH = {8: 255, 16: 65535}
+# Each sample depth's maxval and raster dtype, read by the encoder and the decoder.
+DEPTHS = {8: (255, np.dtype(np.uint8)), 16: (65535, np.dtype(">u2"))}
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -32,7 +33,7 @@ class PnmUnsupportedError(PnmError):
 
 
 class PnmMaxvalError(PnmError):
-    """Declared maxval is outside the supported {255, 65535} set."""
+    """Declared maxval is none of the maxvals of DEPTHS."""
 
 
 class PnmTruncatedError(PnmError):
@@ -142,14 +143,14 @@ def decode_pnm(data: bytes) -> Union[Plane, RgbImage]:
     if width < 1 or height < 1:
         raise PnmHeaderError(f"dimensions must be positive, got {width}x{height}")
     maxval, pos = _header_int(data, pos, "maxval")
-    if maxval not in MAXVAL_BY_DEPTH.values():
-        raise PnmMaxvalError(f"maxval {maxval} not supported; expected {' or '.join(map(str, MAXVAL_BY_DEPTH.values()))}")
+    dtype = dict(DEPTHS.values()).get(maxval)
+    if dtype is None:
+        raise PnmMaxvalError(f"maxval {maxval} not supported; expected {' or '.join(str(known) for known, _ in DEPTHS.values())}")
     if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
         raise PnmHeaderError("raster must follow the maxval after a single whitespace byte")
     pos += 1
 
     channels = 3 if magic == b"P6" else 1
-    dtype = np.dtype(">u2") if maxval == 65535 else np.dtype(np.uint8)
     need = width * height * channels * dtype.itemsize
     raster = memoryview(data)[pos : pos + need]
     if len(raster) < need:
@@ -167,10 +168,9 @@ def encode_pnm(image: Union[Plane, RgbImage], bit_depth: int = 8) -> bytes:
     16-bit output is big-endian. The raster is quantized in tiles of _STRIP
     samples per channel, each cast straight into place.
     """
-    if bit_depth not in MAXVAL_BY_DEPTH:
-        raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth}")
-    maxval = MAXVAL_BY_DEPTH[bit_depth]
-    out_dtype = np.dtype(">u2") if bit_depth == 16 else np.dtype(np.uint8)
+    if bit_depth not in DEPTHS:
+        raise ValueError(f"bit_depth must be {' or '.join(map(str, DEPTHS))}, got {bit_depth}")
+    maxval, out_dtype = DEPTHS[bit_depth]
 
     if isinstance(image, Plane):
         magic, planes = b"P5", (image.data,)

@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from cfaisp import _kernel
-from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, decompose, mosaic_from_rgb, recompose
+from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, check_even, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_planes, denoise_subimages
 from cfaisp.config import COUNT, SEED, SIGMA, parse_name
@@ -109,8 +109,7 @@ def _check_sides(truth: RgbImage, where: str = "") -> None:
     h, w = truth.r.data.shape
     if min(h, w) < MIN_SIDE:
         raise DimensionError(f"{where}a pipeline run needs an image of at least {MIN_SIDE}x{MIN_SIDE}, got {w}x{h}")
-    if h % 2 or w % 2:
-        raise DimensionError(f"{where}mosaic requires even dimensions, got {w}x{h}")
+    check_even(h, w, where)
 
 
 # Each strategy's run as a path of (stage, the point's config it takes, if

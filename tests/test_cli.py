@@ -150,11 +150,13 @@ class TestDecompose:
 
 
 class TestDenoise:
-    @pytest.mark.parametrize("kind", ["none", "gaussian", "median", "bilateral", "wavelet"])
+    # The wide median reads a 5x5 window; at 7 levels the wavelet pads the
+    # 16x16 plane to 128x128, a reflection wider than the plane, and crops it back.
+    @pytest.mark.parametrize("kind", ["none", "gaussian", "median", "bilateral", "wavelet", "median --dn-radius 2", "wavelet --dn-levels 7"])
     def test_each_kind_runs(self, tmp_path, kind):
         src = _write_pgm(tmp_path / "p.pgm", Plane(np.random.default_rng(52).random((16, 16))))
         out = tmp_path / "d.pgm"
-        rc = main(["denoise", "--in", src, "--out", str(out), "--denoiser", kind, "--depth", "16"])
+        rc = main(["denoise", "--in", src, "--out", str(out), "--denoiser", *kind.split(), "--depth", "16"])
         assert rc == 0
         decoded = decode_pnm(out.read_bytes())
         assert decoded.data.shape == (16, 16)
@@ -167,9 +169,14 @@ class TestDenoise:
 
 
 class TestDemosaic:
-    @pytest.mark.parametrize("kind", ["bilinear", "gradient", "joint-bilateral"])
-    def test_each_kind_runs(self, tmp_path, kind):
-        src = _write_pgm(tmp_path / "m.pgm", mosaic_from_rgb(_rgb(), CfaPattern.GBRG).plane)
+    # The last case reads an 8-bit P5 mosaic, a uint8 raster.
+    @pytest.mark.parametrize(
+        "kind,depth",
+        [("bilinear", 16), ("gradient", 16), ("joint-bilateral", 16), ("bilinear", 8)],
+        ids=["bilinear", "gradient", "joint-bilateral", "bilinear-8-bit-input"],
+    )
+    def test_each_kind_runs(self, tmp_path, kind, depth):
+        src = _write_pgm(tmp_path / "m.pgm", mosaic_from_rgb(_rgb(), CfaPattern.GBRG).plane, depth)
         out = tmp_path / "rgb.ppm"
         rc = main(["demosaic", "--in", src, "--out", str(out), "--demosaicker", kind, "--depth", "16"])
         assert rc == 0
@@ -204,7 +211,7 @@ class TestPipelineCommand:
         rc = main(self.ARGS + ["--in", src, "--out", str(out)])
         assert rc == 0
         payload = capsysbinary.readouterr().out
-        assert out.exists()
+        assert decode_pnm(out.read_bytes()).r.data.shape == (32, 32)
 
         truth = decode_pnm((tmp_path / "t.ppm").read_bytes())
         _, record = run_pipeline(
@@ -507,6 +514,7 @@ class TestOutOfRangeFlags:
             ("demosaic --demosaicker joint-bilateral", "--jb-sigma-s", "0.03"),
             ("experiment --strategies after joint", "--jb-sigma-s", "0.03"),
             ("demosaic --demosaicker joint-bilateral --in missing.pgm", "--jb-sigma-s", "0.03753"),
+            ("pipeline --strategy joint --in missing.ppm", "--jb-sigma-s", "0.03"),
         ],
     )
     def test_usage_error_names_the_flag(self, tmp_path, capsys, command, flag, value):

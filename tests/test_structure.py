@@ -7,11 +7,13 @@ _kernel._threads_max to 1 as they start. The demosaickers do not depend on
 the denoisers. Every wavelet plane enters the transform through
 denoise_planes. Each layout has one reader: the Bayer tile is read from
 CfaPattern.sites, a padded plane through _kernel._shifted's lattice, and
-the wavelet pyramid by _idwt.
+the wavelet pyramid by _idwt. The runtime imports the standard library,
+numpy and cfaisp only.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -85,6 +87,20 @@ def test_the_layout_is_read_from_every_module():
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_private_name_crosses_module_lines_but_the_kernel(module):
     assert [read for read in _private_reads(module, TREES[module]) if read[1] != KERNEL] == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_only_the_standard_library_numpy_and_cfaisp_are_imported(module):
+    # Every import statement, at any depth, so each code path is covered:
+    # pool workers, thread pools, the CLI and the codec.
+    allowed = sys.stdlib_module_names | {"numpy", "cfaisp"}
+    imported = []
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("cfaisp" if node.level else node.module)
+    assert [name for name in imported if name.split(".")[0] not in allowed] == []
 
 
 @pytest.mark.parametrize("module", sorted(set(TREES) - {KERNEL}))
