@@ -28,12 +28,12 @@ from cfaisp.config import check_fields
 _STRIP = 16384
 
 # The most threads one _walk runs on. Each holds a buffer set of its
-# caller's: a 2 _STRIP-sample buffer for the noise generator, about 1.2 MiB
-# for a 512^2 bilateral plane and 2.7 MiB for a 512^2 joint mosaic (four
-# class sums), 1.8 planes for a wavelet plane. Whether a 3rd or 4th thread
-# runs faster is unmeasured. An experiment's pool workers set
-# it to 1: each CPU there runs a worker, and the bilateral kernel's threads
-# on top slowed a 2-worker sweep on 2 CPUs.
+# caller's, so the cap bounds their memory: a 2 _STRIP-sample buffer for
+# the noise generator, about 1.2 MiB for a 512^2 bilateral plane and 2.7 MiB
+# for a 512^2 joint mosaic (four class sums), 1.8 planes for a wavelet
+# plane. Whether a 3rd or 4th thread runs faster is unmeasured. An
+# experiment's pool workers set it to 1: each CPU there runs a worker, and
+# the bilateral kernel's threads on top slowed a 2-worker sweep on 2 CPUs.
 _threads_max = 4
 
 
@@ -56,10 +56,11 @@ def _walk(work, step, buffers, small: bool = False) -> None:
     thread calls buffers() once per thread: buffers that a helper thread
     allocates land in its malloc arena, which keeps its peak. On one thread
     the items run in order and no pool starts; otherwise a pool opened and
-    closed within the call runs them, each item on a free set, and the first
-    failing item's error in list order is raised once it has closed. step
-    must call no public module attribute, which a tracer may replace, and
-    must set any numpy float error state it needs, which is per thread.
+    closed within the call, so no thread outlives it, runs them, each item
+    on a free set, and the first failing item's error in list order is
+    raised once it has closed. step must call no public module attribute,
+    which a tracer may replace, and must set any numpy float error state it
+    needs, which is per thread.
     """
     free = [buffers() for _ in range(1 if small else _threads(len(work)))]
     if len(free) == 1:
@@ -98,9 +99,10 @@ class _Lattice(NamedTuple):
     """The lattice data[::step, ::step], read from one mirror pad; _shifted builds it.
 
     flat[a][b] is the phase plane pad[a::step, b::step], contiguous and
-    flattened. Every phase plane is width samples wide (at step 2 the frame's
-    sides are even), and the lattice itself is rows x cols. Full-frame
-    coordinates (y, x) may lie in the padding.
+    flattened, so a ufunc call over a run of it runs one inner loop. Every
+    phase plane is width samples wide (at step 2 the frame's sides are
+    even), and the lattice itself is rows x cols. Full-frame coordinates
+    (y, x) may lie in the padding.
     """
 
     flat: list

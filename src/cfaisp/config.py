@@ -55,6 +55,8 @@ SIGMA = Rule(lambda v: is_real(v) and 0 <= v <= SIGMA_MAX, f"finite, >= 0 and <=
 SEED = Rule(lambda v: is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)")
 # A number of repeats or of workers.
 COUNT = Rule(lambda v: is_int(v) and v >= 1, "an integer >= 1")
+# A number of noise samples, or a metric crop margin in pixels.
+SIZE = Rule(lambda v: is_int(v) and v >= 0, "an integer >= 0")
 
 # The largest spatial sigma, a 601 x 601 window. A bound tied to the frame
 # size would reject the default sigma_s on the 1x1 sub-images of a 2x2 mosaic.

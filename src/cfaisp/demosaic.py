@@ -224,8 +224,9 @@ def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float
     One call of the shared bilateral kernel walks the full-resolution
     mosaic once, keeping one sum per parity class of neighbours, and gives
     each tile site's classes their colors from the mosaic's pattern, into
-    stacked R, G, B means. Filtering the measured sites too makes this a
-    joint demosaick-denoise rather than interpolation.
+    stacked R, G, B means, so no color masks are needed. Filtering the
+    measured sites too makes this a joint demosaick-denoise rather than
+    interpolation.
     """
     guide = demosaic_bilinear(mosaic).g.data
     means = _kernel._bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, mosaic.pattern)

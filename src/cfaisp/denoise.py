@@ -277,7 +277,8 @@ def estimate_sigma(plane: Plane) -> float:
     Computes the one-level orthonormal Haar HH coefficients (odd trailing
     row/column cropped first) and returns median(|HH|) / 0.6745, the usual
     median-absolute-deviation estimator. Smooth image structure barely
-    reaches HH, so the estimate tracks the noise rather than the content.
+    reaches HH, so the estimate tracks the noise rather than the content;
+    it is zero on a constant plane and on a linear ramp.
     """
     h, w = plane.data.shape
     return _estimate_sigma(plane.data, np.empty((h // 2) * (w // 2)))
@@ -324,7 +325,8 @@ def _wavelet(data: np.ndarray, levels: int, sigma_n: Optional[float], buffers: t
     rows, cols = (2 * side for side in subbands[0][0].shape)
     # The one buffer the caller does not hand in: on a helper thread it lands
     # in that thread's malloc arena, which keeps its peak (after and before
-    # runs on a 1004^2 frame: 6-9% more peak RSS than a pad per buffer set).
+    # runs on a 1004^2 frame: 6-9% more peak RSS than a pad per buffer set;
+    # no benchmark plane is padded).
     pad = None if (rows, cols) == (h, w) else np.pad(data, ((0, rows - h), (0, cols - w)), mode="reflect")
     _dwt(data if pad is None else pad, subbands, spare)
     try:
@@ -384,11 +386,12 @@ _POOLED_SAMPLES = 8 * _kernel._STRIP
 def denoise_planes(planes: Sequence[Plane], config: DenoiserConfig) -> list[Plane]:
     """Apply the configured denoiser to each of planes, the planes of one frame, in order.
 
-    The planes must share one shape. Wavelet planes run on _walk, one plane
-    per item, into outputs and buffers the calling thread allocates: planes
-    of at least _POOLED_SAMPLES samples on its threads, smaller ones on the
-    calling thread with one buffer set for all. Other kinds run one by one
-    through denoise_plane on the calling thread.
+    The planes must share one shape; no planes give an empty list. Wavelet
+    planes run on _walk, one plane per item, into outputs and buffers the
+    calling thread allocates: planes of at least _POOLED_SAMPLES samples on
+    its threads, smaller ones on the calling thread with one buffer set for
+    all. Other kinds run one by one through denoise_plane on the calling
+    thread.
     """
     shapes = dict.fromkeys(plane.data.shape for plane in planes)
     if len(shapes) > 1:

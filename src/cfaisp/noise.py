@@ -18,14 +18,13 @@ import numpy as np
 
 from cfaisp import _kernel
 from cfaisp.cfa import MosaicImage
-from cfaisp.config import SEED, SIGMA, Rule, is_int
+from cfaisp.config import SEED, SIGMA, SIZE
 from cfaisp.imageio import Plane
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO_UNIT = 2.0**-53
-_SAMPLES = Rule(lambda v: is_int(v) and v >= 0, "an integer >= 0")
 
 # The most pairs a field draws on the calling thread alone. A 256^2 field,
 # two blocks, ran slower on two threads than on one: the pool's start and
@@ -80,7 +79,7 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
     pairs may run on _walk's threads, with the same bits.
     """
     SEED.check("seed", seed)
-    _SAMPLES.check("count", count)
+    SIZE.check("count", count)
     pairs = (count + 1) // 2
     out = np.empty(2 * pairs, dtype=np.float64)
     strip = _kernel._STRIP

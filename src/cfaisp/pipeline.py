@@ -35,7 +35,7 @@ from cfaisp import _kernel
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, check_even, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_planes, denoise_subimages
-from cfaisp.config import COUNT, SEED, SIGMA, parse_name
+from cfaisp.config import COUNT, SEED, SIGMA, SIZE, parse_name
 from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_text
 from cfaisp.noise import NoiseSpec, add_awgn
 
@@ -74,8 +74,7 @@ def mse(a: Plane, b: Plane, crop: int = 0) -> float:
     """Mean squared error, optionally over a crop-pixel interior margin; inf where it overflows."""
     if a.data.shape != b.data.shape:
         raise DimensionError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
-    if crop < 0:
-        raise ValueError(f"crop must be >= 0, got {crop}")
+    SIZE.check("crop", crop)
     h, w = a.data.shape
     if 2 * crop >= h or 2 * crop >= w:
         raise DimensionError(f"crop {crop} leaves no samples in a {w}x{h} plane")
@@ -86,7 +85,7 @@ def mse(a: Plane, b: Plane, crop: int = 0) -> float:
 
 def psnr(mse_value: float) -> float:
     """Peak signal-to-noise ratio in dB for samples in [0, 1]; +inf when the MSE is zero, -inf when it is inf."""
-    if mse_value < 0:
+    if not mse_value >= 0:
         raise ValueError(f"mse must be >= 0, got {mse_value}")
     if mse_value == 0:
         return math.inf
@@ -271,6 +270,17 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         if not self.strategies or not self.sigmas or not self.denoisers or not self.demosaickers:
             raise ValueError("grid axes must be non-empty")
+        kinds = (
+            ("strategies", Strategy, self.strategies),
+            ("denoisers", DenoiserConfig, self.denoisers),
+            ("demosaickers", DemosaickerConfig, self.demosaickers),
+            ("joint_demosaicker", DemosaickerConfig, (self.joint_demosaicker,)),
+            ("pattern", CfaPattern, (self.pattern,)),
+        )
+        for name, kind, values in kinds:
+            for value in values:
+                if not isinstance(value, kind):
+                    raise ValueError(f"grid {name} takes {kind.__name__} values, got {value!r}")
         for sigma in self.sigmas:
             SIGMA.check("sigma", sigma)
         # The demosaickers axis serves after and before, which pair alike.

@@ -112,9 +112,10 @@ class TestMse:
         with pytest.raises(DimensionError):
             mse(Plane(np.zeros((8, 8))), Plane(np.zeros((8, 8))), crop=4)
 
-    def test_negative_crop(self):
-        with pytest.raises(ValueError):
-            mse(Plane(np.zeros((8, 8))), Plane(np.zeros((8, 8))), crop=-1)
+    @pytest.mark.parametrize("crop", [-1, 1.5, True])
+    def test_negative_crop(self, crop):
+        with pytest.raises(ValueError, match=rf"^crop must be an integer >= 0, got {crop!r}$"):
+            mse(Plane(np.zeros((8, 8))), Plane(np.zeros((8, 8))), crop=crop)
 
 
 class TestPsnr:
@@ -135,9 +136,10 @@ class TestPsnr:
         assert psnr(1e-310) > psnr(1e-300)
         assert psnr(1e-310) == pytest.approx(3100.0, abs=1e-9)
 
-    def test_negative_mse_rejected(self):
+    @pytest.mark.parametrize("value", [-1e-9, math.nan])
+    def test_negative_mse_rejected(self, value):
         with pytest.raises(ValueError):
-            psnr(-1e-9)
+            psnr(value)
 
 
 class TestCpsnr:
@@ -347,6 +349,20 @@ class TestExperimentGrid:
     def test_nonjoint_joint_demosaicker_rejected(self):
         with pytest.raises(ValueError, match="strategy joint"):
             ExperimentGrid(joint_demosaicker=BILINEAR)
+
+    @pytest.mark.parametrize(
+        "axis, value",
+        [
+            ("strategies", ("before",)),
+            ("denoisers", ("wavelet",)),
+            ("demosaickers", ("bilinear",)),
+            ("joint_demosaicker", "joint-bilateral"),
+            ("pattern", "gbrg"),
+        ],
+    )
+    def test_axis_of_the_wrong_type_rejected(self, axis, value):
+        with pytest.raises(ValueError, match=rf"^grid {axis} takes "):
+            ExperimentGrid(**{axis: value})
 
     @pytest.mark.parametrize("repeats", [0, 2.0, 1.5, True])
     def test_bad_repeats(self, repeats):

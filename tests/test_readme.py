@@ -3,7 +3,8 @@
 The CLI commands run in-process through main(), in order, in a temporary
 directory where each image the block reads but never writes is a scene of
 the synthetic corpus. The experiment's pool runs inline, so no process
-starts.
+starts. README documents the public surface only: the internals are
+described in their own docstrings, so it names no private identifier.
 """
 
 import pathlib
@@ -44,3 +45,7 @@ def test_every_cli_command_exits_0(tmp_path, monkeypatch, corpus, inline_pool):
     monkeypatch.chdir(tmp_path)
     assert [(argv[0], main(argv)) for argv in commands] == [(argv[0], 0) for argv in commands]
     assert sorted(name for name in written if not (tmp_path / name).is_file()) == []
+
+
+def test_no_private_name_is_named():
+    assert re.findall(r"(?<![\w-])_[A-Za-z]\w*", README) == []
