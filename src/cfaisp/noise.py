@@ -8,10 +8,14 @@ np.cos and np.sin, whose last bit may differ between platforms, so there a
 sample may differ in its last bits. Noise is added per color class with its
 own sigma and is not clipped: downstream stages see the same negative and
 above-range excursions a real sensor pipeline would.
+
+The process keeps the last field that normal_field drew, read-only, so
+runs that differ only in sigma draw their shared field once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +115,22 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
 
 
 def normal_field(seed: int, height: int, width: int) -> np.ndarray:
-    """Unit-variance noise field of the given shape, filled in row-major order."""
-    return standard_normals(seed, height * width).reshape(height, width)
+    """Read-only unit-variance noise field of the given shape, filled in row-major order.
+
+    The last field drawn is kept and returned as is to a repeated request.
+    """
+    SEED.check("seed", seed)
+    SIZE.check("height", height)
+    SIZE.check("width", width)
+    return _field(int(seed), int(height), int(width))
+
+
+@functools.lru_cache(maxsize=1)
+def _field(seed: int, height: int, width: int) -> np.ndarray:
+    """normal_field's draw, of checked Python ints; one entry, so it holds one field."""
+    field = standard_normals(seed, height * width).reshape(height, width)
+    field.flags.writeable = False
+    return field
 
 
 def add_awgn(mosaic: MosaicImage, spec: NoiseSpec) -> MosaicImage:
@@ -120,17 +138,17 @@ def add_awgn(mosaic: MosaicImage, spec: NoiseSpec) -> MosaicImage:
 
     A single unit-normal field is drawn from the seed and scaled site-by-site
     by the sigma of the color sampled there, so runs that differ only in
-    sigma share the same underlying noise realization.
+    sigma share the same underlying noise realization; the field is read,
+    never written, so a kept field serves them all.
     """
     data = mosaic.plane.data
     h, w = data.shape
     field = normal_field(spec.seed, h, w)
     sigma = {"R": spec.sigma_r, "G": spec.sigma_g, "B": spec.sigma_b}
     # The per-site scale repeats every two rows, so two rows of it serve the
-    # whole field; data + field * scale is then written into the field.
+    # whole field; field * scale goes to a new buffer, and data is added into it.
     scale = np.empty((2, w), dtype=np.float64)
     for dy, dx, color in mosaic.pattern.sites:
         scale[dy, dx::2] = sigma[color]
-    rows = field.reshape(h // 2, 2, w)
-    np.multiply(rows, scale, out=rows)
-    return MosaicImage(mosaic.pattern, Plane._adopt(np.add(data, field, out=field)))
+    noisy = np.multiply(field.reshape(h // 2, 2, w), scale).reshape(h, w)
+    return MosaicImage(mosaic.pattern, Plane._adopt(np.add(data, noisy, out=noisy)))

@@ -140,7 +140,9 @@ def _run_group(
     steps that extend it and the runs that end at it), and it is dropped as
     its last reader takes it. Each prefix keeps its own step's time, so
     wall_ms, the sum along the path without the score, is the run's cost had
-    it run alone. The record's denoiser is that of the path's denoise step,
+    it run alone, but for a noise step whose field the process already kept
+    (see noise.normal_field), which counts at what it cost here. The
+    record's denoiser is that of the path's denoise step,
     "none" when it has none.
     The image id must be a CSV text cell and the sides even and at least
     MIN_SIDE; both are checked before the first stage runs.
@@ -219,8 +221,20 @@ def run_pipeline(
     The Joint strategy requires a joint-bilateral demosaicker config and
     ignores dn (no separate denoiser runs; the record says "none"). After and
     Before require a non-joint demosaicker. Metrics use a 4-pixel interior
-    crop so border policy does not leak into the comparison.
+    crop so border policy does not leak into the comparison. An argument of
+    the wrong type raises a ValueError naming it before the first stage runs.
     """
+    kinds = (
+        ("truth", RgbImage, truth),
+        ("pattern", CfaPattern, pattern),
+        ("noise", NoiseSpec, noise),
+        ("strategy", Strategy, strategy),
+        ("dn", DenoiserConfig, dn),
+        ("dm", DemosaickerConfig, dm),
+    )
+    for name, kind, value in kinds:
+        if not isinstance(value, kind):
+            raise ValueError(f"run_pipeline {name} takes a {kind.__name__}, not {type(value).__name__}")
     (run,) = _run_group(truth, pattern, noise, [(strategy, dn, dm)], image_id)
     return run
 
@@ -341,13 +355,18 @@ def _run_worker_task(task: tuple[int, list[int]]) -> list[ExperimentRecord]:
 
 
 def _plan_tasks(points: Sequence[tuple], images: int) -> list[tuple[int, list[int]]]:
-    """One (image index, grid indices) task per (image, repeat, sigma) group, image-major."""
+    """One (image index, grid indices) task per (image, repeat, sigma) group, image-major, then repeat-major.
+
+    The groups of one (image, repeat) run back to back, so a serial sweep
+    draws their shared noise field once (see noise.normal_field).
+    """
     # Grid indices of each (sigma, repeat) group. The key holds repr(sigma),
     # so only identical sigmas share a group (0.0 and -0.0 stay apart).
     groups: dict[tuple[str, int], list[int]] = {}
     for index, (_, sigma, _, _, repeat) in enumerate(points):
         groups.setdefault((repr(sigma), repeat), []).append(index)
-    return [(image_index, indices) for image_index in range(images) for indices in groups.values()]
+    order = sorted(groups, key=itemgetter(1))
+    return [(image_index, groups[key]) for image_index in range(images) for key in order]
 
 
 def run_experiment(

@@ -1,4 +1,5 @@
-"""Shared fixtures: a deterministic synthetic image corpus and a stand-in pool.
+"""Shared fixtures: a deterministic synthetic image corpus, a stand-in pool,
+and an empty noise-field memo at the start of every test.
 
 The suite needs reference RGB images with natural-image traits (smooth
 shading, correlated channels, real edges, some texture) but the repository
@@ -18,7 +19,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import cfaisp.pipeline as pipeline
-from cfaisp import _kernel
+from cfaisp import _kernel, noise
 from cfaisp.imageio import Plane, RgbImage, encode_pnm
 
 SIZE = 96
@@ -80,6 +81,12 @@ def _make_waves() -> RgbImage:
 
 
 CORPUS_BUILDERS = (("blobs", _make_blobs), ("boxes", _make_boxes), ("waves", _make_waves))
+
+
+@pytest.fixture(autouse=True)
+def no_kept_field():
+    """Start each test with no noise field kept, so its first request draws one."""
+    noise._field.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -160,7 +167,7 @@ def peak_bytes():
 
 @pytest.fixture
 def by_cpus(monkeypatch):
-    """Run a call with _kernel._cpus() giving each of cpus, 1, 2 and 3 by default.
+    """Run a call with _kernel._cpus() giving each of cpus, 1, 2 and 3 by default, each with no noise field kept.
 
     Returns {cpus: (the call's result, the thread counts of the pools that
     _kernel._walk opened during it)}.
@@ -178,6 +185,8 @@ def by_cpus(monkeypatch):
         got = {}
         for count in cpus:
             monkeypatch.setattr(_kernel, "_cpus", lambda: count)
+            # A kept field would spare a later count its draw and its pool.
+            noise._field.cache_clear()
             opened.clear()
             got[count] = (call(), tuple(opened))
         return got

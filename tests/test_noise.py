@@ -177,6 +177,62 @@ class TestStandardNormals:
         np.testing.assert_array_equal(field.ravel(), standard_normals(13, 54))
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """The (seed, count) of each standard_normals call, counted through a wrapper."""
+    calls = []
+    drawn = noise.standard_normals
+
+    def counted(seed, count):
+        calls.append((seed, count))
+        return drawn(seed, count)
+
+    monkeypatch.setattr(noise, "standard_normals", counted)
+    return calls
+
+
+class TestKeptField:
+    """normal_field keeps the last field it drew, read-only, and returns it as is."""
+
+    def test_a_repeated_request_draws_once(self, draws):
+        field = normal_field(5, 8, 6)
+        assert normal_field(5, 8, 6) is field
+        assert normal_field(np.uint64(5), np.int64(8), 6) is field
+        assert draws == [(5, 48)]
+
+    def test_the_field_is_read_only_and_add_awgn_leaves_it_unchanged(self, draws):
+        field = normal_field(9, 8, 8)
+        kept = field.tobytes()
+        assert not field.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            field[0, 0] = 1.0
+        mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.full((8, 8), 0.5)))
+        for sigma in (0.02, 0.1):
+            add_awgn(mosaic, NoiseSpec.uniform(sigma, seed=9))
+        assert normal_field(9, 8, 8) is field
+        assert field.tobytes() == kept
+        assert draws == [(9, 64)]
+
+    @pytest.mark.parametrize("other", [(2, 8, 8), (1, 8, 10)], ids=["other-seed", "other-shape"])
+    def test_a_b_a_gives_a_again(self, draws, other):
+        first = normal_field(1, 8, 8).tobytes()
+        normal_field(*other)
+        again = normal_field(1, 8, 8).tobytes()
+        assert draws == [(1, 64), (other[0], other[1] * other[2]), (1, 64)]
+        assert again == first == standard_normals(1, 64).tobytes()
+
+    # A kept field of seed 1 and shape 2 x 2 must not answer these.
+    @pytest.mark.parametrize(
+        "args,match",
+        [((1.5, 2, 2), "seed"), ((True, 2, 2), "seed"), ((-1, 2, 2), "seed"), ((1, 2.0, 2), "height"), ((1, 2, True), "width")],
+        ids=["seed-1.5", "seed-True", "seed--1", "height-2.0", "width-True"],
+    )
+    def test_bad_arguments_raise_after_a_draw(self, args, match):
+        normal_field(1, 2, 2)
+        with pytest.raises(ValueError, match=rf"^{match} must be an integer"):
+            normal_field(*args)
+
+
 # The float rules: the noise sigma and every float field of a method config.
 _FLOAT_RULES = {"sigma": SIGMA, **{name: CONFIG_FIELDS[name].rule for name in ("sigma_s", "sigma_r", "sigma_n")}}
 

@@ -168,6 +168,27 @@ class TestCpsnr:
 
 
 class TestRunPipeline:
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("strategy", "before"),
+            ("dn", "wavelet"),
+            ("dm", "bilinear"),
+            ("pattern", "gbrg"),
+            ("noise", 0.05),
+            ("truth", np.full((16, 16), 0.5)),
+        ],
+        ids=["strategy", "dn", "dm", "pattern", "noise", "truth"],
+    )
+    def test_argument_of_the_wrong_type_rejected(self, monkeypatch, name, value):
+        ran = []
+        monkeypatch.setattr(pipeline, "mosaic_from_rgb", lambda *args: ran.append(args))
+        arguments = {"truth": _ramp_image(16), "pattern": CfaPattern.GBRG, "noise": NoiseSpec.uniform(0.05, 1), "strategy": Strategy.BEFORE, "dn": WAVELET, "dm": BILINEAR}
+        arguments[name] = value
+        with pytest.raises(ValueError, match=rf"^run_pipeline {name} takes a \w+, not {type(value).__name__}$"):
+            run_pipeline(**arguments)
+        assert ran == []
+
     @pytest.mark.parametrize("kind", DEMOSAICKER_KINDS)
     def test_joint_strategy_requires_joint_demosaicker(self, kind):
         truth = _ramp_image(16)
@@ -432,6 +453,22 @@ class TestRunExperiment:
         second = run_experiment(corpus, grid, master_seed=11)
         assert first == second
 
+    def test_a_serial_sweep_draws_one_field_per_image_and_repeat(self, monkeypatch):
+        requests, draws = [], []
+        for name, calls in (("normal_field", requests), ("standard_normals", draws)):
+
+            def counted(seed, *args, call=getattr(noise, name), calls=calls):
+                calls.append(seed)
+                return call(seed, *args)
+
+            monkeypatch.setattr(noise, name, counted)
+        grid = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.02, 0.05, 0.1), denoisers=(NONE,), repeats=2)
+        corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
+        run_experiment(corpus, grid, jobs=1)
+        seeds = [derive_run_seed(0, image_id, repeat) for image_id, _ in corpus for repeat in (0, 1)]
+        assert requests == [seed for seed in seeds for _ in range(3)]
+        assert draws == seeds
+
     def test_jobs_do_not_change_results(self):
         grid = ExperimentGrid(sigmas=(0.02, 0.05), repeats=2)
         corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
@@ -691,6 +728,8 @@ class TestSharedStages:
         for _, indices in tasks:
             assert len({(repr(points[i][1]), points[i][4]) for i in indices}) == 1
             assert indices == sorted(indices)
+        # Repeat-major within each image, so one repeat's sigmas run back to back.
+        assert [(points[indices[0]][4], points[indices[0]][1]) for _, indices in tasks] == [(0, 0.02), (0, 0.05), (1, 0.02), (1, 0.05)] * 2
 
     def test_groups_through_the_pool_match_serial(self):
         # Two groups of one image, one per pool worker.
