@@ -10,7 +10,9 @@ own sigma and is not clipped: downstream stages see the same negative and
 above-range excursions a real sensor pipeline would.
 
 The process keeps the last field that normal_field drew, read-only, so
-runs that differ only in sigma draw their shared field once.
+runs that differ only in sigma draw their shared field once when they run
+back to back: the sigmas of one (image, repeat) in a sweep's one task, or
+run_pipeline calls that change only sigma.
 """
 
 from __future__ import annotations

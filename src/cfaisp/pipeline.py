@@ -114,24 +114,24 @@ def _check_sides(truth: RgbImage, where: str = "") -> None:
 # Each strategy's run as a path of (stage, the point's config it takes, if
 # any). Without a denoiser all three strategies are joint's path.
 _TEMPLATES = {
-    Strategy.AFTER: (("noise", None), ("demosaic", "dm"), ("denoise-rgb", "dn")),
-    Strategy.JOINT: (("noise", None), ("demosaic", "dm")),
-    Strategy.BEFORE: (("noise", None), ("decompose", None), ("denoise-subs", "dn"), ("demosaic", "dm")),
+    Strategy.AFTER: (("noise", "noise"), ("demosaic", "dm"), ("denoise-rgb", "dn")),
+    Strategy.JOINT: (("noise", "noise"), ("demosaic", "dm")),
+    Strategy.BEFORE: (("noise", "noise"), ("decompose", None), ("denoise-subs", "dn"), ("demosaic", "dm")),
 }
 
 
 def _run_group(
     truth: RgbImage,
     pattern: CfaPattern,
-    noise: NoiseSpec,
-    points: Sequence[tuple[Strategy, DenoiserConfig, DemosaickerConfig]],
+    points: Sequence[tuple[NoiseSpec, Strategy, DenoiserConfig, DemosaickerConfig]],
     image_id: str,
 ) -> Iterator[tuple[RgbImage, ExperimentRecord]]:
-    """Run each (strategy, dn, dm) point on one noisy mosaic, yielding (result, record).
+    """Run each (noise, strategy, dn, dm) point on one image, yielding (result, record).
 
-    A point walks its strategy's template filled with dn and dm, or joint's
-    template when dn is the identity, so after + none and before + none walk
-    one path. Every path ends in a score step, which pairs the result with
+    A point walks its strategy's template filled with its noise spec, dn and
+    dm, or joint's template when dn is the identity, so after + none and
+    before + none walk one path; points that share a noise spec share the
+    noisy mosaic. Every path ends in a score step, which pairs the result with
     its three channel MSEs. Each step's output is cached under its path
     prefix, so a prefix that points share is computed once (before's
     decompose once for all its denoisers); stages never write to their
@@ -142,15 +142,15 @@ def _run_group(
     wall_ms, the sum along the path without the score, is the run's cost had
     it run alone, but for a noise step whose field the process already kept
     (see noise.normal_field), which counts at what it cost here. The
-    record's denoiser is that of the path's denoise step,
-    "none" when it has none.
+    record's denoiser is that of the path's denoise step, "none" when it has
+    none, and its sigmas and seed are those of its point's spec.
     The image id must be a CSV text cell and the sides even and at least
     MIN_SIDE; both are checked before the first stage runs.
     """
     check_text("image", image_id)
     _check_sides(truth)
     stages: dict[str, Callable[[Any, Any], Any]] = {
-        "noise": lambda clean, _: add_awgn(mosaic_from_rgb(clean, pattern), noise),
+        "noise": lambda clean, spec: add_awgn(mosaic_from_rgb(clean, pattern), spec),
         "decompose": lambda mosaic, _: decompose(mosaic),
         "denoise-subs": lambda subs, dn: recompose(denoise_subimages(subs, dn)),
         "demosaic": demosaic,
@@ -158,8 +158,8 @@ def _run_group(
         "score": lambda rgb, _: (rgb, [mse(a, b, METRIC_CROP) for a, b in zip(truth.planes, rgb.planes)]),
     }
     paths = [
-        tuple((stage, {"dn": dn, "dm": dm}.get(slot)) for stage, slot in _TEMPLATES[Strategy.JOINT if dn.kind == "none" else strategy]) + (("score", None),)
-        for strategy, dn, dm in points
+        tuple((stage, {"noise": noise, "dn": dn, "dm": dm}.get(slot)) for stage, slot in _TEMPLATES[Strategy.JOINT if dn.kind == "none" else strategy]) + (("score", None),)
+        for noise, strategy, dn, dm in points
     ]
     readers = Counter(paths)
     readers.update(prefix[:-1] for prefix in {path[:end] for path in paths for end in range(2, len(path) + 1)})
@@ -171,7 +171,7 @@ def _run_group(
         readers[prefix] -= 1
         return cache[prefix] if readers[prefix] else cache.pop(prefix)
 
-    for (strategy, dn, dm), path in zip(points, paths):
+    for (noise, strategy, dn, dm), path in zip(points, paths):
         check_pairing(strategy, dm)
         # Resume at the longest cached prefix: its next step is yet to run.
         start = max((end for end in range(1, len(path) + 1) if path[:end] in cache), default=0)
@@ -235,7 +235,7 @@ def run_pipeline(
     for name, kind, value in kinds:
         if not isinstance(value, kind):
             raise ValueError(f"run_pipeline {name} takes a {kind.__name__}, not {type(value).__name__}")
-    (run,) = _run_group(truth, pattern, noise, [(strategy, dn, dm)], image_id)
+    (run,) = _run_group(truth, pattern, [(noise, strategy, dn, dm)], image_id)
     return run
 
 
@@ -316,23 +316,24 @@ class ExperimentGrid:
 
 
 def _run_task(sweep: tuple, task: tuple[int, list[int]]) -> list[ExperimentRecord]:
-    """Records of one task's runs, all of one (image, repeat, sigma), in grid order.
+    """Records of one task's runs, all of one (image, repeat), in the order of its grid indices.
 
-    sweep is (corpus, grid points, pattern, master seed, keep_timing).
+    sweep is (corpus, grid points, pattern, master seed, keep_timing). Each
+    run's sigma and the task's one seed make the noise step's config, so
+    every sigma reads the (image, repeat)'s one unit field.
     """
     corpus, points, pattern, master_seed, keep_timing = sweep
     image_index, indices = task
     image_id, truth = corpus[image_index]
-    _, sigma, _, _, repeat = points[indices[0]]
-    seed = derive_run_seed(master_seed, image_id, repeat)
-    runs = [(points[i][0], points[i][2], points[i][3]) for i in indices]
+    seed = derive_run_seed(master_seed, image_id, points[indices[0]][4])
+    runs = [(NoiseSpec.uniform(sigma, seed), strategy, dn, dm) for strategy, sigma, dn, dm, _ in (points[i] for i in indices)]
     records = []
     try:
         # Take only the records: a result bound here would live through the next run.
-        for record in map(itemgetter(1), _run_group(truth, pattern, NoiseSpec.uniform(sigma, seed), runs, image_id)):
+        for record in map(itemgetter(1), _run_group(truth, pattern, runs, image_id)):
             records.append(record if keep_timing else replace(record, wall_ms=0.0))
     except Exception as exc:
-        strategy, dn, dm = runs[len(records)]
+        strategy, sigma, dn, dm, _ = points[indices[len(records)]]
         point = f"image={image_id} strategy={strategy.value} sigma={sigma:g} denoiser={dn.describe()} demosaicker={dm.describe()} seed={seed}"
         raise RuntimeError(f"experiment run failed at {point}: {exc}") from exc
     return records
@@ -354,21 +355,6 @@ def _run_worker_task(task: tuple[int, list[int]]) -> list[ExperimentRecord]:
     return _run_task(_worker_sweep, task)
 
 
-def _plan_tasks(points: Sequence[tuple], images: int) -> list[tuple[int, list[int]]]:
-    """One (image index, grid indices) task per (image, repeat, sigma) group, image-major, then repeat-major.
-
-    The groups of one (image, repeat) run back to back, so a serial sweep
-    draws their shared noise field once (see noise.normal_field).
-    """
-    # Grid indices of each (sigma, repeat) group. The key holds repr(sigma),
-    # so only identical sigmas share a group (0.0 and -0.0 stay apart).
-    groups: dict[tuple[str, int], list[int]] = {}
-    for index, (_, sigma, _, _, repeat) in enumerate(points):
-        groups.setdefault((repr(sigma), repeat), []).append(index)
-    order = sorted(groups, key=itemgetter(1))
-    return [(image_index, groups[key]) for image_index in range(images) for key in order]
-
-
 def run_experiment(
     corpus: Sequence[tuple[str, RgbImage]],
     grid: ExperimentGrid,
@@ -380,9 +366,10 @@ def run_experiment(
 
     Per-run seeds come from derive_run_seed(master_seed, image_id, repeat);
     master_seed must be an integer in [0, 2^64). The runs of one (image,
-    repeat, sigma) share one noisy mosaic and form one task, which computes
-    each shared stage once (see _run_group). jobs, an integer >= 1 (default:
-    the CPUs this process may run on), sets only the pool size: at most one
+    repeat) form one task, which runs them sigma by sigma, computes each
+    shared stage once (see _run_group) and draws their one unit field once
+    (see noise.normal_field). jobs, an integer >= 1 (default: the CPUs
+    this process may run on), sets only the pool size: at most one
     worker per CPU and one per task, and no pool when that is one worker. A
     pool's workers run every stage on one thread each. Records are returned
     in deterministic order regardless of jobs, and with keep_timing=False
@@ -406,7 +393,10 @@ def run_experiment(
         seen.add(image_id)
         _check_sides(truth, f"image {image_id!r}: ")
     points = list(grid.points())
-    tasks = _plan_tasks(points, len(corpus))
+    # One task per (image, repeat), its runs in a stable sort by sigma, so
+    # one sigma's stages are live at a time.
+    by_sigma = sorted(range(len(points)), key=lambda index: points[index][1])
+    tasks = [(image_index, [i for i in by_sigma if points[i][4] == repeat]) for image_index in range(len(corpus)) for repeat in range(grid.repeats)]
     sweep = (corpus, points, grid.pattern, master_seed, keep_timing)
     cpus = _kernel._cpus()
     workers = min(cpus if jobs is None else jobs, cpus, len(tasks))

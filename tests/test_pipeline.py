@@ -453,7 +453,8 @@ class TestRunExperiment:
         second = run_experiment(corpus, grid, master_seed=11)
         assert first == second
 
-    def test_a_serial_sweep_draws_one_field_per_image_and_repeat(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_sweep_draws_one_field_per_image_and_repeat(self, jobs, monkeypatch, inline_pool):
         requests, draws = [], []
         for name, calls in (("normal_field", requests), ("standard_normals", draws)):
 
@@ -462,9 +463,19 @@ class TestRunExperiment:
                 return call(seed, *args)
 
             monkeypatch.setattr(noise, name, counted)
+
+        # Each task starts with no field kept, as a pool worker may, whatever
+        # task it ran before.
+        def cleared(*args, run=pipeline._run_task):
+            noise._field.cache_clear()
+            return run(*args)
+
+        monkeypatch.setattr(pipeline, "_run_task", cleared)
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
         grid = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.02, 0.05, 0.1), denoisers=(NONE,), repeats=2)
         corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
-        run_experiment(corpus, grid, jobs=1)
+        run_experiment(corpus, grid, jobs=jobs)
+        assert [pool.processes for pool in inline_pool] == [2] * (jobs - 1)
         seeds = [derive_run_seed(0, image_id, repeat) for image_id, _ in corpus for repeat in (0, 1)]
         assert requests == [seed for seed in seeds for _ in range(3)]
         assert draws == seeds
@@ -532,8 +543,8 @@ class TestRunExperiment:
         corpus = [("a", _textured_image(32)), ("b", _ramp_image(32))]
         assert run_experiment(corpus, grid, jobs=500) == run_experiment(corpus, grid, jobs=1)
         assert [pool.processes for pool in inline_pool] == [2]
-        # jobs sets only the pool size: one task per (image, sigma, repeat).
-        assert len(inline_pool[0].tasks) == len(corpus) * len(grid.sigmas) * grid.repeats
+        # jobs sets only the pool size: one task per (image, repeat).
+        assert len(inline_pool[0].tasks) == len(corpus) * grid.repeats
 
     def test_one_group_starts_no_pool(self, monkeypatch, inline_pool):
         monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
@@ -543,8 +554,8 @@ class TestRunExperiment:
         assert inline_pool == []
 
     def _failing_sweep(self, jobs):
-        # The first image's groups succeed; every group of the second fails
-        # at its first run.
+        # The first image's task succeeds; the second image's fails at its
+        # first run.
         grid = ExperimentGrid(
             strategies=(Strategy.AFTER, Strategy.JOINT),
             sigmas=(0.01, 0.02, 0.03, 0.04),
@@ -569,8 +580,9 @@ class TestRunExperiment:
         # a thread the bilateral kernel left alive would fail this sweep's
         # pool.
         monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
+        # Two repeats make two tasks, so jobs=2 starts a pool.
         image = _textured_image(32)
-        grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
+        grid = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),), repeats=2)
         threads = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -585,11 +597,12 @@ class TestRunExperiment:
         # CPU is there; a worker's does not. So do the noise field, here in
         # eight blocks of 64 pairs, and the after and before steps' wavelet
         # planes, with their size rules at 0; each sweep below runs one of
-        # the three stages on threads.
+        # the three stages on threads. Two repeats make two tasks, so jobs=2
+        # starts a pool.
         image = _textured_image(32)
-        bilateral = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),))
-        field = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.02, 0.05), denoisers=(NONE,))
-        wavelet = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.BEFORE), sigmas=(0.02, 0.05), denoisers=(WAVELET,))
+        bilateral = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.JOINT), sigmas=(0.02, 0.05), denoisers=(DenoiserConfig(kind="bilateral"),), repeats=2)
+        field = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.02, 0.05), denoisers=(NONE,), repeats=2)
+        wavelet = ExperimentGrid(strategies=(Strategy.AFTER, Strategy.BEFORE), sigmas=(0.02, 0.05), denoisers=(WAVELET,), repeats=2)
         # The inline pool's initializer sets this process's cap to 1.
         patches = [(_kernel, "_threads_max", _kernel._threads_max)]
         for grid, sizes in [(bilateral, [(_kernel, "_STRIP", 256)]), (field, [(_kernel, "_STRIP", 64), (noise, "_POOLED_PAIRS", 0)]), (wavelet, [(denoise, "_POOLED_SAMPLES", 0)])]:
@@ -606,7 +619,7 @@ class TestRunExperiment:
 
 
 class TestSharedStages:
-    """A sweep computes each stage shared by one (image, repeat, sigma) once."""
+    """A sweep computes each stage shared by the runs of one (image, repeat) once."""
 
     GRID = ExperimentGrid(
         strategies=(Strategy.AFTER, Strategy.JOINT, Strategy.BEFORE),
@@ -620,7 +633,7 @@ class TestSharedStages:
     def _corpus(size=32):
         return [("tex", _textured_image(size)), ("ramp", _ramp_image(size))]
 
-    # jobs=1 runs the 8 groups serially; jobs=2 and jobs=3 run them in a
+    # jobs=1 runs the 4 tasks serially; jobs=2 and jobs=3 run them in a
     # pool of at most one worker per CPU.
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_sweep_equals_independent_runs(self, jobs):
@@ -654,18 +667,19 @@ class TestSharedStages:
         for name in ("mosaic_from_rgb", "add_awgn", "decompose", "demosaic", "denoise_subimages"):
             count(name)
         run_experiment(self._corpus(), self.GRID, jobs=1)
-        groups = 2 * self.GRID.repeats * len(self.GRID.sigmas)
+        # One noisy mosaic per (image, repeat, sigma).
+        mosaics = 2 * self.GRID.repeats * len(self.GRID.sigmas)
         denoisers, demosaickers = len(self.GRID.denoisers), len(self.GRID.demosaickers)
-        assert calls["mosaic_from_rgb"] == groups
-        assert calls["add_awgn"] == groups
-        assert calls["decompose"] == groups
-        assert calls["after-strategy demosaic"] == groups * demosaickers
+        assert calls["mosaic_from_rgb"] == mosaics
+        assert calls["add_awgn"] == mosaics
+        assert calls["decompose"] == mosaics
+        assert calls["after-strategy demosaic"] == mosaics * demosaickers
         # The identity denoiser adds no step, so none leaves the sub-images alone.
-        assert calls["denoise_subimages"] == groups * (denoisers - 1)
+        assert calls["denoise_subimages"] == mosaics * (denoisers - 1)
         # Each demosaicker on the noisy mosaic (the after runs and before +
         # none) and after each other sub-image denoiser, and one joint run
-        # per group.
-        assert calls["demosaic"] == groups * (demosaickers * denoisers + 1)
+        # per noisy mosaic.
+        assert calls["demosaic"] == mosaics * (demosaickers * denoisers + 1)
 
     def test_pool_tasks_carry_no_image_planes(self, monkeypatch):
         # Count the bytes a process pool pickles in this process: the tasks
@@ -718,34 +732,36 @@ class TestSharedStages:
             _, record = run_pipeline(truth, self.GRID.pattern, noise, strategy, dn, dm)
             assert record.wall_ms == 1000.0 * want["none" if dn.kind == "none" else strategy.value]
 
-    def test_plan_has_one_task_per_group(self):
+    def test_one_task_per_image_and_repeat_runs_sigma_by_sigma(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
+        run_experiment(self._corpus(), self.GRID, jobs=2)
         points = list(self.GRID.points())
-        tasks = pipeline._plan_tasks(points, 2)
-        assert [image_index for image_index, _ in tasks] == [0] * 4 + [1] * 4
+        (pool,) = inline_pool
+        assert [(image_index, {points[i][4] for i in indices}) for image_index, indices in pool.tasks] == [(0, {0}), (0, {1}), (1, {0}), (1, {1})]
         for image_index in (0, 1):
-            indices = [i for task_image, task in tasks if task_image == image_index for i in task]
-            assert sorted(indices) == list(range(len(points)))
-        for _, indices in tasks:
-            assert len({(repr(points[i][1]), points[i][4]) for i in indices}) == 1
-            assert indices == sorted(indices)
-        # Repeat-major within each image, so one repeat's sigmas run back to back.
-        assert [(points[indices[0]][4], points[indices[0]][1]) for _, indices in tasks] == [(0, 0.02), (0, 0.05), (1, 0.02), (1, 0.05)] * 2
+            assert sorted(i for task_image, indices in pool.tasks if task_image == image_index for i in indices) == list(range(len(points)))
+        # One sigma's stages are live at a time: in grid order every sigma's
+        # after demosaic would stay cached until its before + none run.
+        for _, indices in pool.tasks:
+            sigmas = [points[i][1] for i in indices]
+            assert sigmas == sorted(sigmas)
 
     def test_groups_through_the_pool_match_serial(self):
-        # Two groups of one image, one per pool worker.
-        grid = ExperimentGrid(sigmas=(0.02, 0.05), denoisers=(NONE, WAVELET))
+        # Two tasks of one image, one per repeat and one per pool worker.
+        grid = ExperimentGrid(sigmas=(0.02, 0.05), denoisers=(NONE, WAVELET), repeats=2)
         corpus = [("tex", _textured_image(32))]
         assert run_experiment(corpus, grid, jobs=2) == run_experiment(corpus, grid, jobs=1)
 
     def test_signed_zero_sigmas_stay_apart(self):
-        # 0.0 == -0.0, but the CSV writes them differently ("0.00000" and
-        # "-0.00000"), so they must not share one group's noise spec.
+        # 0.0 == -0.0, so the two sigmas share one path, but the CSV writes
+        # them differently ("0.00000" and "-0.00000"), so each record takes
+        # its sigma from its own point's spec.
         grid = ExperimentGrid(strategies=(Strategy.AFTER,), sigmas=(0.0, -0.0), denoisers=(NONE,))
         records = run_experiment(self._corpus(), grid, jobs=1)
         assert [math.copysign(1.0, r.sigma_g) for r in records] == [1.0, -1.0, 1.0, -1.0]
 
     def test_failure_inside_a_group_names_its_point(self, monkeypatch):
-        # The after runs of the group succeed; the joint run after them
+        # The after runs of the task succeed; the joint run after them
         # fails, and the message names the joint point.
         def failing(mosaic, dm):
             if dm.is_joint:
@@ -790,18 +806,17 @@ class TestSharedStages:
         records = run_experiment(self._corpus()[:1], grid, jobs=1)
         for (a, record_a), (b, record_b) in itertools.combinations(zip(points, records), 2):
             assert (record_a == record_b) == (a == b)
-        groups = len(grid.sigmas)
         # One noisy mosaic, one after-strategy demosaic and its denoise (one
         # call for the three planes), one joint run and one before path per
-        # group.
+        # sigma.
         want = {"mosaic_from_rgb": 1, "add_awgn": 1, "decompose": 1, "denoise_subimages": 1, "recompose": 1, "demosaic": 3, "denoise_planes": 1}
-        assert calls == Counter({name: groups * count for name, count in want.items()})
+        assert calls == Counter({name: len(grid.sigmas) * count for name, count in want.items()})
 
         # By the group's last record nothing is cached: every stage output
         # has been freed except the result it yields.
         outputs.clear()
-        group = [(strategy, dn, dm) for strategy, sigma, dn, dm, _ in points if sigma == 0.05]
-        runs = pipeline._run_group(self._corpus()[0][1], grid.pattern, NoiseSpec.uniform(0.05), group, "tex")
+        group = [(NoiseSpec.uniform(sigma), strategy, dn, dm) for strategy, sigma, dn, dm, _ in points]
+        runs = pipeline._run_group(self._corpus()[0][1], grid.pattern, group, "tex")
         for _ in group[1:]:
             next(runs)
         last, _ = next(runs)
@@ -813,15 +828,15 @@ class TestSharedStages:
     # A group with both none runs for each demosaicker and one denoised run
     # between them, so the shared path outlives the first run that ends on it.
     NONE_GROUP = [
-        (Strategy.AFTER, NONE, BILINEAR),
-        (Strategy.AFTER, NONE, GRADIENT),
-        (Strategy.AFTER, WAVELET, BILINEAR),
-        (Strategy.BEFORE, NONE, BILINEAR),
-        (Strategy.BEFORE, NONE, GRADIENT),
+        (NoiseSpec.uniform(0.05, 3), Strategy.AFTER, NONE, BILINEAR),
+        (NoiseSpec.uniform(0.05, 3), Strategy.AFTER, NONE, GRADIENT),
+        (NoiseSpec.uniform(0.05, 3), Strategy.AFTER, WAVELET, BILINEAR),
+        (NoiseSpec.uniform(0.05, 3), Strategy.BEFORE, NONE, BILINEAR),
+        (NoiseSpec.uniform(0.05, 3), Strategy.BEFORE, NONE, GRADIENT),
     ]
 
     def _none_group(self):
-        return pipeline._run_group(_textured_image(32), CfaPattern.GBRG, NoiseSpec.uniform(0.05, 3), self.NONE_GROUP, "tex")
+        return pipeline._run_group(_textured_image(32), CfaPattern.GBRG, self.NONE_GROUP, "tex")
 
     def test_both_none_runs_give_one_result(self):
         runs = list(self._none_group())
