@@ -5,8 +5,9 @@ Usage: python3 .github/scripts/check_bench_log.py LOG [LOG ...]
 A log is the standard output of one bench/run.py run: a "passes: N; ..."
 line, and its JSON report as the last line. Prints one line per log and
 exits 0 if every log passes the check, else 1. A log that lacks the passes
-line or whose last line is not JSON, as a crashed run leaves, prints
-"<path>: no report" and fails; the logs after it are still checked.
+line or whose last line is not a JSON object with a "correct" key, as a
+crashed run leaves, prints "<path>: no report" and fails; the logs after it
+are still checked.
 """
 
 import json
@@ -22,11 +23,12 @@ def main(paths) -> int:
     for path in paths:
         with open(path, encoding="utf-8") as file:
             log = file.read()
-        # No passes line (re.search gives None), or a last line that is not JSON.
+        # No passes line (re.search gives None), a last line that is not JSON,
+        # JSON that is not an object (TypeError) or an object without the key.
         try:
             passes = int(re.search(r"^passes: (\d+);", log, re.M).group(1))
             correct = json.loads(log.splitlines()[-1])["correct"]
-        except (AttributeError, ValueError):
+        except (AttributeError, ValueError, TypeError, KeyError):
             print(f"{path}: no report")
             ok = False
             continue

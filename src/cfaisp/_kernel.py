@@ -167,8 +167,10 @@ def _shifted(data: np.ndarray, radius: int, step: int = 1) -> _Lattice:
     return _Lattice(flat, radius, step, rows, cols, width)
 
 
-def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
-    """Bilateral means of data, one full frame per bucket, stacked (buckets, h, w).
+def _bilateral(data, guide, sigma_s, sigma_r, pattern=None, out=None) -> np.ndarray:
+    """Bilateral means of data, one full frame per bucket, stacked (buckets, h, w) into out, which is returned.
+
+    out=None allocates the stack.
 
     Weights are exp(-d^2 / 2 sigma_s^2) exp(-(g_p - g_q)^2 / 2 sigma_r^2) over
     a +/- ceil(3 sigma_s) window, g read from guide. With no pattern, every
@@ -212,8 +214,10 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None) -> np.ndarray:
     ]
     # The means come before the pads: allocated after them, in a sequence of
     # joint and bilateral runs at 512^2, they found no free block of the heap
-    # often enough to raise the peak resident set by 4 MiB.
-    out = np.empty((buckets, *data.shape))
+    # often enough to raise the peak resident set by 4 MiB. A caller's out
+    # comes before them too.
+    if out is None:
+        out = np.empty((buckets, *data.shape))
     data_at = _shifted(data, radius)
     guide_at = data_at if guide is data else _shifted(guide, radius)
     half = [

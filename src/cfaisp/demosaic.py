@@ -159,12 +159,15 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
     the values equal convolve(mode="mirror") / k.sum() bit for bit (only a
     zero's sign can differ). Measured samples pass through. Mirror
     reflection maps an index to one of the same parity, so every kernel
-    reads only the color it estimates, at the borders too.
+    reads only the color it estimates, at the borders too. The R, G and B
+    planes are views of one (3, h, w) block.
     """
     data = mosaic.plane.data
     est_g, est_row, est_col, est_x = stencils
     at = _kernel._shifted(data, max(abs(dy) for taps, _ in stencils for dy, _, _ in taps), 2)
-    out = {color: np.empty_like(data) for color in "RGB"}
+    # The R, G and B planes, one block.
+    frame = np.empty((3, *data.shape))
+    out = dict(zip("RGB", frame))
     # One accumulator and one term for every estimate, sized for the largest band.
     size = at.length(max(n for _, n in at.bands()))
     acc_buffer, term_buffer = np.empty(size), np.empty(size)
@@ -196,7 +199,7 @@ def _demosaic_linear(mosaic: MosaicImage, stencils: tuple) -> RgbImage:
             else:
                 estimate(est_g, y, dx, n, "G")
                 estimate(est_x, y, dx, n, "B" if color == "R" else "R")
-    return RgbImage(*(Plane._adopt(out[color]) for color in "RGB"))
+    return RgbImage(*(Plane._adopt(plane) for plane in frame))
 
 
 def demosaic_bilinear(mosaic: MosaicImage) -> RgbImage:
@@ -228,7 +231,8 @@ def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float
     measured sites too makes this a joint demosaick-denoise rather than
     interpolation.
     """
-    guide = demosaic_bilinear(mosaic).g.data
+    # A copy, so that the bilinear frame's R and B go before the kernel runs.
+    guide = demosaic_bilinear(mosaic).g.data.copy()
     means = _kernel._bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, mosaic.pattern)
     return RgbImage(*(Plane._adopt(mean) for mean in means))
 

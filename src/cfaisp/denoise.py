@@ -4,23 +4,27 @@ Four filters with one shared contract (Plane in, same-sized Plane out):
 
 - gaussian: separable blur, truncated at three sigmas per side, as one
   vertical and one horizontal pass over each band of the padded plane.
-- median: the middle value of each (2 radius + 1)^2 window. Radius 1 runs a
-  pruned 19-exchange sorting network of elementwise min/max over the nine
-  neighbour runs of each band; larger radii partition the windows of one
-  2-D tile at a time.
+- median: the middle value of each (2 radius + 1)^2 window. Radius 1 sorts
+  each column's three samples once per band and takes each window's median
+  from its three sorted columns in 18 elementwise min/max calls; larger
+  radii partition the windows of one 2-D tile at a time.
 - bilateral: edge-preserving blur weighting neighbors by spatial distance
   and intensity difference, walked in bands of up to 2 _STRIP samples that
   compute each neighbour pair's weight once, for both of its samples.
 - wavelet: soft thresholding of orthonormal Haar detail coefficients with a
   per-subband data-driven threshold; the coarse approximation is kept as is.
 
-The bilateral kernel's bands (_kernel._bilateral, shared with the joint
-demosaicker) run on _kernel._walk's threads. Every wavelet plane, one plane
-through denoise_wavelet or a frame's planes, runs through denoise_planes on
-_walk too: on its threads for planes of at least _POOLED_SAMPLES samples, on
-the calling thread with one buffer set below that. The stencil filters read
-their neighbours as runs of _kernel._shifted's lattice, and the wavelet pads
-sides that are not multiples of 2^levels with the same np.pad(mode="reflect").
+Every plane, one plane through denoise_plane or a single-plane filter or a
+frame's planes, runs through denoise_planes, which writes the frame's planes
+into one block. Each kind has a private kernel that writes one plane's
+samples into a given plane. The bilateral kernel's bands (_kernel._bilateral,
+shared with the joint demosaicker) run on _kernel._walk's threads. Wavelet
+planes run on _walk too, one plane per item: on its threads for planes of at
+least _POOLED_SAMPLES samples, on the calling thread with one buffer set
+below that. Gaussian and median planes run on the calling thread. The
+stencil filters read their neighbours as runs of _kernel._shifted's lattice,
+and the wavelet pads sides that are not multiples of 2^levels with the same
+np.pad(mode="reflect").
 _idwt inverts the pyramid as _dwt lays it out. The fields' rules are
 config.CONFIG_FIELDS.
 
@@ -40,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from cfaisp import _kernel
 from cfaisp.cfa import SubImages
-from cfaisp.config import check_fields, check_method, describe_method
+from cfaisp.config import check_method, describe_method
 from cfaisp.imageio import DimensionError, Plane
 
 _SQRT2 = math.sqrt(2.0)
@@ -171,77 +175,97 @@ def _blur_line(at, kernel: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def denoise_gaussian(plane: Plane, sigma_s: float) -> Plane:
-    """Separable Gaussian blur with a renormalized +/- 3 sigma kernel, one band at a time.
+def _gaussian(data: np.ndarray, sigma_s: float, out: np.ndarray) -> None:
+    """denoise_gaussian's samples for data, written into out.
 
     The vertical pass blurs the band's n whole rows of the pad as lattice
     runs from column -r: a padding column is a copy of the column it mirrors,
     so its blur is that column's blur. The horizontal pass then reads those
     rows as flat runs, each 2 r samples shorter. One pad serves both passes.
     """
-    check_fields(sigma_s=sigma_s)
     kernel = _gaussian_kernel(sigma_s)
     r = len(kernel) // 2
-    at = _kernel._shifted(plane.data, r)
-    out = np.empty(plane.data.shape)
+    at = _kernel._shifted(data, r)
     for top, n in at.bands():
         columns = _blur_line(lambda dy: at.run(top + dy, -r, n, 2 * r), kernel)
         rows = _blur_line(lambda dx: columns[r + dx : columns.size - r + dx], kernel)
         out[top : top + n] = at.crop(rows, n)
-    return Plane._adopt(out)
 
 
-# Paeth's 19-exchange network for the median of nine ("Median finding on a
-# 3x3 grid", Graphics Gems, 1990). Exchange (i, j) leaves the min in p[i] and
-# the max in p[j]; "lo" or "hi" keeps one side only, where the other is never
-# read again on the way to the middle value p[4].
-_MEDIAN9 = (
-    (1, 2, "both"), (4, 5, "both"), (7, 8, "both"),
-    (0, 1, "both"), (3, 4, "both"), (6, 7, "both"),
-    (1, 2, "both"), (4, 5, "both"), (7, 8, "both"),
-    (0, 3, "hi"), (5, 8, "lo"), (4, 7, "both"),
-    (3, 6, "hi"), (1, 4, "hi"), (2, 5, "lo"),
-    (4, 7, "lo"), (4, 2, "both"), (6, 4, "hi"), (4, 2, "lo"),
-)  # fmt: skip
+def denoise_gaussian(plane: Plane, sigma_s: float) -> Plane:
+    """Separable Gaussian blur with a renormalized +/- 3 sigma kernel, one band at a time.
 
-
-def _median9(views: list) -> np.ndarray:
-    """Elementwise median of nine same-shaped arrays, run on copies made here."""
-    p = [np.array(view) for view in views]
-    spare = np.empty_like(p[0])
-    for i, j, keep in _MEDIAN9:
-        low, high = p[i], p[j]
-        if keep != "hi":
-            p[i], spare = np.minimum(low, high, out=spare), low
-        if keep != "lo":
-            np.maximum(low, high, out=high)
-    return p[4]
-
-
-def denoise_median(plane: Plane, radius: int) -> Plane:
-    """Median over a (2 radius + 1) square window.
-
-    Radius 1 runs a sorting network over the nine neighbour runs of each
-    band of the mirror-padded plane; a larger window takes the middle
-    element of a partition over the windows of one 2-D tile at a time.
+    The plane is a frame of one, run by denoise_planes.
     """
-    check_fields(radius=radius)
-    h, w = plane.data.shape
-    at = _kernel._shifted(plane.data, radius)
+    return denoise_planes([plane], DenoiserConfig(kind="gaussian", sigma_s=sigma_s))[0]
+
+
+def _median(data: np.ndarray, radius: int, out: np.ndarray) -> None:
+    """denoise_median's samples for data, written into out.
+
+    Radius 1 sorts the three samples of each column of a band once, into
+    runs of column lows, middles and highs from column -1. A window's median
+    is then med3(max of its three lows, med3 of its three middles, min of its
+    three highs): 18 elementwise calls per band, into five runs this call
+    allocates for the largest band, and the last writes the band into out.
+    A larger window takes the middle element of a partition over the
+    windows of one 2-D tile at a time.
+    """
+    h, w = data.shape
+    at = _kernel._shifted(data, radius)
+    if radius == 1:
+        most = at.length(max(n for _, n in at.bands())) + 2
+        runs = [np.empty(most) for _ in range(5)]
+        for top, n in at.bands():
+            # The window at sample i reads columns i, i + 1 and i + 2 of a
+            # run, which starts one column to the left of the band.
+            size = at.length(n)
+            low, mid, high, spare, other = (run[: size + 2] for run in runs)
+            above, row, below = (at.run(top + dy, -1, n, 2) for dy in (-1, 0, 1))
+            np.minimum(above, row, out=spare)
+            np.maximum(above, row, out=high)
+            np.minimum(high, below, out=mid)
+            np.maximum(high, below, out=high)
+            np.minimum(spare, mid, out=low)
+            np.maximum(spare, mid, out=mid)
+            # The largest low, into spare, and the smallest high, into other.
+            lows = np.maximum(low[:size], low[1 : size + 1], out=spare[:size])
+            np.maximum(lows, low[2:], out=lows)
+            highs = np.minimum(high[:size], high[1 : size + 1], out=other[:size])
+            np.minimum(highs, high[2:], out=highs)
+            # The middle middle, med3(x, y, z) = max(min(x, y), min(max(x, y), z)), into low.
+            middle = np.minimum(mid[:size], mid[1 : size + 1], out=low[:size])
+            upper = np.maximum(mid[:size], mid[1 : size + 1], out=high[:size])
+            np.minimum(upper, mid[2:], out=upper)
+            np.maximum(middle, upper, out=middle)
+            # med3(lows, middle, highs), its last call writing the band.
+            np.minimum(lows, middle, out=upper)
+            np.maximum(lows, middle, out=lows)
+            np.minimum(lows, highs, out=lows)
+            np.maximum(at.crop(upper, n), at.crop(lows, n), out=out[top : top + n])
+        return
     side = 2 * radius + 1
     size = side * side
-    out = np.empty((h, w))
-    if radius == 1:
-        for top, n in at.bands():
-            middle = _median9([at.run(top + dy, dx, n) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
-            out[top : top + n] = at.crop(middle, n)
-        return Plane._adopt(out)
     windows = sliding_window_view(at.flat[0][0].reshape(-1, at.width), (side, side))
     # A tile holds as many samples as 9 x _STRIP, or one window.
     for top, left, n, m in _kernel._tiles(h, w, max(1, 9 * _kernel._STRIP // size)):
         tile = windows[top : top + n, left : left + m].reshape(n, m, size)
         out[top : top + n, left : left + m] = np.partition(tile, size // 2, axis=-1)[..., size // 2]
-    return Plane._adopt(out)
+
+
+def denoise_median(plane: Plane, radius: int) -> Plane:
+    """Median over a (2 radius + 1) square window of the mirror-padded plane.
+
+    Radius 1 takes each window's median from the sorted sample triples of its
+    three columns, each column's triple sorted once, in buffers the call owns.
+    The plane is a frame of one, run by denoise_planes.
+    """
+    return denoise_planes([plane], DenoiserConfig(kind="median", radius=radius))[0]
+
+
+def _bilateral(data: np.ndarray, sigma_s: float, sigma_r: float, out: np.ndarray) -> None:
+    """denoise_bilateral's samples for data, range-weighted on data itself, written into out."""
+    _kernel._bilateral(data, data, sigma_s, sigma_r, out=out[np.newaxis])
 
 
 def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:
@@ -249,8 +273,9 @@ def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:
 
     Each output sample is the weight-normalized mean of its +/- ceil(3 sigma_s)
     window, range-weighted on the plane itself; the center has weight 1.
+    The plane is a frame of one, run by denoise_planes.
     """
-    return Plane._adopt(_kernel._bilateral(plane.data, plane.data, sigma_s, sigma_r)[0])
+    return denoise_planes([plane], DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=sigma_r))[0]
 
 
 def _soft_threshold(band: np.ndarray, threshold: float, magnitude: np.ndarray) -> None:
@@ -360,21 +385,22 @@ def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) 
     return denoise_planes([plane], DenoiserConfig(kind="wavelet", levels=levels, sigma_n=sigma_n))[0]
 
 
-# kind -> (filter, the DenoiserConfig fields it takes after the plane).
+# kind -> (the kernel that writes a plane's samples into a given plane, the
+# DenoiserConfig fields it takes after the samples). The wavelet's also takes
+# a buffer set; "none" has no kernel.
 _DENOISERS = {
-    "none": (lambda plane: plane, ()),
-    "gaussian": (denoise_gaussian, ("sigma_s",)),
-    "median": (denoise_median, ("radius",)),
-    "bilateral": (denoise_bilateral, ("sigma_s", "sigma_r")),
-    "wavelet": (denoise_wavelet, ("levels", "sigma_n")),
+    "none": (None, ()),
+    "gaussian": (_gaussian, ("sigma_s",)),
+    "median": (_median, ("radius",)),
+    "bilateral": (_bilateral, ("sigma_s", "sigma_r")),
+    "wavelet": (_wavelet, ("levels", "sigma_n")),
 }
 DENOISER_KINDS = tuple(_DENOISERS)
 
 
 def denoise_plane(plane: Plane, config: DenoiserConfig) -> Plane:
-    """Apply the configured denoiser to one plane."""
-    denoiser, fields = _DENOISERS[config.kind]
-    return denoiser(plane, *(getattr(config, field) for field in fields))
+    """Apply the configured denoiser to one plane, a frame of one."""
+    return denoise_planes([plane], config)[0]
 
 
 # The fewest samples of each plane that denoise_planes runs on _walk's
@@ -386,20 +412,27 @@ _POOLED_SAMPLES = 8 * _kernel._STRIP
 def denoise_planes(planes: Sequence[Plane], config: DenoiserConfig) -> list[Plane]:
     """Apply the configured denoiser to each of planes, the planes of one frame, in order.
 
-    The planes must share one shape; no planes give an empty list. Wavelet
-    planes run on _walk, one plane per item, into outputs and buffers the
-    calling thread allocates: planes of at least _POOLED_SAMPLES samples on
-    its threads, smaller ones on the calling thread with one buffer set for
-    all. Other kinds run one by one through denoise_plane on the calling
-    thread.
+    The planes must share one shape; no planes give an empty list, and kind
+    "none" the planes themselves. Every other kind writes the frame's
+    planes into one (planes, h, w) block allocated here, and each plane it
+    returns is a view of that block. Wavelet planes run on _walk, one plane
+    per item, with buffers the calling thread allocates: planes of at least
+    _POOLED_SAMPLES samples on its threads, smaller ones on the calling
+    thread with one buffer set for all. Other kinds run plane by plane on
+    the calling thread.
     """
     shapes = dict.fromkeys(plane.data.shape for plane in planes)
     if len(shapes) > 1:
         raise DimensionError(f"the planes of one frame must share one shape, got {', '.join(f'{w}x{h}' for h, w in shapes)}")
-    if config.kind != "wavelet" or not planes:
-        return [denoise_plane(plane, config) for plane in planes]
+    if config.kind == "none" or not planes:
+        return list(planes)
     (shape,) = shapes
-    outs = [np.empty(shape) for _ in planes]
+    outs = np.empty((len(planes), *shape))
+    if config.kind != "wavelet":
+        kernel, fields = _DENOISERS[config.kind]
+        for plane, out in zip(planes, outs):
+            kernel(plane.data, *(getattr(config, field) for field in fields), out)
+        return [Plane._adopt(out) for out in outs]
     denoised = [False] * len(planes)
 
     def step(i, buffers):

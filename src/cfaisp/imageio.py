@@ -62,7 +62,9 @@ class Plane:
         """Wrap a float64 array a stage has just built, without the copy.
 
         The caller must hold no other reference to arr: it becomes read-only
-        and belongs to the Plane. The checks are those of Plane(arr).
+        and belongs to the Plane. arr may be a view of a frame's block, one
+        plane of it, which the caller does not write again; the block then
+        lives as long as any of its planes. The checks are those of Plane(arr).
         """
         plane = object.__new__(cls)
         object.__setattr__(plane, "data", _frozen(arr))

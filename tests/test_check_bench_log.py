@@ -3,7 +3,8 @@
 A log passes when its "passes: N;" line gives at least two passes and its
 last line, the JSON report, says "correct": true; the script exits 1 if
 any log fails, or if it is given none. A log that lacks either line, as a
-crashed run leaves, fails, and the logs after it are still checked.
+crashed run leaves, or whose last line is JSON but no object with a
+"correct" key, fails, and the logs after it are still checked.
 """
 
 import json
@@ -54,7 +55,16 @@ def test_exit_status(tmp_path, logs, status):
     assert _check(tmp_path, logs).returncode == status
 
 
-@pytest.mark.parametrize("log", [CRASHED, "passes: 3; runs attempted 9, failed 0\nTraceback (most recent call last):\nMemoryError\n"], ids=["no-passes-line", "last-line-not-json"])
+@pytest.mark.parametrize(
+    "log",
+    [
+        CRASHED,
+        "passes: 3; runs attempted 9, failed 0\nTraceback (most recent call last):\nMemoryError\n",
+        'passes: 3; runs attempted 9, failed 0\n{"attempted": 1}\n',
+        "passes: 3; runs attempted 9, failed 0\n[]\n",
+    ],
+    ids=["no-passes-line", "last-line-not-json", "json-without-correct", "json-not-an-object"],
+)
 def test_a_log_without_a_report_is_named_and_the_next_log_checked(tmp_path, log):
     done = _check(tmp_path, [log, (2, True)])
     assert done.stdout.splitlines() == [f"{tmp_path / 'run0.log'}: no report", f"{tmp_path / 'run1.log'}: passes 2, correct True"]

@@ -472,6 +472,17 @@ class TestJointBilateral:
             demosaic_joint_bilateral(mosaic, sigma_s, sigma_r)
 
 
+class TestOneBlockPerFrame:
+    # Separate allocations for a frame's planes cost a sweep thousands of
+    # page faults a pass, and no output would show it.
+    @pytest.mark.parametrize("kind", DEMOSAICKER_KINDS)
+    def test_the_planes_are_views_of_one_block(self, kind):
+        rgb = demosaic(_random_mosaic(CfaPattern.GRBG, (10, 8), 31), DemosaickerConfig(kind=kind))
+        block = rgb.r.data.base
+        assert block.shape == (3, 10, 8)
+        assert all(plane.data.base is block and np.array_equal(plane.data, block[i]) for i, plane in enumerate(rgb.planes))
+
+
 class TestConfigAndDispatch:
     def test_kinds_registry(self):
         assert DEMOSAICKER_KINDS == ("bilinear", "gradient", "joint-bilateral")

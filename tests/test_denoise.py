@@ -326,26 +326,34 @@ class TestGaussian:
             denoise_gaussian(Plane(np.zeros((4, 4))), 0.0)
 
 
-def _median9_on_owned_buffers(p):
-    """The sorting network as it ran before it copied its inputs: each exchange
-    writes into an array only once an earlier exchange made it, so p's first
-    entries are never written. p's entries are replaced."""
-    own = [False] * 9
-    spare = None
-    for i, j, keep in denoise._MEDIAN9:
-        if keep == "both":
-            lo = np.minimum(p[i], p[j], out=spare)
-            spare = p[i] if own[i] else None
-            p[j] = np.maximum(p[i], p[j], out=p[j] if own[j] else None)
-            p[i] = lo
-            own[i] = own[j] = True
-        elif keep == "lo":
-            p[i] = np.minimum(p[i], p[j], out=p[i] if own[i] else None)
-            own[i] = True
-        else:
-            p[j] = np.maximum(p[i], p[j], out=p[j] if own[j] else None)
-            own[j] = True
-    return p[4]
+def _median3_by_sorted_columns(data):
+    """The 3x3 median's selection, computed window by window from explicit mirror windows.
+
+    Each window sorts its three columns (min and max of the top two samples,
+    then of that max and the bottom sample, then of the first min and the
+    second) and takes med3(max of the lows, med3 of the middles, min of the
+    highs), med3(x, y, z) = max(min(x, y), min(max(x, y), z)), every min and
+    max with its operands in that order, so the sign of a tied zero follows
+    too. The windows are independent: nothing is shared between
+    them, so the arrays below only hold every window's samples at once.
+    """
+    h, w = data.shape
+    rows, cols = [reflect(i, h) for i in range(-1, h + 1)], [reflect(j, w) for j in range(-1, w + 1)]
+    windows = np.lib.stride_tricks.sliding_window_view(data[np.ix_(rows, cols)], (3, 3))
+
+    def med3(x, y, z):
+        return np.maximum(np.minimum(x, y), np.minimum(np.maximum(x, y), z))
+
+    sorted_columns = []
+    for col in range(3):
+        above, row, below = (windows[..., dy, col] for dy in range(3))
+        low, high = np.minimum(above, row), np.maximum(above, row)
+        mid, high = np.minimum(high, below), np.maximum(high, below)
+        sorted_columns.append((np.minimum(low, mid), np.maximum(low, mid), high))
+    (low0, mid0, high0), (low1, mid1, high1), (low2, mid2, high2) = sorted_columns
+    lows = np.maximum(np.maximum(low0, low1), low2)
+    highs = np.minimum(np.minimum(high0, high1), high2)
+    return med3(lows, med3(mid0, mid1, mid2), highs)
 
 
 class TestMedian:
@@ -404,23 +412,27 @@ class TestMedian:
             else:
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (shape, strip)
 
-    # The scipy oracle cannot tell which of two tied zeros the network keeps;
-    # this pins every exchange's operand order, signs of zero included.
-    @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros"])
+    # The scipy oracle cannot tell which of two tied zeros the sorted columns
+    # keep; this pins every min and max's operand order, signs of zero
+    # included, in whole-strip bands and in 7-sample ones. Where every sample
+    # is a zero, most orders give one sign: zeros among other values tell
+    # them apart.
+    @pytest.mark.parametrize("strip", [None, 7])
+    @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros", "zeros-among-values"])
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (128, 128)])
-    def test_network_matches_the_owned_buffer_exchanges(self, shape, kind):
+    def test_sorted_columns_match_the_window_by_window_selection(self, monkeypatch, shape, kind, strip):
+        if strip is not None:
+            monkeypatch.setattr(_kernel, "_STRIP", strip)
         rng = np.random.default_rng(76)
         draw = {
             "random": lambda: rng.random(shape),
             "ties": lambda: rng.choice([0.0, 0.5, 1.0], shape),
             "signed-zeros": lambda: rng.choice([-0.0, 0.0], shape),
+            "zeros-among-values": lambda: rng.choice([-0.5, -0.0, 0.0, 0.5], shape),
         }[kind]
         for _ in range(20):
-            views = [draw() for _ in range(9)]
-            for view in views:
-                view.setflags(write=False)
-            got = denoise._median9(views)
-            assert same(got, _median9_on_owned_buffers(list(views))), shape
+            data = draw()
+            assert same(denoise_median(Plane(data), 1).data, _median3_by_sorted_columns(data)), shape
 
     def test_wide_window_memory_is_bounded_by_the_tile(self):
         # One row of 81x81 windows stacked at once would take 107 MB.
@@ -820,6 +832,36 @@ class TestWaveletPlanesThreads:
     def test_variance_is_np_var_bit_for_bit(self, shape):
         band = 0.7 + 1e-3 * np.random.default_rng(98).standard_normal(shape)
         assert denoise._variance(band, np.empty(shape)) == float(band.var())
+
+
+class TestOneBlockPerFrame:
+    """denoise_planes writes a frame's planes into one block, with the bytes of denoise_plane."""
+
+    CONFIGS = [DenoiserConfig(kind=kind) for kind in DENOISER_KINDS] + [DenoiserConfig(kind="median", radius=2)]
+
+    @pytest.mark.parametrize("strip", [None, 7])
+    @pytest.mark.parametrize("shape", [(9, 7), (8, 6), (33, 40)])
+    @pytest.mark.parametrize("count", [3, 4])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.describe())
+    def test_a_frame_matches_its_planes_one_by_one(self, monkeypatch, config, count, shape, strip):
+        if strip is not None:
+            monkeypatch.setattr(_kernel, "_STRIP", strip)
+        rng = np.random.default_rng(101)
+        planes = [Plane(0.5 + 0.05 * rng.standard_normal(shape)) for _ in range(count)]
+        got = denoise_planes(planes, config)
+        assert len(got) == count
+        for denoised, plane in zip(got, planes):
+            assert same(denoised.data, denoise_plane(plane, config).data)
+
+    # Separate allocations for a frame's planes cost a sweep thousands of
+    # page faults a pass, and no output would show it.
+    @pytest.mark.parametrize("config", CONFIGS[1:], ids=lambda config: config.describe())
+    def test_the_planes_are_views_of_one_block(self, config):
+        rng = np.random.default_rng(102)
+        got = denoise_planes([Plane(0.5 + 0.05 * rng.standard_normal((9, 8))) for _ in range(3)], config)
+        block = got[0].data.base
+        assert block.shape == (3, 9, 8)
+        assert all(plane.data.base is block and same(plane.data, block[i]) for i, plane in enumerate(got))
 
 
 class TestWavelet:

@@ -149,7 +149,7 @@ def test_planes_are_padded_only_by_the_lattice_and_the_wavelet():
 def test_padded_rows_are_read_through_the_lattice():
     # Outside _kernel, only the wide median's window view reads a phase plane whole.
     reads = [(module, scope) for module, scope, node in _nodes() if module != KERNEL and isinstance(node, ast.Attribute) and node.attr == "flat"]
-    assert reads == [("denoise", "denoise_median")]
+    assert reads == [("denoise", "_median")]
 
 
 def test_the_pyramid_is_inverted_only_by_the_wavelet():
