@@ -14,17 +14,17 @@ Four filters with one shared contract (Plane in, same-sized Plane out):
 - wavelet: soft thresholding of orthonormal Haar detail coefficients with a
   per-subband data-driven threshold; the coarse approximation is kept as is.
 
-Every plane, one plane through denoise_plane or a single-plane filter or a
-frame's planes, runs through denoise_planes, which writes the frame's planes
-into one block. Each kind has a private kernel that writes one plane's
-samples into a given plane. The bilateral kernel's bands (_kernel._bilateral,
-shared with the joint demosaicker) run on _kernel._walk's threads. Wavelet
-planes run on _walk too, one plane per item: on its threads for planes of at
-least _POOLED_SAMPLES samples, on the calling thread with one buffer set
-below that. Gaussian and median planes run on the calling thread. The
-stencil filters read their neighbours as runs of _kernel._shifted's lattice,
-and the wavelet pads sides that are not multiples of 2^levels with the same
-np.pad(mode="reflect").
+DenoiserConfig.kind picks the filter. Every plane, one through
+denoise_plane or a frame's through denoise_subimages, runs through
+denoise_planes, which writes the frame's planes into one block. Each kind
+has a private kernel that writes one plane's samples into a given plane.
+The bilateral kernel's bands (_kernel._bilateral, shared with the joint
+demosaicker) run on _kernel._walk's threads. Wavelet planes run on _walk
+too, one plane per item: on its threads for planes of at least
+_POOLED_SAMPLES samples, on the calling thread with one buffer set below
+that. Gaussian and median planes run on the calling thread. The stencil
+filters read their neighbours as runs of _kernel._shifted's lattice, and
+the wavelet pads with the same np.pad(mode="reflect").
 _idwt inverts the pyramid as _dwt lays it out. The fields' rules are
 config.CONFIG_FIELDS.
 
@@ -176,7 +176,7 @@ def _blur_line(at, kernel: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _gaussian(data: np.ndarray, sigma_s: float, out: np.ndarray) -> None:
-    """denoise_gaussian's samples for data, written into out.
+    """Separable Gaussian blur of data with a renormalized +/- 3 sigma_s kernel, written into out.
 
     The vertical pass blurs the band's n whole rows of the pad as lattice
     runs from column -r: a padding column is a copy of the column it mirrors,
@@ -192,16 +192,8 @@ def _gaussian(data: np.ndarray, sigma_s: float, out: np.ndarray) -> None:
         out[top : top + n] = at.crop(rows, n)
 
 
-def denoise_gaussian(plane: Plane, sigma_s: float) -> Plane:
-    """Separable Gaussian blur with a renormalized +/- 3 sigma kernel, one band at a time.
-
-    The plane is a frame of one, run by denoise_planes.
-    """
-    return denoise_planes([plane], DenoiserConfig(kind="gaussian", sigma_s=sigma_s))[0]
-
-
 def _median(data: np.ndarray, radius: int, out: np.ndarray) -> None:
-    """denoise_median's samples for data, written into out.
+    """Median of each (2 radius + 1)^2 window of the mirror-padded data, written into out.
 
     Radius 1 sorts the three samples of each column of a band once, into
     runs of column lows, middles and highs from column -1. A window's median
@@ -253,29 +245,13 @@ def _median(data: np.ndarray, radius: int, out: np.ndarray) -> None:
         out[top : top + n, left : left + m] = np.partition(tile, size // 2, axis=-1)[..., size // 2]
 
 
-def denoise_median(plane: Plane, radius: int) -> Plane:
-    """Median over a (2 radius + 1) square window of the mirror-padded plane.
-
-    Radius 1 takes each window's median from the sorted sample triples of its
-    three columns, each column's triple sorted once, in buffers the call owns.
-    The plane is a frame of one, run by denoise_planes.
-    """
-    return denoise_planes([plane], DenoiserConfig(kind="median", radius=radius))[0]
-
-
 def _bilateral(data: np.ndarray, sigma_s: float, sigma_r: float, out: np.ndarray) -> None:
-    """denoise_bilateral's samples for data, range-weighted on data itself, written into out."""
-    _kernel._bilateral(data, data, sigma_s, sigma_r, out=out[np.newaxis])
+    """Bilateral filter of data: Gaussian in space and in intensity difference, written into out.
 
-
-def denoise_bilateral(plane: Plane, sigma_s: float, sigma_r: float) -> Plane:
-    """Bilateral filter: Gaussian in space, Gaussian in intensity difference.
-
-    Each output sample is the weight-normalized mean of its +/- ceil(3 sigma_s)
-    window, range-weighted on the plane itself; the center has weight 1.
-    The plane is a frame of one, run by denoise_planes.
+    Each sample is the weight-normalized mean of its +/- ceil(3 sigma_s)
+    window, range-weighted on data itself; the center has weight 1.
     """
-    return denoise_planes([plane], DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=sigma_r))[0]
+    _kernel._bilateral(data, data, sigma_s, sigma_r, out=out[np.newaxis])
 
 
 def _soft_threshold(band: np.ndarray, threshold: float, magnitude: np.ndarray) -> None:
@@ -333,11 +309,15 @@ def _estimate_sigma(data: np.ndarray, spare: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _wavelet(data: np.ndarray, levels: int, sigma_n: Optional[float], buffers: tuple, out: np.ndarray) -> bool:
-    """denoise_wavelet's samples for data, written into out, with buffers from _wavelet_buffers.
+    """Soft-thresholded Haar detail coefficients of data, one threshold per subband, written into out.
 
-    False, with out untouched, where the noise level is 0 and the result is
-    data itself. A subband whose signal spread is not positive, or NaN where
-    overflow made inf - inf, is zeroed, as an infinite noise level would.
+    buffers come from _wavelet_buffers. sigma_n=None estimates the noise
+    level from data itself. False, with out untouched, where the noise level
+    is 0 and the result is data itself. Sides that are not multiples of
+    2**levels are mirror-padded at the bottom and right up to the next
+    multiples, and the result is cropped back. A subband whose signal spread
+    is not positive, or NaN where overflow made inf - inf, is zeroed, as an
+    infinite noise level would.
     """
     subbands, spare, other = buffers
     if sigma_n is None:
@@ -373,21 +353,10 @@ def _wavelet(data: np.ndarray, levels: int, sigma_n: Optional[float], buffers: t
     return True
 
 
-def denoise_wavelet(plane: Plane, levels: int, sigma_n: Optional[float] = None) -> Plane:
-    """Soft-threshold Haar detail coefficients, one threshold per subband.
-
-    sigma_n=None estimates the noise level from the plane itself. sigma_n=0
-    returns the input unchanged (every threshold would be zero). A plane whose
-    sides are not multiples of 2**levels is mirror-padded at the bottom and
-    right up to the next multiples, and the result is cropped back. The plane
-    is a frame of one, run by denoise_planes.
-    """
-    return denoise_planes([plane], DenoiserConfig(kind="wavelet", levels=levels, sigma_n=sigma_n))[0]
-
-
 # kind -> (the kernel that writes a plane's samples into a given plane, the
-# DenoiserConfig fields it takes after the samples). The wavelet's also takes
-# a buffer set; "none" has no kernel.
+# DenoiserConfig fields it takes after the samples). Only denoise_planes
+# calls the kernels; the wavelet's also takes a buffer set, and "none" has
+# no kernel.
 _DENOISERS = {
     "none": (None, ()),
     "gaussian": (_gaussian, ("sigma_s",)),
@@ -447,7 +416,7 @@ def denoise_subimages(subs: SubImages, config: DenoiserConfig) -> SubImages:
     """Denoise the four CFA sub-images independently with one configuration.
 
     Each half-resolution plane (R, G1, G2, B) is a uniformly sampled image of
-    one color class, so the single-plane filters apply without modification;
-    denoise_planes runs them.
+    one color class, so denoise_planes filters the four as one frame, without
+    modification.
     """
     return SubImages(*denoise_planes(subs.planes, config), pattern=subs.pattern)

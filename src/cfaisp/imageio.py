@@ -20,24 +20,14 @@ DEPTHS = {8: (255, np.dtype(np.uint8)), 16: (65535, np.dtype(">u2"))}
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
+
 class PnmError(ValueError):
-    """Base class for Netpbm encode/decode failures."""
+    """A Netpbm byte string that decode_pnm cannot decode.
 
-
-class PnmHeaderError(PnmError):
-    """Header is malformed: bad magic, missing fields, or non-numeric fields."""
-
-
-class PnmUnsupportedError(PnmError):
-    """File is valid Netpbm but not a binary P5/P6 image."""
-
-
-class PnmMaxvalError(PnmError):
-    """Declared maxval is none of the maxvals of DEPTHS."""
-
-
-class PnmTruncatedError(PnmError):
-    """Raster holds fewer bytes than the header promises."""
+    The header is malformed, the variant is not binary P5/P6, the maxval is
+    none of DEPTHS', or the raster is shorter than the header promises; the
+    message says which.
+    """
 
 
 class DimensionError(ValueError):
@@ -115,14 +105,14 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
         pos += 1
     if start == pos:
-        raise PnmHeaderError("header ended before all fields were read")
+        raise PnmError("header ended before all fields were read")
     return data[start:pos], pos
 
 
 def _header_int(data: bytes, pos: int, field: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():  # ASCII digits only, on bytes
-        raise PnmHeaderError(f"{field} field is not a decimal integer: {token!r}")
+        raise PnmError(f"{field} field is not a decimal integer: {token!r}")
     return int(token), pos
 
 
@@ -136,27 +126,27 @@ def decode_pnm(data: bytes) -> Union[Plane, RgbImage]:
     """
     magic, pos = _next_token(data, 0)
     if magic in (b"P1", b"P2", b"P3", b"P4", b"P7"):
-        raise PnmUnsupportedError(f"unsupported Netpbm variant {magic.decode('ascii')}; only binary P5/P6 are handled")
+        raise PnmError(f"unsupported Netpbm variant {magic.decode('ascii')}; only binary P5/P6 are handled")
     if magic not in (b"P5", b"P6"):
-        raise PnmHeaderError(f"not a Netpbm file: magic {magic!r}")
+        raise PnmError(f"not a Netpbm file: magic {magic!r}")
 
     width, pos = _header_int(data, pos, "width")
     height, pos = _header_int(data, pos, "height")
     if width < 1 or height < 1:
-        raise PnmHeaderError(f"dimensions must be positive, got {width}x{height}")
+        raise PnmError(f"dimensions must be positive, got {width}x{height}")
     maxval, pos = _header_int(data, pos, "maxval")
     dtype = dict(DEPTHS.values()).get(maxval)
     if dtype is None:
-        raise PnmMaxvalError(f"maxval {maxval} not supported; expected {' or '.join(str(known) for known, _ in DEPTHS.values())}")
+        raise PnmError(f"maxval {maxval} not supported; expected {' or '.join(str(known) for known, _ in DEPTHS.values())}")
     if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
-        raise PnmHeaderError("raster must follow the maxval after a single whitespace byte")
+        raise PnmError("raster must follow the maxval after a single whitespace byte")
     pos += 1
 
     channels = 3 if magic == b"P6" else 1
     need = width * height * channels * dtype.itemsize
     raster = memoryview(data)[pos : pos + need]
     if len(raster) < need:
-        raise PnmTruncatedError(f"raster needs {need} bytes, found {len(raster)}")
+        raise PnmError(f"raster needs {need} bytes, found {len(raster)}")
 
     samples = np.frombuffer(raster, dtype=dtype).reshape(height, width, channels)
     planes = [Plane._adopt(np.divide(samples[:, :, c], maxval, out=np.empty((height, width)))) for c in range(channels)]

@@ -17,13 +17,7 @@ from oracles import color_at, reflect
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
 from cfaisp.cli import main
 from cfaisp.demosaic import DemosaickerConfig, demosaic, demosaic_bilinear, demosaic_gradient
-from cfaisp.denoise import (
-    DenoiserConfig,
-    denoise_bilateral,
-    denoise_gaussian,
-    denoise_median,
-    denoise_wavelet,
-)
+from cfaisp.denoise import DenoiserConfig, denoise_plane
 from cfaisp.imageio import CSV_HEADER, Plane, RgbImage
 from cfaisp.noise import NoiseSpec, add_awgn, normal_field
 from cfaisp.pipeline import Strategy, run_pipeline
@@ -145,16 +139,16 @@ class TestAcceptance:
         base_mse = float(np.mean((noisy - clean) ** 2))
 
         outputs = {
-            "gaussian": denoise_gaussian(Plane(noisy), 1.0),
-            "median": denoise_median(Plane(noisy), 1),
-            "bilateral": denoise_bilateral(Plane(noisy), 1.0, 0.1),
-            "wavelet": denoise_wavelet(Plane(noisy), 3, None),
+            "gaussian": denoise_plane(Plane(noisy), DenoiserConfig(kind="gaussian", sigma_s=1.0)),
+            "median": denoise_plane(Plane(noisy), DenoiserConfig(kind="median", radius=1)),
+            "bilateral": denoise_plane(Plane(noisy), DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=0.1)),
+            "wavelet": denoise_plane(Plane(noisy), DenoiserConfig(kind="wavelet", levels=3)),
         }
         reductions = {name: float(np.mean((out.data - clean) ** 2)) / base_mse for name, out in outputs.items()}
         each_ok = all(ratio < 1.0 for ratio in reductions.values())
 
         pure = 0.5 + 0.05 * normal_field(1007, 256, 256)
-        cleaned = denoise_wavelet(Plane(pure), 3, 0.05)
+        cleaned = denoise_plane(Plane(pure), DenoiserConfig(kind="wavelet", levels=3, sigma_n=0.05))
         pure_ratio = float(np.mean((cleaned.data - 0.5) ** 2)) / float(np.mean((pure - 0.5) ** 2))
         halved_ok = pure_ratio <= 0.5
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cfaisp
 from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, mosaic_from_rgb, recompose
 import cfaisp.pipeline as pipeline
 from cfaisp.cli import _build_parser, main
@@ -635,6 +636,10 @@ def _declared_project():
 def _declared_console_scripts():
     """``[project.scripts]`` as declared in this checkout's pyproject.toml."""
     return _declared_project().get("scripts", {})
+
+
+def test_the_declared_version_is_the_package_version():
+    assert _declared_project()["version"] == cfaisp.__version__
 
 
 class TestEntryPoints:

@@ -24,13 +24,9 @@ from cfaisp.config import CONFIG_FIELDS
 from cfaisp.denoise import (
     DENOISER_KINDS,
     DenoiserConfig,
-    denoise_bilateral,
-    denoise_gaussian,
-    denoise_median,
     denoise_plane,
     denoise_planes,
     denoise_subimages,
-    denoise_wavelet,
     estimate_sigma,
 )
 from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear, demosaic_joint_bilateral
@@ -224,7 +220,7 @@ class TestHaar:
     @pytest.mark.parametrize("levels", [0, 1.5, 11, True])
     def test_bad_levels(self, levels):
         with pytest.raises(ValueError, match=r"^levels must be an integer in \[1, 10\], got "):
-            denoise_wavelet(Plane(np.zeros((8, 8))), levels)
+            denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="wavelet", levels=levels))
 
     def test_idwt_zero_pyramid(self):
         assert np.all(haar.idwt(np.zeros((2, 2)), [(np.zeros((4, 4)),) * 3, (np.zeros((2, 2)),) * 3]) == 0.0)
@@ -247,7 +243,7 @@ class TestHaar:
 
 class TestGaussian:
     def test_constant_preserved(self):
-        out = denoise_gaussian(Plane(np.full((9, 9), 0.42)), 1.3)
+        out = denoise_plane(Plane(np.full((9, 9), 0.42)), DenoiserConfig(kind="gaussian", sigma_s=1.3))
         np.testing.assert_allclose(out.data, 0.42, atol=1e-9)
 
     def test_impulse_center_weight(self):
@@ -258,7 +254,7 @@ class TestGaussian:
         kernel /= kernel.sum()
         data = np.zeros((33, 33))
         data[16, 16] = 1.0
-        out = denoise_gaussian(Plane(data), sigma)
+        out = denoise_plane(Plane(data), DenoiserConfig(kind="gaussian", sigma_s=sigma))
         assert out.data[16, 16] == pytest.approx(kernel[radius] ** 2, abs=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.6, 1.7])
@@ -278,7 +274,7 @@ class TestGaussian:
                     for v in range(-radius, radius + 1):
                         acc += kernel[u + radius] * kernel[v + radius] * data[reflect(i + u, h), reflect(j + v, w)]
                 expected[i, j] = acc
-        np.testing.assert_allclose(denoise_gaussian(Plane(data), sigma).data, expected, atol=1e-12)
+        np.testing.assert_allclose(denoise_plane(Plane(data), DenoiserConfig(kind="gaussian", sigma_s=sigma)).data, expected, atol=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.3, 100.0])
     def test_matches_scipy_convolve1d_bit_for_bit(self, monkeypatch, sigma):
@@ -303,7 +299,7 @@ class TestGaussian:
             for kind, draw in draws.items():
                 data = draw(shape)
                 want = convolve1d(convolve1d(data, kernel, axis=0, mode="mirror"), kernel, axis=1, mode="mirror")
-                assert np.array_equal(denoise_gaussian(Plane(data), sigma).data, want), (shape, strip, kind)
+                assert np.array_equal(denoise_plane(Plane(data), DenoiserConfig(kind="gaussian", sigma_s=sigma)).data, want), (shape, strip, kind)
 
     def test_mean_conserved_with_constant_margin(self):
         sigma = 1.0
@@ -311,19 +307,19 @@ class TestGaussian:
         data = np.full((24, 24), 0.3)
         interior = slice(2 * radius, 24 - 2 * radius)
         data[interior, interior] += np.random.default_rng(72).random((24 - 4 * radius, 24 - 4 * radius)) * 0.4
-        out = denoise_gaussian(Plane(data), sigma)
+        out = denoise_plane(Plane(data), DenoiserConfig(kind="gaussian", sigma_s=sigma))
         assert abs(out.data.mean() - data.mean()) < 1e-6
 
     def test_reduces_noise(self):
         yy, xx = np.mgrid[0:64, 0:64] / 63.0
         clean = 0.3 + 0.4 * xx
         noisy = clean + 0.05 * normal_field(7, 64, 64)
-        out = denoise_gaussian(Plane(noisy), 1.0)
+        out = denoise_plane(Plane(noisy), DenoiserConfig(kind="gaussian", sigma_s=1.0))
         assert np.mean((out.data - clean) ** 2) < np.mean((noisy - clean) ** 2)
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
-            denoise_gaussian(Plane(np.zeros((4, 4))), 0.0)
+            denoise_plane(Plane(np.zeros((4, 4))), DenoiserConfig(kind="gaussian", sigma_s=0.0))
 
 
 def _median3_by_sorted_columns(data):
@@ -358,17 +354,17 @@ def _median3_by_sorted_columns(data):
 
 class TestMedian:
     def test_constant_preserved(self):
-        out = denoise_median(Plane(np.full((7, 7), 0.6)), 1)
+        out = denoise_plane(Plane(np.full((7, 7), 0.6)), DenoiserConfig(kind="median", radius=1))
         assert np.all(out.data == 0.6)
 
     def test_center_of_nine_distinct(self):
         data = np.arange(1, 10, dtype=float).reshape(3, 3) / 10.0
-        assert denoise_median(Plane(data), 1).data[1, 1] == 0.5
+        assert denoise_plane(Plane(data), DenoiserConfig(kind="median", radius=1)).data[1, 1] == 0.5
 
     def test_salt_pixel_removed(self):
         data = np.zeros((9, 9))
         data[4, 4] = 1.0
-        assert np.all(denoise_median(Plane(data), 1).data == 0.0)
+        assert np.all(denoise_plane(Plane(data), DenoiserConfig(kind="median", radius=1)).data == 0.0)
 
     @pytest.mark.parametrize("radius", [1, 2])
     def test_matches_window_sort_oracle(self, radius):
@@ -380,7 +376,7 @@ class TestMedian:
             for j in range(w):
                 window = [data[reflect(i + u, h), reflect(j + v, w)] for u in range(-radius, radius + 1) for v in range(-radius, radius + 1)]
                 expected[i, j] = sorted(window)[len(window) // 2]
-        np.testing.assert_array_equal(denoise_median(Plane(data), radius).data, expected)
+        np.testing.assert_array_equal(denoise_plane(Plane(data), DenoiserConfig(kind="median", radius=radius)).data, expected)
 
     @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros"])
     @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -403,7 +399,7 @@ class TestMedian:
         for shape, strip in cases:
             monkeypatch.setattr(_kernel, "_STRIP", strip)
             data = draw(shape)
-            got = denoise_median(Plane(data), radius).data
+            got = denoise_plane(Plane(data), DenoiserConfig(kind="median", radius=radius)).data
             want = median_filter(data, size=2 * radius + 1, mode="mirror")
             assert np.array_equal(got, want), (shape, strip)
             if kind == "signed-zeros":
@@ -432,14 +428,14 @@ class TestMedian:
         }[kind]
         for _ in range(20):
             data = draw()
-            assert same(denoise_median(Plane(data), 1).data, _median3_by_sorted_columns(data)), shape
+            assert same(denoise_plane(Plane(data), DenoiserConfig(kind="median", radius=1)).data, _median3_by_sorted_columns(data)), shape
 
     def test_wide_window_memory_is_bounded_by_the_tile(self):
         # One row of 81x81 windows stacked at once would take 107 MB.
         data = np.random.default_rng(75).random((4, 2048))
         tracemalloc.start()
         try:
-            denoise_median(Plane(data), 40)
+            denoise_plane(Plane(data), DenoiserConfig(kind="median", radius=40))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -448,16 +444,16 @@ class TestMedian:
     def test_step_edge_preserved(self):
         data = np.zeros((8, 8))
         data[:, 4:] = 1.0
-        assert np.array_equal(denoise_median(Plane(data), 1).data, data)
+        assert np.array_equal(denoise_plane(Plane(data), DenoiserConfig(kind="median", radius=1)).data, data)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
-            denoise_median(Plane(np.zeros((4, 4))), 0)
+            denoise_plane(Plane(np.zeros((4, 4))), DenoiserConfig(kind="median", radius=0))
 
 
 class TestBilateral:
     def test_constant_preserved(self):
-        out = denoise_bilateral(Plane(np.full((8, 8), 0.37)), 1.0, 0.1)
+        out = denoise_plane(Plane(np.full((8, 8), 0.37)), DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=0.1))
         np.testing.assert_allclose(out.data, 0.37, atol=1e-9)
 
     def test_matches_direct_oracle(self):
@@ -477,12 +473,12 @@ class TestBilateral:
                         num += weight * sample
                         den += weight
                 expected[i, j] = num / den
-        np.testing.assert_allclose(denoise_bilateral(Plane(data), sigma_s, sigma_r).data, expected, atol=1e-12)
+        np.testing.assert_allclose(denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=sigma_r)).data, expected, atol=1e-12)
 
     def test_sharp_range_kernel_preserves_step(self):
         data = np.zeros((8, 10))
         data[:, 5:] = 1.0
-        out = denoise_bilateral(Plane(data), 1.0, 0.01)
+        out = denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=0.01))
         assert np.max(np.abs(out.data[:, 4] - 0.0)) < 0.05
         assert np.max(np.abs(out.data[:, 5] - 1.0)) < 0.05
 
@@ -491,30 +487,30 @@ class TestBilateral:
         # so the plane is kept low-contrast.
         rng = np.random.default_rng(75)
         data = 0.5 + 0.02 * rng.standard_normal((12, 12))
-        bilateral = denoise_bilateral(Plane(data), 1.1, 10.0)
-        gaussian = denoise_gaussian(Plane(data), 1.1)
+        bilateral = denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=1.1, sigma_r=10.0))
+        gaussian = denoise_plane(Plane(data), DenoiserConfig(kind="gaussian", sigma_s=1.1))
         assert np.max(np.abs(bilateral.data - gaussian.data)) < 1e-6
 
     def test_huge_range_kernel_on_full_contrast(self):
         rng = np.random.default_rng(76)
         data = rng.random((10, 10))
-        bilateral = denoise_bilateral(Plane(data), 1.0, 1e6)
-        gaussian = denoise_gaussian(Plane(data), 1.0)
+        bilateral = denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=1e6))
+        gaussian = denoise_plane(Plane(data), DenoiserConfig(kind="gaussian", sigma_s=1.0))
         assert np.max(np.abs(bilateral.data - gaussian.data)) < 1e-9
 
     def test_preserves_edges_better_than_gaussian(self):
         clean = np.zeros((16, 16))
         clean[:, 8:] = 0.8
         noisy = clean + 0.05 * normal_field(17, 16, 16)
-        bil = denoise_bilateral(Plane(noisy), 1.0, 0.1)
-        gau = denoise_gaussian(Plane(noisy), 1.0)
+        bil = denoise_plane(Plane(noisy), DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=0.1))
+        gau = denoise_plane(Plane(noisy), DenoiserConfig(kind="gaussian", sigma_s=1.0))
         band = (slice(None), slice(6, 10))
         assert np.mean((bil.data[band] - clean[band]) ** 2) < np.mean((gau.data[band] - clean[band]) ** 2)
 
     @pytest.mark.parametrize("sigma_s,sigma_r", [(0.0, 0.1), (1.0, 0.0)])
     def test_bad_parameters(self, sigma_s, sigma_r):
         with pytest.raises(ValueError):
-            denoise_bilateral(Plane(np.zeros((4, 4))), sigma_s, sigma_r)
+            denoise_plane(Plane(np.zeros((4, 4))), DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=sigma_r))
 
     # With _STRIP = 7 a band holds 14 samples. Planes: a 1x1 plane is one
     # sample inside a window larger than the frame, a 2x2 one is one band, a
@@ -529,7 +525,7 @@ class TestBilateral:
         rng = np.random.default_rng(77)
         data = rng.random(shape)
         want = _whole_frame_bilateral(data, data, sigma_s, sigma_r)
-        got = denoise_bilateral(Plane(data), sigma_s, sigma_r).data[None]
+        got = denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=sigma_r)).data[None]
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         mosaic_data = rng.random((2 * shape[0], 2 * shape[1]))
         for pattern in CfaPattern:
@@ -546,7 +542,7 @@ class TestBilateral:
     def test_both_kernels_match_order_free_sums(self, shape, sigma_s, sigma_r):
         rng = np.random.default_rng(85)
         data = rng.random(shape)
-        got = denoise_bilateral(Plane(data), sigma_s, sigma_r).data[None]
+        got = denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=sigma_r)).data[None]
         np.testing.assert_allclose(got, _fsum_bilateral(data, data, sigma_s, sigma_r), rtol=1e-13, atol=0)
         for pattern in CfaPattern:
             mosaic = MosaicImage(pattern, Plane(data))
@@ -570,7 +566,7 @@ class TestBilateral:
         gc.collect()
         gc.disable()
         try:
-            denoise_bilateral(Plane(data), 1.5, 0.1)
+            denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=1.5, sigma_r=0.1))
             demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(data)), 0.7, 1e-3)
             assert gc.collect() == 0
         finally:
@@ -582,7 +578,7 @@ class TestBilateral:
         data = np.random.default_rng(79).random((512, 512))
         tracemalloc.start()
         try:
-            denoise_bilateral(Plane(data), 1.5, 0.1)
+            denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=1.5, sigma_r=0.1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -615,7 +611,7 @@ class TestBilateralThreads:
         if strip is not None:
             monkeypatch.setattr(_kernel, "_STRIP", strip)
         plane = Plane(np.random.default_rng(81).random(shape))
-        got = by_cpus(lambda: denoise_bilateral(plane, 1.0, 0.1).data.tobytes())
+        got = by_cpus(lambda: denoise_plane(plane, DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=0.1)).data.tobytes())
         assert got[1][0] == got[2][0] == got[3][0]
         # One thread, or one band, is the calling thread alone.
         assert [pools for _, pools in got.values()] == [()] + [(min(cpus, bands),) if bands > 1 else () for cpus in (2, 3)]
@@ -626,14 +622,14 @@ class TestBilateralThreads:
         data = np.random.default_rng(84).random((3, 20))
         for sigma_s, sigma_r in [(1.0, 0.1), (1.5, math.inf)]:
             want = _whole_frame_bilateral(data, data, sigma_s, sigma_r)
-            assert np.array_equal(denoise_bilateral(Plane(data), sigma_s, sigma_r).data[None], want)
+            assert np.array_equal(denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=sigma_r)).data[None], want)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(_kernel, "_cpus", lambda: 2)
         monkeypatch.setattr(_kernel, "_STRIP", 7)
         data = np.random.default_rng(82).random((8, 8))
         before = threading.active_count()
-        denoise_bilateral(Plane(data), 1.0, 0.1)
+        denoise_plane(Plane(data), DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=0.1))
         demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(data)), 0.7, 1e-3)
         assert threading.active_count() == before
         # Each of the 8 one-row bands fails; the first one's error is raised.
@@ -721,13 +717,13 @@ class TestWaveletMatchesTheWholeFrameExpressions:
     def test_denoise_wavelet_bit_for_bit(self, levels, sigma_n):
         # sigma_n = 1e-200 squares to 0: every threshold is 0.
         data = _signed_zeros((32, 48), 91)
-        assert same(denoise_wavelet(Plane(data), levels, sigma_n).data, _whole_frame_wavelet(data, levels, sigma_n))
+        assert same(denoise_plane(Plane(data), DenoiserConfig(kind="wavelet", levels=levels, sigma_n=sigma_n)).data, _whole_frame_wavelet(data, levels, sigma_n))
 
     def test_memory_is_the_pyramid_output_and_two_quarters(self, peak_bytes):
         # Whole-frame temporaries peaked at 4.5 planes; now the pyramid (4/3
         # plane), the output and the inverse's two quarter-plane rows.
         plane = Plane(0.5 + 0.05 * np.random.default_rng(92).standard_normal((512, 512)))
-        assert peak_bytes(lambda: denoise_wavelet(plane, 3, None)) < 3.25 * plane.data.nbytes
+        assert peak_bytes(lambda: denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=3))) < 3.25 * plane.data.nbytes
 
 
 class TestWaveletPlanesThreads:
@@ -867,20 +863,20 @@ class TestOneBlockPerFrame:
 class TestWavelet:
     def test_sigma_zero_is_identity(self):
         plane = Plane(np.random.default_rng(81).random((16, 16)))
-        out = denoise_wavelet(plane, 3, 0.0)
+        out = denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=3, sigma_n=0.0))
         assert np.array_equal(out.data, plane.data)
 
     def test_auto_equals_explicit_estimate(self):
         plane = Plane(0.5 + 0.05 * normal_field(82, 32, 32))
-        auto = denoise_wavelet(plane, 2, None)
-        explicit = denoise_wavelet(plane, 2, estimate_sigma(plane))
+        auto = denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=2))
+        explicit = denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=2, sigma_n=estimate_sigma(plane)))
         np.testing.assert_array_equal(auto.data, explicit.data)
 
     @pytest.mark.parametrize("levels,sigma_n", [(1, 0.02), (2, 0.05), (3, 0.1)])
     def test_matches_independent_oracle(self, levels, sigma_n):
         rng = np.random.default_rng(83)
         data = 0.5 + 0.1 * rng.standard_normal((16, 24))
-        got = denoise_wavelet(Plane(data), levels, sigma_n)
+        got = denoise_plane(Plane(data), DenoiserConfig(kind="wavelet", levels=levels, sigma_n=sigma_n))
         want = _wavelet_oracle(data, levels, sigma_n)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-9)
 
@@ -890,7 +886,7 @@ class TestWavelet:
         levels = 3
         rng = np.random.default_rng(84)
         data = 0.6 + 0.01 * rng.standard_normal((32, 32))
-        out = denoise_wavelet(Plane(data), levels, 0.5)
+        out = denoise_plane(Plane(data), DenoiserConfig(kind="wavelet", levels=levels, sigma_n=0.5))
         block = 2**levels
         means = data.reshape(32 // block, block, 32 // block, block).mean(axis=(1, 3))
         expected = np.repeat(np.repeat(means, block, axis=0), block, axis=1)
@@ -898,24 +894,24 @@ class TestWavelet:
 
     def test_pure_noise_halved(self):
         noise = 0.1 * normal_field(85, 512, 512)
-        out = denoise_wavelet(Plane(noise), 3, 0.1)
+        out = denoise_plane(Plane(noise), DenoiserConfig(kind="wavelet", levels=3, sigma_n=0.1))
         assert np.mean(out.data**2) <= 0.5 * np.mean(noise**2)
 
     def test_gradient_plus_noise_improves(self):
         yy, xx = np.mgrid[0:64, 0:64] / 63.0
         clean = 0.2 + 0.3 * xx + 0.3 * yy
         noisy = clean + 0.05 * normal_field(86, 64, 64)
-        out = denoise_wavelet(Plane(noisy), 3, None)
+        out = denoise_plane(Plane(noisy), DenoiserConfig(kind="wavelet", levels=3))
         assert np.mean((out.data - clean) ** 2) < np.mean((noisy - clean) ** 2)
 
     def test_ll_band_untouched(self):
         plane = Plane(0.5 + 0.05 * normal_field(87, 32, 32))
-        out = denoise_wavelet(plane, 2, 0.05)
+        out = denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=2, sigma_n=0.05))
         np.testing.assert_allclose(haar.dwt(out.data, 2)[0], haar.dwt(plane.data, 2)[0], atol=1e-9)
 
     def test_bad_sigma_n(self):
         with pytest.raises(ValueError):
-            denoise_wavelet(Plane(np.zeros((8, 8))), 1, -0.1)
+            denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="wavelet", levels=1, sigma_n=-0.1))
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (10, 12), (13, 8), (50, 50), (100, 100)])
     def test_pads_sizes_not_divisible_by_the_block_and_crops_back(self, shape):
@@ -926,7 +922,7 @@ class TestWavelet:
         rows = [reflect(i, h) for i in range(h + -h % 8)]
         cols = [reflect(j, w) for j in range(w + -w % 8)]
         want = _wavelet_oracle(data[np.ix_(rows, cols)], levels, sigma_n)[:h, :w]
-        np.testing.assert_allclose(denoise_wavelet(Plane(data), levels, sigma_n).data, want, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(denoise_plane(Plane(data), DenoiserConfig(kind="wavelet", levels=levels, sigma_n=sigma_n)).data, want, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 2), (5, 7), (9, 16), (16, 9), (33, 17)])
     @pytest.mark.parametrize("levels", [1, 3, 6])
@@ -935,13 +931,13 @@ class TestWavelet:
         # pad of its own, and cropped to the plane's sides.
         data = np.random.default_rng(97).random(shape)
         padded = np.pad(data, ((0, -shape[0] % 2**levels), (0, -shape[1] % 2**levels)), mode="reflect")
-        want = denoise_wavelet(Plane(padded), levels, 0.05).data[: shape[0], : shape[1]]
-        assert same(denoise_wavelet(Plane(data), levels, 0.05).data, want)
+        want = denoise_plane(Plane(padded), DenoiserConfig(kind="wavelet", levels=levels, sigma_n=0.05)).data[: shape[0], : shape[1]]
+        assert same(denoise_plane(Plane(data), DenoiserConfig(kind="wavelet", levels=levels, sigma_n=0.05)).data, want)
 
     def test_a_sigma_whose_square_overflows_zeroes_every_subband(self):
         # The estimate, about 3e160, squares past a Python float's range.
         board = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2, 1e160, -1e160)
-        assert np.array_equal(denoise_wavelet(Plane(board), 1).data, np.zeros((16, 16)))
+        assert np.array_equal(denoise_plane(Plane(board), DenoiserConfig(kind="wavelet", levels=1)).data, np.zeros((16, 16)))
 
     def test_coefficients_that_overflow_zero_their_subbands(self):
         # HH of a +-1.5e308 board is -inf: the estimate is inf, with no
@@ -949,12 +945,12 @@ class TestWavelet:
         # NaN variances, which zero their subbands as an infinite sigma does.
         board = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2, 1.5e308, -1.5e308)
         assert estimate_sigma(Plane(board)) == math.inf
-        assert np.array_equal(denoise_wavelet(Plane(board), 2).data, np.zeros((16, 16)))
+        assert np.array_equal(denoise_plane(Plane(board), DenoiserConfig(kind="wavelet", levels=2)).data, np.zeros((16, 16)))
 
     def test_auto_sigma_is_estimated_before_padding(self):
         plane = Plane(0.5 + 0.05 * normal_field(89, 20, 28))
-        explicit = denoise_wavelet(plane, 3, estimate_sigma(plane))
-        np.testing.assert_array_equal(denoise_wavelet(plane, 3).data, explicit.data)
+        explicit = denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=3, sigma_n=estimate_sigma(plane)))
+        np.testing.assert_array_equal(denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=3)).data, explicit.data)
 
 
 class TestTranslationEquivariance:
@@ -1064,7 +1060,7 @@ class TestConfigAndDispatch:
         "build",
         [
             lambda sigma_n: DenoiserConfig(kind="wavelet", sigma_n=sigma_n),
-            lambda sigma_n: denoise_wavelet(Plane(np.zeros((8, 8))), 1, sigma_n),
+            lambda sigma_n: denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="wavelet", levels=1, sigma_n=sigma_n)),
         ],
         ids=["wavelet-config", "wavelet"],
     )
@@ -1075,7 +1071,7 @@ class TestConfigAndDispatch:
     def test_sigma_n_of_1000_is_accepted(self):
         assert DenoiserConfig(kind="wavelet", sigma_n=1000.0).describe() == "wavelet(levels=3 sigma_n=1000)"
         plane = Plane(np.random.default_rng(76).random((8, 8)))
-        assert np.all(np.isfinite(denoise_wavelet(plane, 1, 1000.0).data))
+        assert np.all(np.isfinite(denoise_plane(plane, DenoiserConfig(kind="wavelet", levels=1, sigma_n=1000.0)).data))
 
     def test_estimated_sigma_n_may_exceed_the_bound(self):
         plane = Plane(1500.0 * normal_field(77, 16, 16))
@@ -1094,8 +1090,8 @@ class TestConfigAndDispatch:
             lambda: DenoiserConfig(kind="gaussian", sigma_s=math.inf),
             lambda: DenoiserConfig(kind="bilateral", sigma_s=math.inf),
             lambda: DemosaickerConfig(kind="joint-bilateral", sigma_s=math.inf),
-            lambda: denoise_gaussian(Plane(np.zeros((4, 4))), math.inf),
-            lambda: denoise_bilateral(Plane(np.zeros((4, 4))), math.inf, 0.1),
+            lambda: denoise_plane(Plane(np.zeros((4, 4))), DenoiserConfig(kind="gaussian", sigma_s=math.inf)),
+            lambda: denoise_plane(Plane(np.zeros((4, 4))), DenoiserConfig(kind="bilateral", sigma_s=math.inf, sigma_r=0.1)),
             lambda: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(np.zeros((4, 4)))), math.inf, 0.1),
         ],
         ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
@@ -1111,8 +1107,8 @@ class TestConfigAndDispatch:
             lambda sigma_s: DenoiserConfig(kind="gaussian", sigma_s=sigma_s),
             lambda sigma_s: DenoiserConfig(kind="bilateral", sigma_s=sigma_s),
             lambda sigma_s: DemosaickerConfig(kind="joint-bilateral", sigma_s=sigma_s),
-            lambda sigma_s: denoise_gaussian(Plane(np.zeros((8, 8))), sigma_s),
-            lambda sigma_s: denoise_bilateral(Plane(np.zeros((8, 8))), sigma_s, 0.1),
+            lambda sigma_s: denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="gaussian", sigma_s=sigma_s)),
+            lambda sigma_s: denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=0.1)),
             lambda sigma_s: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(np.zeros((8, 8)))), sigma_s, 0.1),
         ],
         ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
@@ -1124,14 +1120,14 @@ class TestConfigAndDispatch:
     def test_sigma_s_of_100_is_accepted(self):
         assert DenoiserConfig(kind="bilateral", sigma_s=100.0).describe() == "bilateral(sigma_s=100 sigma_r=0.1)"
         assert DemosaickerConfig(kind="joint-bilateral", sigma_s=100.0).describe() == "joint-bilateral(sigma_s=100 sigma_r=0.1)"
-        out = denoise_gaussian(Plane(np.full((4, 4), 0.25)), 100.0)
+        out = denoise_plane(Plane(np.full((4, 4), 0.25)), DenoiserConfig(kind="gaussian", sigma_s=100.0))
         np.testing.assert_allclose(out.data, 0.25, rtol=0, atol=1e-15)
 
     def test_infinite_sigma_r_means_spatial_weights(self):
         plane = Plane(np.random.default_rng(94).random((10, 12)))
         config = DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=math.inf)
         assert config.describe() == "bilateral(sigma_s=1 sigma_r=inf)"
-        np.testing.assert_allclose(denoise_plane(plane, config).data, denoise_gaussian(plane, 1.0).data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(denoise_plane(plane, config).data, denoise_plane(plane, DenoiserConfig(kind="gaussian", sigma_s=1.0)).data, rtol=0, atol=1e-12)
         mosaic = MosaicImage(CfaPattern.RGGB, plane)
         spatial = demosaic_joint_bilateral(mosaic, 1.0, math.inf)
         for got, want in zip(spatial.planes, demosaic_joint_bilateral(mosaic, 1.0, 1e6).planes):
@@ -1141,7 +1137,7 @@ class TestConfigAndDispatch:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda plane, sigma_r: (denoise_bilateral(plane, 1.0, sigma_r),),
+            lambda plane, sigma_r: (denoise_plane(plane, DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=sigma_r)),),
             lambda plane, sigma_r: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, plane), 1.5, sigma_r).planes,
         ],
         ids=["bilateral", "joint"],
@@ -1160,8 +1156,8 @@ class TestConfigAndDispatch:
             lambda plane, sigma_s: DenoiserConfig(kind="gaussian", sigma_s=sigma_s),
             lambda plane, sigma_s: DenoiserConfig(kind="bilateral", sigma_s=sigma_s),
             lambda plane, sigma_s: DemosaickerConfig(kind="joint-bilateral", sigma_s=sigma_s),
-            lambda plane, sigma_s: denoise_gaussian(plane, sigma_s),
-            lambda plane, sigma_s: denoise_bilateral(plane, sigma_s, 0.1),
+            lambda plane, sigma_s: denoise_plane(plane, DenoiserConfig(kind="gaussian", sigma_s=sigma_s)),
+            lambda plane, sigma_s: denoise_plane(plane, DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=0.1)),
             lambda plane, sigma_s: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, plane), sigma_s, 0.1),
         ],
         ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
@@ -1176,13 +1172,13 @@ class TestConfigAndDispatch:
     @pytest.mark.parametrize("sigma_r", [6e-155, 1e-156, 1e-200])
     def test_tiny_sigma_r_is_rejected(self, sigma_r):
         with pytest.raises(ValueError, match=r"^sigma_r must be in float range and >= 1e-154, or inf, got "):
-            denoise_bilateral(Plane(np.zeros((8, 8))), 1.0, sigma_r)
+            denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=sigma_r))
 
     @pytest.mark.parametrize(
         "build",
         [
             lambda: DenoiserConfig(kind="bilateral", sigma_r=10**400).describe(),
-            lambda: denoise_bilateral(Plane(np.zeros((8, 8))), 1.0, 10**400),
+            lambda: denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="bilateral", sigma_s=1.0, sigma_r=10**400)),
             lambda: DemosaickerConfig(kind="joint-bilateral", sigma_r=10**400),
         ],
         ids=["bilateral-config", "bilateral", "joint-config"],
@@ -1193,25 +1189,14 @@ class TestConfigAndDispatch:
         with pytest.raises(ValueError, match=r"^sigma_r must be in float range and >= 1e-154, or inf, got 10{400}$"):
             build()
 
-    @pytest.mark.parametrize("denoise", [lambda p: denoise_gaussian(p, 1e-154), lambda p: denoise_bilateral(p, 1e-154, 0.1)])
-    def test_smallest_accepted_sigma_s_is_identity(self, denoise):
+    @pytest.mark.parametrize("kind", ["gaussian", "bilateral"])
+    def test_smallest_accepted_sigma_s_is_identity(self, kind):
         plane = Plane(np.random.default_rng(96).random((8, 8)))
-        np.testing.assert_array_equal(denoise(plane).data, plane.data)
+        np.testing.assert_array_equal(denoise_plane(plane, DenoiserConfig(kind=kind, sigma_s=1e-154)).data, plane.data)
 
     def test_none_returns_same_plane(self):
         plane = Plane(np.random.default_rng(92).random((4, 4)))
         assert denoise_plane(plane, DenoiserConfig(kind="none")) is plane
-
-    def test_dispatch_matches_direct_calls(self):
-        plane = Plane(np.random.default_rng(93).random((16, 16)))
-        pairs = [
-            (DenoiserConfig(kind="gaussian", sigma_s=0.9), denoise_gaussian(plane, 0.9)),
-            (DenoiserConfig(kind="median", radius=2), denoise_median(plane, 2)),
-            (DenoiserConfig(kind="bilateral", sigma_s=0.9, sigma_r=0.2), denoise_bilateral(plane, 0.9, 0.2)),
-            (DenoiserConfig(kind="wavelet", levels=2, sigma_n=0.05), denoise_wavelet(plane, 2, 0.05)),
-        ]
-        for config, want in pairs:
-            np.testing.assert_array_equal(denoise_plane(plane, config).data, want.data)
 
 
 class TestDenoiseSubimages:

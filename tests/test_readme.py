@@ -7,10 +7,14 @@ starts. README documents the public surface only: the internals are
 described in their own docstrings, so it names no private identifier.
 """
 
+import fnmatch
+import importlib.util
 import pathlib
+import pkgutil
 import re
 import shlex
 
+import cfaisp
 from cfaisp.cli import main
 from cfaisp.imageio import encode_pnm
 
@@ -21,6 +25,13 @@ def _block(heading: str, language: str) -> str:
     """The first fenced block of the given language in the section under heading."""
     section = README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
     return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def _entry_points() -> list:
+    """(module, name) for each backticked name of the Library list's `cfaisp.<module>` — `name`, ... entries."""
+    section = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    entries = re.findall(r"^- `cfaisp\.(\w+)` — (.*?)(?=^\S|\Z)", section, re.M | re.S)
+    return [(module, name) for module, text in entries for name in re.findall(r"`([^`]+)`", text)]
 
 
 def _commands() -> list:
@@ -49,3 +60,22 @@ def test_every_cli_command_exits_0(tmp_path, monkeypatch, corpus, inline_pool):
 
 def test_no_private_name_is_named():
     assert re.findall(r"(?<![\w-])_[A-Za-z]\w*", README) == []
+
+
+def test_every_library_entry_point_exists():
+    # A name is an attribute of its entry's module, or, as in
+    # `pipeline.ExperimentRecord`, of the sibling module it starts with;
+    # `main(argv)` names main, and a pattern like `demosaic_*` some attribute.
+    entries = _entry_points()
+    assert {module for module, _ in entries} == {info.name for info in pkgutil.iter_modules(cfaisp.__path__) if not info.name.startswith("_")}
+    missing = []
+    for module, name in entries:
+        *path, last = name.split("(")[0].split(".")
+        owner = importlib.import_module(f"cfaisp.{module}")
+        if path and importlib.util.find_spec(f"cfaisp.{path[0]}") is not None:
+            owner = importlib.import_module(f"cfaisp.{path.pop(0)}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if not (fnmatch.filter(dir(owner), last) if "*" in last else hasattr(owner, last)):
+            missing.append((module, name))
+    assert missing == []

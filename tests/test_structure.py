@@ -4,7 +4,7 @@ The stage machinery has one home, the private _kernel module: no other
 module reads a sibling's private names, binds the strip, opens a thread
 pool or sizes one, but for pipeline's pool workers, which set
 _kernel._threads_max to 1 as they start. The demosaickers do not depend on
-the denoisers. Every wavelet plane enters the transform through
+the denoisers. Every plane enters a denoise kernel through
 denoise_planes. Each layout has one reader: the Bayer tile is read from
 CfaPattern.sites, a padded plane through _kernel._shifted's lattice, and
 the wavelet pyramid by _idwt. The runtime imports the standard library,
@@ -132,8 +132,13 @@ def test_demosaic_does_not_import_denoise():
     assert not imported & {"cfaisp.denoise", "denoise"}
 
 
-def test_the_wavelet_is_called_only_inside_denoise_planes():
-    assert _calls("_wavelet") == [("denoise", "denoise_planes.step")]
+def test_the_denoise_kernels_are_named_only_in_their_table_and_denoise_planes():
+    # A wrapper that called a kernel itself would be a second way into it.
+    kernels = ("_gaussian", "_median", "_bilateral", "_wavelet")
+    (table,) = [node.value for node in TREES["denoise"].body if isinstance(node, ast.Assign) and _name(node.targets[0]) == "_DENOISERS"]
+    in_table = set(ast.walk(table))
+    named = [("_DENOISERS" if node in in_table else scope, node.id) for module, scope, node in _nodes() if module == "denoise" and isinstance(node, ast.Name) and node.id in kernels]
+    assert named == [("_DENOISERS", kernel) for kernel in kernels] + [("denoise_planes.step", "_wavelet")]
 
 
 def test_the_tile_is_read_only_from_cfa_pattern_sites():
