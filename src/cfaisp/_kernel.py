@@ -14,8 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cfaisp.config import check_fields
-
 # Samples per block of the stages that walk a frame in pieces: the encoder's
 # tiles, the noise generator's pairs, the wide median's tiles and the
 # stencil stages' bands. Their block-sized buffers then stay in L2 (whole
@@ -167,10 +165,11 @@ def _shifted(data: np.ndarray, radius: int, step: int = 1) -> _Lattice:
     return _Lattice(flat, radius, step, rows, cols, width)
 
 
-def _bilateral(data, guide, sigma_s, sigma_r, pattern=None, out=None) -> np.ndarray:
-    """Bilateral means of data, one full frame per bucket, stacked (buckets, h, w) into out, which is returned.
+def _bilateral(data, guide, sigma_s, sigma_r, pattern=None, *, out) -> None:
+    """Bilateral means of data, one full frame per bucket, written into out, a (buckets, h, w) stack.
 
-    out=None allocates the stack.
+    The callers check sigma_s and sigma_r against their config fields'
+    rules, and a joint caller against JOINT_SIGMA_S too, and allocate out.
 
     Weights are exp(-d^2 / 2 sigma_s^2) exp(-(g_p - g_q)^2 / 2 sigma_r^2) over
     a +/- ceil(3 sigma_s) window, g read from guide. With no pattern, every
@@ -191,12 +190,11 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None, out=None) -> np.ndar
     half in row-major order; at each tile site, the classes of one color
     are added in class order before the division. Every run is written in
     place into buffers sized for the largest band, so the working set stays
-    in cache. The underflow fallback and its error read the cropped band
-    only. _walk runs the list; a band writes only its own rows of the result
-    and sums each in a fixed order, so the bits do not depend on the thread
-    count or the schedule.
+    in cache. The underflow fallback reads the cropped band only. _walk runs
+    the list; a band writes only its own rows of the result and sums each in
+    a fixed order, so the bits do not depend on the thread count or the
+    schedule.
     """
-    check_fields(sigma_s=sigma_s, sigma_r=sigma_r)
     # 2 sigma sigma is inf where sigma^2 overflows, which gives the weights'
     # sigma -> inf limit; SIGMA_FLOOR keeps 1 / (2 sigma^2) finite.
     inv_2ss = 1.0 / (2.0 * sigma_s * sigma_s)
@@ -214,10 +212,8 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None, out=None) -> np.ndar
     ]
     # The means come before the pads: allocated after them, in a sequence of
     # joint and bilateral runs at 512^2, they found no free block of the heap
-    # often enough to raise the peak resident set by 4 MiB. A caller's out
-    # comes before them too.
-    if out is None:
-        out = np.empty((buckets, *data.shape))
+    # often enough to raise the peak resident set by 4 MiB, so the caller
+    # allocates out before it calls.
     data_at = _shifted(data, radius)
     guide_at = data_at if guide is data else _shifted(guide, radius)
     half = [
@@ -298,10 +294,6 @@ def _bilateral(data, guide, sigma_s, sigma_r, pattern=None, out=None) -> np.ndar
             # keeping each call's planes alive until the next collection.
             if fallback:
                 for mean, (num, den), underflow in sites(sums_at(buffers, top, n, 0.0), top, n, underflows):
-                    # A one-row band holds no row of the other tile row's sites.
-                    if den.size and den.min() < tiny:
-                        raise ValueError(f"sigma_s={sigma_s:g} is too small: the spatial weights of some sample underflow")
                     np.divide(num, den, out=mean, where=underflow)
 
     _walk(work, walk, buffer_set)
-    return out

@@ -115,12 +115,6 @@ CONFIG_FIELDS = {
 }
 
 
-def check_fields(**values) -> None:
-    """Raise ValueError for the first value outside the range of its config field."""
-    for name, value in values.items():
-        CONFIG_FIELDS[name].rule.check(name, value)
-
-
 def check_method(config, table: dict, family: str) -> None:
     """Reject an unknown config.kind, or an out-of-range field that kind reads.
 
@@ -129,7 +123,8 @@ def check_method(config, table: dict, family: str) -> None:
     """
     if config.kind not in table:
         raise ValueError(f"unknown {family} kind {config.kind!r}; expected one of {', '.join(table)}")
-    check_fields(**{name: getattr(config, name) for name in table[config.kind][1]})
+    for name in table[config.kind][1]:
+        CONFIG_FIELDS[name].rule.check(name, getattr(config, name))
 
 
 def describe_method(config, table: dict) -> str:

@@ -229,11 +229,13 @@ def demosaic_joint_bilateral(mosaic: MosaicImage, sigma_s: float, sigma_r: float
     each tile site's classes their colors from the mosaic's pattern, into
     stacked R, G, B means, so no color masks are needed. Filtering the
     measured sites too makes this a joint demosaick-denoise rather than
-    interpolation.
+    interpolation. sigma_s and sigma_r are checked as DemosaickerConfig's.
     """
+    DemosaickerConfig(kind="joint-bilateral", sigma_s=sigma_s, sigma_r=sigma_r)
     # A copy, so that the bilinear frame's R and B go before the kernel runs.
     guide = demosaic_bilinear(mosaic).g.data.copy()
-    means = _kernel._bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, mosaic.pattern)
+    means = np.empty((3, *guide.shape))
+    _kernel._bilateral(mosaic.plane.data, guide, sigma_s, sigma_r, mosaic.pattern, out=means)
     return RgbImage(*(Plane._adopt(mean) for mean in means))
 
 

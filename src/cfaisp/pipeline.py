@@ -103,6 +103,14 @@ def cpsnr(truth: RgbImage, test: RgbImage, crop: int = 0) -> float:
     return psnr(sum(channel_mses) / 3.0)
 
 
+def _check_types(owner: str, *kinds: tuple[str, type, Sequence]) -> None:
+    """Raise ValueError, naming owner and the argument, at the first value of a (name, kind, values) that is not a kind."""
+    for name, kind, values in kinds:
+        for value in values:
+            if not isinstance(value, kind):
+                raise ValueError(f"{owner} {name} takes a {kind.__name__}, not {type(value).__name__}")
+
+
 def _check_sides(truth: RgbImage, where: str = "") -> None:
     """Raise DimensionError, its message led by where, unless truth's sides are even and at least MIN_SIDE."""
     h, w = truth.r.data.shape
@@ -144,11 +152,9 @@ def _run_group(
     (see noise.normal_field), which counts at what it cost here. The
     record's denoiser is that of the path's denoise step, "none" when it has
     none, and its sigmas and seed are those of its point's spec.
-    The image id must be a CSV text cell and the sides even and at least
-    MIN_SIDE; both are checked before the first stage runs.
+    It checks nothing: its callers check the image id, the sides and each
+    point's pairing before they call it.
     """
-    check_text("image", image_id)
-    _check_sides(truth)
     stages: dict[str, Callable[[Any, Any], Any]] = {
         "noise": lambda clean, spec: add_awgn(mosaic_from_rgb(clean, pattern), spec),
         "decompose": lambda mosaic, _: decompose(mosaic),
@@ -172,7 +178,6 @@ def _run_group(
         return cache[prefix] if readers[prefix] else cache.pop(prefix)
 
     for (noise, strategy, dn, dm), path in zip(points, paths):
-        check_pairing(strategy, dm)
         # Resume at the longest cached prefix: its next step is yet to run.
         start = max((end for end in range(1, len(path) + 1) if path[:end] in cache), default=0)
         value = read(path[:start]) if start else truth
@@ -221,20 +226,22 @@ def run_pipeline(
     The Joint strategy requires a joint-bilateral demosaicker config and
     ignores dn (no separate denoiser runs; the record says "none"). After and
     Before require a non-joint demosaicker. Metrics use a 4-pixel interior
-    crop so border policy does not leak into the comparison. An argument of
-    the wrong type raises a ValueError naming it before the first stage runs.
+    crop so border policy does not leak into the comparison. A wrong type,
+    image id, side or pairing raises a ValueError before the first stage runs.
     """
-    kinds = (
-        ("truth", RgbImage, truth),
-        ("pattern", CfaPattern, pattern),
-        ("noise", NoiseSpec, noise),
-        ("strategy", Strategy, strategy),
-        ("dn", DenoiserConfig, dn),
-        ("dm", DemosaickerConfig, dm),
+    _check_types(
+        "run_pipeline",
+        ("truth", RgbImage, (truth,)),
+        ("pattern", CfaPattern, (pattern,)),
+        ("noise", NoiseSpec, (noise,)),
+        ("strategy", Strategy, (strategy,)),
+        ("dn", DenoiserConfig, (dn,)),
+        ("dm", DemosaickerConfig, (dm,)),
+        ("image_id", str, (image_id,)),
     )
-    for name, kind, value in kinds:
-        if not isinstance(value, kind):
-            raise ValueError(f"run_pipeline {name} takes a {kind.__name__}, not {type(value).__name__}")
+    check_text("image", image_id)
+    _check_sides(truth)
+    check_pairing(strategy, dm)
     (run,) = _run_group(truth, pattern, [(noise, strategy, dn, dm)], image_id)
     return run
 
@@ -282,19 +289,18 @@ class ExperimentGrid:
     pattern: CfaPattern = DEFAULT_PATTERN
 
     def __post_init__(self) -> None:
-        if not self.strategies or not self.sigmas or not self.denoisers or not self.demosaickers:
+        axes = {"strategies": self.strategies, "sigmas": self.sigmas, "denoisers": self.denoisers, "demosaickers": self.demosaickers}
+        _check_types("grid", *((name, tuple, (axis,)) for name, axis in axes.items()))
+        if not all(axes.values()):
             raise ValueError("grid axes must be non-empty")
-        kinds = (
+        _check_types(
+            "grid",
             ("strategies", Strategy, self.strategies),
             ("denoisers", DenoiserConfig, self.denoisers),
             ("demosaickers", DemosaickerConfig, self.demosaickers),
             ("joint_demosaicker", DemosaickerConfig, (self.joint_demosaicker,)),
             ("pattern", CfaPattern, (self.pattern,)),
         )
-        for name, kind, values in kinds:
-            for value in values:
-                if not isinstance(value, kind):
-                    raise ValueError(f"grid {name} takes {kind.__name__} values, got {value!r}")
         for sigma in self.sigmas:
             SIGMA.check("sigma", sigma)
         # The demosaickers axis serves after and before, which pair alike.
@@ -374,8 +380,9 @@ def run_experiment(
     pool's workers run every stage on one thread each. Records are returned
     in deterministic order regardless of jobs, and with keep_timing=False
     (the default) wall_ms is zeroed so repeated runs serialize to
-    byte-identical CSV. Image ids must be distinct CSV text cells and image
-    sides even and at least MIN_SIDE; all are checked before the first run.
+    byte-identical CSV. The grid must be an ExperimentGrid, the corpus (image
+    id, RgbImage) pairs, the ids distinct CSV text cells and the sides even
+    and at least MIN_SIDE; all are checked before the first run.
     Any failing run aborts the sweep and stops the pool's workers, with the
     offending grid point named, the same point whatever jobs is.
     """
@@ -385,6 +392,8 @@ def run_experiment(
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must not be empty")
+    ids, images = zip(*corpus)
+    _check_types("run_experiment", ("grid", ExperimentGrid, (grid,)), ("image_id", str, ids), ("image", RgbImage, images))
     seen: set[str] = set()
     for image_id, truth in corpus:
         check_text("image", image_id)

@@ -22,6 +22,7 @@ from cfaisp import _kernel
 from cfaisp.cfa import CfaPattern, MosaicImage, mosaic_from_rgb
 from cfaisp.demosaic import (
     DEMOSAICKER_KINDS,
+    JOINT_SIGMA_S,
     DemosaickerConfig,
     demosaic,
     demosaic_bilinear,
@@ -380,8 +381,24 @@ class TestJointBilateral:
         # At sigma_s = 0.03 the nearest B site of an R site is diagonal, with
         # spatial weight exp(-2 / 0.0018) = 0, so no weight is left to average.
         mosaic = _random_mosaic(CfaPattern.GBRG, (6, 6), 13)
-        with pytest.raises(ValueError, match="sigma_s=0.03 is too small"):
+        with pytest.raises(ValueError, match=r"^sigma_s must be about 0\.037535 or more for joint-bilateral, got 0\.03$"):
             demosaic_joint_bilateral(mosaic, 0.03, 0.1)
+
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS)
+    def test_the_sigma_s_floor_is_exact(self, pattern):
+        # The smallest sigma_s the rule accepts, found by bisecting its test
+        # rather than written down, as libm's exp may differ between hosts.
+        low, high = 0.03, 0.04
+        assert not JOINT_SIGMA_S.test(low) and JOINT_SIGMA_S.test(high)
+        while np.nextafter(low, high) < high:
+            middle = (low + high) / 2
+            low, high = (low, middle) if JOINT_SIGMA_S.test(middle) else (middle, high)
+        for shape in [(2, 2), (4, 6), (6, 4), (10, 12), (32, 32)]:
+            mosaic = _random_mosaic(pattern, shape, 14)
+            for sigma_r in (1e-3, 0.1, math.inf):
+                assert all(np.all(np.isfinite(plane.data)) for plane in demosaic_joint_bilateral(mosaic, high, sigma_r).planes)
+        with pytest.raises(ValueError, match=r"^sigma_s must be about 0\.037535 or more for joint-bilateral, got "):
+            demosaic_joint_bilateral(mosaic, np.nextafter(high, 0), 0.1)
 
     # Bands of whole rows of 2 _STRIP samples: with _STRIP = 7, a 2x6 mosaic
     # is one band, an 8x6 one four, a 4x4 one a band of three rows and a
@@ -408,20 +425,6 @@ class TestJointBilateral:
         mosaic = MosaicImage(CfaPattern.GBRG, Plane(np.random.default_rng(0).uniform(0.1, 1.0, (192, 192))))
         got = by_cpus(lambda: b"".join(plane.data.tobytes() for plane in demosaic_joint_bilateral(mosaic, 1.5, 1e-3).planes))
         assert got[1][0] == got[2][0] == got[3][0]
-        assert [pools for _, pools in got.values()] == [(), (2,), (2,)]
-
-    def test_sigma_s_below_the_floor_raises_the_same_error_on_every_thread_count(self, by_cpus):
-        # Called on the kernel directly, as DemosaickerConfig rejects it; at
-        # 192^2 the frame is two bands, and both raise.
-        data = _random_mosaic(CfaPattern.GBRG, (192, 192), 13).plane.data
-
-        def error():
-            with pytest.raises(ValueError) as raised:
-                _kernel._bilateral(data, data, 0.03, 0.1, CfaPattern.GBRG)
-            return str(raised.value)
-
-        got = by_cpus(error)
-        assert got[1][0] == got[2][0] == got[3][0] == "sigma_s=0.03 is too small: the spatial weights of some sample underflow"
         assert [pools for _, pools in got.values()] == [(), (2,), (2,)]
 
     def test_calls_bilinear_once_through_the_module_attribute(self, monkeypatch):
@@ -510,13 +513,12 @@ class TestConfigAndDispatch:
             DemosaickerConfig(kind="joint-bilateral", sigma_r=-0.5)
 
     def test_joint_sigma_s_floor_is_checked_when_built(self):
-        # The kernel itself fails below the same floor: an R site's four
+        # The public call checks the same floor: below it an R site's four
         # diagonal B weights underflow.
         mosaic = _random_mosaic(CfaPattern.GBRG, (6, 6), 13)
-        with pytest.raises(ValueError, match=r"^sigma_s must be about 0\.037535 or more for joint-bilateral, got 0\.03753$"):
-            DemosaickerConfig(kind="joint-bilateral", sigma_s=0.03753)
-        with pytest.raises(ValueError, match="sigma_s=0.03753 is too small"):
-            demosaic_joint_bilateral(mosaic, 0.03753, 0.1)
+        for build in (lambda: DemosaickerConfig(kind="joint-bilateral", sigma_s=0.03753), lambda: demosaic_joint_bilateral(mosaic, 0.03753, 0.1)):
+            with pytest.raises(ValueError, match=r"^sigma_s must be about 0\.037535 or more for joint-bilateral, got 0\.03753$"):
+                build()
         config = DemosaickerConfig(kind="joint-bilateral", sigma_s=0.03754)
         assert demosaic(mosaic, config).r.data.shape == (6, 6)
         # Other kinds do not read sigma_s.

@@ -177,13 +177,14 @@ class TestRunPipeline:
             ("pattern", "gbrg"),
             ("noise", 0.05),
             ("truth", np.full((16, 16), 0.5)),
+            ("image_id", 7),
         ],
-        ids=["strategy", "dn", "dm", "pattern", "noise", "truth"],
+        ids=["strategy", "dn", "dm", "pattern", "noise", "truth", "image_id"],
     )
     def test_argument_of_the_wrong_type_rejected(self, monkeypatch, name, value):
         ran = []
         monkeypatch.setattr(pipeline, "mosaic_from_rgb", lambda *args: ran.append(args))
-        arguments = {"truth": _ramp_image(16), "pattern": CfaPattern.GBRG, "noise": NoiseSpec.uniform(0.05, 1), "strategy": Strategy.BEFORE, "dn": WAVELET, "dm": BILINEAR}
+        arguments = {"truth": _ramp_image(16), "pattern": CfaPattern.GBRG, "noise": NoiseSpec.uniform(0.05, 1), "strategy": Strategy.BEFORE, "dn": WAVELET, "dm": BILINEAR, "image_id": "t"}
         arguments[name] = value
         with pytest.raises(ValueError, match=rf"^run_pipeline {name} takes a \w+, not {type(value).__name__}$"):
             run_pipeline(**arguments)
@@ -385,6 +386,11 @@ class TestExperimentGrid:
         with pytest.raises(ValueError, match=rf"^grid {axis} takes "):
             ExperimentGrid(**{axis: value})
 
+    @pytest.mark.parametrize("axis, value", [("sigmas", 0.05), ("strategies", Strategy.AFTER), ("sigmas", [0.02])])
+    def test_axis_that_is_not_a_tuple_rejected(self, axis, value):
+        with pytest.raises(ValueError, match=rf"^grid {axis} takes a tuple, not {type(value).__name__}$"):
+            ExperimentGrid(**{axis: value})
+
     @pytest.mark.parametrize("repeats", [0, 2.0, 1.5, True])
     def test_bad_repeats(self, repeats):
         with pytest.raises(ValueError, match="repeats must be an integer >= 1"):
@@ -525,6 +531,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 1, got {re.escape(repr(jobs))}$"):
             run_experiment([("t", _textured_image(32))], grid, jobs=jobs)
         assert inline_pool == []
+
+    @pytest.mark.parametrize("name,value", [("grid", "grid"), ("image", "image"), ("image_id", 7)], ids=["grid", "image", "image_id"])
+    def test_argument_of_the_wrong_type_rejected(self, monkeypatch, name, value):
+        # The wrong one is the second image's, so a check made image by image
+        # would come after the first image's runs.
+        ran = []
+        monkeypatch.setattr(pipeline, "mosaic_from_rgb", lambda *args: ran.append(args))
+        arguments = {"grid": ExperimentGrid(sigmas=(0.05,)), "image": _ramp_image(16), "image_id": "b"}
+        arguments[name] = value
+        corpus = [("a", _ramp_image(16)), (arguments["image_id"], arguments["image"])]
+        with pytest.raises(ValueError, match=rf"^run_experiment {name} takes a \w+, not {type(value).__name__}$"):
+            run_experiment(corpus, arguments["grid"], jobs=1)
+        assert ran == []
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ the denoisers. Every plane enters a denoise kernel through
 denoise_planes. Each layout has one reader: the Bayer tile is read from
 CfaPattern.sites, a padded plane through _kernel._shifted's lattice, and
 the wavelet pyramid by _idwt. The runtime imports the standard library,
-numpy and cfaisp only.
+numpy and cfaisp only. Each argument is checked where it enters the
+library, so _kernel imports no cfaisp module and _run_group checks nothing.
 """
 
 import ast
@@ -170,3 +171,17 @@ def test_only_the_pool_workers_set_a_kernel_attribute():
             if any(isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and aliases.get(target.value.id) == KERNEL for target in targets):
                 found.append((module, scope, ast.unparse(node)))
     assert found == [("pipeline", "_init_worker", "_kernel._threads_max = 1")]
+
+
+def test_the_kernel_imports_no_cfaisp_module():
+    # Its callers check what they pass it, so it needs none of their rules.
+    nodes = list(ast.walk(TREES[KERNEL]))
+    imported = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    imported += ["cfaisp" if node.level else node.module for node in nodes if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.split(".")[0] == "cfaisp"] == []
+
+
+def test_run_group_checks_nothing():
+    # run_pipeline, run_experiment and ExperimentGrid check before it runs.
+    checks = ["check_text", "_check_sides", "check_pairing", "_check_types"]
+    assert [(check, scope) for check in checks for module, scope in _calls(check) if module == "pipeline" and scope.split(".")[0] == "_run_group"] == []
