@@ -11,8 +11,9 @@ DenoiserConfig and DemosaickerConfig, whose text form, range and meaning
 come from config.CONFIG_FIELDS, sigma floor included; --jb-sigma-s also
 checks joint-bilateral's floor, demosaic.JOINT_SIGMA_S. config.parse_name
 reads every typed name. The noise ranges are config's rules and the
-strategy/demosaicker pairing is pipeline.check_pairing. A configuration the
-library rejects is a usage error, reported before any input is read.
+strategy/demosaicker pairing is pipeline.check_pairing for one run and
+ExperimentGrid.demosaickers_for for a sweep. A configuration the library
+rejects is a usage error, reported before any input is read.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    # Without --demosaicker, each strategy runs the library's default for it.
-    kind = args.demosaicker or (_GRID.joint_demosaicker.kind if args.strategy is Strategy.JOINT else _DM.kind)
+    # Without --demosaicker, each strategy runs the default grid's first demosaicker for it.
+    kind = args.demosaicker or _GRID.demosaickers_for(args.strategy)[0].kind
     try:
         dn = DenoiserConfig(args.denoiser, **_fields(args, "dn"))
         dm = DemosaickerConfig(kind, **_fields(args, "jb"))
@@ -210,7 +211,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             sigmas=tuple(args.sigmas),
             denoisers=tuple(DenoiserConfig(kind, **_fields(args, "dn")) for kind in args.denoisers),
             demosaickers=tuple(DemosaickerConfig(kind, **_fields(args, "jb")) for kind in args.demosaickers),
-            joint_demosaicker=DemosaickerConfig(_GRID.joint_demosaicker.kind, **_fields(args, "jb")),
             repeats=args.repeats,
             pattern=args.pattern,
         )
@@ -279,7 +279,7 @@ def _build_parser() -> _Parser:
         "--demosaicker",
         type=_demosaicker_kind,
         default=None,
-        help=f"{', '.join(DEMOSAICKER_KINDS)} (default: {_DM.kind}; joint strategy always uses {_GRID.joint_demosaicker.kind})",
+        help=f"{', '.join(DEMOSAICKER_KINDS)} (default by strategy: {', '.join(f'{s.value}={_GRID.demosaickers_for(s)[0].kind}' for s in Strategy)})",
     )
     _add_field_flags(pipeline_cmd, "jb", _DM)
     _add_depth_flag(pipeline_cmd)
@@ -293,7 +293,7 @@ def _build_parser() -> _Parser:
         ("--strategies", _parsed(Strategy.parse), list(_GRID.strategies), "strategies to sweep"),
         ("--sigmas", _sigma, list(_GRID.sigmas), "noise sigmas"),
         ("--denoisers", _denoiser_kind, [dn.kind for dn in _GRID.denoisers], "denoiser kinds to sweep"),
-        ("--demosaickers", _demosaicker_kind, [dm.kind for dm in _GRID.demosaickers], "non-joint demosaickers to sweep"),
+        ("--demosaickers", _demosaicker_kind, [dm.kind for dm in _GRID.demosaickers], "demosaickers to sweep; joint runs the joint-bilateral ones, after and before the others"),
     )
     for flag, axis_type, default, meaning in axes:
         shown = " ".join(str(getattr(value, "value", value)) for value in default)

@@ -274,17 +274,16 @@ def derive_run_seed(master_seed: int, image_id: str, repeat: int) -> int:
 class ExperimentGrid:
     """Cartesian sweep: strategies x sigmas x denoisers x demosaickers x repeats.
 
-    Sigmas apply uniformly to all three color classes. The demosaickers axis
-    is for the After/Before strategies and must be non-joint; the Joint
-    strategy always runs joint_demosaicker exactly once per sigma and repeat,
-    regardless of the denoiser and demosaicker axes.
+    Sigmas apply uniformly to all three color classes. Every demosaicker is
+    on one axis, and each strategy sweeps those it pairs with, in axis order
+    (demosaickers_for): joint the joint-bilateral ones, with no denoiser,
+    and after and before the others. A strategy that pairs with none is rejected.
     """
 
     strategies: tuple[Strategy, ...] = (Strategy.AFTER, Strategy.BEFORE)
     sigmas: tuple[float, ...] = (0.02, 0.05, 0.1)
     denoisers: tuple[DenoiserConfig, ...] = (DenoiserConfig(kind="wavelet"),)
-    demosaickers: tuple[DemosaickerConfig, ...] = (DemosaickerConfig(kind="bilinear"),)
-    joint_demosaicker: DemosaickerConfig = DemosaickerConfig(kind="joint-bilateral")
+    demosaickers: tuple[DemosaickerConfig, ...] = (DemosaickerConfig(kind="bilinear"), DemosaickerConfig(kind="joint-bilateral"))
     repeats: int = 1
     pattern: CfaPattern = DEFAULT_PATTERN
 
@@ -298,27 +297,25 @@ class ExperimentGrid:
             ("strategies", Strategy, self.strategies),
             ("denoisers", DenoiserConfig, self.denoisers),
             ("demosaickers", DemosaickerConfig, self.demosaickers),
-            ("joint_demosaicker", DemosaickerConfig, (self.joint_demosaicker,)),
             ("pattern", CfaPattern, (self.pattern,)),
         )
         for sigma in self.sigmas:
             SIGMA.check("sigma", sigma)
-        # The demosaickers axis serves after and before, which pair alike.
-        for dm in self.demosaickers:
-            check_pairing(Strategy.AFTER, dm)
-        check_pairing(Strategy.JOINT, self.joint_demosaicker)
+        for strategy in self.strategies:
+            if not self.demosaickers_for(strategy):
+                kind = "a joint-bilateral" if strategy is Strategy.JOINT else "a non-joint"
+                raise ValueError(f"strategy {strategy.value} runs {kind} demosaicker, and the demosaickers axis holds none")
         COUNT.check("repeats", self.repeats)
+
+    def demosaickers_for(self, strategy: Strategy) -> tuple[DemosaickerConfig, ...]:
+        """The axis's demosaickers that strategy pairs with (see check_pairing), in axis order."""
+        return tuple(dm for dm in self.demosaickers if dm.is_joint == (strategy is Strategy.JOINT))
 
     def points(self) -> Iterator[tuple[Strategy, float, DenoiserConfig, DemosaickerConfig, int]]:
         """Grid points in deterministic order; repeats vary fastest."""
         for strategy in self.strategies:
-            if strategy is Strategy.JOINT:
-                denoisers: Sequence[DenoiserConfig] = (DenoiserConfig(kind="none"),)
-                demosaickers: Sequence[DemosaickerConfig] = (self.joint_demosaicker,)
-            else:
-                denoisers = self.denoisers
-                demosaickers = self.demosaickers
-            yield from itertools.product((strategy,), self.sigmas, denoisers, demosaickers, range(self.repeats))
+            denoisers = (DenoiserConfig(kind="none"),) if strategy is Strategy.JOINT else self.denoisers
+            yield from itertools.product((strategy,), self.sigmas, denoisers, self.demosaickers_for(strategy), range(self.repeats))
 
 
 def _run_task(sweep: tuple, task: tuple[int, list[int]]) -> list[ExperimentRecord]:

@@ -385,7 +385,7 @@ class TestExperimentCommand:
         ]
 
     BASE = ["--strategies", "after", "before", "joint", "--sigmas", "0.02", "0.05",
-            "--denoisers", "wavelet", "--demosaickers", "bilinear", "--seed", "0"]
+            "--denoisers", "wavelet", "--demosaickers", "bilinear", "joint-bilateral", "--seed", "0"]
 
     def test_row_count_and_image_major_order(self, tmp_path):
         inputs = self._corpus(tmp_path)
@@ -440,6 +440,14 @@ class TestExperimentCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "non-joint" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("readable", [True, False], ids=["input", "missing-input"])
+    def test_joint_with_no_joint_bilateral_on_the_axis_rejected(self, tmp_path, capsys, readable):
+        image = self._corpus(tmp_path)[0] if readable else str(tmp_path / "nope.ppm")
+        rc = main(["experiment", image, "--strategies", "joint", "--demosaickers", "bilinear"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "joint-bilateral" in err and err.count("\n") == 1
 
     def test_repeated_basename_rejected(self, tmp_path, capsys):
         # Ids are basenames: day/scene.ppm and night/scene.ppm would share one
@@ -570,6 +578,19 @@ class TestErrorMessages:
             parse(value)
         assert main(argv + [flag, value]) == 1
         assert capsys.readouterr().err == f"error: argument {flag}: {library.value}\n"
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["experiment", "a.ppm", "--repeats", "1.5"], "error: argument --repeats: invalid int value: '1.5'"),
+            (["pipeline", "--in", "a.ppm", "--dn-radius", "1.5"], "error: argument --dn-radius: invalid int value: '1.5'"),
+            (["pipeline", "--in", "a.ppm", "--sigma", "abc"], "error: argument --sigma: invalid float value: 'abc'"),
+        ],
+        ids=["repeats", "dn-radius", "sigma"],
+    )
+    def test_failing_cast_is_worded_by_its_type(self, capsys, argv, line):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == line + "\n"
 
     def test_header_without_raster_names_the_input(self, tmp_path, capsys):
         src = tmp_path / "short.ppm"

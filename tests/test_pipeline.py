@@ -364,13 +364,24 @@ class TestExperimentGrid:
         with pytest.raises(ValueError, match=r"^sigma must be finite, >= 0 and <= 1000, got 1e\+160$"):
             ExperimentGrid(sigmas=(0.05, 1e160))
 
-    def test_joint_on_demosaicker_axis_rejected(self):
-        with pytest.raises(ValueError, match="non-joint"):
-            ExperimentGrid(demosaickers=(BILINEAR, JOINT))
+    @pytest.mark.parametrize(
+        "strategy, demosaickers, message",
+        [
+            (Strategy.AFTER, (JOINT,), "^strategy after runs a non-joint"),
+            (Strategy.JOINT, (BILINEAR, GRADIENT), "^strategy joint runs a joint-bilateral"),
+        ],
+        ids=["after", "joint"],
+    )
+    def test_strategy_without_a_demosaicker_of_its_kind_rejected(self, strategy, demosaickers, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentGrid(strategies=(strategy,), demosaickers=demosaickers)
 
-    def test_nonjoint_joint_demosaicker_rejected(self):
-        with pytest.raises(ValueError, match="strategy joint"):
-            ExperimentGrid(joint_demosaicker=BILINEAR)
+    def test_each_strategy_sweeps_the_demosaickers_it_pairs_with(self):
+        joint_b = DemosaickerConfig(kind="joint-bilateral", sigma_r=0.05)
+        grid = ExperimentGrid(strategies=tuple(Strategy), demosaickers=(BILINEAR, JOINT, GRADIENT, joint_b))
+        assert grid.demosaickers_for(Strategy.AFTER) == (BILINEAR, GRADIENT)
+        assert grid.demosaickers_for(Strategy.BEFORE) == (BILINEAR, GRADIENT)
+        assert grid.demosaickers_for(Strategy.JOINT) == (JOINT, joint_b)
 
     @pytest.mark.parametrize(
         "axis, value",
@@ -378,7 +389,6 @@ class TestExperimentGrid:
             ("strategies", ("before",)),
             ("denoisers", ("wavelet",)),
             ("demosaickers", ("bilinear",)),
-            ("joint_demosaicker", "joint-bilateral"),
             ("pattern", "gbrg"),
         ],
     )
@@ -417,7 +427,7 @@ class TestExperimentGrid:
             strategies=(Strategy.JOINT,),
             sigmas=(0.05,),
             denoisers=(WAVELET, NONE),
-            demosaickers=(BILINEAR, GRADIENT),
+            demosaickers=(BILINEAR, JOINT, GRADIENT),
         )
         points = list(grid.points())
         assert len(points) == 1
@@ -644,7 +654,8 @@ class TestSharedStages:
         strategies=(Strategy.AFTER, Strategy.JOINT, Strategy.BEFORE),
         sigmas=(0.02, 0.05),
         denoisers=tuple(DenoiserConfig(kind=kind) for kind in ("none", "gaussian", "median", "wavelet")),
-        demosaickers=(BILINEAR, GRADIENT),
+        # Two joint configs: each runs once per (sigma, repeat), paired with the after and before runs.
+        demosaickers=(BILINEAR, JOINT, GRADIENT, DemosaickerConfig(kind="joint-bilateral", sigma_r=0.05)),
         repeats=2,
     )
 
@@ -688,7 +699,8 @@ class TestSharedStages:
         run_experiment(self._corpus(), self.GRID, jobs=1)
         # One noisy mosaic per (image, repeat, sigma).
         mosaics = 2 * self.GRID.repeats * len(self.GRID.sigmas)
-        denoisers, demosaickers = len(self.GRID.denoisers), len(self.GRID.demosaickers)
+        denoisers, demosaickers = len(self.GRID.denoisers), len(self.GRID.demosaickers_for(Strategy.AFTER))
+        joints = len(self.GRID.demosaickers_for(Strategy.JOINT))
         assert calls["mosaic_from_rgb"] == mosaics
         assert calls["add_awgn"] == mosaics
         assert calls["decompose"] == mosaics
@@ -697,8 +709,8 @@ class TestSharedStages:
         assert calls["denoise_subimages"] == mosaics * (denoisers - 1)
         # Each demosaicker on the noisy mosaic (the after runs and before +
         # none) and after each other sub-image denoiser, and one joint run
-        # per noisy mosaic.
-        assert calls["demosaic"] == mosaics * (demosaickers * denoisers + 1)
+        # per joint config and noisy mosaic.
+        assert calls["demosaic"] == mosaics * (demosaickers * denoisers + joints)
 
     def test_pool_tasks_carry_no_image_planes(self, monkeypatch):
         # Count the bytes a process pool pickles in this process: the tasks
@@ -805,7 +817,7 @@ class TestSharedStages:
             strategies=(Strategy.AFTER, Strategy.JOINT, Strategy.BEFORE),
             sigmas=(0.02, 0.05),
             denoisers=(WAVELET, DenoiserConfig(kind="wavelet", levels=2)),
-            demosaickers=(BILINEAR, DemosaickerConfig(kind="bilinear")),
+            demosaickers=(BILINEAR, DemosaickerConfig(kind="bilinear"), JOINT),
         )
         calls = Counter()
         outputs = []

@@ -10,6 +10,8 @@ CfaPattern.sites, a padded plane through _kernel._shifted's lattice, and
 the wavelet pyramid by _idwt. The runtime imports the standard library,
 numpy and cfaisp only. Each argument is checked where it enters the
 library, so _kernel imports no cfaisp module and _run_group checks nothing.
+Which strategy runs which demosaicker is decided only by check_pairing and
+ExperimentGrid.demosaickers_for, the only readers of is_joint outside demosaic.
 """
 
 import ast
@@ -185,3 +187,8 @@ def test_run_group_checks_nothing():
     # run_pipeline, run_experiment and ExperimentGrid check before it runs.
     checks = ["check_text", "_check_sides", "check_pairing", "_check_types"]
     assert [(check, scope) for check in checks for module, scope in _calls(check) if module == "pipeline" and scope.split(".")[0] == "_run_group"] == []
+
+
+def test_only_the_pairing_rules_read_is_joint():
+    reads = {(module, scope) for module, scope, node in _nodes() if module != "demosaic" and isinstance(node, ast.Attribute) and node.attr == "is_joint"}
+    assert reads == {("pipeline", "check_pairing"), ("pipeline", "ExperimentGrid.demosaickers_for")}
