@@ -6,11 +6,10 @@ functions of the arguments and input bytes.
 
 The CLI states no library policy; each rule has one home in the library.
 Defaults come from DenoiserConfig(), DemosaickerConfig(), ExperimentGrid()
-and DEFAULT_PATTERN. There is one --dn-*/--jb-* flag per field of
-DenoiserConfig and DemosaickerConfig, whose text form, range and meaning
-come from config.CONFIG_FIELDS, sigma floor included; --jb-sigma-s also
-checks joint-bilateral's floor, demosaic.JOINT_SIGMA_S. config.parse_name
-reads every typed name. The noise ranges are config's rules and the
+and DEFAULT_PATTERN. A denoiser or demosaicker flag takes the text that its
+config's describe() writes in the CSV, read back by DenoiserConfig.parse or
+DemosaickerConfig.parse, which check every field. config.parse_name reads
+every typed name. The noise ranges are config's rules and the
 strategy/demosaicker pairing is pipeline.check_pairing for one run and
 ExperimentGrid.demosaickers_for for a sweep. A configuration the library
 rejects is a usage error, reported before any input is read.
@@ -19,14 +18,13 @@ rejects is a usage error, reported before any input is read.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Optional, Sequence
 
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosaic_from_rgb
-from cfaisp.config import CONFIG_FIELDS, COUNT, SEED, SIGMA, Rule, parse_name
-from cfaisp.demosaic import DEMOSAICKER_KINDS, JOINT_SIGMA_S, DemosaickerConfig, demosaic
+from cfaisp.config import COUNT, SEED, SIGMA, Rule
+from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
 from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
 from cfaisp.imageio import DEPTHS, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec, add_awgn
@@ -73,8 +71,11 @@ def _parsed(parse, *rules: Rule):
 _count = _parsed(int, COUNT)
 _seed = _parsed(int, SEED)
 _sigma = _parsed(float, SIGMA)
-_denoiser_kind = _parsed(lambda text: parse_name("denoiser", text, DENOISER_KINDS))
-_demosaicker_kind = _parsed(lambda text: parse_name("demosaicker", text, DEMOSAICKER_KINDS))
+_denoiser = _parsed(DenoiserConfig.parse)
+_demosaicker = _parsed(DemosaickerConfig.parse)
+# Each kind as describe() writes it at the defaults: a bare kind or kind(field=value ...).
+_DN_HELP = f"{', '.join(DenoiserConfig(kind).describe() for kind in DENOISER_KINDS)}, with any fields changed"
+_DM_HELP = f"{', '.join(DemosaickerConfig(kind).describe() for kind in DEMOSAICKER_KINDS)}, with any fields changed"
 
 
 def _add_pattern_flag(parser: argparse.ArgumentParser) -> None:
@@ -96,31 +97,6 @@ def _add_sigma_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma-g", type=_sigma, default=None, help="override sigma for green sites")
     parser.add_argument("--sigma-b", type=_sigma, default=None, help="override sigma for blue sites")
     parser.add_argument("--seed", type=_seed, default=0, help="64-bit noise seed (default %(default)s)")
-
-
-def _add_field_flags(parser: argparse.ArgumentParser, prefix: str, defaults) -> None:
-    """Add one --<prefix>-<field> flag per parameter field of defaults, a method config.
-
-    Each command declares its own kind flag.
-    """
-    for field in dataclasses.fields(defaults):
-        if field.name == "kind":
-            continue
-        spec, default = CONFIG_FIELDS[field.name], getattr(defaults, field.name)
-        flag = f"--{prefix}-{field.name.replace('_', '-')}"
-        # The --jb-* flags set joint-bilateral's fields, so its sigma_s floor holds there.
-        rules = (spec.rule, JOINT_SIGMA_S) if flag == "--jb-sigma-s" else (spec.rule,)
-        parser.add_argument(flag, type=_parsed(spec.parse, *rules), default=default, help=f"{spec.meaning} (default {spec.show(default)})")
-
-
-def _fields(args: argparse.Namespace, prefix: str) -> dict:
-    """The values of the --<prefix>-* flags, keyed by config field.
-
-    Every kind of the family is built with all of them; a kind checks and
-    describes only the fields it reads.
-    """
-    start = f"{prefix}_"
-    return {dest[len(start) :]: value for dest, value in vars(args).items() if dest.startswith(start)}
 
 
 def _noise_spec(args: argparse.Namespace) -> NoiseSpec:
@@ -188,16 +164,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     # Without --demosaicker, each strategy runs the default grid's first demosaicker for it.
-    kind = args.demosaicker or _GRID.demosaickers_for(args.strategy)[0].kind
+    dm = args.demosaicker or _GRID.demosaickers_for(args.strategy)[0]
     try:
-        dn = DenoiserConfig(args.denoiser, **_fields(args, "dn"))
-        dm = DemosaickerConfig(kind, **_fields(args, "jb"))
         check_pairing(args.strategy, dm)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     path = getattr(args, "in")
     truth = _read(path, RgbImage)
-    result, record = run_pipeline(truth, args.pattern, _noise_spec(args), args.strategy, dn, dm, image_id=os.path.basename(path))
+    result, record = run_pipeline(truth, args.pattern, _noise_spec(args), args.strategy, args.denoiser, dm, image_id=os.path.basename(path))
     if args.out:
         _write(args.out, encode_pnm(result, bit_depth=args.depth))
     _write(None, write_csv([record]))
@@ -209,8 +183,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         grid = ExperimentGrid(
             strategies=tuple(args.strategies),
             sigmas=tuple(args.sigmas),
-            denoisers=tuple(DenoiserConfig(kind, **_fields(args, "dn")) for kind in args.denoisers),
-            demosaickers=tuple(DemosaickerConfig(kind, **_fields(args, "jb")) for kind in args.demosaickers),
+            denoisers=tuple(args.denoisers),
+            demosaickers=tuple(args.demosaickers),
             repeats=args.repeats,
             pattern=args.pattern,
         )
@@ -251,21 +225,17 @@ def _build_parser() -> _Parser:
     denoise_cmd = commands.add_parser("denoise", help="denoise a single plane")
     denoise_cmd.add_argument("--in", required=True, help="input PGM")
     denoise_cmd.add_argument("--out", required=True, help="output PGM")
-    denoise_cmd.add_argument("--denoiser", type=_denoiser_kind, default=_DN.kind, help=f"{', '.join(DENOISER_KINDS)} (default %(default)s)")
-    _add_field_flags(denoise_cmd, "dn", _DN)
+    denoise_cmd.add_argument("--denoiser", type=_denoiser, default=_DN, help=f"{_DN_HELP} (default {_DN.describe()})")
     _add_depth_flag(denoise_cmd)
-    denoise_cmd.set_defaults(handler=_stage(Plane, lambda args, plane: denoise_plane(plane, DenoiserConfig(args.denoiser, **_fields(args, "dn")))))
+    denoise_cmd.set_defaults(handler=_stage(Plane, lambda args, plane: denoise_plane(plane, args.denoiser)))
 
     demosaic_cmd = commands.add_parser("demosaic", help="reconstruct RGB from a mosaic")
     demosaic_cmd.add_argument("--in", required=True, help="input PGM mosaic")
     demosaic_cmd.add_argument("--out", required=True, help="output PPM")
     _add_pattern_flag(demosaic_cmd)
-    demosaic_cmd.add_argument("--demosaicker", type=_demosaicker_kind, default=_DM.kind, help=f"{', '.join(DEMOSAICKER_KINDS)} (default %(default)s)")
-    _add_field_flags(demosaic_cmd, "jb", _DM)
+    demosaic_cmd.add_argument("--demosaicker", type=_demosaicker, default=_DM, help=f"{_DM_HELP} (default {_DM.describe()})")
     _add_depth_flag(demosaic_cmd)
-    demosaic_cmd.set_defaults(
-        handler=_stage(Plane, lambda args, plane: demosaic(MosaicImage(args.pattern, plane), DemosaickerConfig(args.demosaicker, **_fields(args, "jb"))))
-    )
+    demosaic_cmd.set_defaults(handler=_stage(Plane, lambda args, plane: demosaic(MosaicImage(args.pattern, plane), args.demosaicker)))
 
     pipeline_cmd = commands.add_parser("pipeline", help="run one strategy end to end and print its CSV record")
     pipeline_cmd.add_argument("--in", required=True, help="reference PPM (P6)")
@@ -273,15 +243,9 @@ def _build_parser() -> _Parser:
     pipeline_cmd.add_argument("--strategy", type=_parsed(Strategy.parse), default=Strategy.AFTER, help=f"{', '.join(s.value for s in Strategy)} (default {Strategy.AFTER.value})")
     _add_pattern_flag(pipeline_cmd)
     _add_sigma_flags(pipeline_cmd)
-    pipeline_cmd.add_argument("--denoiser", type=_denoiser_kind, default=_DN.kind, help=f"{', '.join(DENOISER_KINDS)} (default %(default)s)")
-    _add_field_flags(pipeline_cmd, "dn", _DN)
-    pipeline_cmd.add_argument(
-        "--demosaicker",
-        type=_demosaicker_kind,
-        default=None,
-        help=f"{', '.join(DEMOSAICKER_KINDS)} (default by strategy: {', '.join(f'{s.value}={_GRID.demosaickers_for(s)[0].kind}' for s in Strategy)})",
-    )
-    _add_field_flags(pipeline_cmd, "jb", _DM)
+    pipeline_cmd.add_argument("--denoiser", type=_denoiser, default=_DN, help=f"{_DN_HELP} (default {_DN.describe()})")
+    by_strategy = ", ".join(f"{s.value}={_GRID.demosaickers_for(s)[0].describe()}" for s in Strategy)
+    pipeline_cmd.add_argument("--demosaicker", type=_demosaicker, default=None, help=f"{_DM_HELP} (default by strategy: {by_strategy})")
     _add_depth_flag(pipeline_cmd)
     pipeline_cmd.set_defaults(handler=_cmd_pipeline)
 
@@ -290,21 +254,19 @@ def _build_parser() -> _Parser:
     experiment_cmd.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     # The sweep's axes, whose defaults are ExperimentGrid's, shown as they are typed.
     axes = (
-        ("--strategies", _parsed(Strategy.parse), list(_GRID.strategies), "strategies to sweep"),
-        ("--sigmas", _sigma, list(_GRID.sigmas), "noise sigmas"),
-        ("--denoisers", _denoiser_kind, [dn.kind for dn in _GRID.denoisers], "denoiser kinds to sweep"),
-        ("--demosaickers", _demosaicker_kind, [dm.kind for dm in _GRID.demosaickers], "demosaickers to sweep; joint runs the joint-bilateral ones, after and before the others"),
+        ("--strategies", _parsed(Strategy.parse), _GRID.strategies, "strategies to sweep"),
+        ("--sigmas", _sigma, _GRID.sigmas, "noise sigmas"),
+        ("--denoisers", _denoiser, _GRID.denoisers, f"denoisers to sweep: {_DN_HELP}"),
+        ("--demosaickers", _demosaicker, _GRID.demosaickers, f"demosaickers to sweep: {_DM_HELP}; joint runs the joint-bilateral ones, after and before the others"),
     )
     for flag, axis_type, default, meaning in axes:
-        shown = " ".join(str(getattr(value, "value", value)) for value in default)
+        shown = " ".join(value.describe() if hasattr(value, "describe") else str(getattr(value, "value", value)) for value in default)
         experiment_cmd.add_argument(flag, type=axis_type, nargs="+", default=default, help=f"{meaning} (default: {shown})")
     experiment_cmd.add_argument("--repeats", type=_count, default=_GRID.repeats, help="noise realizations per grid point (default %(default)s)")
     experiment_cmd.add_argument("--seed", type=_seed, default=0, help="master seed; per-run seeds derive from it (default 0)")
     experiment_cmd.add_argument("--jobs", type=_count, default=None, help="worker processes, at most one per CPU this process may run on (default: one per CPU)")
     experiment_cmd.add_argument("--timing", action="store_true", help="record wall time per run (off by default so CSVs are reproducible)")
     _add_pattern_flag(experiment_cmd)
-    _add_field_flags(experiment_cmd, "dn", _DN)
-    _add_field_flags(experiment_cmd, "jb", _DM)
     experiment_cmd.set_defaults(handler=_cmd_experiment)
 
     return parser

@@ -1,15 +1,17 @@
 """The rules that every checked value obeys, and the fields of the method configs.
 
 Rule is the one rule type, CONFIG_FIELDS the one table of method config
-fields, which check_method and describe_method read for both method
-families. parse_name reads every typed name (a pattern, a strategy, a
-method kind) for the library and the CLI alike.
+fields, which check_method, describe_method and parse_method read for both
+method families: describe_method writes a config's one text form and
+parse_method reads it back. parse_name reads every typed name (a pattern, a
+strategy, a method kind) for the library and the CLI alike.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -88,30 +90,26 @@ def _show_real(v: float) -> str:
 
 
 class ConfigField(NamedTuple):
-    """A method config field: its text parse, its rule, how describe() shows it, and what it means."""
+    """A method config field: its text parse, its rule, and how describe() shows it."""
 
     parse: Callable[[str], Any]
     rule: Rule
     show: Callable[[Any], str]
-    meaning: str
 
 
-# Each config field a method can read. The CLI builds one flag per field of
-# DenoiserConfig and DemosaickerConfig from this table, and each show is
-# read back by its parse.
+# Each config field a method can read. Each show is read back by its parse,
+# so parse_method reads what describe_method writes.
 CONFIG_FIELDS = {
-    "sigma_s": ConfigField(
-        float, Rule(lambda v: is_real(v) and SIGMA_FLOOR <= v <= SIGMA_S_MAX, f"finite, >= {SIGMA_FLOOR:g} and <= {SIGMA_S_MAX:g}"), _show_real,
-        "spatial sigma in pixels (gaussian, bilateral, joint-bilateral)",
-    ),
-    "radius": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]"), str, "median window radius"),
-    "sigma_r": ConfigField(
-        float, Rule(lambda v: is_real(v) and v >= SIGMA_FLOOR, f"in float range and >= {SIGMA_FLOOR:g}, or inf"), _show_real, "range sigma (bilateral, joint-bilateral), or inf for spatial weights only"
-    ),
-    "levels": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]"), str, "wavelet decomposition levels"),
-    "sigma_n": ConfigField(
-        _number_or_auto, Rule(lambda v: v is None or SIGMA.test(v), SIGMA.need), lambda v: "auto" if v is None else _show_real(v), "wavelet noise level, or 'auto' to estimate it per plane"
-    ),
+    # The spatial sigma in pixels (gaussian, bilateral, joint-bilateral).
+    "sigma_s": ConfigField(float, Rule(lambda v: is_real(v) and SIGMA_FLOOR <= v <= SIGMA_S_MAX, f"finite, >= {SIGMA_FLOOR:g} and <= {SIGMA_S_MAX:g}"), _show_real),
+    # The median's window radius.
+    "radius": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= RADIUS_MAX, f"an integer in [1, {RADIUS_MAX}]"), str),
+    # The range sigma (bilateral, joint-bilateral), or inf for spatial weights only.
+    "sigma_r": ConfigField(float, Rule(lambda v: is_real(v) and v >= SIGMA_FLOOR, f"in float range and >= {SIGMA_FLOOR:g}, or inf"), _show_real),
+    # The wavelet's decomposition levels.
+    "levels": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]"), str),
+    # The wavelet's noise level, or None ('auto') to estimate it per plane.
+    "sigma_n": ConfigField(_number_or_auto, Rule(lambda v: v is None or SIGMA.test(v), SIGMA.need), lambda v: "auto" if v is None else _show_real(v)),
 }
 
 
@@ -119,7 +117,8 @@ def check_method(config, table: dict, family: str) -> None:
     """Reject an unknown config.kind, or an out-of-range field that kind reads.
 
     table maps each kind to (implementation, the config fields it reads); the
-    denoiser and demosaicker configs share this check and describe_method.
+    denoiser and demosaicker configs share this check, describe_method and
+    parse_method.
     """
     if config.kind not in table:
         raise ValueError(f"unknown {family} kind {config.kind!r}; expected one of {', '.join(table)}")
@@ -131,6 +130,31 @@ def describe_method(config, table: dict) -> str:
     """Comma-free descriptor kind(field=value ...) over the fields the kind reads."""
     params = " ".join(f"{name}={CONFIG_FIELDS[name].show(getattr(config, name))}" for name in table[config.kind][1])
     return f"{config.kind}({params})" if params else config.kind
+
+
+def parse_method(config_type, text: str, table: dict, family: str):
+    """The config_type config that text names as describe_method writes it: a kind, then optionally (field=value ...).
+
+    Only fields the kind reads may be given, each once; the others keep their
+    defaults, so texts that describe alike parse to equal configs.
+    """
+    match = re.fullmatch(r"([^()]*)(?:\(([^()]*)\))?", text.strip())
+    if match is None:
+        raise ValueError(f"malformed {family} {text!r}; expected kind or kind(field=value ...)")
+    kind = parse_name(family, match[1], tuple(table))
+    fields: dict = {}
+    for item in (match[2] or "").split():
+        name, _, shown = item.partition("=")
+        if name not in table[kind][1]:
+            raise ValueError(f"{kind} reads {' and '.join(table[kind][1]) or 'no field'}, not {name!r}")
+        if name in fields:
+            raise ValueError(f"{name} is given twice in {text!r}")
+        field = CONFIG_FIELDS[name]
+        try:
+            fields[name] = field.parse(shown)
+        except ValueError:
+            raise ValueError(f"{name} {field.rule.complaint(repr(shown))}") from None
+    return config_type(kind, **fields)
 
 
 def parse_name(family: str, text: str, names: Sequence[str]) -> str:

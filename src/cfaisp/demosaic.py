@@ -29,7 +29,7 @@ import numpy as np
 
 from cfaisp import _kernel
 from cfaisp.cfa import MosaicImage
-from cfaisp.config import Rule, check_method, describe_method
+from cfaisp.config import Rule, check_method, describe_method, parse_method
 from cfaisp.imageio import Plane, RgbImage
 
 # kind -> (name of the function in this module, the DemosaickerConfig fields
@@ -66,6 +66,11 @@ class DemosaickerConfig:
     def describe(self) -> str:
         """Compact comma-free descriptor used in CSV output."""
         return describe_method(self, _DEMOSAICKERS)
+
+    @classmethod
+    def parse(cls, text: str) -> "DemosaickerConfig":
+        """The config that text names, as describe() writes it; a bare kind takes the defaults."""
+        return parse_method(cls, text, _DEMOSAICKERS, "demosaicker")
 
 
 # Bilinear stencils, in the roles of the gradient kernels below: the nearest

@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from cfaisp import _kernel
 from cfaisp.cfa import SubImages
-from cfaisp.config import check_method, describe_method
+from cfaisp.config import check_method, describe_method, parse_method
 from cfaisp.imageio import DimensionError, Plane
 
 _SQRT2 = math.sqrt(2.0)
@@ -78,6 +78,11 @@ class DenoiserConfig:
     def describe(self) -> str:
         """Compact comma-free descriptor used in CSV output."""
         return describe_method(self, _DENOISERS)
+
+    @classmethod
+    def parse(cls, text: str) -> "DenoiserConfig":
+        """The config that text names, as describe() writes it; a bare kind takes the defaults."""
+        return parse_method(cls, text, _DENOISERS, "denoiser")
 
 
 def _haar(x: np.ndarray, y: np.ndarray, op, out: np.ndarray) -> np.ndarray:

@@ -241,8 +241,7 @@ def experiment_run(corpus_dir, tmp_path_factory):
         *inputs,
         "--strategies", "after", "before",
         "--sigmas", "0.02", "0.05", "0.1",
-        "--denoisers", "wavelet",
-        "--dn-sigma-n", "auto",
+        "--denoisers", "wavelet(sigma_n=auto)",
         "--demosaickers", "bilinear",
         "--repeats", "5",
         "--seed", "0",

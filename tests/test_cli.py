@@ -1,13 +1,11 @@
 """Command-line interface tests, run in-process through main()."""
 
-import dataclasses
 import errno
 import math
 import os
 import re
 import subprocess
 import sys
-from functools import partial
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -18,12 +16,11 @@ import cfaisp
 from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, mosaic_from_rgb, recompose
 import cfaisp.pipeline as pipeline
 from cfaisp.cli import _build_parser, main
-from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear
-from cfaisp.config import CONFIG_FIELDS, parse_name
+from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic_bilinear
 from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig
 from cfaisp.imageio import Plane, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec
-from cfaisp.pipeline import Strategy, run_pipeline
+from cfaisp.pipeline import ExperimentGrid, Strategy, run_pipeline
 
 
 def _rgb(size=32, seed=50):
@@ -153,11 +150,11 @@ class TestDecompose:
 class TestDenoise:
     # The wide median reads a 5x5 window; at 7 levels the wavelet pads the
     # 16x16 plane to 128x128, a reflection wider than the plane, and crops it back.
-    @pytest.mark.parametrize("kind", ["none", "gaussian", "median", "bilateral", "wavelet", "median --dn-radius 2", "wavelet --dn-levels 7"])
+    @pytest.mark.parametrize("kind", ["none", "gaussian", "median", "bilateral", "wavelet", "median(radius=2)", "wavelet(levels=7)"])
     def test_each_kind_runs(self, tmp_path, kind):
         src = _write_pgm(tmp_path / "p.pgm", Plane(np.random.default_rng(52).random((16, 16))))
         out = tmp_path / "d.pgm"
-        rc = main(["denoise", "--in", src, "--out", str(out), "--denoiser", *kind.split(), "--depth", "16"])
+        rc = main(["denoise", "--in", src, "--out", str(out), "--denoiser", kind, "--depth", "16"])
         assert rc == 0
         decoded = decode_pnm(out.read_bytes())
         assert decoded.data.shape == (16, 16)
@@ -203,7 +200,7 @@ class TestDemosaic:
 class TestPipelineCommand:
     ARGS = [
         "pipeline", "--strategy", "before", "--sigma", "0.05", "--seed", "7",
-        "--denoiser", "wavelet", "--dn-sigma-n", "auto", "--demosaicker", "bilinear",
+        "--denoiser", "wavelet(sigma_n=auto)", "--demosaicker", "bilinear",
     ]
 
     def test_golden_run(self, tmp_path, capsysbinary):
@@ -278,10 +275,10 @@ class TestPipelineCommand:
     @pytest.mark.parametrize(
         "argv,strategy,dn,dm",
         [
-            (["--denoiser", "bilateral", "--dn-sigma-r", "inf"], Strategy.AFTER, DenoiserConfig(kind="bilateral", sigma_r=math.inf), DemosaickerConfig()),
-            (["--strategy", "joint", "--jb-sigma-r", "inf"], Strategy.JOINT, DenoiserConfig(), DemosaickerConfig(kind="joint-bilateral", sigma_r=math.inf)),
+            (["--denoiser", "bilateral(sigma_r=inf)"], Strategy.AFTER, DenoiserConfig(kind="bilateral", sigma_r=math.inf), DemosaickerConfig()),
+            (["--strategy", "joint", "--demosaicker", "joint-bilateral(sigma_r=inf)"], Strategy.JOINT, DenoiserConfig(), DemosaickerConfig(kind="joint-bilateral", sigma_r=math.inf)),
         ],
-        ids=["dn-sigma-r", "jb-sigma-r"],
+        ids=["denoiser", "demosaicker"],
     )
     def test_infinite_range_sigma_is_the_spatial_only_limit(self, tmp_path, capsysbinary, argv, strategy, dn, dm):
         src = _write_ppm(tmp_path / "t.ppm", _rgb())
@@ -347,34 +344,58 @@ class TestRejectedBeforeAnyStage:
         assert main(["demosaic", "--in", str(noisy), "--out", str(tmp_path / "d.ppm")]) == 0
 
 
-# The commands that take each method family's parameter flags.
+# Each method family's config, its kinds, its flag in each command that takes
+# one, and one value per field other than the default.
 _FAMILIES = [
-    ("dn", DenoiserConfig(), ["denoise", "pipeline", "experiment"]),
-    ("jb", DemosaickerConfig(), ["demosaic", "pipeline", "experiment"]),
+    (DenoiserConfig, DENOISER_KINDS, {"denoise": "--denoiser", "pipeline": "--denoiser", "experiment": "--denoisers"}, {"sigma_s": 2.5, "radius": 2, "sigma_r": math.inf, "levels": 4, "sigma_n": 0.05}),
+    (DemosaickerConfig, DEMOSAICKER_KINDS, {"demosaic": "--demosaicker", "pipeline": "--demosaicker", "experiment": "--demosaickers"}, {"sigma_s": 0.5, "sigma_r": math.inf}),
 ]
 _REQUIRED = {"denoise": ["--in", "i", "--out", "o"], "demosaic": ["--in", "i", "--out", "o"], "pipeline": ["--in", "i"], "experiment": ["i.ppm"]}
 
 
-class TestFlagsFromConfigFields:
-    @pytest.mark.parametrize("prefix,defaults,commands", _FAMILIES, ids=["dn", "jb"])
-    def test_one_flag_per_field_with_the_config_default(self, prefix, defaults, commands):
-        names = [field.name for field in dataclasses.fields(defaults) if field.name != "kind"]
-        for command in commands:
-            args = vars(_build_parser().parse_args([command, *_REQUIRED[command]]))
-            assert {dest for dest in args if dest.startswith(f"{prefix}_")} == {f"{prefix}_{name}" for name in names}
-            for name in names:
-                assert args[f"{prefix}_{name}"] == getattr(defaults, name)
+def _flag_value(command: str, flag: str, argv: list):
+    """What the parser makes of flag in command's argument list argv; an experiment axis holds a list."""
+    value = getattr(_build_parser().parse_args([command, *_REQUIRED[command], *argv]), flag.lstrip("-"))
+    return value[0] if command == "experiment" and argv else value
 
-    @pytest.mark.parametrize("prefix,defaults,commands", _FAMILIES, ids=["dn", "jb"])
-    def test_flag_text_is_the_field_text_form(self, prefix, defaults, commands):
-        for field in dataclasses.fields(defaults):
-            if field.name == "kind":
-                continue
-            spec, default = CONFIG_FIELDS[field.name], getattr(defaults, field.name)
-            flag = f"--{prefix}-{field.name.replace('_', '-')}"
-            for command in commands:
-                args = _build_parser().parse_args([command, *_REQUIRED[command], flag, spec.show(default)])
-                assert getattr(args, f"{prefix}_{field.name}") == default
+
+class TestMethodFlags:
+    def test_the_defaults_are_the_library_defaults(self):
+        # pipeline's --demosaicker defaults by strategy (TestPipelineCommand).
+        assert _flag_value("denoise", "--denoiser", []) == _flag_value("pipeline", "--denoiser", []) == DenoiserConfig()
+        assert _flag_value("demosaic", "--demosaicker", []) == DemosaickerConfig()
+        assert tuple(_flag_value("experiment", "--denoisers", [])) == ExperimentGrid().denoisers
+        assert tuple(_flag_value("experiment", "--demosaickers", [])) == ExperimentGrid().demosaickers
+
+    @pytest.mark.parametrize("config,kinds,flags,others", _FAMILIES, ids=["denoiser", "demosaicker"])
+    def test_every_described_config_is_a_flag_value(self, config, kinds, flags, others):
+        for kind in kinds:
+            for written in (config(kind), config(kind, **others)):
+                for command, flag in flags.items():
+                    assert _flag_value(command, flag, [flag, written.describe()]).describe() == written.describe()
+
+    def test_a_csv_row_reruns(self, tmp_path, corpus_dir):
+        # Every denoiser and demosaicker cell names the config that wrote the
+        # row: parsed back, it reruns the row's MSE cells byte for byte.
+        denoisers = ["gaussian(sigma_s=0.5)", "gaussian(sigma_s=2)", "bilateral", "wavelet(levels=3 sigma_n=0.05)"]
+        demosaickers = ["bilinear", "gradient", "joint-bilateral(sigma_s=1 sigma_r=0.2)", "joint-bilateral(sigma_s=0.8 sigma_r=inf)"]
+        images = [str(corpus_dir / f"{name}.ppm") for name in ("blobs", "boxes", "waves")]
+        out = tmp_path / "r.csv"
+        argv = ["experiment", *images, "--strategies", "after", "joint", "before", "--sigmas", "0.05", "0.1"]
+        assert main(argv + ["--denoisers", *denoisers, "--demosaickers", *demosaickers, "--jobs", "1", "--out", str(out)]) == 0
+        header, *lines = out.read_text("ascii").splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 3 * 2 * (2 * len(denoisers) * 2 + 2)
+        # Each config gets its own cells: a bare kind is written with its defaults.
+        assert {row["denoiser"] for row in rows} == {"none", "bilateral(sigma_s=1 sigma_r=0.1)", *denoisers} - {"bilateral"}
+        assert {row["demosaicker"] for row in rows} == set(demosaickers)
+        for row in rows:
+            truth = decode_pnm((corpus_dir / row["image"]).read_bytes())
+            noise = NoiseSpec(sigma_r=float(row["sigma_r"]), sigma_g=float(row["sigma_g"]), sigma_b=float(row["sigma_b"]), seed=int(row["seed"]))
+            dn, dm = DenoiserConfig.parse(row["denoiser"]), DemosaickerConfig.parse(row["demosaicker"])
+            _, record = run_pipeline(truth, CfaPattern.parse(row["pattern"]), noise, Strategy.parse(row["strategy"]), dn, dm, image_id=row["image"])
+            rerun = dict(zip(header.split(","), write_csv([record]).decode("ascii").splitlines()[1].split(",")))
+            assert [rerun[cell] for cell in ("mse_r", "mse_g", "mse_b")] == [row[cell] for cell in ("mse_r", "mse_g", "mse_b")]
 
 
 class TestExperimentCommand:
@@ -478,52 +499,45 @@ class TestExperimentCommand:
 
 
 class TestOutOfRangeFlags:
+    # One case per rule of each flag. A method's fields are checked through
+    # its descriptor, whose last field is the one out of range.
     @pytest.mark.parametrize(
         "command,flag,value",
         [
             ("experiment", "--repeats", "0"),
             ("experiment", "--sigmas", "-0.1"),
-            ("experiment", "--dn-levels", "0"),
-            ("experiment", "--dn-sigma-n", "-1"),
             ("experiment", "--seed", "-1"),
             ("experiment", "--jobs", "0"),
             ("pipeline", "--sigma", "-0.1"),
-            ("pipeline", "--dn-levels", "0"),
-            ("pipeline", "--dn-sigma-n", "-1"),
             ("pipeline", "--seed", "-1"),
-            ("pipeline", "--dn-sigma-s", "1e200"),
-            ("pipeline", "--dn-sigma-s", "100.5"),
-            ("pipeline", "--jb-sigma-s", "1e200"),
-            ("experiment", "--dn-sigma-s", "101"),
-            ("experiment", "--jb-sigma-s", "1e200"),
             ("noise", "--sigma", "1e308"),
             ("noise", "--sigma-g", "1000.5"),
-            ("denoise --denoiser wavelet", "--dn-sigma-n", "1e200"),
             ("pipeline --denoiser wavelet", "--sigma", "1e160"),
             ("pipeline --denoiser gaussian", "--sigma", "1e160"),
             ("pipeline --denoiser median", "--sigma", "1e160"),
             ("pipeline --denoiser bilateral", "--sigma", "1e160"),
             ("pipeline", "--sigma-b", "1e160"),
-            ("pipeline", "--dn-sigma-n", "1e200"),
             ("experiment", "--sigmas", "1e160"),
-            ("experiment", "--dn-sigma-n", "1001"),
-            ("pipeline", "--dn-radius", "301"),
-            ("pipeline", "--dn-radius", "1.5"),
-            ("experiment", "--dn-radius", "301"),
-            ("pipeline", "--dn-levels", "11"),
-            ("experiment", "--dn-levels", "25"),
-            ("pipeline", "--dn-sigma-r", "nan"),
-            ("pipeline", "--jb-sigma-r", "0"),
-            ("denoise --denoiser gaussian", "--dn-sigma-s", "1e-200"),
-            ("denoise --denoiser bilateral", "--dn-sigma-r", "1e-200"),
-            ("pipeline --strategy joint", "--jb-sigma-s", "1e-200"),
-            ("experiment", "--dn-sigma-s", "1e-200"),
+            ("experiment", "--denoisers", "wavelet(levels=0)"),
+            ("pipeline", "--denoiser", "wavelet(levels=11)"),
+            ("pipeline", "--denoiser", "wavelet(sigma_n=-1)"),
+            ("denoise", "--denoiser", "wavelet(levels=3 sigma_n=1e200)"),
+            ("experiment", "--denoisers", "wavelet(sigma_n=1001)"),
+            ("pipeline", "--denoiser", "gaussian(sigma_s=100.5)"),
+            ("experiment", "--demosaickers", "joint-bilateral(sigma_s=1e200)"),
+            ("denoise", "--denoiser", "gaussian(sigma_s=1e-200)"),
+            ("pipeline --strategy joint", "--demosaicker", "joint-bilateral(sigma_s=1e-200)"),
+            ("pipeline", "--denoiser", "median(radius=301)"),
+            ("experiment", "--denoisers", "median(radius=1.5)"),
+            ("pipeline", "--denoiser", "bilateral(sigma_s=1 sigma_r=nan)"),
+            ("pipeline --strategy joint", "--demosaicker", "joint-bilateral(sigma_r=0)"),
+            ("denoise", "--denoiser", "bilateral(sigma_r=1e-200)"),
             # Below joint-bilateral's own sigma_s floor.
-            ("pipeline --strategy joint", "--jb-sigma-s", "0.03"),
-            ("demosaic --demosaicker joint-bilateral", "--jb-sigma-s", "0.03"),
-            ("experiment --strategies after joint", "--jb-sigma-s", "0.03"),
-            ("demosaic --demosaicker joint-bilateral --in missing.pgm", "--jb-sigma-s", "0.03753"),
-            ("pipeline --strategy joint --in missing.ppm", "--jb-sigma-s", "0.03"),
+            ("pipeline --strategy joint", "--demosaicker", "joint-bilateral(sigma_s=0.03)"),
+            ("demosaic", "--demosaicker", "joint-bilateral(sigma_s=0.03)"),
+            ("experiment --strategies after joint", "--demosaickers", "joint-bilateral(sigma_s=0.03)"),
+            ("demosaic --in missing.pgm", "--demosaicker", "joint-bilateral(sigma_s=0.03753)"),
+            ("pipeline --strategy joint --in missing.ppm", "--demosaicker", "joint-bilateral(sigma_r=0.1 sigma_s=0.03)"),
         ],
     )
     def test_usage_error_names_the_flag(self, tmp_path, capsys, command, flag, value):
@@ -539,13 +553,14 @@ class TestOutOfRangeFlags:
         }[name]
         assert main(argv + options + [flag, value]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert flag in err and value in err
+        assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+        # A descriptor's error names its last field; any other flag's, the value.
+        assert (re.findall(r"(\w+)=", value) or [value])[-1] in err
 
     def test_usage_error_is_found_before_the_input_is_read(self, tmp_path, capsys):
-        argv = ["denoise", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "d.pgm"), "--denoiser", "gaussian", "--dn-sigma-s", "1e-200"]
+        argv = ["denoise", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "d.pgm"), "--denoiser", "gaussian(sigma_s=1e-200)"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: argument --dn-sigma-s: must be finite, >= 1e-154 and <= 100, got 1e-200\n"
+        assert capsys.readouterr().err == "error: argument --denoiser: sigma_s must be finite, >= 1e-154 and <= 100, got 1e-200\n"
 
     @pytest.mark.parametrize("strategy", ["after", "before", "joint"])
     @pytest.mark.parametrize("denoiser", ["none", "gaussian", "median", "bilateral", "wavelet"])
@@ -568,9 +583,15 @@ class TestErrorMessages:
         "argv,flag,parse,value",
         [
             (["mosaic", "--in", "a.ppm", "--out", "m.pgm"], "--pattern", CfaPattern.parse, "xyz"),
-            (["pipeline", "--in", "a.ppm"], "--dn-sigma-n", CONFIG_FIELDS["sigma_n"].parse, "often"),
             (["pipeline", "--in", "a.ppm"], "--strategy", Strategy.parse, "sideways"),
-            (["pipeline", "--in", "a.ppm"], "--denoiser", partial(parse_name, "denoiser", names=DENOISER_KINDS), "nl_means"),
+            (["pipeline", "--in", "a.ppm"], "--denoiser", DenoiserConfig.parse, "nl_means"),
+            (["pipeline", "--in", "a.ppm"], "--denoiser", DenoiserConfig.parse, "wavelet(sigma_n=often)"),
+            (["pipeline", "--in", "a.ppm"], "--denoiser", DenoiserConfig.parse, "median(radius=1.5)"),
+            (["pipeline", "--in", "a.ppm"], "--denoiser", DenoiserConfig.parse, "median(sigma_s=5)"),
+            (["pipeline", "--in", "a.ppm"], "--demosaicker", DemosaickerConfig.parse, "gradient(sigma_r=0.3)"),
+            (["denoise", "--in", "a.pgm", "--out", "d.pgm"], "--denoiser", DenoiserConfig.parse, "gaussian(sigma_s=1 sigma_s=2)"),
+            (["demosaic", "--in", "a.pgm", "--out", "d.ppm"], "--demosaicker", DemosaickerConfig.parse, "joint-bilateral(sigma_s=1"),
+            (["experiment", "a.ppm"], "--denoisers", DenoiserConfig.parse, "bilateral sigma_s=1"),
         ],
     )
     def test_flag_rejected_with_the_library_message(self, capsys, argv, flag, parse, value):
@@ -583,10 +604,9 @@ class TestErrorMessages:
         "argv,line",
         [
             (["experiment", "a.ppm", "--repeats", "1.5"], "error: argument --repeats: invalid int value: '1.5'"),
-            (["pipeline", "--in", "a.ppm", "--dn-radius", "1.5"], "error: argument --dn-radius: invalid int value: '1.5'"),
             (["pipeline", "--in", "a.ppm", "--sigma", "abc"], "error: argument --sigma: invalid float value: 'abc'"),
         ],
-        ids=["repeats", "dn-radius", "sigma"],
+        ids=["repeats", "sigma"],
     )
     def test_failing_cast_is_worded_by_its_type(self, capsys, argv, line):
         assert main(argv) == 1
@@ -618,8 +638,8 @@ class TestHelp:
             ("mosaic", ["--in", "--out", "--pattern", "--depth"]),
             ("noise", ["--sigma", "--sigma-r", "--seed"]),
             ("decompose", ["--out-prefix"]),
-            ("denoise", ["--denoiser", "--dn-sigma-s", "--dn-radius", "--dn-sigma-r", "--dn-levels", "--dn-sigma-n"]),
-            ("demosaic", ["--demosaicker", "--jb-sigma-s", "--jb-sigma-r"]),
+            ("denoise", ["--denoiser", "gaussian(sigma_s=1)", "median(radius=1)"]),
+            ("demosaic", ["--demosaicker", "bilinear", "gradient"]),
             ("pipeline", ["--strategy", "--denoiser", "--demosaicker", "--sigma", "--seed"]),
             ("experiment", ["--strategies", "--sigmas", "--denoisers", "--demosaickers", "--repeats", "--jobs", "--timing"]),
         ],

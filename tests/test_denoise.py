@@ -997,6 +997,36 @@ class TestConfigFields:
         with pytest.raises(ValueError, match=r"^expected a number or 'auto', got 'often'$"):
             field.parse("often")
 
+    def test_parse_reads_a_kind_in_any_case_with_or_without_fields(self):
+        assert DenoiserConfig.parse(" Wavelet( levels=2  sigma_n=AUTO ) ") == DenoiserConfig(kind="wavelet", levels=2)
+        assert DenoiserConfig.parse("none()") == DenoiserConfig.parse("none") == DenoiserConfig(kind="none")
+        assert DemosaickerConfig.parse("joint_bilateral(sigma_r=inf)") == DemosaickerConfig(kind="joint-bilateral", sigma_r=math.inf)
+
+    # One line per way a text can fail: its form, its kind, a field the kind
+    # does not read or gives twice, a value that fails its cast, and, from the
+    # config's own check, a value out of range.
+    @pytest.mark.parametrize(
+        "config,text,message",
+        [
+            (DenoiserConfig, "gaussian(sigma_s=1", "malformed denoiser 'gaussian(sigma_s=1'; expected kind or kind(field=value ...)"),
+            (DenoiserConfig, "gaussian(sigma_s=1)x", "malformed denoiser 'gaussian(sigma_s=1)x'; expected kind or kind(field=value ...)"),
+            (DenoiserConfig, "nl_means", "unknown denoiser 'nl_means'; expected one of none, gaussian, median, bilateral, wavelet"),
+            (DenoiserConfig, "median(sigma_s=5)", "median reads radius, not 'sigma_s'"),
+            (DenoiserConfig, "none(radius=1)", "none reads no field, not 'radius'"),
+            (DemosaickerConfig, "joint-bilateral(sigma=1)", "joint-bilateral reads sigma_s and sigma_r, not 'sigma'"),
+            (DenoiserConfig, "gaussian(sigma_s=1 sigma_s=2)", "sigma_s is given twice in 'gaussian(sigma_s=1 sigma_s=2)'"),
+            (DenoiserConfig, "median(radius=1.5)", "radius must be an integer in [1, 300], got '1.5'"),
+            (DenoiserConfig, "gaussian(sigma_s)", "sigma_s must be finite, >= 1e-154 and <= 100, got ''"),
+            (DenoiserConfig, "wavelet(sigma_n=often)", "sigma_n must be finite, >= 0 and <= 1000, got 'often'"),
+            (DenoiserConfig, "median(radius=301)", "radius must be an integer in [1, 300], got 301"),
+            (DemosaickerConfig, "joint-bilateral(sigma_s=0.03)", "sigma_s must be about 0.037535 or more for joint-bilateral, got 0.03"),
+        ],
+    )
+    def test_parse_rejects_a_text_with_one_line(self, config, text, message):
+        with pytest.raises(ValueError) as error:
+            config.parse(text)
+        assert str(error.value) == message
+
 
 class TestConfigAndDispatch:
     def test_describe_strings(self):

@@ -6,14 +6,19 @@ joint-bilateral filter gets sizes up to 16x16 and range kernels down to
 sigma_r = 1e-3, where every range weight of many samples underflows.
 """
 
+import dataclasses
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import color_at
 
+from cfaisp import demosaic, denoise
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
-from cfaisp.demosaic import demosaic_bilinear, demosaic_gradient, demosaic_joint_bilateral
+from cfaisp.config import LEVELS_MAX, RADIUS_MAX, SIGMA_FLOOR, SIGMA_MAX, SIGMA_S_MAX
+from cfaisp.demosaic import JOINT_SIGMA_S, DemosaickerConfig, demosaic_bilinear, demosaic_gradient, demosaic_joint_bilateral
 from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
 from cfaisp.imageio import Plane, RgbImage
 
@@ -120,3 +125,37 @@ def test_joint_bilateral_stays_within_the_mosaic_range(mosaic, sigma_s, sigma_r)
     lo, hi = mosaic.plane.data.min(), mosaic.plane.data.max()
     for plane in demosaic_joint_bilateral(mosaic, sigma_s, sigma_r).planes:
         assert lo - 1e-12 <= plane.data.min() and plane.data.max() <= hi + 1e-12
+
+
+# Each config field's values under its CONFIG_FIELDS rule; sigma_r may be
+# inf and sigma_n None, which describe() writes as auto.
+FIELD_VALUES = {
+    "sigma_s": st.floats(SIGMA_FLOOR, SIGMA_S_MAX),
+    "radius": st.integers(1, RADIUS_MAX),
+    "sigma_r": st.floats(min_value=SIGMA_FLOOR),
+    "levels": st.integers(1, LEVELS_MAX),
+    "sigma_n": st.none() | st.floats(0.0, SIGMA_MAX),
+}
+# Each method family's config and the fields each of its kinds reads.
+READS = {DenoiserConfig: denoise._DENOISERS, DemosaickerConfig: demosaic._DEMOSAICKERS}
+
+
+@st.composite
+def _configs(draw):
+    config = draw(st.sampled_from(tuple(READS)))
+    kind = draw(st.sampled_from(tuple(READS[config])))
+    values = {field.name: draw(FIELD_VALUES[field.name]) for field in dataclasses.fields(config) if field.name != "kind"}
+    assume(kind != "joint-bilateral" or JOINT_SIGMA_S.test(values["sigma_s"]))
+    return config(kind, **values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+@example(DenoiserConfig(kind="bilateral", sigma_r=math.inf))
+@example(DemosaickerConfig(kind="joint-bilateral", sigma_r=math.inf))
+@example(DenoiserConfig(kind="wavelet", sigma_n=None))
+def test_parse_reads_back_what_describe_writes(config):
+    parsed = type(config).parse(config.describe())
+    assert parsed.describe() == config.describe()
+    # The fields the kind does not read take their defaults.
+    assert parsed == type(config)(config.kind, **{name: getattr(config, name) for name in READS[type(config)][config.kind][1]})

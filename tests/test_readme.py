@@ -16,6 +16,8 @@ import shlex
 
 import cfaisp
 from cfaisp.cli import main
+from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig
+from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig
 from cfaisp.imageio import encode_pnm
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -56,6 +58,12 @@ def test_every_cli_command_exits_0(tmp_path, monkeypatch, corpus, inline_pool):
     monkeypatch.chdir(tmp_path)
     assert [(argv[0], main(argv)) for argv in commands] == [(argv[0], 0) for argv in commands]
     assert sorted(name for name in written if not (tmp_path / name).is_file()) == []
+
+
+def test_every_kind_is_shown_at_its_defaults():
+    for config, kinds in ((DenoiserConfig, DENOISER_KINDS), (DemosaickerConfig, DEMOSAICKER_KINDS)):
+        for kind in kinds:
+            assert f"`{config(kind).describe()}`" in README
 
 
 def test_no_private_name_is_named():
