@@ -6,13 +6,13 @@ functions of the arguments and input bytes.
 
 The CLI states no library policy; each rule has one home in the library.
 Defaults come from DenoiserConfig(), DemosaickerConfig(), ExperimentGrid()
-and DEFAULT_PATTERN. A denoiser or demosaicker flag takes the text that its
-config's describe() writes in the CSV, read back by DenoiserConfig.parse or
-DemosaickerConfig.parse, which check every field. config.parse_name reads
-every typed name. The noise ranges are config's rules and the
-strategy/demosaicker pairing is pipeline.check_pairing for one run and
-ExperimentGrid.demosaickers_for for a sweep. A configuration the library
-rejects is a usage error, reported before any input is read.
+and DEFAULT_PATTERN. A method flag takes the text its config's describe()
+writes in the CSV, read back by the config's parse. config.parse_name reads
+every typed name and a config.Rule's read every typed number, so argparse
+casts nothing. The strategy/demosaicker pairing is pipeline.check_pairing
+for one run and ExperimentGrid.demosaickers_for for a sweep. A
+configuration the library rejects is a usage error, reported before any
+input is read.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import sys
 from typing import Optional, Sequence
 
 from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, MosaicImage, decompose, mosaic_from_rgb
-from cfaisp.config import COUNT, SEED, SIGMA, Rule
+from cfaisp.config import COUNT, SEED, SIGMA
 from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
 from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
-from cfaisp.imageio import DEPTHS, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
+from cfaisp.imageio import DEPTH, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec, add_awgn
 from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_experiment, run_pipeline
 
@@ -45,32 +45,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parsed(parse, *rules: Rule):
-    """argparse type: parse the text, then check the value against each rule in turn.
-
-    A library parse words its own ValueError; a failing int or float cast
-    is worded by argparse ("invalid int value: '1.5'").
-    """
+def _parsed(parse):
+    """argparse type: parse(text), whose ValueError becomes the usage error, worded by the library."""
 
     def convert(text: str):
         try:
-            value = parse(text)
+            return parse(text)
         except ValueError as exc:
-            if isinstance(parse, type):
-                raise
             raise argparse.ArgumentTypeError(str(exc)) from None
-        for rule in rules:
-            if not rule.test(value):
-                raise argparse.ArgumentTypeError(rule.complaint(text))
-        return value
 
-    convert.__name__ = parse.__name__
     return convert
 
 
-_count = _parsed(int, COUNT)
-_seed = _parsed(int, SEED)
-_sigma = _parsed(float, SIGMA)
+_count = _parsed(lambda text: COUNT.read(int, text))
+_seed = _parsed(lambda text: SEED.read(int, text))
+_sigma = _parsed(lambda text: SIGMA.read(float, text))
 _denoiser = _parsed(DenoiserConfig.parse)
 _demosaicker = _parsed(DemosaickerConfig.parse)
 # Each kind as describe() writes it at the defaults: a bare kind or kind(field=value ...).
@@ -88,7 +77,7 @@ def _add_pattern_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_depth_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--depth", type=int, choices=tuple(DEPTHS), default=8, help="output bits per sample (default %(default)s)")
+    parser.add_argument("--depth", type=_parsed(lambda text: DEPTH.read(int, text)), default=8, help=f"output bits per sample: {DEPTH.need} (default %(default)s)")
 
 
 def _add_sigma_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,10 +1,11 @@
 """The rules that every checked value obeys, and the fields of the method configs.
 
-Rule is the one rule type, CONFIG_FIELDS the one table of method config
-fields, which check_method, describe_method and parse_method read for both
-method families: describe_method writes a config's one text form and
-parse_method reads it back. parse_name reads every typed name (a pattern, a
-strategy, a method kind) for the library and the CLI alike.
+Rule is the one rule type: check tests a value built in code, read casts
+and tests a typed text and quotes a bad one as typed. CONFIG_FIELDS is the
+one table of method config fields, which check_method, describe_method and
+parse_method read for both method families: describe_method writes a
+config's one text form and parse_method reads it back, each field through
+its rule's read. parse_name reads every typed name for the library and CLI.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -37,15 +38,21 @@ class Rule:
     test: Callable[[Any], bool]
     need: str
 
-    def complaint(self, shown: str) -> str:
-        """What is wrong with a value that breaks the rule, given the value's text."""
-        return f"must be {self.need}, got {shown}"
-
     def check(self, name: str, value) -> None:
         """Raise ValueError naming name if value breaks the rule; a numpy scalar shows as its Python value."""
         if not self.test(value):
             shown = value.item() if isinstance(value, np.generic) else value
-            raise ValueError(f"{name} {self.complaint(repr(shown))}")
+            raise ValueError(f"{name} must be {self.need}, got {shown!r}")
+
+    def read(self, parse: Callable[[str], Any], text: str, name: str = ""):
+        """parse(text) if that cast succeeds and its value keeps the rule, else one ValueError quoting text as typed."""
+        try:
+            value = parse(text)
+            if self.test(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"{name + ' ' if name else ''}must be {self.need}, got {text!r}")
 
 
 # The largest noise sigma, a thousand times the [0, 1] sample range: every
@@ -75,12 +82,7 @@ LEVELS_MAX = 10
 
 def _number_or_auto(text: str) -> Optional[float]:
     """sigma_n's text form: a number, or 'auto' (any case) for None."""
-    if text.strip().lower() == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"expected a number or 'auto', got {text!r}") from None
+    return None if text.strip().lower() == "auto" else float(text)
 
 
 def _show_real(v: float) -> str:
@@ -109,21 +111,31 @@ CONFIG_FIELDS = {
     # The wavelet's decomposition levels.
     "levels": ConfigField(int, Rule(lambda v: is_int(v) and 1 <= v <= LEVELS_MAX, f"an integer in [1, {LEVELS_MAX}]"), str),
     # The wavelet's noise level, or None ('auto') to estimate it per plane.
-    "sigma_n": ConfigField(_number_or_auto, Rule(lambda v: v is None or SIGMA.test(v), SIGMA.need), lambda v: "auto" if v is None else _show_real(v)),
+    "sigma_n": ConfigField(_number_or_auto, Rule(lambda v: v is None or SIGMA.test(v), f"{SIGMA.need}, or auto"), lambda v: "auto" if v is None else _show_real(v)),
 }
 
 
+def _unread(kind: str, reads: Sequence[str], name: str) -> str:
+    """The complaint about a field name that kind does not read."""
+    return f"{kind} reads {' and '.join(reads) or 'no field'}, not {name!r}"
+
+
 def check_method(config, table: dict, family: str) -> None:
-    """Reject an unknown config.kind, or an out-of-range field that kind reads.
+    """Reject an unknown config.kind, an out-of-range field that kind reads, or one it does not read off its default.
 
     table maps each kind to (implementation, the config fields it reads); the
     denoiser and demosaicker configs share this check, describe_method and
-    parse_method.
+    parse_method. So a config holds only what describe() writes.
     """
     if config.kind not in table:
         raise ValueError(f"unknown {family} kind {config.kind!r}; expected one of {', '.join(table)}")
-    for name in table[config.kind][1]:
-        CONFIG_FIELDS[name].rule.check(name, getattr(config, name))
+    reads = table[config.kind][1]
+    for field in fields(config)[1:]:  # every field after kind
+        rule, value = CONFIG_FIELDS[field.name].rule, getattr(config, field.name)
+        if field.name in reads:
+            rule.check(field.name, value)
+        elif not (rule.test(value) and value == field.default):
+            raise ValueError(_unread(config.kind, reads, field.name))
 
 
 def describe_method(config, table: dict) -> str:
@@ -142,19 +154,15 @@ def parse_method(config_type, text: str, table: dict, family: str):
     if match is None:
         raise ValueError(f"malformed {family} {text!r}; expected kind or kind(field=value ...)")
     kind = parse_name(family, match[1], tuple(table))
-    fields: dict = {}
+    values: dict = {}
     for item in (match[2] or "").split():
         name, _, shown = item.partition("=")
         if name not in table[kind][1]:
-            raise ValueError(f"{kind} reads {' and '.join(table[kind][1]) or 'no field'}, not {name!r}")
-        if name in fields:
+            raise ValueError(_unread(kind, table[kind][1], name))
+        if name in values:
             raise ValueError(f"{name} is given twice in {text!r}")
-        field = CONFIG_FIELDS[name]
-        try:
-            fields[name] = field.parse(shown)
-        except ValueError:
-            raise ValueError(f"{name} {field.rule.complaint(repr(shown))}") from None
-    return config_type(kind, **fields)
+        values[name] = CONFIG_FIELDS[name].rule.read(CONFIG_FIELDS[name].parse, shown, name)
+    return config_type(kind, **values)
 
 
 def parse_name(family: str, text: str, names: Sequence[str]) -> str:

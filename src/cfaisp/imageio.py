@@ -14,9 +14,12 @@ from typing import Iterable, Union
 import numpy as np
 
 from cfaisp import _kernel
+from cfaisp.config import Rule, is_int
 
 # Each sample depth's maxval and raster dtype, read by the encoder and the decoder.
 DEPTHS = {8: (255, np.dtype(np.uint8)), 16: (65535, np.dtype(">u2"))}
+# An output sample depth: one of DEPTHS.
+DEPTH = Rule(lambda v: is_int(v) and v in DEPTHS, " or ".join(map(str, DEPTHS)))
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -160,8 +163,7 @@ def encode_pnm(image: Union[Plane, RgbImage], bit_depth: int = 8) -> bytes:
     16-bit output is big-endian. The raster is quantized in tiles of _STRIP
     samples per channel, each cast straight into place.
     """
-    if bit_depth not in DEPTHS:
-        raise ValueError(f"bit_depth must be {' or '.join(map(str, DEPTHS))}, got {bit_depth}")
+    DEPTH.check("bit_depth", bit_depth)
     maxval, out_dtype = DEPTHS[bit_depth]
 
     if isinstance(image, Plane):

@@ -14,10 +14,12 @@ import pytest
 
 import cfaisp
 from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, mosaic_from_rgb, recompose
+import cfaisp.demosaic as demosaic
+import cfaisp.denoise as denoise
 import cfaisp.pipeline as pipeline
 from cfaisp.cli import _build_parser, main
-from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic_bilinear
-from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig
+from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear
+from cfaisp.denoise import DenoiserConfig
 from cfaisp.imageio import Plane, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec
 from cfaisp.pipeline import ExperimentGrid, Strategy, run_pipeline
@@ -344,11 +346,12 @@ class TestRejectedBeforeAnyStage:
         assert main(["demosaic", "--in", str(noisy), "--out", str(tmp_path / "d.ppm")]) == 0
 
 
-# Each method family's config, its kinds, its flag in each command that takes
-# one, and one value per field other than the default.
+# Each method family's config, its kinds with the fields each reads, its
+# flag in each command that takes one, and one value per field other than
+# the default.
 _FAMILIES = [
-    (DenoiserConfig, DENOISER_KINDS, {"denoise": "--denoiser", "pipeline": "--denoiser", "experiment": "--denoisers"}, {"sigma_s": 2.5, "radius": 2, "sigma_r": math.inf, "levels": 4, "sigma_n": 0.05}),
-    (DemosaickerConfig, DEMOSAICKER_KINDS, {"demosaic": "--demosaicker", "pipeline": "--demosaicker", "experiment": "--demosaickers"}, {"sigma_s": 0.5, "sigma_r": math.inf}),
+    (DenoiserConfig, denoise._DENOISERS, {"denoise": "--denoiser", "pipeline": "--denoiser", "experiment": "--denoisers"}, {"sigma_s": 2.5, "radius": 2, "sigma_r": math.inf, "levels": 4, "sigma_n": 0.05}),
+    (DemosaickerConfig, demosaic._DEMOSAICKERS, {"demosaic": "--demosaicker", "pipeline": "--demosaicker", "experiment": "--demosaickers"}, {"sigma_s": 0.5, "sigma_r": math.inf}),
 ]
 _REQUIRED = {"denoise": ["--in", "i", "--out", "o"], "demosaic": ["--in", "i", "--out", "o"], "pipeline": ["--in", "i"], "experiment": ["i.ppm"]}
 
@@ -367,10 +370,10 @@ class TestMethodFlags:
         assert tuple(_flag_value("experiment", "--denoisers", [])) == ExperimentGrid().denoisers
         assert tuple(_flag_value("experiment", "--demosaickers", [])) == ExperimentGrid().demosaickers
 
-    @pytest.mark.parametrize("config,kinds,flags,others", _FAMILIES, ids=["denoiser", "demosaicker"])
-    def test_every_described_config_is_a_flag_value(self, config, kinds, flags, others):
-        for kind in kinds:
-            for written in (config(kind), config(kind, **others)):
+    @pytest.mark.parametrize("config,table,flags,others", _FAMILIES, ids=["denoiser", "demosaicker"])
+    def test_every_described_config_is_a_flag_value(self, config, table, flags, others):
+        for kind, (_, reads) in table.items():
+            for written in (config(kind), config(kind, **{name: others[name] for name in reads})):
                 for command, flag in flags.items():
                     assert _flag_value(command, flag, [flag, written.describe()]).describe() == written.describe()
 
@@ -498,6 +501,35 @@ class TestExperimentCommand:
         assert len(set(seeds)) == 3
 
 
+_SIGMA_NEED = "finite, >= 0 and <= 1000"
+# (command, flag, the descriptor's kind or None, its field or None, a text
+# whose cast fails or whose value is out of range, the rule's need): each
+# numeric flag and each descriptor field, once each way.
+_READS = [
+    (command, flag, kind, field, text, need)
+    for command, flag, kind, field, texts, need in [
+        ("pipeline", "--sigma", None, None, ("abc", "-0.1"), _SIGMA_NEED),
+        ("noise", "--sigma-r", None, None, ("1,5", "1e400"), _SIGMA_NEED),
+        ("noise", "--sigma-g", None, None, ("", "1000.5"), _SIGMA_NEED),
+        ("pipeline", "--sigma-b", None, None, ("0.05s", "nan"), _SIGMA_NEED),
+        ("experiment", "--sigmas", None, None, ("0.05.1", "inf"), _SIGMA_NEED),
+        ("pipeline", "--seed", None, None, ("1.0", "-1"), "an integer in [0, 2^64)"),
+        ("experiment", "--seed", None, None, ("0x10", "18446744073709551616"), "an integer in [0, 2^64)"),
+        ("experiment", "--repeats", None, None, ("1.5", "0"), "an integer >= 1"),
+        ("experiment", "--jobs", None, None, ("two", "-2"), "an integer >= 1"),
+        ("mosaic", "--depth", None, None, ("8.0", "12"), "8 or 16"),
+        ("denoise", "--denoiser", "gaussian", "sigma_s", ("wide", "0"), "finite, >= 1e-154 and <= 100"),
+        ("pipeline", "--denoiser", "median", "radius", ("1.5", "0"), "an integer in [1, 300]"),
+        ("denoise", "--denoiser", "bilateral", "sigma_r", ("-", "1e-200"), "in float range and >= 1e-154, or inf"),
+        ("experiment", "--denoisers", "wavelet", "levels", ("3.0", "11"), "an integer in [1, 10]"),
+        ("pipeline", "--denoiser", "wavelet", "sigma_n", ("often", "1e200"), f"{_SIGMA_NEED}, or auto"),
+        ("demosaic", "--demosaicker", "joint-bilateral", "sigma_s", ("x", "1e200"), "finite, >= 1e-154 and <= 100"),
+        ("experiment", "--demosaickers", "joint-bilateral", "sigma_r", ("", "nan"), "in float range and >= 1e-154, or inf"),
+    ]
+    for text in texts
+]
+
+
 class TestOutOfRangeFlags:
     # One case per rule of each flag. A method's fields are checked through
     # its descriptor, whose last field is the one out of range.
@@ -560,7 +592,23 @@ class TestOutOfRangeFlags:
     def test_usage_error_is_found_before_the_input_is_read(self, tmp_path, capsys):
         argv = ["denoise", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "d.pgm"), "--denoiser", "gaussian(sigma_s=1e-200)"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: argument --denoiser: sigma_s must be finite, >= 1e-154 and <= 100, got 1e-200\n"
+        assert capsys.readouterr().err == "error: argument --denoiser: sigma_s must be finite, >= 1e-154 and <= 100, got '1e-200'\n"
+
+    @pytest.mark.parametrize("command,flag,kind,field,text,need", _READS, ids=[f"{row[1]}-{row[3] or 'value'}-{row[4]}" for row in _READS])
+    def test_every_typed_value_is_quoted_as_typed(self, tmp_path, capsys, command, flag, kind, field, text, need):
+        # A failing cast and an out-of-range value get the same line, before
+        # the missing input is read.
+        argv = {
+            "mosaic": ["mosaic", "--in", str(tmp_path / "missing.ppm"), "--out", str(tmp_path / "m.pgm")],
+            "noise": ["noise", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "n.pgm")],
+            "denoise": ["denoise", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "d.pgm")],
+            "demosaic": ["demosaic", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "x.ppm")],
+            "pipeline": ["pipeline", "--in", str(tmp_path / "missing.ppm")],
+            "experiment": ["experiment", str(tmp_path / "missing.ppm")],
+        }[command]
+        value = f"{kind}({field}={text})" if kind else text
+        assert main(argv + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: {field + ' ' if field else ''}must be {need}, got {text!r}\n"
 
     @pytest.mark.parametrize("strategy", ["after", "before", "joint"])
     @pytest.mark.parametrize("denoiser", ["none", "gaussian", "median", "bilateral", "wavelet"])
@@ -603,8 +651,8 @@ class TestErrorMessages:
     @pytest.mark.parametrize(
         "argv,line",
         [
-            (["experiment", "a.ppm", "--repeats", "1.5"], "error: argument --repeats: invalid int value: '1.5'"),
-            (["pipeline", "--in", "a.ppm", "--sigma", "abc"], "error: argument --sigma: invalid float value: 'abc'"),
+            (["experiment", "a.ppm", "--repeats", "1.5"], "error: argument --repeats: must be an integer >= 1, got '1.5'"),
+            (["pipeline", "--in", "a.ppm", "--sigma", "abc"], "error: argument --sigma: must be finite, >= 0 and <= 1000, got 'abc'"),
         ],
         ids=["repeats", "sigma"],
     )

@@ -521,8 +521,9 @@ class TestConfigAndDispatch:
                 build()
         config = DemosaickerConfig(kind="joint-bilateral", sigma_s=0.03754)
         assert demosaic(mosaic, config).r.data.shape == (6, 6)
-        # Other kinds do not read sigma_s.
-        assert DemosaickerConfig(kind="bilinear", sigma_s=0.03).describe() == "bilinear"
+        # Other kinds do not read sigma_s, so they hold only its default.
+        with pytest.raises(ValueError, match=r"^bilinear reads no field, not 'sigma_s'$"):
+            DemosaickerConfig(kind="bilinear", sigma_s=0.03)
 
     def test_dispatch_matches_direct_calls(self):
         mosaic = _random_mosaic(CfaPattern.RGGB, (12, 12), 30)

@@ -994,8 +994,8 @@ class TestConfigFields:
         field = CONFIG_FIELDS["sigma_n"]
         assert field.show(None) == "auto"
         assert field.parse("auto") is None and field.parse(" AUTO ") is None
-        with pytest.raises(ValueError, match=r"^expected a number or 'auto', got 'often'$"):
-            field.parse("often")
+        with pytest.raises(ValueError, match=r"^sigma_n must be finite, >= 0 and <= 1000, or auto, got 'often'$"):
+            field.rule.read(field.parse, "often", "sigma_n")
 
     def test_parse_reads_a_kind_in_any_case_with_or_without_fields(self):
         assert DenoiserConfig.parse(" Wavelet( levels=2  sigma_n=AUTO ) ") == DenoiserConfig(kind="wavelet", levels=2)
@@ -1003,8 +1003,9 @@ class TestConfigFields:
         assert DemosaickerConfig.parse("joint_bilateral(sigma_r=inf)") == DemosaickerConfig(kind="joint-bilateral", sigma_r=math.inf)
 
     # One line per way a text can fail: its form, its kind, a field the kind
-    # does not read or gives twice, a value that fails its cast, and, from the
-    # config's own check, a value out of range.
+    # does not read or gives twice, a value that fails its cast or is out of
+    # range, both quoted as typed, and, from the config's own check, the
+    # joint-bilateral sigma_s floor.
     @pytest.mark.parametrize(
         "config,text,message",
         [
@@ -1017,8 +1018,8 @@ class TestConfigFields:
             (DenoiserConfig, "gaussian(sigma_s=1 sigma_s=2)", "sigma_s is given twice in 'gaussian(sigma_s=1 sigma_s=2)'"),
             (DenoiserConfig, "median(radius=1.5)", "radius must be an integer in [1, 300], got '1.5'"),
             (DenoiserConfig, "gaussian(sigma_s)", "sigma_s must be finite, >= 1e-154 and <= 100, got ''"),
-            (DenoiserConfig, "wavelet(sigma_n=often)", "sigma_n must be finite, >= 0 and <= 1000, got 'often'"),
-            (DenoiserConfig, "median(radius=301)", "radius must be an integer in [1, 300], got 301"),
+            (DenoiserConfig, "wavelet(sigma_n=often)", "sigma_n must be finite, >= 0 and <= 1000, or auto, got 'often'"),
+            (DenoiserConfig, "median(radius=301)", "radius must be an integer in [1, 300], got '301'"),
             (DemosaickerConfig, "joint-bilateral(sigma_s=0.03)", "sigma_s must be about 0.037535 or more for joint-bilateral, got 0.03"),
         ],
     )
@@ -1074,6 +1075,29 @@ class TestConfigAndDispatch:
         with pytest.raises(ValueError):
             DenoiserConfig(**kwargs)
 
+    # A field the kind does not read keeps its default, so two configs that
+    # describe alike are equal, and an unhashable value never reaches a run.
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: DenoiserConfig(kind="median", sigma_s=5.0), "median reads radius, not 'sigma_s'"),
+            (lambda: DenoiserConfig(kind="median", sigma_s=[1]), "median reads radius, not 'sigma_s'"),
+            (lambda: DenoiserConfig(kind="median", sigma_s=np.array([1.0, 2.0])), "median reads radius, not 'sigma_s'"),
+            (lambda: DenoiserConfig(kind="median", sigma_s=np.array([1.0])), "median reads radius, not 'sigma_s'"),
+            (lambda: DenoiserConfig(kind="gaussian", sigma_n=0.1), "gaussian reads sigma_s, not 'sigma_n'"),
+            (lambda: DenoiserConfig(kind="none", levels=4), "none reads no field, not 'levels'"),
+            (lambda: DemosaickerConfig(kind="gradient", sigma_r=math.inf), "gradient reads no field, not 'sigma_r'"),
+        ],
+    )
+    def test_a_field_the_kind_does_not_read_keeps_its_default(self, build, message):
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == message
+
+    def test_a_field_the_kind_does_not_read_may_be_given_at_its_default(self):
+        assert DenoiserConfig(kind="median", sigma_s=1, sigma_n=None) == DenoiserConfig(kind="median")
+        assert DenoiserConfig(kind="median", sigma_s=np.float64(1.0)).describe() == "median(radius=1)"
+
     def test_integer_fields_at_their_bounds_are_accepted(self):
         assert DenoiserConfig(kind="median", radius=300).describe() == "median(radius=300)"
         assert DenoiserConfig(kind="median", radius=np.int64(2)).describe() == "median(radius=2)"
@@ -1091,7 +1115,7 @@ class TestConfigAndDispatch:
         ids=["wavelet-config", "wavelet"],
     )
     def test_sigma_n_above_1000_is_rejected(self, build, sigma_n):
-        with pytest.raises(ValueError, match=r"^sigma_n must be finite, >= 0 and <= 1000, got "):
+        with pytest.raises(ValueError, match=r"^sigma_n must be finite, >= 0 and <= 1000, or auto, got "):
             build(sigma_n)
 
     def test_sigma_n_of_1000_is_accepted(self):

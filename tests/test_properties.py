@@ -6,7 +6,6 @@ joint-bilateral filter gets sizes up to 16x16 and range kernels down to
 sigma_r = 1e-3, where every range weight of many samples underflows.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -17,10 +16,10 @@ from oracles import color_at
 
 from cfaisp import demosaic, denoise
 from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
-from cfaisp.config import LEVELS_MAX, RADIUS_MAX, SIGMA_FLOOR, SIGMA_MAX, SIGMA_S_MAX
+from cfaisp.config import COUNT, LEVELS_MAX, RADIUS_MAX, SEED, SIGMA, SIGMA_FLOOR, SIGMA_MAX, SIGMA_S_MAX
 from cfaisp.demosaic import JOINT_SIGMA_S, DemosaickerConfig, demosaic_bilinear, demosaic_gradient, demosaic_joint_bilateral
 from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
-from cfaisp.imageio import Plane, RgbImage
+from cfaisp.imageio import DEPTH, Plane, RgbImage
 
 SAMPLES = st.floats(-1.0, 2.0, allow_nan=False)
 EVEN = st.integers(1, 20).map(lambda half: 2 * half)
@@ -44,17 +43,15 @@ SIGMA_S = st.floats(0.3, 2.0)
 SIGMA_R = st.floats(-3.0, 0.0).map(lambda exponent: 10.0**exponent)
 
 
+# Each denoiser field's values, kept small enough for a fast example.
+DENOISER_VALUES = {"sigma_s": SIGMA_S, "radius": st.integers(1, 3), "sigma_r": SIGMA_R, "levels": st.integers(1, 3), "sigma_n": st.none() | st.floats(0.0, 0.5)}
+
+
 @st.composite
 def _denoiser_inputs(draw):
     kind = draw(st.sampled_from(DENOISER_KINDS))
-    config = DenoiserConfig(
-        kind=kind,
-        sigma_s=draw(SIGMA_S),
-        radius=draw(st.integers(1, 3)),
-        sigma_r=draw(SIGMA_R),
-        levels=draw(st.integers(1, 3)),
-        sigma_n=draw(st.none() | st.floats(0.0, 0.5)),
-    )
+    # A config holds only the fields its kind reads.
+    config = DenoiserConfig(kind, **{name: draw(DENOISER_VALUES[name]) for name in denoise._DENOISERS[kind][1]})
     # The wavelet needs both sides divisible by 2**levels.
     unit = 2**config.levels if kind == "wavelet" else 1
     shape = draw(st.integers(1, 24 // unit)) * unit, draw(st.integers(1, 24 // unit)) * unit
@@ -144,7 +141,7 @@ READS = {DenoiserConfig: denoise._DENOISERS, DemosaickerConfig: demosaic._DEMOSA
 def _configs(draw):
     config = draw(st.sampled_from(tuple(READS)))
     kind = draw(st.sampled_from(tuple(READS[config])))
-    values = {field.name: draw(FIELD_VALUES[field.name]) for field in dataclasses.fields(config) if field.name != "kind"}
+    values = {name: draw(FIELD_VALUES[name]) for name in READS[config][kind][1]}
     assume(kind != "joint-bilateral" or JOINT_SIGMA_S.test(values["sigma_s"]))
     return config(kind, **values)
 
@@ -155,7 +152,21 @@ def _configs(draw):
 @example(DemosaickerConfig(kind="joint-bilateral", sigma_r=math.inf))
 @example(DenoiserConfig(kind="wavelet", sigma_n=None))
 def test_parse_reads_back_what_describe_writes(config):
-    parsed = type(config).parse(config.describe())
-    assert parsed.describe() == config.describe()
-    # The fields the kind does not read take their defaults.
-    assert parsed == type(config)(config.kind, **{name: getattr(config, name) for name in READS[type(config)][config.kind][1]})
+    # A config holds only the fields its kind reads, so describe() writes all of it.
+    assert type(config).parse(config.describe()) == config
+
+
+# Each rule that a typed number is read by, with its cast.
+READERS = [(SIGMA, float), (SEED, int), (COUNT, int), (DEPTH, int)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(READERS), st.text() | st.from_regex(r"\s*[-+]?(\d+|\d*\.\d+)(e[-+]?\d+)?\s*", fullmatch=True) | st.sampled_from(["inf", "nan", "8", "16"]))
+def test_read_keeps_the_rule_or_quotes_the_text(reader, text):
+    rule, cast = reader
+    try:
+        value = rule.read(cast, text)
+    except ValueError as error:
+        assert str(error) == f"must be {rule.need}, got {text!r}"
+    else:
+        assert rule.test(value)

@@ -12,6 +12,8 @@ numpy and cfaisp only. Each argument is checked where it enters the
 library, so _kernel imports no cfaisp module and _run_group checks nothing.
 Which strategy runs which demosaicker is decided only by check_pairing and
 ExperimentGrid.demosaickers_for, the only readers of is_joint outside demosaic.
+Every typed number is cast and checked by a config Rule's read, so argparse
+casts nothing itself.
 """
 
 import ast
@@ -192,3 +194,11 @@ def test_run_group_checks_nothing():
 def test_only_the_pairing_rules_read_is_joint():
     reads = {(module, scope) for module, scope, node in _nodes() if module != "demosaic" and isinstance(node, ast.Attribute) and node.attr == "is_joint"}
     assert reads == {("pipeline", "check_pairing"), ("pipeline", "ExperimentGrid.demosaickers_for")}
+
+
+def test_argparse_casts_nothing_itself():
+    # A choices= list or a bare int or float type would word its own error.
+    calls = [node for module, scope, node in _nodes() if module == "cli" and isinstance(node, ast.Call) and _name(node.func) == "add_argument"]
+    assert calls
+    cast = [ast.unparse(keyword) for node in calls for keyword in node.keywords if keyword.arg == "choices" or (keyword.arg == "type" and _name(keyword.value) in ("int", "float"))]
+    assert cast == []
