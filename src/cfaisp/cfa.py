@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfaisp.config import parse_name
-from cfaisp.imageio import DimensionError, Plane, RgbImage
+from cfaisp.imageio import DimensionError, Plane, RgbImage, check_frame
 
 
 class CfaPattern(enum.Enum):
@@ -78,11 +78,7 @@ class SubImages:
     pattern: CfaPattern
 
     def __post_init__(self) -> None:
-        want = self.r.data.shape
-        for name in ("g1", "g2", "b"):
-            got = getattr(self, name).data.shape
-            if got != want:
-                raise DimensionError(f"sub-image {name} has shape {got}, expected {want}")
+        check_frame("the sub-images of a mosaic", self.planes)
 
     @property
     def planes(self) -> tuple[Plane, Plane, Plane, Plane]:

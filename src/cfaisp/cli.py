@@ -11,8 +11,8 @@ writes in the CSV, read back by the config's parse. config.parse_name reads
 every typed name and a config.Rule's read every typed number, so argparse
 casts nothing. The strategy/demosaicker pairing is pipeline.check_pairing
 for one run and ExperimentGrid.demosaickers_for for a sweep. A
-configuration the library rejects is a usage error, reported before any
-input is read.
+configuration the library rejects is a usage error, and a bad image id
+(pipeline.check_image_ids) exits 2, both reported before any input is read.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from cfaisp.demosaic import DEMOSAICKER_KINDS, DemosaickerConfig, demosaic
 from cfaisp.denoise import DENOISER_KINDS, DenoiserConfig, denoise_plane
 from cfaisp.imageio import DEPTH, Plane, PnmError, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec, add_awgn
-from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_experiment, run_pipeline
+from cfaisp.pipeline import ExperimentGrid, Strategy, check_image_ids, check_pairing, run_experiment, run_pipeline
 
 # The library's defaults, which the flags' defaults and help text read.
 _DN = DenoiserConfig()
@@ -159,8 +159,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     path = getattr(args, "in")
-    truth = _read(path, RgbImage)
-    result, record = run_pipeline(truth, args.pattern, _noise_spec(args), args.strategy, args.denoiser, dm, image_id=os.path.basename(path))
+    image_id = os.path.basename(path)
+    check_image_ids([image_id])
+    result, record = run_pipeline(_read(path, RgbImage), args.pattern, _noise_spec(args), args.strategy, args.denoiser, dm, image_id=image_id)
     if args.out:
         _write(args.out, encode_pnm(result, bit_depth=args.depth))
     _write(None, write_csv([record]))
@@ -179,7 +180,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    corpus = [(os.path.basename(path), _read(path, RgbImage)) for path in args.inputs]
+    ids = [os.path.basename(path) for path in args.inputs]
+    check_image_ids(ids)
+    corpus = [(image_id, _read(path, RgbImage)) for image_id, path in zip(ids, args.inputs)]
     records = run_experiment(corpus, grid, master_seed=args.seed, jobs=args.jobs, keep_timing=args.timing)
     _write(args.out or None, write_csv(records))
     return 0

@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from cfaisp import _kernel
 from cfaisp.cfa import SubImages
 from cfaisp.config import check_method, describe_method, parse_method
-from cfaisp.imageio import DimensionError, Plane
+from cfaisp.imageio import DimensionError, Plane, check_frame
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -395,12 +395,9 @@ def denoise_planes(planes: Sequence[Plane], config: DenoiserConfig) -> list[Plan
     thread with one buffer set for all. Other kinds run plane by plane on
     the calling thread.
     """
-    shapes = dict.fromkeys(plane.data.shape for plane in planes)
-    if len(shapes) > 1:
-        raise DimensionError(f"the planes of one frame must share one shape, got {', '.join(f'{w}x{h}' for h, w in shapes)}")
+    shape = check_frame("the planes of one frame", planes)
     if config.kind == "none" or not planes:
         return list(planes)
-    (shape,) = shapes
     outs = np.empty((len(planes), *shape))
     if config.kind != "wavelet":
         kernel, fields = _DENOISERS[config.kind]

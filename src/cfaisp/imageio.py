@@ -1,6 +1,7 @@
 """Image containers, binary Netpbm codec, and the experiment record and its CSV.
 
-Images are carried as float64 arrays with a nominal [0, 1] sample range.
+Images are carried as float64 arrays with a nominal [0, 1] sample range;
+check_frame is the one check that the planes of a frame share one shape.
 File exchange uses the binary Netpbm formats only: P5 (grayscale) and
 P6 (RGB), at each sample depth of DEPTHS. The encoder walks its tiles with
 _kernel._tiles; the typed names and the config rules live in config.
@@ -74,6 +75,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_frame(what: str, planes: Iterable[Plane]) -> tuple:
+    """The one (h, w) shape of a frame's planes, () if none; else raise DimensionError("<what> must share one shape, got WxH, WxH"), shapes in first-seen order."""
+    shapes = dict.fromkeys(plane.data.shape for plane in planes)
+    if len(shapes) > 1:
+        raise DimensionError(f"{what} must share one shape, got {', '.join(f'{w}x{h}' for h, w in shapes)}")
+    return next(iter(shapes), ())
+
+
 @dataclass(frozen=True)
 class RgbImage:
     """Three same-sized planes in fixed R, G, B order."""
@@ -83,9 +92,7 @@ class RgbImage:
     b: Plane
 
     def __post_init__(self) -> None:
-        shapes = {self.r.data.shape, self.g.data.shape, self.b.data.shape}
-        if len(shapes) != 1:
-            raise DimensionError(f"channel planes differ in shape: {sorted(shapes)}")
+        check_frame("an RgbImage's planes", self.planes)
 
     @property
     def planes(self) -> tuple[Plane, Plane, Plane]:

@@ -14,7 +14,9 @@ computed and scored once per noisy mosaic.
 
 Every run is scored against the reference image with per-channel MSE/PSNR
 and CPSNR over a 4-pixel interior crop, and carries the exact seed that
-produced its noise so it can be reproduced in isolation.
+produced its noise so it can be reproduced in isolation. One predicate
+decides which demosaicker a strategy runs, for check_pairing and
+ExperimentGrid.demosaickers_for, and check_image_ids checks a run's ids.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from cfaisp.cfa import DEFAULT_PATTERN, CfaPattern, check_even, decompose, mosai
 from cfaisp.demosaic import DemosaickerConfig, demosaic
 from cfaisp.denoise import DenoiserConfig, denoise_planes, denoise_subimages
 from cfaisp.config import COUNT, SEED, SIGMA, SIZE, parse_name
-from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_text
+from cfaisp.imageio import DimensionError, ExperimentRecord, Plane, RgbImage, check_frame, check_text
 from cfaisp.noise import NoiseSpec, add_awgn
 
 METRIC_CROP = 4
@@ -57,25 +59,27 @@ class Strategy(enum.Enum):
         return cls(parse_name("strategy", name, [s.value for s in cls]))
 
 
-def check_pairing(strategy: Strategy, dm: DemosaickerConfig) -> None:
-    """Raise ValueError unless dm is the kind of demosaicker strategy runs.
+def _pairs(strategy: Strategy, dm: DemosaickerConfig) -> bool:
+    """Whether strategy runs dm: joint runs the joint-bilateral demosaicker, which denoises as it demosaicks; after and before any other kind."""
+    return dm.is_joint == (strategy is Strategy.JOINT)
 
-    Joint runs the joint-bilateral demosaicker, which denoises as it
-    demosaicks; after and before run any other kind.
-    """
-    if strategy is Strategy.JOINT and not dm.is_joint:
-        raise ValueError(f"strategy joint runs the joint-bilateral demosaicker, not {dm.kind}")
-    if strategy is not Strategy.JOINT and dm.is_joint:
-        raise ValueError("strategies after and before need a non-joint demosaicker; joint-bilateral runs only with strategy joint")
+
+def _unpaired(strategy: Strategy, tail: str) -> ValueError:
+    """The error of strategy without a demosaicker it runs, "strategy <s> runs a joint-bilateral|a non-joint demosaicker", then tail."""
+    return ValueError(f"strategy {strategy.value} runs {'a joint-bilateral' if strategy is Strategy.JOINT else 'a non-joint'} demosaicker{tail}")
+
+
+def check_pairing(strategy: Strategy, dm: DemosaickerConfig) -> None:
+    """Raise ValueError unless strategy runs dm (see _pairs), ending ", not <dm's kind>"."""
+    if not _pairs(strategy, dm):
+        raise _unpaired(strategy, f", not {dm.kind}")
 
 
 @np.errstate(over="ignore")
 def mse(a: Plane, b: Plane, crop: int = 0) -> float:
     """Mean squared error, optionally over a crop-pixel interior margin; inf where it overflows."""
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
+    h, w = check_frame("the planes mse compares", (a, b))
     SIZE.check("crop", crop)
-    h, w = a.data.shape
     if 2 * crop >= h or 2 * crop >= w:
         raise DimensionError(f"crop {crop} leaves no samples in a {w}x{h} plane")
     window = (slice(crop, h - crop), slice(crop, w - crop))
@@ -109,6 +113,16 @@ def _check_types(owner: str, *kinds: tuple[str, type, Sequence]) -> None:
         for value in values:
             if not isinstance(value, kind):
                 raise ValueError(f"{owner} {name} takes a {kind.__name__}, not {type(value).__name__}")
+
+
+def check_image_ids(ids: Sequence[str]) -> None:
+    """Raise ValueError unless ids, the run's image ids, are distinct CSV text cells: an id names its rows and seeds its noise."""
+    seen: set[str] = set()
+    for image_id in ids:
+        check_text("image", image_id)
+        if image_id in seen:
+            raise ValueError(f"image id {image_id!r} is repeated; each image needs its own id, which names its rows and seeds its noise")
+        seen.add(image_id)
 
 
 def _check_sides(truth: RgbImage, where: str = "") -> None:
@@ -239,7 +253,7 @@ def run_pipeline(
         ("dm", DemosaickerConfig, (dm,)),
         ("image_id", str, (image_id,)),
     )
-    check_text("image", image_id)
+    check_image_ids([image_id])
     _check_sides(truth)
     check_pairing(strategy, dm)
     (run,) = _run_group(truth, pattern, [(noise, strategy, dn, dm)], image_id)
@@ -303,13 +317,12 @@ class ExperimentGrid:
             SIGMA.check("sigma", sigma)
         for strategy in self.strategies:
             if not self.demosaickers_for(strategy):
-                kind = "a joint-bilateral" if strategy is Strategy.JOINT else "a non-joint"
-                raise ValueError(f"strategy {strategy.value} runs {kind} demosaicker, and the demosaickers axis holds none")
+                raise _unpaired(strategy, ", and the demosaickers axis holds none")
         COUNT.check("repeats", self.repeats)
 
     def demosaickers_for(self, strategy: Strategy) -> tuple[DemosaickerConfig, ...]:
-        """The axis's demosaickers that strategy pairs with (see check_pairing), in axis order."""
-        return tuple(dm for dm in self.demosaickers if dm.is_joint == (strategy is Strategy.JOINT))
+        """The axis's demosaickers that strategy runs (see _pairs), in axis order."""
+        return tuple(dm for dm in self.demosaickers if _pairs(strategy, dm))
 
     def points(self) -> Iterator[tuple[Strategy, float, DenoiserConfig, DemosaickerConfig, int]]:
         """Grid points in deterministic order; repeats vary fastest."""
@@ -391,12 +404,8 @@ def run_experiment(
         raise ValueError("corpus must not be empty")
     ids, images = zip(*corpus)
     _check_types("run_experiment", ("grid", ExperimentGrid, (grid,)), ("image_id", str, ids), ("image", RgbImage, images))
-    seen: set[str] = set()
+    check_image_ids(ids)
     for image_id, truth in corpus:
-        check_text("image", image_id)
-        if image_id in seen:
-            raise ValueError(f"image id {image_id!r} is repeated; each image needs its own id, which names its rows and seeds its noise")
-        seen.add(image_id)
         _check_sides(truth, f"image {image_id!r}: ")
     points = list(grid.points())
     # One task per (image, repeat), its runs in a stable sort by sigma, so

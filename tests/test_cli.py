@@ -22,7 +22,7 @@ from cfaisp.demosaic import DemosaickerConfig, demosaic_bilinear
 from cfaisp.denoise import DenoiserConfig
 from cfaisp.imageio import Plane, RgbImage, decode_pnm, encode_pnm, write_csv
 from cfaisp.noise import NoiseSpec
-from cfaisp.pipeline import ExperimentGrid, Strategy, run_pipeline
+from cfaisp.pipeline import ExperimentGrid, Strategy, check_pairing, run_pipeline
 
 
 def _rgb(size=32, seed=50):
@@ -272,7 +272,7 @@ class TestPipelineCommand:
         src = _write_ppm(tmp_path / "t.ppm", _rgb())
         rc = main(["pipeline", "--strategy", "after", "--demosaicker", "joint-bilateral", "--in", src])
         assert rc == 1
-        assert "strategy joint" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: strategy after runs a non-joint demosaicker, not joint-bilateral\n"
 
     @pytest.mark.parametrize(
         "argv,strategy,dn,dm",
@@ -308,6 +308,13 @@ _BAD_NAMES = {
     '"ab.ppm': """CSV field image='"ab.ppm' contains a double quote""",
 }
 
+# Command lines whose image ids check_image_ids rejects, and its message.
+_BAD_IDS = [
+    *((["pipeline", "--in", name], message) for name, message in _BAD_NAMES.items()),
+    *((["experiment", "good.ppm", name], message) for name, message in _BAD_NAMES.items()),
+    (["experiment", "d1/x.ppm", "d2/x.ppm"], "image id 'x.ppm' is repeated; each image needs its own id, which names its rows and seeds its noise"),
+]
+
 
 class TestRejectedBeforeAnyStage:
     @pytest.mark.parametrize("name", ["a,b.ppm", "café.ppm", '"ab.ppm'])
@@ -330,6 +337,13 @@ class TestRejectedBeforeAnyStage:
         assert err.endswith(f"{_BAD_NAMES[names[-1]]}\n") and err.count("\n") == 1
         assert not out.exists() and not calls
 
+    # No input exists, so no read can come before the id check.
+    @pytest.mark.parametrize("argv, message", _BAD_IDS, ids=[" ".join(argv) for argv, _ in _BAD_IDS])
+    def test_image_ids_are_checked_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("strategy", ["after", "joint", "before"])
     def test_image_below_the_minimum_side(self, tmp_path, capsys, monkeypatch, strategy):
         calls = _count_noise_calls(monkeypatch)
@@ -344,6 +358,33 @@ class TestRejectedBeforeAnyStage:
         assert main(["mosaic", "--in", src, "--out", str(mosaic)]) == 0
         assert main(["noise", "--in", str(mosaic), "--out", str(noisy)]) == 0
         assert main(["demosaic", "--in", str(noisy), "--out", str(tmp_path / "d.ppm")]) == 0
+
+
+_JB, _GRADIENT = DemosaickerConfig(kind="joint-bilateral"), DemosaickerConfig(kind="gradient")
+_NO_AXIS = ", and the demosaickers axis holds none"
+# Every site that checks the strategy/demosaicker pairing, called with the
+# path of a missing input, and its one message: a library call raises it, a
+# command line exits 1 with it.
+_PAIRING = {
+    "check_pairing-after": (lambda _: check_pairing(Strategy.AFTER, _JB), "strategy after runs a non-joint demosaicker, not joint-bilateral"),
+    "check_pairing-joint": (lambda _: check_pairing(Strategy.JOINT, _GRADIENT), "strategy joint runs a joint-bilateral demosaicker, not gradient"),
+    "run_pipeline": (lambda _: run_pipeline(_rgb(), CfaPattern.GBRG, NoiseSpec.uniform(0.05, 1), Strategy.BEFORE, DenoiserConfig(), _JB), "strategy before runs a non-joint demosaicker, not joint-bilateral"),
+    "grid-after": (lambda _: ExperimentGrid(strategies=(Strategy.AFTER,), demosaickers=(_JB,)), "strategy after runs a non-joint demosaicker" + _NO_AXIS),
+    "grid-joint": (lambda _: ExperimentGrid(strategies=(Strategy.JOINT,), demosaickers=(_GRADIENT,)), "strategy joint runs a joint-bilateral demosaicker" + _NO_AXIS),
+    "pipeline": (lambda path: main(["pipeline", "--in", path, "--strategy", "joint", "--demosaicker", "bilinear"]), "strategy joint runs a joint-bilateral demosaicker, not bilinear"),
+    "experiment": (lambda path: main(["experiment", path, "--strategies", "before", "--demosaickers", "joint-bilateral"]), "strategy before runs a non-joint demosaicker" + _NO_AXIS),
+}
+
+
+@pytest.mark.parametrize("call, message", _PAIRING.values(), ids=_PAIRING)
+def test_every_pairing_error_has_one_stem(tmp_path, capsys, call, message):
+    assert re.match(r"^strategy (after|joint|before) runs (a joint-bilateral|a non-joint) demosaicker, ", message)
+    try:
+        rc = call(str(tmp_path / "missing.ppm"))
+    except ValueError as exc:
+        assert str(exc) == message
+    else:
+        assert rc == 1 and capsys.readouterr().err == f"error: {message}\n"
 
 
 # Each method family's config, its kinds with the fields each reads, its

@@ -1140,11 +1140,9 @@ class TestConfigAndDispatch:
             lambda: DenoiserConfig(kind="gaussian", sigma_s=math.inf),
             lambda: DenoiserConfig(kind="bilateral", sigma_s=math.inf),
             lambda: DemosaickerConfig(kind="joint-bilateral", sigma_s=math.inf),
-            lambda: denoise_plane(Plane(np.zeros((4, 4))), DenoiserConfig(kind="gaussian", sigma_s=math.inf)),
-            lambda: denoise_plane(Plane(np.zeros((4, 4))), DenoiserConfig(kind="bilateral", sigma_s=math.inf, sigma_r=0.1)),
             lambda: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(np.zeros((4, 4)))), math.inf, 0.1),
         ],
-        ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
+        ids=["gaussian-config", "bilateral-config", "joint-config", "joint"],
     )
     def test_infinite_sigma_s_is_rejected(self, build):
         with pytest.raises(ValueError, match="sigma_s must be finite, >= 1e-154 and <= 100, got inf"):
@@ -1157,11 +1155,9 @@ class TestConfigAndDispatch:
             lambda sigma_s: DenoiserConfig(kind="gaussian", sigma_s=sigma_s),
             lambda sigma_s: DenoiserConfig(kind="bilateral", sigma_s=sigma_s),
             lambda sigma_s: DemosaickerConfig(kind="joint-bilateral", sigma_s=sigma_s),
-            lambda sigma_s: denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="gaussian", sigma_s=sigma_s)),
-            lambda sigma_s: denoise_plane(Plane(np.zeros((8, 8))), DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=0.1)),
             lambda sigma_s: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, Plane(np.zeros((8, 8)))), sigma_s, 0.1),
         ],
-        ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
+        ids=["gaussian-config", "bilateral-config", "joint-config", "joint"],
     )
     def test_sigma_s_above_100_is_rejected(self, build, sigma_s):
         with pytest.raises(ValueError, match=r"^sigma_s must be finite, >= 1e-154 and <= 100, got "):
@@ -1206,11 +1202,9 @@ class TestConfigAndDispatch:
             lambda plane, sigma_s: DenoiserConfig(kind="gaussian", sigma_s=sigma_s),
             lambda plane, sigma_s: DenoiserConfig(kind="bilateral", sigma_s=sigma_s),
             lambda plane, sigma_s: DemosaickerConfig(kind="joint-bilateral", sigma_s=sigma_s),
-            lambda plane, sigma_s: denoise_plane(plane, DenoiserConfig(kind="gaussian", sigma_s=sigma_s)),
-            lambda plane, sigma_s: denoise_plane(plane, DenoiserConfig(kind="bilateral", sigma_s=sigma_s, sigma_r=0.1)),
             lambda plane, sigma_s: demosaic_joint_bilateral(MosaicImage(CfaPattern.GBRG, plane), sigma_s, 0.1),
         ],
-        ids=["gaussian-config", "bilateral-config", "joint-config", "gaussian", "bilateral", "joint"],
+        ids=["gaussian-config", "bilateral-config", "joint-config", "joint"],
     )
     def test_tiny_sigma_s_is_rejected(self, run, sigma_s):
         # The field's rule rejects any value below the floor of 1e-154,

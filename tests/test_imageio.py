@@ -18,15 +18,16 @@ import pytest
 from oracles import same
 
 from cfaisp import _kernel
-from cfaisp.cfa import CfaPattern, MosaicImage, decompose, mosaic_from_rgb, recompose
+from cfaisp.cfa import CfaPattern, MosaicImage, SubImages, decompose, mosaic_from_rgb, recompose
 from cfaisp.demosaic import DemosaickerConfig, demosaic
-from cfaisp.denoise import DenoiserConfig, denoise_plane
+from cfaisp.denoise import DenoiserConfig, denoise_plane, denoise_planes
 from cfaisp.imageio import (
     CSV_HEADER,
     DimensionError,
     Plane,
     PnmError,
     RgbImage,
+    check_frame,
     decode_pnm,
     encode_pnm,
     format_float,
@@ -34,6 +35,7 @@ from cfaisp.imageio import (
 )
 from cfaisp.config import parse_name
 from cfaisp.noise import NoiseSpec, add_awgn
+from cfaisp.pipeline import mse
 
 
 class TestPlane:
@@ -124,6 +126,33 @@ class TestRgbImage:
         assert [p.data[0, 0] for p in img.planes] == [0.1, 0.2, 0.3]
 
 
+class TestCheckFrame:
+    # Each entry point that takes the planes of one frame, given a 4x6 (a)
+    # and a 6x4 (b) plane, names them and gives check_frame's one line.
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda a, b: RgbImage(a, a, b), "an RgbImage's planes"),
+            (lambda a, b: SubImages(a, b, a, a, pattern=CfaPattern.GBRG), "the sub-images of a mosaic"),
+            (lambda a, b: denoise_planes([a, b], DenoiserConfig()), "the planes of one frame"),
+            (lambda a, b: mse(a, b), "the planes mse compares"),
+        ],
+        ids=["RgbImage", "SubImages", "denoise_planes", "mse"],
+    )
+    def test_every_frame_is_checked_with_one_wording(self, call, what):
+        with pytest.raises(DimensionError, match=rf"^{re.escape(what)} must share one shape, got 6x4, 4x6$"):
+            call(Plane(np.zeros((4, 6))), Plane(np.zeros((6, 4))))
+
+    def test_each_shape_is_listed_once_in_the_order_first_seen(self):
+        planes = [Plane(np.zeros(shape)) for shape in ((2, 3), (2, 3), (5, 1), (2, 3), (1, 5))]
+        with pytest.raises(DimensionError, match=r"^planes must share one shape, got 3x2, 1x5, 5x1$"):
+            check_frame("planes", planes)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_planes_of_one_shape_give_it(self, count):
+        assert check_frame("planes", [Plane(np.zeros((2, 3)))] * count) == ((2, 3) if count else ())
+
+
 def _independent_read_p5_16bit(data: bytes) -> list[float]:
     """Oracle: minimal struct-based reader for a known-layout 16-bit PGM."""
     header, raster = data.split(b"\n", 1)
@@ -187,10 +216,6 @@ class TestDecode:
     def test_zero_dimension(self):
         with pytest.raises(PnmError, match="^dimensions must be positive, got 0x1$"):
             decode_pnm(b"P5 0 1 255\n")
-
-    def test_header_ends_early(self):
-        with pytest.raises(PnmError, match="^header ended before all fields were read$"):
-            decode_pnm(b"P5 2 2")
 
     # A comment runs to the end of its line, here the end of the data.
     @pytest.mark.parametrize("data", [b"", b"P5 2 2", b"P5 2 2 #255"])

@@ -27,6 +27,7 @@ from cfaisp.pipeline import (
     ExperimentGrid,
     ExperimentRecord,
     Strategy,
+    check_image_ids,
     check_pairing,
     cpsnr,
     derive_run_seed,
@@ -565,6 +566,25 @@ class TestRunExperiment:
         corpus = [("a", _textured_image(32)), ("b", _ramp_image(32)), ("a", _ramp_image(32))]
         with pytest.raises(ValueError, match="image id 'a' is repeated"):
             run_experiment(corpus, ExperimentGrid(sigmas=(0.05,)), jobs=1)
+
+    def test_every_id_is_checked_before_any_side(self):
+        corpus = [("a", _ramp_image(8)), ("a", _ramp_image(32))]
+        with pytest.raises(ValueError, match="^image id 'a' is repeated;"):
+            run_experiment(corpus, ExperimentGrid(sigmas=(0.05,)), jobs=1)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["a", "b", "a"], "^image id 'a' is repeated; each image needs its own id, which names its rows and seeds its noise$"),
+            (["a", "b,c"], "^CSV field image='b,c' contains a separator$"),
+            (["", ""], "^image id '' is repeated;"),
+        ],
+        ids=["repeated", "separator", "empty-repeated"],
+    )
+    def test_check_image_ids(self, ids, message):
+        check_image_ids(ids[:-1])
+        with pytest.raises(ValueError, match=message):
+            check_image_ids(ids)
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, inline_pool):
         monkeypatch.setattr(_kernel, "_cpus", lambda: 2)

@@ -10,8 +10,9 @@ CfaPattern.sites, a padded plane through _kernel._shifted's lattice, and
 the wavelet pyramid by _idwt. The runtime imports the standard library,
 numpy and cfaisp only. Each argument is checked where it enters the
 library, so _kernel imports no cfaisp module and _run_group checks nothing.
-Which strategy runs which demosaicker is decided only by check_pairing and
-ExperimentGrid.demosaickers_for, the only readers of is_joint outside demosaic.
+Which strategy runs which demosaicker is decided only by pipeline._pairs,
+the only reader of is_joint outside demosaic, for both check_pairing and
+ExperimentGrid.demosaickers_for.
 Every typed number is cast and checked by a config Rule's read, so argparse
 casts nothing itself.
 """
@@ -187,13 +188,14 @@ def test_the_kernel_imports_no_cfaisp_module():
 
 def test_run_group_checks_nothing():
     # run_pipeline, run_experiment and ExperimentGrid check before it runs.
-    checks = ["check_text", "_check_sides", "check_pairing", "_check_types"]
+    checks = ["check_text", "check_image_ids", "_check_sides", "check_pairing", "_check_types"]
     assert [(check, scope) for check in checks for module, scope in _calls(check) if module == "pipeline" and scope.split(".")[0] == "_run_group"] == []
 
 
 def test_only_the_pairing_rules_read_is_joint():
     reads = {(module, scope) for module, scope, node in _nodes() if module != "demosaic" and isinstance(node, ast.Attribute) and node.attr == "is_joint"}
-    assert reads == {("pipeline", "check_pairing"), ("pipeline", "ExperimentGrid.demosaickers_for")}
+    assert reads == {("pipeline", "_pairs")}
+    assert {scope for module, scope in _calls("_pairs") if module == "pipeline"} == {"check_pairing", "ExperimentGrid.demosaickers_for"}
 
 
 def test_argparse_casts_nothing_itself():
